@@ -9,7 +9,6 @@
 #include "exp/experiment.h"
 #include "obs/export.h"
 #include "obs/span.h"
-#include "serve/shard_pool.h"
 #include "traceio/replay_env.h"
 
 namespace btbsim::bench {
@@ -23,7 +22,7 @@ std::string g_bench_slug = "bench";
 std::map<std::string, double> g_exp_counters;
 bool g_have_experiment = false;
 
-/// Failed (config, workload) labels + errors, for finish().
+/// Failed points' errors (each names its reproducer), for finish().
 std::vector<std::string> g_failures;
 
 } // namespace
@@ -79,9 +78,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
 {
     exp::ExperimentOptions opt = exp::ExperimentOptions::fromEnv();
     opt.run = ctx.opt;
-    // BTBSIM_SHARDS=N: run the sweep on the persistent in-process shard
-    // pool (shared replay-chunk cache) instead of per-sweep threads.
-    serve::ShardPool *pool = serve::applyEnvPool(opt);
 
     // Compact live progress: one char per completed point.
     const std::size_t total = configs.size() * ctx.suite.size();
@@ -94,9 +90,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
             break;
           case exp::PointStatus::kFailed:
             c = 'F';
-            break;
-          case exp::PointStatus::kSkipped:
-            c = 's';
             break;
           default:
             break;
@@ -111,13 +104,7 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
                 configs.size(), ctx.suite.size(), total,
                 opt.cache_dir.empty()
                     ? " (run cache off)"
-                    : (" (cache: " + opt.cache_dir +
-                       (opt.resume ? ", resuming" : "") + ")")
-                          .c_str());
-    if (pool)
-        std::printf("  shard pool: %u shards (BTBSIM_SHARDS), shared "
-                    "chunk cache\n",
-                    pool->shards());
+                    : (" (cache: " + opt.cache_dir + ")").c_str());
     const exp::ExperimentResult res =
         exp::runExperiment(g_bench_slug, configs, ctx.suite, std::move(opt));
 
@@ -133,29 +120,16 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
 
     const exp::ExperimentSummary &sum = res.summary;
     std::printf("  experiment: %zu points — %zu simulated, %zu cached "
-                "(%.1f%% hits), %zu failed, %zu skipped, %zu retries, "
-                "%.2fs\n",
+                "(%.1f%% hits), %zu failed, %.2fs\n\n",
                 sum.total, sum.ok, sum.cached, sum.cacheHitRate() * 100.0,
-                sum.failed, sum.skipped, sum.retries, sum.wall_seconds);
-    if (pool && !res.shards.empty() && sum.wall_seconds > 0.0) {
-        std::printf("  shard utilization:");
-        for (std::size_t i = 0; i < res.shards.size(); ++i)
-            std::printf(" s%zu=%zupt/%.0f%%", i, res.shards[i].points,
-                        100.0 * res.shards[i].busy_seconds /
-                            sum.wall_seconds);
-        std::printf("\n");
-    }
-    std::printf("\n");
+                sum.failed, sum.wall_seconds);
 
     g_exp_counters = res.counters();
     g_have_experiment = true;
     for (const exp::PointResult *p : res.failures()) {
-        const std::string label =
-            "(" + p->config + ", " + p->workload + "): " + p->error;
-        g_failures.push_back(label);
-        std::fprintf(stderr, "btbsim: sweep point FAILED after %u attempts "
-                             "%s\n",
-                     p->attempts, label.c_str());
+        g_failures.push_back(p->error);
+        std::fprintf(stderr, "btbsim: sweep point FAILED: %s\n",
+                     p->error.c_str());
     }
     return rs;
 }

@@ -40,16 +40,17 @@ CpuConfig realIbtb16();
  * Run all configurations over the suite through the experiment engine
  * (exp/experiment.h): points run in parallel, warm points come from the
  * content-addressed run cache (BTBSIM_RUN_CACHE, default results/cache;
- * 0 disables), a failed point is retried and then reported without
- * aborting the sweep, and BTBSIM_RESUME=1 resumes an interrupted sweep.
+ * 0 disables) — so rerunning an interrupted sweep simulates only the
+ * points it had not finished — and a failed point is reported with its
+ * reproducer without aborting the sweep.
  * Prints per-point progress, per-config geomeans and the sweep summary
  * (cache-hit rate, failures). Failures are remembered for finish().
  */
 ResultSet runAll(const Context &ctx, const std::vector<CpuConfig> &configs);
 
 /**
- * Bench epilogue: prints any failed (config, workload) points recorded
- * by runAll and returns the bench's exit code (1 when the sweep lost
+ * Bench epilogue: prints any failed points (with their reproducers)
+ * recorded by runAll and returns the bench's exit code (1 when the sweep lost
  * points, 0 otherwise). Call as `return bench::finish();` from main.
  */
 int finish();

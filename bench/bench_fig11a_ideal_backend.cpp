@@ -60,7 +60,7 @@ main()
 
     expectation(
         "With a dataflow-limited backend, MB-BTB 64 AllBr beats I-BTB 16 "
-        "significantly (paper: 13.4%% geomean, 6.0%%-15.6%%), and the "
+        "significantly (paper: 13.4% geomean, 6.0%-15.6%), and the "
         "speedup falls as the average dynamic basic-block size grows "
         "(large blocks already saturate a one-block-per-cycle frontend).");
     return bench::finish();

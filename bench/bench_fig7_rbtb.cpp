@@ -50,7 +50,7 @@ main()
     printFigure(rs, "I-BTB 16 (ideal)");
 
     expectation(
-        "2L1 interleaving helps only slightly (paper: up to 1.4%%, 0.5%% "
+        "2L1 interleaving helps only slightly (paper: up to 1.4%, 0.5% "
         "geomean for 2BS); keeping the 2BS/3BS geometry but 16 slots per "
         "entry recovers near-I-BTB performance (pressure is on slots, not "
         "entries); 128B regions need ~4 slots to pay off and lose again at "

@@ -44,7 +44,7 @@ main()
 
     expectation(
         "B-BTB 1BS with splitting is the best practical configuration "
-        "(paper: splitting adds 2.6%% geomean at 1BS, reaching 1.78 vs "
+        "(paper: splitting adds 2.6% geomean at 1BS, reaching 1.78 vs "
         "1.79 for realistic I-BTB); splitting barely matters at 2-3BS; "
         "MB-BTB pull policies help monotonically (UncndDir < CallDir < "
         "AllBr), most at 3BS (entries are scarcer, so chaining recovers "

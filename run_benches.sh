@@ -11,50 +11,28 @@
 #   --replay   Run the benches from those recordings instead of live
 #              stream generation, and report the wall clock saved against
 #              the most recent live run.
-#   --resume   Resume an interrupted sweep: completed points come back from
-#              the run cache (BTBSIM_RUN_CACHE, default results/cache) and
-#              only the remaining ones are simulated.
 #   --fresh    Drop the run cache first so every point simulates cold.
-#   --shards N Run every sweep on an in-process pool of N worker shards
-#              sharing one replay-chunk cache (exports BTBSIM_SHARDS=N);
-#              per-shard utilization is reported from the result JSON.
+#
+# Completed points are kept in the run cache (BTBSIM_RUN_CACHE, default
+# results/cache), so rerunning after an interruption simulates only the
+# points that had not finished.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 record=0
 replay=0
-resume=0
 fresh=0
-shards=${BTBSIM_SHARDS:-0}
-expect_shards=0
 for arg in "$@"; do
-    if [[ $expect_shards -eq 1 ]]; then
-        shards=$arg
-        expect_shards=0
-        continue
-    fi
     case "$arg" in
         --record) record=1 ;;
         --replay) replay=1 ;;
-        --resume) resume=1 ;;
         --fresh) fresh=1 ;;
-        --shards) expect_shards=1 ;;
-        --shards=*) shards=${arg#--shards=} ;;
         *)
-            echo "usage: $0 [--record] [--replay] [--resume] [--fresh]" \
-                 "[--shards N]" >&2
+            echo "usage: $0 [--record] [--replay] [--fresh]" >&2
             exit 2
             ;;
     esac
 done
-if [[ $expect_shards -eq 1 ]]; then
-    echo "error: --shards needs a value" >&2
-    exit 2
-fi
-if [[ "$shards" != 0 ]]; then
-    export BTBSIM_SHARDS="$shards"
-    echo "=== shard pool: BTBSIM_SHARDS=$shards ==="
-fi
 
 mkdir -p results
 trace_dir=results/btbt
@@ -75,10 +53,6 @@ esac
 if [[ $fresh -eq 1 && "$cache_dir" != 0 ]]; then
     echo "=== dropping run cache $cache_dir ==="
     rm -rf "$cache_dir"
-fi
-if [[ $resume -eq 1 ]]; then
-    export BTBSIM_RESUME=1
-    echo "=== resuming from run cache $cache_dir ==="
 fi
 
 if [[ $record -eq 1 ]]; then
@@ -123,19 +97,6 @@ for b in build/bench/bench_*; do
     fi
 done
 elapsed=$SECONDS
-
-# Per-shard utilization, read back from the "experiment" block of each
-# result JSON (exp.shard<i>.util = shard busy time / sweep wall time).
-if [[ "$shards" != 0 && $json_enabled -eq 1 ]]; then
-    echo "=== per-shard utilization (from result JSON) ==="
-    for f in "$json_dir"/*.json; do
-        [[ -f "$f" ]] || continue
-        util=$(grep -o '"exp\.shard[0-9]*\.util": *[0-9.eE+-]*' "$f" |
-               sed 's/"exp\.\(shard[0-9]*\)\.util": */\1=/' |
-               tr '\n' ' ' || true)
-        [[ -n "$util" ]] && echo "  $(basename "$f"): $util"
-    done
-fi
 
 if [[ $replay -eq 1 ]]; then
     if [[ -f results/.wall_live ]]; then

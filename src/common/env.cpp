@@ -26,13 +26,6 @@ knobs()
         // exp/experiment
         {"BTBSIM_RUN_CACHE", "results/cache",
          "Content-addressed run-result store; a path, or 0 to disable."},
-        {"BTBSIM_RESUME", "0",
-         "Resume an interrupted sweep from its journal (non-0 enables)."},
-        {"BTBSIM_RETRIES", "2",
-         "Extra attempts for a failed sweep point (bounded backoff)."},
-        {"BTBSIM_MAX_FAILURES", "0",
-         "Abort scheduling after this many failed points (0 = no limit; "
-         "remaining points report status skipped)."},
         // obs/sampler
         {"BTBSIM_SAMPLE_INTERVAL", "100000",
          "Cycles per time-series sample; 0 disables sampling."},
@@ -84,18 +77,6 @@ knobs()
         {"BTBSIM_REPLAY_CACHE_MB", "256",
          "Decoded-chunk cache budget for replay; 0 streams "
          "chunk-at-a-time."},
-        {"BTBSIM_REPLAY_SHARED", "",
-         "1/0 forces the process-wide shared replay-chunk cache on/off; "
-         "empty follows the shard pool (on once BTBSIM_SHARDS creates "
-         "one)."},
-        // serve (shard pool + daemon)
-        {"BTBSIM_SHARDS", "0",
-         "Worker shards for sweeps: N > 0 routes bench/tool sweeps "
-         "through a persistent in-process shard pool sharing one "
-         "replay-chunk cache; 0 keeps per-sweep threads."},
-        {"BTBSIM_SERVE_SOCKET", "results/btbsim-serve.sock",
-         "Unix socket path of the btbsim-serve daemon (also the "
-         "btbsim-client default)."},
     };
     return table;
 }

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "common/env.h"
-#include "exp/journal.h"
 #include "exp/sha256.h"
 #include "obs/export.h"
 #include "obs/progress.h"
@@ -33,8 +32,6 @@ pointStatusName(PointStatus s)
         return "cached";
       case PointStatus::kFailed:
         return "failed";
-      case PointStatus::kSkipped:
-        return "skipped";
     }
     return "unknown";
 }
@@ -48,9 +45,6 @@ ExperimentResult::counters() const
     scope.counter("ok") = summary.ok;
     scope.counter("cached") = summary.cached;
     scope.counter("failed") = summary.failed;
-    scope.counter("skipped") = summary.skipped;
-    scope.counter("retries") = summary.retries;
-    scope.counter("resumed") = summary.resumed;
     std::map<std::string, double> out = reg.flatten();
     out["exp.cache_hit_rate"] = summary.cacheHitRate();
     out["exp.wall_seconds"] = summary.wall_seconds;
@@ -116,10 +110,6 @@ ExperimentOptions::fromEnv(const std::string &default_cache_dir)
     // when the tracer is on.
     if (env::flag("BTBSIM_TRACE"))
         o.cache_dir.clear();
-    o.resume = env::flag("BTBSIM_RESUME");
-    o.retries = static_cast<unsigned>(env::u64("BTBSIM_RETRIES", o.retries));
-    o.max_failures =
-        static_cast<unsigned>(env::u64("BTBSIM_MAX_FAILURES", 0));
     return o;
 }
 
@@ -212,28 +202,13 @@ Experiment::run()
 
     const RunCache cache(opt_.cache_dir);
 
-    std::string journal_path = opt_.journal_path;
-    if (journal_path.empty() && cache.enabled())
-        journal_path = (std::filesystem::path(cache.dir()) / "journal" /
-                        (obs::slugify(name_) + ".jsonl"))
-                           .string();
-    Journal journal(journal_path, opt_.resume);
-
-    // Worker-slot count: the executor's width when a pool is attached
-    // (a persistent pool ignores the per-sweep thread request), plain
-    // spawned threads otherwise. Per-slot utilization (points finished
-    // + host time spent) is reported as ExperimentResult::shards.
+    // Per-thread utilization (points finished + host time spent) is
+    // reported as ExperimentResult::shards.
     const unsigned n_threads =
-        opt_.executor
-            ? opt_.executor->width(
-                  resolveThreads(opt_.run.threads, result.points.size()))
-            : resolveThreads(opt_.run.threads, result.points.size());
-    result.shards.assign(std::max<unsigned>(n_threads, 1), ShardUtil{});
+        resolveThreads(opt_.run.threads, result.points.size());
+    result.shards.assign(n_threads, ShardUtil{});
 
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> failures{0};
-    std::atomic<std::size_t> retries{0};
-    std::atomic<std::size_t> resumed{0};
     std::mutex point_mu; // Serializes the on_point callback.
 
     // Live JSONL progress stream (BTBSIM_PROGRESS_FD / _FILE): one
@@ -243,7 +218,7 @@ Experiment::run()
     std::mutex progress_mu; // Guards the done/status tallies below.
     struct
     {
-        std::size_t done = 0, ok = 0, cached = 0, failed = 0, skipped = 0;
+        std::size_t done = 0, ok = 0, cached = 0, failed = 0;
     } tally;
     if (progress) {
         progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
@@ -258,8 +233,6 @@ Experiment::run()
     }
 
     auto finishPoint = [&](PointResult &p) {
-        journal.append({p.digest, pointStatusName(p.status), p.config,
-                        p.workload, p.attempts, p.error});
         if (progress) {
             std::lock_guard<std::mutex> lk(progress_mu);
             ++tally.done;
@@ -272,9 +245,6 @@ Experiment::run()
                 break;
               case PointStatus::kFailed:
                 ++tally.failed;
-                break;
-              case PointStatus::kSkipped:
-                ++tally.skipped;
                 break;
             }
             const double elapsed =
@@ -299,7 +269,6 @@ Experiment::run()
                 w.kv("ok", static_cast<std::uint64_t>(tally.ok));
                 w.kv("cached", static_cast<std::uint64_t>(tally.cached));
                 w.kv("failed", static_cast<std::uint64_t>(tally.failed));
-                w.kv("skipped", static_cast<std::uint64_t>(tally.skipped));
                 w.kv("elapsed_seconds", elapsed);
                 w.kv("eta_seconds", eta);
                 w.kv("config", p.config);
@@ -317,7 +286,7 @@ Experiment::run()
     };
 
     auto worker = [&](unsigned slot) {
-        ShardUtil &util = result.shards[slot % result.shards.size()];
+        ShardUtil &util = result.shards[slot];
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= result.points.size())
@@ -333,54 +302,27 @@ Experiment::run()
                         .count();
             };
 
-            // Circuit breaker: once the failure budget is spent, stop
-            // burning host time and report the rest as skipped.
-            if (opt_.max_failures != 0 &&
-                failures.load() >= opt_.max_failures) {
-                p.status = PointStatus::kSkipped;
-                finishPoint(p);
-                account();
-                continue;
-            }
-
             if (cache.enabled()) {
                 obs::ObsSpan probe_span("cache_probe");
                 if (auto hit = cache.load(p.digest)) {
                     p.status = PointStatus::kCached;
                     p.stats = std::move(*hit);
-                    if (opt_.resume && journal.completedBefore(p.digest))
-                        resumed.fetch_add(1);
                     finishPoint(p);
                     account();
                     continue;
                 }
             }
 
-            const CpuConfig &cfg = configs_[p.config_index];
             const WorkloadSpec &spec = workloads_[p.workload_index];
-            const unsigned max_attempts = 1 + opt_.retries;
-            for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-                p.attempts = attempt;
-                try {
-                    obs::ObsSpan exec_span("execute");
-                    p.stats = opt_.simulate(cfg, spec, opt_.run);
-                    p.status = PointStatus::kOk;
-                    p.error.clear();
-                    break;
-                } catch (const std::exception &e) {
-                    p.error = e.what();
-                } catch (...) {
-                    p.error = "non-standard exception";
-                }
-                p.status = PointStatus::kFailed;
-                if (attempt < max_attempts) {
-                    retries.fetch_add(1);
-                    // Bounded exponential backoff, capped at 1s.
-                    const unsigned ms = std::min<unsigned>(
-                        opt_.backoff_ms << (attempt - 1), 1000);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(ms));
-                }
+            try {
+                obs::ObsSpan exec_span("execute");
+                p.stats = opt_.simulate(configs_[p.config_index], spec,
+                                        opt_.run);
+                p.status = PointStatus::kOk;
+            } catch (const std::exception &e) {
+                p.error = e.what();
+            } catch (...) {
+                p.error = "non-standard exception";
             }
 
             if (p.status == PointStatus::kOk) {
@@ -389,23 +331,23 @@ Experiment::run()
                     cache.store(p.digest, key_jsons[i], p.stats);
                 }
             } else {
-                failures.fetch_add(1);
+                // Deterministic simulation: the point fails the same way
+                // again, so name everything needed to reproduce it.
+                p.error = "config " + p.config + ", workload " + p.workload +
+                          ", trace_seed " + std::to_string(spec.trace_seed) +
+                          ", run key " + p.digest + ": " + p.error;
             }
             finishPoint(p);
             account();
         }
     };
 
-    if (opt_.executor) {
-        opt_.executor->run(worker);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(n_threads);
-        for (unsigned t = 0; t < n_threads; ++t)
-            pool.emplace_back(worker, t);
-        for (auto &t : pool)
-            t.join();
-    }
+    std::vector<std::thread> pool;
+    pool.reserve(n_threads);
+    for (unsigned t = 0; t < n_threads; ++t)
+        pool.emplace_back(worker, t);
+    for (auto &t : pool)
+        t.join();
 
     ExperimentSummary &s = result.summary;
     s.total = result.points.size();
@@ -420,13 +362,8 @@ Experiment::run()
           case PointStatus::kFailed:
             ++s.failed;
             break;
-          case PointStatus::kSkipped:
-            ++s.skipped;
-            break;
         }
     }
-    s.retries = retries.load();
-    s.resumed = resumed.load();
     s.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -440,8 +377,6 @@ Experiment::run()
             w.kv("ok", static_cast<std::uint64_t>(s.ok));
             w.kv("cached", static_cast<std::uint64_t>(s.cached));
             w.kv("failed", static_cast<std::uint64_t>(s.failed));
-            w.kv("skipped", static_cast<std::uint64_t>(s.skipped));
-            w.kv("retries", static_cast<std::uint64_t>(s.retries));
             w.kv("wall_seconds", s.wall_seconds);
             w.endObject();
         }));

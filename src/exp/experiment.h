@@ -1,27 +1,26 @@
 /**
  * @file
- * The experiment engine: a typed, fault-tolerant, cache-aware sweep of
- * configs x workloads, sitting above sim/runner.h's runOne().
+ * The experiment engine: a cache-aware sweep of configs x workloads,
+ * sitting above sim/runner.h's runOne().
  *
- * Where runMatrix() returns bare SimStats and aborts the whole sweep on
- * the first worker exception, an Experiment:
+ * Where runMatrix() returns bare SimStats and throws once any point
+ * fails, an Experiment:
  *
  *  - identifies every point by a content hash of its canonical run key
  *    (exp/run_cache.h) and serves warm points bit-identically from the
- *    persistent run cache without simulating;
- *  - schedules cold points through a dynamic work queue, isolating a
- *    worker exception to its point, retrying it with bounded backoff,
- *    and (optionally) circuit-breaking the sweep after max_failures
- *    while reporting the untouched points as skipped;
- *  - journals per-point completion (JSONL) so an interrupted sweep can
- *    be resumed with resume=true / BTBSIM_RESUME=1 / --resume;
+ *    persistent run cache without simulating. The cache is also the
+ *    checkpoint: rerunning an interrupted sweep serves every point it
+ *    finished as a hit and simulates only the rest;
+ *  - schedules cold points through a dynamic work queue on spawned
+ *    worker threads, giving each point exactly one attempt (the
+ *    simulator is deterministic, so a failing point would fail again)
+ *    and isolating a worker exception to its point;
  *  - reports progress and cache-hit-rate through an obs::StatRegistry
  *    ("exp.*" counters) surfaced in the ExperimentResult and in the
  *    bench JSON "experiment" block.
  *
  * Per-point status: ok (simulated this run), cached (served from the
- * store), failed (exhausted retries; error recorded), skipped (not
- * attempted because the failure limit tripped).
+ * store), failed (the simulation raised; error names the reproducer).
  */
 
 #ifndef BTBSIM_EXP_EXPERIMENT_H
@@ -42,8 +41,7 @@ namespace btbsim::exp {
 enum class PointStatus : std::uint8_t {
     kOk,      ///< Simulated successfully this run.
     kCached,  ///< Served bit-identically from the run cache.
-    kFailed,  ///< All attempts raised; see PointResult::error.
-    kSkipped, ///< Not attempted (failure limit tripped first).
+    kFailed,  ///< The simulation raised; see PointResult::error.
 };
 
 const char *pointStatusName(PointStatus s);
@@ -57,9 +55,10 @@ struct PointResult
     std::string workload; ///< WorkloadSpec::name.
     std::string digest;   ///< Content hash of the canonical run key.
 
-    PointStatus status = PointStatus::kSkipped;
-    unsigned attempts = 0; ///< Simulation attempts (0 for cached/skipped).
-    std::string error;     ///< Last failure message (kFailed only).
+    PointStatus status = PointStatus::kFailed;
+    /** kFailed only: "config <c>, workload <w>, trace_seed <s>, run key
+     *  <digest>: <exception text>" — everything needed to rerun it. */
+    std::string error;
 
     SimStats stats; ///< Valid for kOk and kCached.
 
@@ -69,8 +68,7 @@ struct PointResult
     }
 };
 
-/** Per-worker-slot accounting of one sweep (a "shard" when the sweep
- *  runs on a serve::ShardPool; a plain worker thread otherwise). */
+/** Per-worker-thread accounting of one sweep. */
 struct ShardUtil
 {
     std::size_t points = 0;      ///< Points this slot finished.
@@ -84,11 +82,6 @@ struct ExperimentSummary
     std::size_t ok = 0;
     std::size_t cached = 0;
     std::size_t failed = 0;
-    std::size_t skipped = 0;
-    std::size_t retries = 0; ///< Attempts beyond the first, summed.
-    /** Cached points whose digest the resume journal already listed as
-     *  complete — i.e. work a previous interrupted run contributed. */
-    std::size_t resumed = 0;
     double wall_seconds = 0.0;
 
     double
@@ -108,44 +101,25 @@ struct ExperimentResult
 
     ExperimentSummary summary;
 
-    /** One entry per worker slot the sweep ran on (thread or shard). */
+    /** One entry per worker thread the sweep ran on. */
     std::vector<ShardUtil> shards;
 
-    /** Flattened "exp.*" metrics (points, ok, cached, failed, skipped,
-     *  retries, cache_hit_rate, wall_seconds, shards and per-shard
+    /** Flattened "exp.*" metrics (points, ok, cached, failed,
+     *  cache_hit_rate, wall_seconds, shards and per-thread
      *  shard<i>.points / busy_seconds / util) for the JSON exporter. */
     std::map<std::string, double> counters() const;
 
-    bool allOk() const { return summary.failed == 0 && summary.skipped == 0; }
+    bool allOk() const { return summary.failed == 0; }
 
     /** Points that failed, for error reporting. */
     std::vector<const PointResult *> failures() const;
 
     /**
      * The stats of every point carrying results, in sweep order
-     * (failed/skipped points are absent — check allOk() first when a
-     * dense matrix is required).
+     * (failed points are absent — check allOk() first when a dense
+     * matrix is required).
      */
     std::vector<SimStats> stats() const;
-};
-
-/**
- * Abstract executor a sweep's workers run on. The default (no executor)
- * spawns one thread per worker slot and joins them; a persistent
- * implementation (serve::ShardPool) reuses its threads across sweeps.
- *
- * Contract: width(requested) reports how many slots run() will use;
- * run(worker) must invoke worker(slot) exactly once per slot in
- * [0, width), concurrently, and return only when every call has.
- * Workers pull points from the sweep's internal work queue until it is
- * drained, so any width completes the sweep.
- */
-class SweepExecutor
-{
-  public:
-    virtual ~SweepExecutor() = default;
-    virtual unsigned width(unsigned requested) const = 0;
-    virtual void run(const std::function<void(unsigned slot)> &worker) = 0;
 };
 
 /** Scheduling and policy knobs for one Experiment. */
@@ -153,26 +127,9 @@ struct ExperimentOptions
 {
     RunOptions run;
 
-    /** External executor (non-owning; may outlive many sweeps). Null
-     *  spawns opt.run.threads plain threads per run() call. */
-    SweepExecutor *executor = nullptr;
-
-    /** Run-cache directory; empty disables caching. */
+    /** Run-cache directory; empty disables caching (and with it, the
+     *  resumption of an interrupted sweep). */
     std::string cache_dir;
-
-    /** Extra attempts after a point's first failure. */
-    unsigned retries = 2;
-    /** Base backoff before a retry; doubles per attempt, capped at 1s. */
-    unsigned backoff_ms = 10;
-    /** Stop scheduling new points after this many failures (0 = off);
-     *  unscheduled points report kSkipped. */
-    unsigned max_failures = 0;
-
-    /** Resume from the journal instead of truncating it. */
-    bool resume = false;
-    /** Journal path; empty derives <cache_dir>/journal/<slug>.jsonl
-     *  (no journal when the cache is disabled too). */
-    std::string journal_path;
 
     /** The simulation function; tests inject failures here. Defaults to
      *  sim/runner.h runOne(). */
@@ -186,8 +143,7 @@ struct ExperimentOptions
     /**
      * Environment-driven options for sweeps run by benches and tools:
      * RunOptions::fromEnv() plus BTBSIM_RUN_CACHE (default
-     * @p default_cache_dir), BTBSIM_RESUME, BTBSIM_RETRIES and
-     * BTBSIM_MAX_FAILURES. BTBSIM_TRACE=1 forces the cache off: a
+     * @p default_cache_dir). BTBSIM_TRACE=1 forces the cache off: a
      * cached point skips the simulation whose decisions the tracer
      * would have recorded.
      */
@@ -205,8 +161,9 @@ class Experiment
     Experiment(std::string name, std::vector<CpuConfig> configs,
                std::vector<WorkloadSpec> workloads, ExperimentOptions opt);
 
-    /** Execute (or resume) the sweep. Thread count comes from
-     *  opt.run.threads (0 = hardware concurrency). */
+    /** Execute the sweep; points already in the run cache are served
+     *  as hits. Thread count comes from opt.run.threads (0 = hardware
+     *  concurrency). */
     ExperimentResult run();
 
     const std::string &name() const { return name_; }

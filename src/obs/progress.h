@@ -3,17 +3,17 @@
  * Live sweep progress as a JSONL stream. When BTBSIM_PROGRESS_FD (an
  * inherited file descriptor number) or BTBSIM_PROGRESS_FILE (a path,
  * opened append) is set, the experiment engine emits one JSON object per
- * line as the sweep advances, so a supervising process — eventually the
- * btbsim-serve daemon — can render progress without scraping stdout:
+ * line as the sweep advances, so a supervising process can render
+ * progress without scraping stdout:
  *
  *   {"type":"sweep_start","sweep":"<name>","total":N,
  *    "cache":"<dir or ''>","threads":T}
  *   {"type":"point","sweep":"<name>","done":d,"total":N,"ok":o,
- *    "cached":c,"failed":f,"skipped":s,"elapsed_seconds":e,
+ *    "cached":c,"failed":f,"elapsed_seconds":e,
  *    "eta_seconds":eta,"config":"...","workload":"...",
- *    "status":"ok|cached|failed|skipped","span":"<current span path>"}
+ *    "status":"ok|cached|failed","span":"<current span path>"}
  *   {"type":"sweep_end","sweep":"<name>","total":N,"ok":o,"cached":c,
- *    "failed":f,"skipped":s,"retries":r,"wall_seconds":w}
+ *    "failed":f,"wall_seconds":w}
  *
  * eta_seconds is a simple linear extrapolation over completed points
  * (-1 until one point completes). Records are serialized under a mutex;

@@ -136,8 +136,6 @@ runMatrix(const std::vector<CpuConfig> &configs,
     exp::ExperimentOptions eopt;
     eopt.run = opt;
     eopt.cache_dir = exp::RunCache::dirFromEnv("");
-    eopt.retries =
-        static_cast<unsigned>(env::u64("BTBSIM_RETRIES", eopt.retries));
 
     exp::ExperimentResult r = exp::runExperiment(
         "run_matrix", configs, suite, std::move(eopt));
@@ -146,8 +144,7 @@ runMatrix(const std::vector<CpuConfig> &configs,
                            std::to_string(r.summary.failed) +
                            " point(s) failed:";
         for (const exp::PointResult *p : r.failures())
-            what += "\n  (" + p->config + ", " + p->workload +
-                    "): " + p->error;
+            what += "\n  " + p->error;
         throw std::runtime_error(what);
     }
     return r.stats();

@@ -44,10 +44,11 @@ SimStats runOne(const CpuConfig &cfg, const WorkloadSpec &spec,
  * bit-identical regardless of thread count.
  *
  * This is a thin wrapper over the experiment engine (exp/experiment.h),
- * which adds the content-addressed run cache, retries and per-point
- * failure isolation; prefer it for new sweeps. A point that still fails
- * after retries makes runMatrix throw std::runtime_error listing every
- * failed (config, workload) — after the rest of the sweep completed.
+ * which adds the content-addressed run cache and per-point failure
+ * isolation; prefer it for new sweeps. A failed point makes runMatrix
+ * throw std::runtime_error listing every failed point's reproducer
+ * (config, workload, trace_seed, run key) — after the rest of the sweep
+ * completed.
  */
 std::vector<SimStats> runMatrix(const std::vector<CpuConfig> &configs,
                                 const std::vector<WorkloadSpec> &suite,

@@ -76,11 +76,6 @@ TraceReplaySource::Options::fromEnv()
     o.background_decode = !env::disabled("BTBSIM_REPLAY_ASYNC");
     if (env::isSet("BTBSIM_REPLAY_CACHE_MB"))
         o.cache_budget_bytes = env::u64("BTBSIM_REPLAY_CACHE_MB", 0) << 20;
-    const bool shared = env::isSet("BTBSIM_REPLAY_SHARED")
-                            ? env::flag("BTBSIM_REPLAY_SHARED")
-                            : SharedChunkCache::processDefault();
-    if (shared)
-        o.shared_cache = &SharedChunkCache::instance();
     return o;
 }
 
@@ -131,7 +126,7 @@ TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
     crc_checked_ = std::make_unique<std::atomic<bool>[]>(chunks_.size());
 
     // The wrap seam lives in the last non-empty chunk; its tail gets
-    // rewritten, so that chunk always stays a private buffer.
+    // rewritten on install (installFront).
     seam_chunk_ = chunks_.size() - 1;
     while (seam_chunk_ > 0 && chunks_[seam_chunk_].records == 0)
         --seam_chunk_;
@@ -144,15 +139,6 @@ TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
     if (cached_mode_) {
         cache_.resize(chunks_.size());
         cache_valid_.assign(chunks_.size(), false);
-        // Cross-source sharing: non-seam chunks come from the process
-        // cache so K sources replaying one file decode each chunk once.
-        if (opt.shared_cache) {
-            file_key_ = SharedChunkCache::fileKey(path_);
-            if (!file_key_.empty()) {
-                shared_ = opt.shared_cache;
-                shared_slots_.resize(chunks_.size());
-            }
-        }
     }
 
     // Streaming fallback for oversized traces. A single chunk replays
@@ -206,14 +192,6 @@ TraceReplaySource::decodeChunk(std::size_t idx,
 const std::vector<Instruction> &
 TraceReplaySource::chunkBuffer(std::size_t idx)
 {
-    if (shared_ && idx != seam_chunk_) {
-        if (!shared_slots_[idx])
-            shared_slots_[idx] = shared_->get(
-                file_key_, idx, [this, idx](std::vector<Instruction> &out) {
-                    decodeChunk(idx, out);
-                });
-        return *shared_slots_[idx];
-    }
     if (!cache_valid_[idx]) {
         decodeChunk(idx, cache_[idx]);
         cache_valid_[idx] = true;
@@ -237,8 +215,6 @@ TraceReplaySource::installFront(std::size_t idx)
     // instruction's next_pc matches the following pc, so the recorded
     // tail is rewritten into a jump back to the recorded head. The
     // rewrite is idempotent, so re-installing a cached chunk is fine.
-    // The seam chunk is never shared across sources (chunkBuffer), so
-    // this write cannot race another replay of the same file.
     if (idx == seam_chunk_) {
         std::vector<Instruction> &buf =
             cached_mode_ ? cache_[idx] : stream_buf_;

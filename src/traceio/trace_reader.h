@@ -18,7 +18,6 @@
 
 #include "trace/program.h"
 #include "trace/trace_source.h"
-#include "traceio/chunk_cache.h"
 #include "traceio/format.h"
 
 namespace btbsim::traceio {
@@ -83,17 +82,9 @@ class TraceReplaySource : public TraceSource
         /** Decoded-chunk cache limit in bytes; 0 forces streaming. */
         std::uint64_t cache_budget_bytes = 256ull << 20;
 
-        /** Process-wide decoded-chunk cache to share with other sources
-         *  replaying the same file (chunk_cache.h); null keeps every
-         *  buffer private. Only effective in cached mode; the seam
-         *  chunk stays private regardless (its tail is rewritten). */
-        SharedChunkCache *shared_cache = nullptr;
-
         /** BTBSIM_REPLAY_MMAP=0 / BTBSIM_REPLAY_ASYNC=0 disable the
          *  respective fast path; BTBSIM_REPLAY_CACHE_MB resizes the
-         *  decoded-chunk cache; BTBSIM_REPLAY_SHARED attaches the
-         *  process-wide SharedChunkCache ("1"/"0" forces, unset follows
-         *  SharedChunkCache::processDefault()). */
+         *  decoded-chunk cache. */
         static Options fromEnv();
     };
 
@@ -134,9 +125,9 @@ class TraceReplaySource : public TraceSource
     std::unique_ptr<std::atomic<bool>[]> crc_checked_;
 
     // Consumer-side cursor. cur_ points at the buffer being delivered:
-    // a cache_ slot or shared-cache buffer in cached mode, stream_buf_
-    // in streaming mode. Read-only: the only mutation (the wrap-seam
-    // rewrite) goes through the always-private seam-chunk buffer.
+    // a cache_ slot in cached mode, stream_buf_ in streaming mode.
+    // Read-only: the only mutation (the wrap-seam rewrite) goes through
+    // the seam chunk's own buffer.
     const std::vector<Instruction> *cur_ = nullptr;
     std::size_t pos_ = 0;
     std::size_t cur_chunk_ = 0; ///< Chunk index cur_ holds.
@@ -149,11 +140,6 @@ class TraceReplaySource : public TraceSource
     bool cached_mode_ = false;
     std::vector<std::vector<Instruction>> cache_;
     std::vector<bool> cache_valid_;
-
-    // Cross-source chunk sharing (cached mode; see chunk_cache.h).
-    SharedChunkCache *shared_ = nullptr;
-    std::string file_key_;
-    std::vector<SharedChunkCache::Buffer> shared_slots_;
 
     // Streaming double buffer (oversized traces).
     std::vector<Instruction> stream_buf_;

@@ -39,13 +39,11 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
     // The knobs the rest of the library reads through the facade.
     for (const char *name :
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
-          "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_RESUME",
-          "BTBSIM_RETRIES", "BTBSIM_MAX_FAILURES", "BTBSIM_SAMPLE_INTERVAL",
+          "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SAMPLE_INTERVAL",
           "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
           "BTBSIM_HOST_COUNTERS", "BTBSIM_PROGRESS_FD",
           "BTBSIM_PROGRESS_FILE", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
-          "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT",
-          "BTBSIM_REPLAY_SHARED", "BTBSIM_SHARDS", "BTBSIM_SERVE_SOCKET"})
+          "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 

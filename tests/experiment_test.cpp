@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "env_util.h"
@@ -57,7 +56,6 @@ baseOptions(const std::string &cache_dir)
     o.run.measure = 1000;
     o.run.threads = 2;
     o.cache_dir = cache_dir;
-    o.backoff_ms = 1; // Keep retry tests fast.
     o.simulate = fakeSim;
     return o;
 }
@@ -90,7 +88,6 @@ TEST(Experiment, AllPointsRunAndAreOrdered)
     EXPECT_EQ(r.stats().size(), 6u);
     for (const auto &p : r.points) {
         EXPECT_EQ(p.status, exp::PointStatus::kOk);
-        EXPECT_EQ(p.attempts, 1u);
         EXPECT_EQ(p.digest.size(), 64u);
     }
     // exp.* counters for the observability block.
@@ -147,72 +144,39 @@ TEST(Experiment, ChangedRunOptionsMissTheCache)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Experiment, TransientFailureIsRetriedToSuccess)
-{
-    std::atomic<unsigned> calls{0};
-    auto opt = baseOptions("");
-    opt.retries = 3;
-    opt.simulate = [&](const CpuConfig &c, const WorkloadSpec &w,
-                       const RunOptions &o) {
-        // wl1 fails twice before succeeding, everything else is clean.
-        if (w.name == "wl1" && calls.fetch_add(1) < 2)
-            throw std::runtime_error("transient fault");
-        return fakeSim(c, w, o);
-    };
-    const auto r = exp::runExperiment("t-retry", {twoConfigs()[0]},
-                                      threeWorkloads(), std::move(opt));
-    EXPECT_TRUE(r.allOk());
-    EXPECT_EQ(r.summary.retries, 2u);
-    for (const auto &p : r.points)
-        if (p.workload == "wl1")
-            EXPECT_EQ(p.attempts, 3u);
-        else
-            EXPECT_EQ(p.attempts, 1u);
-}
-
 TEST(Experiment, PermanentFailureIsIsolatedToItsPoint)
 {
+    std::atomic<unsigned> wl1_calls{0};
     auto opt = baseOptions("");
-    opt.retries = 1;
-    opt.simulate = [](const CpuConfig &c, const WorkloadSpec &w,
-                      const RunOptions &o) {
-        if (w.name == "wl1")
+    opt.simulate = [&](const CpuConfig &c, const WorkloadSpec &w,
+                       const RunOptions &o) {
+        if (w.name == "wl1") {
+            wl1_calls.fetch_add(1);
             throw std::runtime_error("port model exploded");
+        }
         return fakeSim(c, w, o);
     };
-    const auto r = exp::runExperiment("t-fail", twoConfigs(),
-                                      threeWorkloads(), std::move(opt));
+    auto workloads = threeWorkloads();
+    workloads[1].trace_seed = 4242;
+    const auto r = exp::runExperiment("t-fail", twoConfigs(), workloads,
+                                      std::move(opt));
 
     EXPECT_FALSE(r.allOk());
     EXPECT_EQ(r.summary.ok, 4u);
     EXPECT_EQ(r.summary.failed, 2u); // wl1 under both configs.
     EXPECT_EQ(r.stats().size(), 4u); // Failed points carry no stats.
+    EXPECT_EQ(wl1_calls.load(), 2u); // One attempt per point, no retry.
 
     const auto fails = r.failures();
     ASSERT_EQ(fails.size(), 2u);
     for (const exp::PointResult *p : fails) {
         EXPECT_EQ(p->workload, "wl1");
         EXPECT_EQ(p->status, exp::PointStatus::kFailed);
-        EXPECT_EQ(p->attempts, 2u); // 1 try + 1 retry.
-        EXPECT_EQ(p->error, "port model exploded");
+        // The error names the reproducer ahead of the exception text.
+        EXPECT_EQ(p->error, "config " + p->config +
+                                ", workload wl1, trace_seed 4242, run key " +
+                                p->digest + ": port model exploded");
     }
-}
-
-TEST(Experiment, CircuitBreakerSkipsAfterMaxFailures)
-{
-    auto opt = baseOptions("");
-    opt.retries = 0;
-    opt.max_failures = 1;
-    opt.run.threads = 1; // Deterministic scheduling for the assertion.
-    opt.simulate = [](const CpuConfig &, const WorkloadSpec &,
-                      const RunOptions &) -> SimStats {
-        throw std::runtime_error("always fails");
-    };
-    const auto r = exp::runExperiment("t-breaker", twoConfigs(),
-                                      threeWorkloads(), std::move(opt));
-    EXPECT_EQ(r.summary.failed, 1u);
-    EXPECT_EQ(r.summary.skipped, 5u);
-    EXPECT_FALSE(r.allOk());
 }
 
 TEST(Experiment, ResumePicksUpWhereAnInterruptedSweepStopped)
@@ -225,11 +189,10 @@ TEST(Experiment, ResumePicksUpWhereAnInterruptedSweepStopped)
     (void)exp::runExperiment("t-resume", {twoConfigs()[0]},
                              threeWorkloads(), std::move(first));
 
-    // Full sweep with resume: the journaled points count as resumed work
-    // and nothing already complete is simulated again.
+    // Rerunning the full sweep on the same cache is the resume: the
+    // finished points are hits and only the rest is simulated.
     std::atomic<unsigned> sims{0};
     auto second = baseOptions(dir);
-    second.resume = true;
     second.simulate = [&](const CpuConfig &c, const WorkloadSpec &w,
                           const RunOptions &o) {
         sims.fetch_add(1);
@@ -239,31 +202,8 @@ TEST(Experiment, ResumePicksUpWhereAnInterruptedSweepStopped)
                                       threeWorkloads(), std::move(second));
     EXPECT_TRUE(r.allOk());
     EXPECT_EQ(r.summary.cached, 3u);
-    EXPECT_EQ(r.summary.resumed, 3u);
+    EXPECT_EQ(r.summary.ok, 3u);
     EXPECT_EQ(sims.load(), 3u); // Only the second config's points ran.
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Experiment, JournalRecordsEveryPoint)
-{
-    const std::string dir = freshDir("exp_journal");
-    auto opt = baseOptions(dir);
-    opt.journal_path = dir + "/j.jsonl";
-    (void)exp::runExperiment("t-journal", twoConfigs(), threeWorkloads(),
-                             std::move(opt));
-
-    std::ifstream is(dir + "/j.jsonl");
-    ASSERT_TRUE(is.good());
-    std::size_t lines = 0;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        ++lines;
-        EXPECT_NE(line.find("\"digest\""), std::string::npos);
-        EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos);
-    }
-    EXPECT_EQ(lines, 6u);
     std::filesystem::remove_all(dir);
 }
 
@@ -271,19 +211,11 @@ TEST(Experiment, EnvOptions)
 {
     {
         test::ScopedEnv e1("BTBSIM_RUN_CACHE", "/tmp/expenv");
-        test::ScopedEnv e2("BTBSIM_RESUME", "1");
-        test::ScopedEnv e3("BTBSIM_RETRIES", "5");
-        test::ScopedEnv e4("BTBSIM_MAX_FAILURES", "9");
         const auto o = exp::ExperimentOptions::fromEnv("fallback");
         EXPECT_EQ(o.cache_dir, "/tmp/expenv");
-        EXPECT_TRUE(o.resume);
-        EXPECT_EQ(o.retries, 5u);
-        EXPECT_EQ(o.max_failures, 9u);
     }
 
     test::ScopedEnv e1("BTBSIM_RUN_CACHE", nullptr);
-    test::ScopedEnv e2("BTBSIM_RESUME", nullptr);
     const auto d = exp::ExperimentOptions::fromEnv("fallback");
     EXPECT_EQ(d.cache_dir, "fallback");
-    EXPECT_FALSE(d.resume);
 }

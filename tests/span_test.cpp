@@ -143,7 +143,6 @@ TEST(Span, WorkerThreadsRecordIndependently)
 
     exp::ExperimentOptions opt;
     opt.run.threads = 4;
-    opt.retries = 0;
     opt.simulate = [](const CpuConfig &cfg, const WorkloadSpec &w,
                       const RunOptions &) {
         obs::ObsSpan span("stub_sim");
