@@ -33,38 +33,36 @@ Backend::allocate(DynInst &&inst, Cycle now)
         ++stores_in_flight_;
     ++iq_occupancy_;
 
+    // Producer entries resolve through stable deque references; capture
+    // them before the move below. A stale pointer (producer committed or
+    // renamed before this window) is guarded by the seq check against
+    // last_committed_seq_, never dereferenced.
+    RobEntry *s1 = inst.in.src1 ? last_writer_entry_[inst.in.src1] : nullptr;
+    RobEntry *s2 = inst.in.src2 ? last_writer_entry_[inst.in.src2] : nullptr;
+
     if (cfg_.ideal) {
         // Pure-dataflow scheduling: with unit latencies and unlimited
         // ports, completion is computable at allocation because all
         // producers allocated (and thus scheduled) earlier.
         Cycle c = now + 1;
-        auto chase = [&](std::uint64_t seq) {
-            if (seq == 0 || seq <= last_committed_seq_)
-                return;
-            auto it = live_.find(seq);
-            if (it != live_.end())
-                c = std::max(c, it->second + 1);
+        auto chase = [&](std::uint64_t seq, const RobEntry *src) {
+            if (seq != 0 && seq > last_committed_seq_)
+                c = std::max(c, src->inst.complete_cycle + 1);
         };
-        chase(inst.dep1);
-        chase(inst.dep2);
+        chase(inst.dep1, s1);
+        chase(inst.dep2, s2);
         inst.issue_cycle = now;
         inst.complete_cycle = c;
         if (inst.resteer == Resteer::kExec) {
             has_pending_resteer_ = true;
             pending_resteer_complete_ = c;
         }
-        live_.emplace(inst.seq, c);
         rob_.push_back(RobEntry{std::move(inst), true});
+        if (rob_.back().inst.in.dst)
+            last_writer_entry_[rob_.back().inst.in.dst] = &rob_.back();
         --iq_occupancy_;
         return;
     }
-
-    // Producer entries resolve through stable deque references; capture
-    // them before the move below. A stale pointer (producer committed or
-    // renamed before this window) is guarded by the seq check in
-    // depReady(), never dereferenced.
-    RobEntry *s1 = inst.in.src1 ? last_writer_entry_[inst.in.src1] : nullptr;
-    RobEntry *s2 = inst.in.src2 ? last_writer_entry_[inst.in.src2] : nullptr;
 
     rob_.push_back(RobEntry{std::move(inst), false});
     RobEntry &e = rob_.back();
@@ -261,8 +259,6 @@ Backend::runCycle(Cycle now)
         if (head.inst.in.isLoad())
             --loads_in_flight_;
         last_committed_seq_ = head.inst.seq;
-        if (cfg_.ideal)
-            live_.erase(head.inst.seq);
         rob_.pop_front();
         ++committed_;
         ++commits;

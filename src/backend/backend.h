@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -117,9 +116,6 @@ class Backend
     MemHier *mem_;
 
     std::deque<RobEntry> rob_;
-    /// seq -> complete_cycle for live producers (ideal mode only: the
-    /// realistic path resolves producers through RobEntry pointers).
-    std::unordered_map<std::uint64_t, Cycle> live_;
     std::uint64_t last_committed_seq_ = 0;
     std::uint64_t committed_ = 0;
 

@@ -15,14 +15,6 @@ knobs()
         {"BTBSIM_TRACES", "6", "Workloads taken from the server suite."},
         {"BTBSIM_THREADS", "0",
          "Worker threads for sweeps (0 = hardware concurrency)."},
-        // core/soa_table + core/way_pred (probe path)
-        {"BTBSIM_SIMD", "auto",
-         "Probe kernel for the SoA set tables: auto (widest supported), "
-         "scalar, sse, avx2; unsupported choices fall back to scalar."},
-        {"BTBSIM_WAYPRED", "off",
-         "Way prediction for the simulated BTB levels: off, utag "
-         "(hashed-tag candidate filter), mru (last-used way first); "
-         "counters appear under btb.waypred.*."},
         // exp/experiment
         {"BTBSIM_RUN_CACHE", "results/cache",
          "Content-addressed run-result store; a path, or 0 to disable."},
@@ -69,14 +61,6 @@ knobs()
         {"BTBSIM_FAULT", "",
          "Name of the fault point to arm (builds configured with "
          "-DBTBSIM_FAULT_POINTS=ON only); empty disables."},
-        // traceio/trace_reader
-        {"BTBSIM_REPLAY_MMAP", "1",
-         "0 = buffered reads instead of mmap for .btbt replay."},
-        {"BTBSIM_REPLAY_ASYNC", "1",
-         "0 = disable background chunk decode for oversized traces."},
-        {"BTBSIM_REPLAY_CACHE_MB", "256",
-         "Decoded-chunk cache budget for replay; 0 streams "
-         "chunk-at-a-time."},
     };
     return table;
 }

@@ -8,7 +8,7 @@
 namespace btbsim {
 
 RegionBtb::RegionBtb(const BtbConfig &cfg)
-    : cfg_(cfg), table_(cfg, log2i(cfg.region_bytes), &stats)
+    : cfg_(cfg), table_(cfg, log2i(cfg.region_bytes))
 {}
 
 void

@@ -5,16 +5,15 @@
  * organizations, caches and TLBs.
  *
  * Layout: one packed tag word per way (8B lanes, per-set stride padded
- * to a multiple of 4 so a set's tags span whole SIMD vectors — 8 ways =
- * one 64B cache line), a per-set 32-bit validity mask, and a parallel
+ * to a multiple of 4 so a set's tags span whole vectors — 8 ways = one
+ * 64B cache line), a per-set 32-bit validity mask, and a parallel
  * LRU-stamp array. Payloads live in their own dense array so a probe
  * never drags entry bytes through the cache.
  *
- * A probe is a branchless word-compare over the whole set: portable
- * SWAR by default, SSE4.1/AVX2 kernels under runtime feature detection
- * (BTBSIM_SIMD selects; see resolveSimd()). Probing never touches LRU —
- * recency is advanced only by the explicit touch()/fill() mutators on
- * SetView, so lookup side effects are in the caller's hands.
+ * A probe is a branchless word-compare over the whole set
+ * (eqMaskScalar). Probing never touches LRU — recency is advanced only
+ * by the explicit touch()/fill() mutators on SetView, so lookup side
+ * effects are in the caller's hands.
  *
  * Replacement contract (bit-compatible with the old table): victim() is
  * the lowest-index invalid way if any, else the way with the strictly
@@ -29,39 +28,20 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
-#include "core/way_pred.h"
 
 namespace btbsim {
 
-/** Probe kernel flavor; resolved once per table construction. */
-enum class SimdKind : std::uint8_t { kScalar, kSse, kAvx2 };
+// Leftovers of the retired probe-kernel selection: btbbench/main.cpp
+// still prints simdKindName(resolveSimd()). Delete with btbbench's next
+// revision.
+enum class SimdKind : std::uint8_t { kScalar };
+inline SimdKind resolveSimd() { return SimdKind::kScalar; }
+inline const char *simdKindName(SimdKind) { return "scalar"; }
 
-/**
- * Pick the probe kernel from BTBSIM_SIMD (auto/scalar/sse/avx2) clamped
- * to what the host CPU supports; "auto" takes the widest available.
- */
-SimdKind resolveSimd();
-
-/** Human-readable kernel name ("scalar"/"sse"/"avx2"). */
-const char *simdKindName(SimdKind kind);
-
-namespace detail {
-
-/** SSE4.1 tag compare; @p lanes must be a multiple of 2. */
-std::uint32_t eqMaskSse(const std::uint64_t *tags, unsigned lanes,
-                        std::uint64_t key);
-
-/** AVX2 tag compare; @p lanes must be a multiple of 4. */
-std::uint32_t eqMaskAvx2(const std::uint64_t *tags, unsigned lanes,
-                         std::uint64_t key);
-
-} // namespace detail
-
-/** Portable SWAR tag compare: bit w set iff tags[w] == key. */
+/** Portable tag compare: bit w set iff tags[w] == key. */
 inline std::uint32_t
 eqMaskScalar(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
 {
@@ -69,22 +49,6 @@ eqMaskScalar(const std::uint64_t *tags, unsigned lanes, std::uint64_t key)
     for (unsigned w = 0; w < lanes; ++w)
         m |= static_cast<std::uint32_t>(tags[w] == key) << w;
     return m;
-}
-
-/** Dispatch to the kernel selected at table construction. */
-inline std::uint32_t
-eqMask(SimdKind kind, const std::uint64_t *tags, unsigned lanes,
-       std::uint64_t key)
-{
-    switch (kind) {
-    case SimdKind::kSse:
-        return detail::eqMaskSse(tags, lanes, key);
-    case SimdKind::kAvx2:
-        return detail::eqMaskAvx2(tags, lanes, key);
-    case SimdKind::kScalar:
-        break;
-    }
-    return eqMaskScalar(tags, lanes, key);
 }
 
 /**
@@ -110,27 +74,18 @@ class SoaSetTable
      * @param ways Associativity (1..32).
      * @param index_shift Right shift applied to the key before set
      *                    selection (e.g., 6 for 64B-granular keys).
-     * @param sink When given a StatSet, attaches the BTBSIM_WAYPRED way
-     *             predictor to this table's probes (BTB structures only).
      */
-    SoaSetTable(unsigned sets, unsigned ways, unsigned index_shift,
-                WayPredSink sink = {})
+    SoaSetTable(unsigned sets, unsigned ways, unsigned index_shift)
         : sets_(sets), ways_(ways), shift_(index_shift),
           stride_((ways + 3u) & ~3u),
           full_mask_(ways >= 32 ? ~std::uint32_t{0}
                                 : (std::uint32_t{1} << ways) - 1),
-          pow2_sets_(std::has_single_bit(sets)), simd_(resolveSimd()),
+          pow2_sets_(std::has_single_bit(sets)),
           tags_(static_cast<std::size_t>(sets) * stride_, 0),
           lru_(static_cast<std::size_t>(sets) * stride_, 0),
           valid_(sets, 0), entries_(static_cast<std::size_t>(sets) * ways)
     {
         assert(sets >= 1 && ways >= 1 && ways <= 32);
-        if (sink.stats) {
-            const WayPredMode mode = wayPredModeFromEnv();
-            if (mode != WayPredMode::kOff)
-                pred_ = std::make_unique<WayPredictor>(mode, sets, ways,
-                                                       sink);
-        }
     }
 
     unsigned sets() const { return sets_; }
@@ -140,8 +95,6 @@ class SoaSetTable
     {
         return static_cast<std::size_t>(sets_) * ways_;
     }
-    SimdKind simdKind() const { return simd_; }
-    const WayPredictor *predictor() const { return pred_.get(); }
 
     /** Set index @p key maps to (external residency modeling). */
     std::size_t
@@ -194,8 +147,6 @@ class SoaSetTable
         touch(unsigned w)
         {
             lru()[w] = ++t_->tick_;
-            if (WayPredictor *p = t_->pred_.get())
-                p->onTouch(set_, w);
         }
 
         /** Replacement choice: lowest-index invalid way, else LRU way.
@@ -229,8 +180,6 @@ class SoaSetTable
             vm |= std::uint32_t{1} << w;
             tag = key;
             lru()[w] = ++t_->tick_;
-            if (WayPredictor *p = t_->pred_.get())
-                p->onFill(set_, w, key);
             Entry &e = entry(w);
             e = Entry{};
             return e;
@@ -352,62 +301,14 @@ class SoaSetTable
     friend class SetView;
     friend class ConstSetView;
 
-    /** Shared probe core: predictor-filtered when attached. */
+    /** Shared probe core. */
     int
     probeSet(std::size_t set, Addr key) const
     {
-        const std::uint32_t vmask = valid_[set];
-        const std::uint64_t *tags = tags_.data() + set * stride_;
-        if (WayPredictor *p = pred_.get())
-            return predictedProbe(set, key, vmask, tags, p);
-        const std::uint32_t m = eqMask(simd_, tags, stride_, key) & vmask;
+        const std::uint32_t m =
+            eqMaskScalar(tags_.data() + set * stride_, stride_, key) &
+            valid_[set];
         return m ? std::countr_zero(m) : -1;
-    }
-
-    /**
-     * First-probe filter + accounting. Results are identical to the
-     * plain probe: MRU falls back to the full compare on a first-way
-     * miss, and a utag candidate set provably contains any hitting way.
-     */
-    int
-    predictedProbe(std::size_t set, Addr key, std::uint32_t vmask,
-                   const std::uint64_t *tags, WayPredictor *p) const
-    {
-        ++*p->probes;
-        if (p->mode() == WayPredMode::kMru) {
-            const unsigned pw = p->predictedWay(set);
-            ++*p->ways_read;
-            if (pw < ways_ && ((vmask >> pw) & 1u) && tags[pw] == key) {
-                ++*p->correct;
-                return static_cast<int>(pw);
-            }
-            ++*p->fallbacks;
-            *p->ways_read += ways_;
-            const std::uint32_t m =
-                eqMask(simd_, tags, stride_, key) & vmask;
-            if (m) {
-                ++*p->wrong;
-                return std::countr_zero(m);
-            }
-            ++*p->misses;
-            return -1;
-        }
-        // utag: read full tags for hash-matching ways only.
-        const std::uint32_t cand =
-            p->utagCandidates(set, WayPredictor::hashKey(key)) & vmask;
-        const auto nread = static_cast<std::uint64_t>(std::popcount(cand));
-        *p->ways_read += nread;
-        for (std::uint32_t m = cand; m; m &= m - 1) {
-            const int w = std::countr_zero(m);
-            if (tags[w] == key) {
-                ++*p->correct;
-                *p->wrong += nread - 1;
-                return w;
-            }
-        }
-        *p->wrong += nread;
-        ++*p->misses;
-        return -1;
     }
 
     unsigned sets_;
@@ -416,14 +317,12 @@ class SoaSetTable
     unsigned stride_; ///< Tag/LRU lanes per set (ways rounded up to 4).
     std::uint32_t full_mask_; ///< Low ways_ bits set.
     bool pow2_sets_;
-    SimdKind simd_;
     std::vector<std::uint64_t> tags_; ///< Padding lanes masked by valid_.
     std::uint64_t tick_ = 0;
     std::vector<std::uint64_t> lru_;
     std::vector<std::uint32_t> valid_;
     std::vector<Entry> entries_;
     std::uint64_t evictions_ = 0;
-    std::unique_ptr<WayPredictor> pred_;
 };
 
 // ---- Whole-table compositions of the SetView primitives -------------------

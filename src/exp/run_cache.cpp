@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "common/env.h"
@@ -11,6 +12,16 @@
 #include "obs/export.h"
 
 namespace btbsim::exp {
+
+namespace {
+
+/// The stats payload is the envelope's last member, written verbatim
+/// between these two markers (no other top-level member of the
+/// envelope, the key or the payload is named "stats").
+constexpr std::string_view kStatsMember = "\n  \"stats\": ";
+constexpr std::string_view kEnvelopeEnd = "\n}\n";
+
+} // namespace
 
 // ---- run key -----------------------------------------------------------
 
@@ -94,7 +105,6 @@ writeStatsJson(obs::JsonWriter &w, const SimStats &s)
     w.kv("host_seconds", s.host_seconds);
     w.kv("minst_per_host_sec", s.minst_per_host_sec);
     w.kv("source_kind", s.source_kind);
-    w.kv("source_minst_per_sec", s.source_minst_per_sec);
     // The host span profile is cached too: a warm hit restores the
     // original run's profile bit-identically, keeping cold and warm
     // sweeps byte-comparable (the CI determinism gate relies on it).
@@ -165,7 +175,6 @@ statsFromJson(const obs::JsonValue &v)
     s.host_seconds = v.at("host_seconds").asNumber();
     s.minst_per_host_sec = v.at("minst_per_host_sec").asNumber();
     s.source_kind = v.at("source_kind").asString();
-    s.source_minst_per_sec = v.at("source_minst_per_sec").asNumber();
     for (const auto &[path, av] : v.at("span_profile").object) {
         obs::SpanAgg a;
         a.count = u64At(av, "count");
@@ -226,7 +235,8 @@ RunCache::load(const std::string &digest) const
             return std::nullopt;
         std::ostringstream buf;
         buf << is.rdbuf();
-        const obs::JsonValue root = obs::parseJson(buf.str());
+        const std::string text = buf.str();
+        const obs::JsonValue root = obs::parseJson(text);
 
         if (static_cast<int>(root.at("cache_schema").asNumber()) !=
             kRunCacheSchemaVersion)
@@ -234,13 +244,19 @@ RunCache::load(const std::string &digest) const
         if (root.at("digest").asString() != digest)
             throw std::runtime_error("digest mismatch");
 
-        SimStats s = statsFromJson(root.at("stats"));
-        // Integrity: the payload must re-serialize to the hash recorded
-        // at store time. Catches truncation, bit rot and any editing.
-        if (Sha256::hexDigest(statsToJson(s)) !=
-            root.at("stats_sha256").asString())
+        // Integrity: the payload bytes as stored must hash to the digest
+        // recorded at store time. Catches truncation, bit rot and any
+        // editing, yet keeps entries valid when a later build stops
+        // reading a field (statsFromJson ignores unknown members).
+        const std::size_t at = text.find(kStatsMember);
+        if (at == std::string::npos || !text.ends_with(kEnvelopeEnd))
+            throw std::runtime_error("malformed envelope");
+        const std::size_t begin = at + kStatsMember.size();
+        const std::string_view payload(
+            text.data() + begin, text.size() - kEnvelopeEnd.size() - begin);
+        if (Sha256::hexDigest(payload) != root.at("stats_sha256").asString())
             throw std::runtime_error("stats_sha256 mismatch");
-        return s;
+        return statsFromJson(root.at("stats"));
     } catch (const std::exception &) {
         // Corrupt or stale entry: drop it so the point re-simulates and
         // the next store replaces it.
@@ -272,8 +288,8 @@ RunCache::store(const std::string &digest, const std::string &key_json,
           << "  \"digest\": \"" << digest << "\",\n"
           << "  \"stats_sha256\": \"" << Sha256::hexDigest(stats_json)
           << "\",\n"
-          << "  \"key\": " << key_json << ",\n"
-          << "  \"stats\": " << stats_json << "\n}\n";
+          << "  \"key\": " << key_json << "," << kStatsMember
+          << stats_json << kEnvelopeEnd;
 
     // Atomic publish: unique temp name (thread id salted) then rename,
     // so concurrent workers and parallel jobs never see partial entries.

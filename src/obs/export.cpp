@@ -66,7 +66,6 @@ writeSimStatsJson(JsonWriter &w, const SimStats &s)
     w.kv("seconds", s.host_seconds);
     w.kv("minst_per_sec", s.minst_per_host_sec);
     w.kv("source", s.source_kind);
-    w.kv("source_minst_per_sec", s.source_minst_per_sec);
     w.kv("counters_available", s.host_counters_available ? 1 : 0);
     w.key("spans");
     writeSpanProfileJson(w, s.span_profile);
@@ -151,7 +150,7 @@ writeRunsCsvHeader(std::ostream &os)
     os << "config,workload,instructions,cycles";
     for (const Field &f : kScalarFields)
         os << ',' << f.name;
-    os << ",host_seconds,minst_per_host_sec,source,source_minst_per_sec\n";
+    os << ",host_seconds,minst_per_host_sec,source\n";
 }
 
 void
@@ -165,7 +164,7 @@ writeRunCsvRow(std::ostream &os, const SimStats &s)
         os << ',' << f.get(s);
     os << ',' << s.host_seconds << ',' << s.minst_per_host_sec << ',';
     csvQuote(os, s.source_kind);
-    os << ',' << s.source_minst_per_sec << '\n';
+    os << '\n';
 }
 
 void

@@ -1,6 +1,5 @@
 #include "sim/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -95,24 +94,7 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
         s.minst_per_host_sec =
             s.host_seconds > 0 ? total_insts / 1e6 / s.host_seconds : 0.0;
 
-        // Raw instruction-delivery throughput of the source, measured by
-        // draining it outside the timing model (capped so big runs don't
-        // pay twice). Replay should beat generate+interpret here.
         s.source_kind = opened.replay ? "replay" : "generated";
-        const std::uint64_t drain =
-            std::min<std::uint64_t>(opt.warmup + opt.measure, 2'000'000);
-        if (drain > 0) {
-            obs::ObsSpan drain_span("source_drain");
-            opened.source->reset();
-            const auto d0 = std::chrono::steady_clock::now();
-            for (std::uint64_t i = 0; i < drain; ++i)
-                opened.source->next();
-            const auto d1 = std::chrono::steady_clock::now();
-            const double secs =
-                std::chrono::duration<double>(d1 - d0).count();
-            s.source_minst_per_sec =
-                secs > 0 ? static_cast<double>(drain) / 1e6 / secs : 0.0;
-        }
 
         if (tracer) {
             obs::ObsSpan dump_span("trace_dump");

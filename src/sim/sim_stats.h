@@ -65,9 +65,6 @@ struct SimStats
     /// How the instruction stream was produced: "generated" (synthetic
     /// program interpreted live) or "replay" (recorded .btbt trace).
     std::string source_kind = "generated";
-    /// Raw instruction-delivery throughput of the source (M instr /
-    /// host s), measured by draining it outside the timing model.
-    double source_minst_per_sec = 0.0;
 };
 
 } // namespace btbsim

@@ -221,6 +221,10 @@ void decodeRecord(ByteReader &r, CodecState &st, Instruction &out);
  *  + three register bytes + one 10-byte mem varint. */
 inline constexpr std::size_t kMaxRecordBytes = 34;
 
+/** Smallest encoded record: flags + two 1-byte varints + three register
+ *  bytes, no mem varint. Bounds a chunk's record count by its payload. */
+inline constexpr std::size_t kMinRecordBytes = 6;
+
 /**
  * Decode a whole chunk payload (@p count records in @p size bytes) into
  * @p out. This is the replay hot path: records are read with unchecked

@@ -7,13 +7,9 @@
 #ifndef BTBSIM_TRACEIO_TRACE_READER_H
 #define BTBSIM_TRACEIO_TRACE_READER_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/program.h"
@@ -22,13 +18,14 @@
 
 namespace btbsim::traceio {
 
-/** Read-only view of a whole file: mmap when possible, an owned buffer
- *  otherwise. Unmaps/frees on destruction. */
+/** Read-only mmap of a whole file (an empty file maps to an empty
+ *  view). Unmaps on destruction. */
 class MappedFile
 {
   public:
-    /** Throws TraceError when the file cannot be opened or read. */
-    MappedFile(const std::string &path, bool try_mmap);
+    /** Throws TraceError naming @p path when it cannot be opened or
+     *  mapped. */
+    explicit MappedFile(const std::string &path);
     ~MappedFile();
 
     MappedFile(const MappedFile &) = delete;
@@ -36,28 +33,34 @@ class MappedFile
 
     const std::uint8_t *data() const { return data_; }
     std::size_t size() const { return size_; }
-    bool mapped() const { return mapped_; }
 
   private:
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
-    bool mapped_ = false;
-    std::vector<std::uint8_t> owned_;
+};
+
+/** Framing of one chunk, as read from its 16-byte header. */
+struct ChunkInfo
+{
+    std::uint64_t offset = 0; ///< File offset of the chunk header.
+    std::uint32_t records = 0;
+    std::uint32_t payload_bytes = 0;
+    std::uint32_t crc = 0;  ///< Stored payload CRC.
+    bool crc_ok = true;     ///< Payload CRC verdict (inspectTrace only).
+
+    std::uint64_t payloadOffset() const { return offset + 16; }
 };
 
 /**
  * Replays a recorded `.btbt` file as a TraceSource.
  *
- * The file is mmapped (falling back to a buffered read) and decoded one
- * chunk at a time. Traces whose decoded form fits the cache budget
- * (cache_budget_bytes, default BTBSIM_REPLAY_CACHE_MB or 256 MB) are
- * decoded at most once per chunk and delivered straight from the cached
- * buffers afterwards — wraps and resets cost nothing but a pointer
- * move, which is what makes replay delivery much faster than live
- * generation. Larger traces stream through a double buffer instead;
- * with background decode enabled a worker thread keeps the next chunk
- * ready while the simulator consumes the current one. Delivery is
- * deterministic in every mode.
+ * The file is mmapped and decoded one chunk at a time. Traces whose
+ * decoded form fits the cache budget (Options::cache_budget_bytes,
+ * 256 MB) are decoded at most once per chunk and delivered straight
+ * from the cached buffers afterwards — wraps and resets cost nothing
+ * but a pointer move, which is what makes replay delivery much faster
+ * than live generation. Larger traces stream through one buffer that
+ * is re-decoded chunk by chunk. Delivery is identical in both modes.
  *
  * When the consumer outruns the recording the stream wraps to the first
  * chunk; if the recorded tail does not already jump to the recorded
@@ -67,7 +70,7 @@ class MappedFile
  * live source therefore need a recording at least as long as the
  * instructions they consume.
  *
- * Instances are self-contained (own mapping, buffers and worker), so
+ * Instances are self-contained (own mapping and buffers), so
  * concurrent runMatrix workers must each construct their own — sharing
  * one instance across threads is a data race by design (next() mutates
  * cursor state; no lock serializes callers).
@@ -77,21 +80,13 @@ class TraceReplaySource : public TraceSource
   public:
     struct Options
     {
-        bool use_mmap = true;
-        bool background_decode = true;
         /** Decoded-chunk cache limit in bytes; 0 forces streaming. */
         std::uint64_t cache_budget_bytes = 256ull << 20;
-
-        /** BTBSIM_REPLAY_MMAP=0 / BTBSIM_REPLAY_ASYNC=0 disable the
-         *  respective fast path; BTBSIM_REPLAY_CACHE_MB resizes the
-         *  decoded-chunk cache. */
-        static Options fromEnv();
     };
 
     /** Opens and validates @p path; throws TraceError on any problem. */
-    explicit TraceReplaySource(const std::string &path,
-                               Options opt = Options::fromEnv());
-    ~TraceReplaySource() override;
+    explicit TraceReplaySource(const std::string &path);
+    TraceReplaySource(const std::string &path, Options opt);
 
     const Instruction &next() override;
     void reset() override;
@@ -107,22 +102,14 @@ class TraceReplaySource : public TraceSource
     std::uint64_t wraps() const { return wraps_; }
 
   private:
-    struct Chunk
-    {
-        std::uint64_t payload_offset = 0;
-        std::uint32_t records = 0;
-        std::uint32_t payload_bytes = 0;
-        std::uint32_t crc = 0;
-    };
-
     std::string path_;
     MappedFile map_;
     TraceHeader header_;
-    std::vector<Chunk> chunks_;
+    std::vector<ChunkInfo> chunks_;
     std::unique_ptr<Program> program_;
     /// The mapping is immutable, so each chunk's CRC is verified only
     /// on its first decode (wraps and resets then skip the scan).
-    std::unique_ptr<std::atomic<bool>[]> crc_checked_;
+    std::vector<bool> crc_checked_;
 
     // Consumer-side cursor. cur_ points at the buffer being delivered:
     // a cache_ slot in cached mode, stream_buf_ in streaming mode.
@@ -141,38 +128,16 @@ class TraceReplaySource : public TraceSource
     std::vector<std::vector<Instruction>> cache_;
     std::vector<bool> cache_valid_;
 
-    // Streaming double buffer (oversized traces).
+    // Streaming buffer (oversized traces).
     std::vector<Instruction> stream_buf_;
 
-    // Background decode (double buffering).
-    bool async_ = false;
-    std::thread worker_;
-    std::mutex m_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_done_;
-    std::uint64_t gen_ = 0;       ///< Bumped by reset() to void stale work.
-    std::size_t want_chunk_ = 0;  ///< Chunk the worker should decode.
-    bool has_work_ = false;
-    std::vector<Instruction> back_;
-    bool back_ready_ = false;
-    std::string error_;
-    bool stop_ = false;
-
-    void decodeChunk(std::size_t idx, std::vector<Instruction> &out) const;
+    void decodeChunk(std::size_t idx, std::vector<Instruction> &out);
     const std::vector<Instruction> &chunkBuffer(std::size_t idx);
+    /** Decode (or fetch from the cache) chunk @p idx into cur_ and
+     *  install it. */
+    void load(std::size_t idx);
     void installFront(std::size_t idx);
-    void requestDecode(std::size_t idx);
     void advance();
-    void workerLoop();
-};
-
-/** Integrity record of one chunk, as reported by inspectTrace(). */
-struct ChunkInfo
-{
-    std::uint64_t offset = 0; ///< File offset of the chunk header.
-    std::uint32_t records = 0;
-    std::uint32_t payload_bytes = 0;
-    bool crc_ok = true;
 };
 
 /** Everything `btbsim-trace info` prints about a file. */

@@ -73,7 +73,6 @@ fullStats()
     s.host_seconds = 0.125;
     s.minst_per_host_sec = 0.987;
     s.source_kind = "generated";
-    s.source_minst_per_sec = 42.5;
     return s;
 }
 
@@ -232,6 +231,42 @@ TEST(RunCache, CorruptedEntryIsDiscardedAndResimulated)
     ASSERT_TRUE(cache.store(digest, exp::canonicalRunKeyJson(key),
                             fullStats()));
     EXPECT_TRUE(cache.load(digest).has_value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunCache, EntryWithRetiredSourceSpeedFieldStillLoads)
+{
+    // Earlier builds also stored the source's drain throughput
+    // ("source_minst_per_sec", right after source_kind) and hashed the
+    // payload with it. Such entries must keep serving warm hits.
+    const std::string dir = ::testing::TempDir() + "run_cache_legacy";
+    std::filesystem::remove_all(dir);
+    const exp::RunCache cache(dir);
+
+    const exp::RunKey key = baseKey();
+    const std::string digest = exp::runKeyDigest(key);
+    const SimStats s = fullStats();
+    std::string stats_json = exp::statsToJson(s);
+    const std::string anchor = "\"source_kind\": \"generated\",";
+    const auto pos = stats_json.find(anchor);
+    ASSERT_NE(pos, std::string::npos);
+    stats_json.insert(pos + anchor.size(),
+                      "\n  \"source_minst_per_sec\": 42.5,");
+
+    const std::string path = cache.entryPath(digest);
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    std::ofstream(path) << "{\n  \"cache_schema\": "
+                        << exp::kRunCacheSchemaVersion << ",\n"
+                        << "  \"digest\": \"" << digest << "\",\n"
+                        << "  \"stats_sha256\": \""
+                        << exp::Sha256::hexDigest(stats_json) << "\",\n"
+                        << "  \"key\": " << exp::canonicalRunKeyJson(key)
+                        << ",\n  \"stats\": " << stats_json << "\n}\n";
+
+    const auto hit = cache.load(digest);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(exp::statsToJson(*hit), exp::statsToJson(s));
     std::filesystem::remove_all(dir);
 }
 

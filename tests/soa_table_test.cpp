@@ -2,8 +2,8 @@
  * @file
  * SoaSetTable unit tests: the SetView handle API, replacement-contract
  * parity with the retired AoS SetAssocTable (a reference model below
- * reproduces its exact semantics), scalar-vs-SIMD probe equivalence,
- * and the BTBSIM_WAYPRED first-probe filter.
+ * reproduces its exact semantics), and padding-lane masking in the
+ * probe kernel.
  */
 
 #include <algorithm>
@@ -13,15 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "core/soa_table.h"
-#include "core/way_pred.h"
-#include "env_util.h"
 
 namespace btbsim {
 namespace {
-
-using test::ScopedEnv;
 
 struct Payload
 {
@@ -352,48 +347,12 @@ TEST(SoaTableTest, LruTieBreakPrefersEarliestWay)
     EXPECT_NE(peekFind(tbl, 12), nullptr);
 }
 
-// ---- Scalar vs SIMD probe equivalence -------------------------------------
-
-TEST(SoaSimdTest, KernelsAgreeOnRandomKeys)
-{
-    // Same fill sequence under each BTBSIM_SIMD setting; every probe
-    // must agree with the scalar table way-for-way. Unsupported kernels
-    // clamp to scalar, so this passes (trivially) on any host.
-    std::mt19937_64 rng(7);
-    std::vector<Addr> keys(4000);
-    for (Addr &k : keys)
-        k = rng() % 1024;
-
-    const char *kinds[] = {"scalar", "sse", "avx2", "auto"};
-    std::vector<std::vector<int>> probes;
-    for (const char *kind : kinds) {
-        ScopedEnv e("BTBSIM_SIMD", kind);
-        SoaSetTable<Payload> tbl(16, 6, 0); // stride pads 6 -> 8 lanes
-        std::vector<int> result;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            if (i % 3 == 0)
-                fillEntry(tbl, keys[i]);
-            result.push_back(tbl.set(keys[i]).probe(keys[i]));
-        }
-        probes.push_back(std::move(result));
-    }
-    for (std::size_t i = 1; i < probes.size(); ++i)
-        EXPECT_EQ(probes[0], probes[i]) << "kind " << kinds[i];
-}
-
-TEST(SoaSimdTest, ScalarSelectionHonored)
-{
-    ScopedEnv e("BTBSIM_SIMD", "scalar");
-    SoaSetTable<Payload> tbl(2, 2, 0);
-    EXPECT_EQ(tbl.simdKind(), SimdKind::kScalar);
-    EXPECT_STREQ(simdKindName(tbl.simdKind()), "scalar");
-}
+// ---- Probe kernel ---------------------------------------------------------
 
 TEST(SoaSimdTest, PaddingLanesNeverMatch)
 {
     // Key 0 equals the padding lanes' initial tag value; the valid mask
     // must keep padding out of the probe result.
-    ScopedEnv e("BTBSIM_SIMD", "auto");
     SoaSetTable<Payload> tbl(2, 5, 0); // stride pads 5 -> 8 lanes
     EXPECT_EQ(tbl.set(Addr{0}).probe(Addr{0}), -1);
     fillEntry(tbl, Addr{0}).value = 9;
@@ -401,116 +360,6 @@ TEST(SoaSimdTest, PaddingLanesNeverMatch)
     Payload *p = touchingFind(tbl, Addr{0});
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->value, 9);
-}
-
-// ---- Way prediction -------------------------------------------------------
-
-TEST(WayPredTest, OffByDefaultConstructsNoPredictor)
-{
-    ScopedEnv e("BTBSIM_WAYPRED", nullptr);
-    StatSet stats;
-    SoaSetTable<Payload> tbl(4, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    EXPECT_EQ(tbl.predictor(), nullptr);
-    EXPECT_TRUE(stats.all().empty());
-}
-
-TEST(WayPredTest, NoSinkMeansNoPredictorEvenWhenEnabled)
-{
-    ScopedEnv e("BTBSIM_WAYPRED", "mru");
-    SoaSetTable<Payload> tbl(4, 4, 0); // host-side table: no sink
-    EXPECT_EQ(tbl.predictor(), nullptr);
-}
-
-TEST(WayPredTest, HashKeyNeverZero)
-{
-    EXPECT_NE(WayPredictor::hashKey(0), 0);
-    std::mt19937_64 rng(3);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_NE(WayPredictor::hashKey(rng()), 0);
-}
-
-TEST(WayPredTest, MruProbeResultsExact)
-{
-    ScopedEnv e("BTBSIM_WAYPRED", "mru");
-    StatSet stats;
-    SoaSetTable<Payload> pred(8, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    SoaSetTable<Payload> plain(8, 4, 0);
-    ASSERT_NE(pred.predictor(), nullptr);
-    EXPECT_EQ(pred.predictor()->mode(), WayPredMode::kMru);
-    std::mt19937_64 rng(11);
-    for (int i = 0; i < 10000; ++i) {
-        const Addr key = rng() % 256;
-        if (rng() % 3 == 0) {
-            fillEntry(pred, key);
-            fillEntry(plain, key);
-        } else {
-            ASSERT_EQ(touchingFind(pred, key) != nullptr,
-                      touchingFind(plain, key) != nullptr)
-                << "op " << i;
-        }
-        ASSERT_EQ(pred.evictions(), plain.evictions());
-    }
-    EXPECT_GT(stats["waypred.l1.probes"], 0u);
-    EXPECT_GT(stats["waypred.l1.correct"], 0u);
-    // Counters partition the probes: correct + fallbacks == probes.
-    EXPECT_EQ(stats["waypred.l1.correct"] + stats["waypred.l1.fallbacks"],
-              stats["waypred.l1.probes"]);
-    // Energy proxy: each probe reads >= 1 way and a fallback reads the
-    // full set on top of the predicted way.
-    EXPECT_EQ(stats["waypred.l1.ways_read"],
-              stats["waypred.l1.probes"] +
-                  stats["waypred.l1.fallbacks"] * pred.ways());
-}
-
-TEST(WayPredTest, UtagProbeResultsExact)
-{
-    ScopedEnv e("BTBSIM_WAYPRED", "utag");
-    StatSet stats;
-    SoaSetTable<Payload> pred(8, 4, 0, WayPredSink{&stats, "waypred.l1."});
-    SoaSetTable<Payload> plain(8, 4, 0);
-    ASSERT_NE(pred.predictor(), nullptr);
-    EXPECT_EQ(pred.predictor()->mode(), WayPredMode::kUtag);
-    std::mt19937_64 rng(13);
-    for (int i = 0; i < 10000; ++i) {
-        const Addr key = rng() % 256;
-        if (rng() % 3 == 0) {
-            fillEntry(pred, key);
-            fillEntry(plain, key);
-        } else {
-            ASSERT_EQ(touchingFind(pred, key) != nullptr,
-                      touchingFind(plain, key) != nullptr)
-                << "op " << i;
-        }
-        ASSERT_EQ(pred.evictions(), plain.evictions());
-    }
-    EXPECT_GT(stats["waypred.l1.probes"], 0u);
-    EXPECT_GT(stats["waypred.l1.correct"], 0u);
-    // correct + misses == probes (no false negatives by construction).
-    EXPECT_EQ(stats["waypred.l1.correct"] + stats["waypred.l1.misses"],
-              stats["waypred.l1.probes"]);
-    // The candidate filter reads at most a full set per probe.
-    EXPECT_LE(stats["waypred.l1.ways_read"],
-              stats["waypred.l1.probes"] * pred.ways());
-}
-
-TEST(WayPredTest, ModeParsing)
-{
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "utag");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kUtag);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "mru");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kMru);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "off");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kOff);
-    }
-    {
-        ScopedEnv e("BTBSIM_WAYPRED", "bogus");
-        EXPECT_EQ(wayPredModeFromEnv(), WayPredMode::kOff);
-    }
 }
 
 } // namespace

@@ -99,9 +99,6 @@ TEST(TraceRoundTrip, ReplayedRunIsBitIdenticalToLive)
     EXPECT_EQ(rep.source_kind, "replay");
     expectBitIdentical(live, rep);
 
-    EXPECT_GT(live.source_minst_per_sec, 0.0);
-    EXPECT_GT(rep.source_minst_per_sec, 0.0);
-
     std::filesystem::remove_all(dir);
 }
 

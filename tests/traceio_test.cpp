@@ -122,6 +122,59 @@ writeSample(const std::string &name, const std::vector<Instruction> &insts,
     return path;
 }
 
+/** One hand-built chunk: the record count its header claims and the
+ *  records its payload actually encodes. */
+struct RawChunk
+{
+    std::uint32_t claimed_records;
+    std::vector<Instruction> insts;
+};
+
+/**
+ * Assemble a `.btbt` file byte by byte (no name, no Program image): a
+ * header claiming @p inst_count instructions, then @p chunks, each with
+ * a valid payload CRC. Lets tests frame chunks the writer never would.
+ */
+std::vector<std::uint8_t>
+handBuiltTrace(std::uint64_t inst_count, const std::vector<RawChunk> &chunks)
+{
+    std::vector<std::uint8_t> f(kMagic, kMagic + sizeof(kMagic));
+    auto putU32 = [&f](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            f.push_back(static_cast<std::uint8_t>(v));
+            v >>= 8;
+        }
+    };
+    auto putU64 = [&](std::uint64_t v) {
+        putU32(static_cast<std::uint32_t>(v));
+        putU32(static_cast<std::uint32_t>(v >> 32));
+    };
+    putU32(kFormatVersion);
+    putU32(kHeaderBytes);
+    putU64(inst_count);
+    putU32(static_cast<std::uint32_t>(chunks.size()));
+    putU32(2); // chunk target
+    putU32(0); // flags
+    putU32(0); // name bytes
+    putU64(0); // program bytes
+    putU32(0); // program crc
+    while (f.size() < kHeaderBytes)
+        f.push_back(0);
+
+    for (const RawChunk &c : chunks) {
+        std::vector<std::uint8_t> payload;
+        CodecState st;
+        for (const Instruction &in : c.insts)
+            encodeRecord(payload, st, in);
+        putU32(kChunkMagic);
+        putU32(c.claimed_records);
+        putU32(static_cast<std::uint32_t>(payload.size()));
+        putU32(crc32(payload.data(), payload.size()));
+        f.insert(f.end(), payload.begin(), payload.end());
+    }
+    return f;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -329,26 +382,11 @@ TEST(TraceRoundTrip, WriterReaderAllFields)
     // Odd chunk size forces several chunks plus a short tail.
     const std::string path = writeSample("rt_fields.btbt", insts, 171);
 
-    // Cover the decode-once cache, the synchronous streaming path and
-    // the double-buffered background decoder, with and without mmap.
-    const struct
-    {
-        bool mmap;
-        bool async;
-        std::uint64_t cache;
-    } modes[] = {
-        {true, true, 256ull << 20},
-        {false, false, 256ull << 20},
-        {true, false, 0},
-        {true, true, 0},
-        {false, true, 0},
-    };
-    for (const auto &mode : modes) {
+    // Cover the decode-once cache and the streaming path.
+    for (const std::uint64_t cache : {256ull << 20, 0ull}) {
         {
             TraceReplaySource::Options opt;
-            opt.use_mmap = mode.mmap;
-            opt.background_decode = mode.async;
-            opt.cache_budget_bytes = mode.cache;
+            opt.cache_budget_bytes = cache;
             TraceReplaySource src(path, opt);
             EXPECT_EQ(src.instructionCount(), insts.size());
             EXPECT_EQ(src.name(), "rt_fields.btbt");
@@ -539,65 +577,76 @@ TEST(TraceNegative, ZeroLengthChunksAreSkipped)
     // Hand-build a file with an empty chunk wedged between two real
     // ones: header | chunk(2 insts) | chunk(0) | chunk(1 inst).
     const auto insts = sampleStream(3);
-    auto putU32 = [](std::vector<std::uint8_t> &out, std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) {
-            out.push_back(static_cast<std::uint8_t>(v));
-            v >>= 8;
-        }
-    };
-    auto putU64 = [&](std::vector<std::uint8_t> &out, std::uint64_t v) {
-        putU32(out, static_cast<std::uint32_t>(v));
-        putU32(out, static_cast<std::uint32_t>(v >> 32));
-    };
-
-    std::vector<std::uint8_t> f(kMagic, kMagic + sizeof(kMagic));
-    putU32(f, kFormatVersion);
-    putU32(f, kHeaderBytes);
-    putU64(f, 3);  // instructions
-    putU32(f, 3);  // chunks
-    putU32(f, 2);  // chunk target
-    putU32(f, 0);  // flags
-    putU32(f, 0);  // name bytes
-    putU64(f, 0);  // program bytes
-    putU32(f, 0);  // program crc
-    while (f.size() < kHeaderBytes)
-        f.push_back(0);
-
-    auto emitChunk = [&](const Instruction *first, std::uint32_t n) {
-        std::vector<std::uint8_t> payload;
-        CodecState st;
-        for (std::uint32_t i = 0; i < n; ++i)
-            encodeRecord(payload, st, first[i]);
-        putU32(f, kChunkMagic);
-        putU32(f, n);
-        putU32(f, static_cast<std::uint32_t>(payload.size()));
-        putU32(f, crc32(payload.data(), payload.size()));
-        f.insert(f.end(), payload.begin(), payload.end());
-    };
-    emitChunk(&insts[0], 2);
-    emitChunk(nullptr, 0);
-    emitChunk(&insts[2], 1);
+    const auto f = handBuiltTrace(3, {{2, {insts[0], insts[1]}},
+                                      {0, {}},
+                                      {1, {insts[2]}}});
 
     const std::string path = tmpPath("zero_chunk.btbt");
     writeFile(path, f);
     EXPECT_TRUE(verifyTrace(path).empty());
 
-    for (const bool async : {true, false}) {
-        for (const std::uint64_t cache : {256ull << 20, 0ull}) {
-            TraceReplaySource::Options opt;
-            opt.background_decode = async;
-            opt.cache_budget_bytes = cache;
-            TraceReplaySource src(path, opt);
-            // Two full laps across the empty chunk.
-            for (int lap = 0; lap < 2; ++lap)
-                for (std::size_t i = 0; i < insts.size(); ++i) {
-                    const Instruction &got = src.next();
-                    EXPECT_EQ(got.pc, insts[i].pc)
-                        << "lap " << lap << " i " << i;
-                }
-            EXPECT_EQ(src.wraps(), 1u);
-        }
+    for (const std::uint64_t cache : {256ull << 20, 0ull}) {
+        TraceReplaySource::Options opt;
+        opt.cache_budget_bytes = cache;
+        TraceReplaySource src(path, opt);
+        // Two full laps across the empty chunk.
+        for (int lap = 0; lap < 2; ++lap)
+            for (std::size_t i = 0; i < insts.size(); ++i) {
+                const Instruction &got = src.next();
+                EXPECT_EQ(got.pc, insts[i].pc)
+                    << "lap " << lap << " i " << i;
+            }
+        EXPECT_EQ(src.wraps(), 1u);
     }
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, RecordCountBeyondPayloadRejected)
+{
+    // One well-formed smallest-possible record (a fall-through ALU op at
+    // the chunk's expected pc), but a chunk header and file header that
+    // both claim 2^32-1 records. Sizing a decode buffer from the claim
+    // would allocate ~2^32 instructions; the directory walk must reject
+    // the count against the payload size first.
+    Instruction smallest;
+    smallest.next_pc = kInstBytes;
+    std::vector<std::uint8_t> payload;
+    CodecState st;
+    encodeRecord(payload, st, smallest);
+    ASSERT_EQ(payload.size(), kMinRecordBytes);
+
+    const std::uint32_t claim = std::numeric_limits<std::uint32_t>::max();
+    const auto f = handBuiltTrace(claim, {{claim, {smallest}}});
+    ASSERT_EQ(f.size(), kHeaderBytes + 16 + kMinRecordBytes);
+    const std::string path = tmpPath("huge_count.btbt");
+    writeFile(path, f);
+
+    const auto problems = verifyTrace(path);
+    ASSERT_FALSE(problems.empty());
+    EXPECT_NE(problems[0].find("record count"), std::string::npos)
+        << problems[0];
+    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
+    EXPECT_THROW(inspectTrace(path, false), TraceError);
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, ChunkCountBeyondFileRejected)
+{
+    // A header claiming 2^32-1 chunks in front of a single real one:
+    // the directory walk must hit the end of the file, not reserve a
+    // directory sized from the claim.
+    const auto insts = sampleStream(3);
+    auto f = handBuiltTrace(insts.size(), {{3, insts}});
+    for (std::size_t i = 24; i < 28; ++i)
+        f[i] = 0xff; // Header chunk count (bytes [24, 28)).
+    const std::string path = tmpPath("huge_chunk_count.btbt");
+    writeFile(path, f);
+
+    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
+    const auto problems = verifyTrace(path);
+    ASSERT_FALSE(problems.empty());
+    EXPECT_NE(problems[0].find("truncated chunk header"), std::string::npos)
+        << problems[0];
     std::remove(path.c_str());
 }
 
