@@ -1,17 +1,20 @@
 #include "backend/backend.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace btbsim {
 
 Backend::Backend(const BackendConfig &cfg, MemHier &mem)
-    : cfg_(cfg), mem_(&mem)
+    : cfg_(cfg), mem_(&mem), rob_(std::bit_ceil(std::size_t{cfg.rob_size}))
 {}
 
 bool
 Backend::canAllocate() const
 {
-    return rob_.size() < cfg_.rob_size && iq_occupancy_ < cfg_.iq_size &&
+    return robOccupancy() < cfg_.rob_size && iq_occupancy_ < cfg_.iq_size &&
            loads_in_flight_ < cfg_.lq_size &&
            stores_in_flight_ < cfg_.sq_size;
 }
@@ -19,6 +22,16 @@ Backend::canAllocate() const
 void
 Backend::allocate(DynInst &&inst, Cycle now)
 {
+    // The ROB ring finds every in-flight producer at its seq's slot; a
+    // gap in the seqs or an overfull ring would break that silently.
+    if (inst.seq != last_allocated_seq_ + 1 || robOccupancy() == rob_.size())
+        throw std::logic_error(
+            "Backend::allocate: seq " + std::to_string(inst.seq) +
+            " after seq " + std::to_string(last_allocated_seq_) + " with " +
+            std::to_string(robOccupancy()) + " of " +
+            std::to_string(rob_.size()) +
+            " ROB slots used; seqs must be contiguous and a slot free");
+    last_allocated_seq_ = inst.seq;
     inst.alloc_cycle = now;
 
     // Rename: resolve sources to producing sequence numbers.
@@ -31,46 +44,28 @@ Backend::allocate(DynInst &&inst, Cycle now)
         ++loads_in_flight_;
     if (inst.in.isStore())
         ++stores_in_flight_;
-    ++iq_occupancy_;
-
-    // Producer entries resolve through stable deque references; capture
-    // them before the move below. A stale pointer (producer committed or
-    // renamed before this window) is guarded by the seq check against
-    // last_committed_seq_, never dereferenced.
-    RobEntry *s1 = inst.in.src1 ? last_writer_entry_[inst.in.src1] : nullptr;
-    RobEntry *s2 = inst.in.src2 ? last_writer_entry_[inst.in.src2] : nullptr;
 
     if (cfg_.ideal) {
         // Pure-dataflow scheduling: with unit latencies and unlimited
         // ports, completion is computable at allocation because all
         // producers allocated (and thus scheduled) earlier.
         Cycle c = now + 1;
-        auto chase = [&](std::uint64_t seq, const RobEntry *src) {
-            if (seq != 0 && seq > last_committed_seq_)
-                c = std::max(c, src->inst.complete_cycle + 1);
-        };
-        chase(inst.dep1, s1);
-        chase(inst.dep2, s2);
-        inst.issue_cycle = now;
+        for (const std::uint64_t dep : {inst.dep1, inst.dep2})
+            if (dep > last_committed_seq_)
+                c = std::max(c, slot(dep).inst.complete_cycle + 1);
         inst.complete_cycle = c;
         if (inst.resteer == Resteer::kExec) {
             has_pending_resteer_ = true;
             pending_resteer_complete_ = c;
         }
-        rob_.push_back(RobEntry{std::move(inst), true});
-        if (rob_.back().inst.in.dst)
-            last_writer_entry_[rob_.back().inst.in.dst] = &rob_.back();
-        --iq_occupancy_;
-        return;
     }
 
-    rob_.push_back(RobEntry{std::move(inst), false});
-    RobEntry &e = rob_.back();
-    e.dep1_src = s1;
-    e.dep2_src = s2;
-    if (e.inst.in.dst)
-        last_writer_entry_[e.inst.in.dst] = &e;
+    RobEntry &e = rob_[inst.seq & (rob_.size() - 1)];
+    e = RobEntry{std::move(inst), cfg_.ideal};
+    if (cfg_.ideal)
+        return;
 
+    ++iq_occupancy_;
     if (unissued_tail_)
         unissued_tail_->next_unissued = &e;
     else
@@ -81,23 +76,20 @@ Backend::allocate(DynInst &&inst, Cycle now)
     issue_sleep_until_ = 0;
 }
 
-bool
-Backend::depReady(std::uint64_t seq, const RobEntry *src, Cycle now) const
+Cycle
+Backend::depWake(std::uint64_t seq, Cycle now) const
 {
-    if (seq == 0 || seq <= last_committed_seq_)
-        return true;
-    if (!src)
-        return true; // Producer predates the measured window.
-    if (!src->issued)
-        return false;
-    return src->inst.complete_cycle <= now;
+    if (seq <= last_committed_seq_)
+        return 0; // No dependency (seq 0) or producer committed.
+    const RobEntry &src = slot(seq);
+    if (!src.issued)
+        return std::max(now + 2, src.stall_until + 1);
+    return src.inst.complete_cycle <= now ? 0 : src.inst.complete_cycle;
 }
 
 unsigned
 Backend::execLatency(const DynInst &d, Cycle now)
 {
-    if (cfg_.ideal)
-        return 1;
     switch (d.in.cls) {
       case InstClass::kAlu:
       case InstClass::kBranch:
@@ -131,14 +123,14 @@ Backend::runCycle(Cycle now)
     // become issuable before issue_sleep_until_ (and nothing was
     // allocated since — allocate() resets the bound), the walk is a
     // provable no-op and is skipped outright.
-    if (!cfg_.ideal && issue_sleep_until_ > now)
+    if (issue_sleep_until_ > now)
         goto commit_stage;
     {
     constexpr Cycle kNoWake = ~Cycle{0};
     Cycle min_wake = kNoWake;
 
     RobEntry *prev = nullptr;
-    for (RobEntry *e = cfg_.ideal ? nullptr : unissued_head_; e;) {
+    for (RobEntry *e = unissued_head_; e;) {
         if (issued >= cfg_.issue_width) {
             // Unvisited tail: no bound on it, re-walk next cycle.
             min_wake = now + 1;
@@ -161,27 +153,16 @@ Backend::runCycle(Cycle now)
             continue;
         }
 
-        if (e->stall_until <= now &&
-            (!depReady(d.dep1, e->dep1_src, now) ||
-             !depReady(d.dep2, e->dep2_src, now))) {
-            // Bound the next possible wake-up. An issued producer has a
-            // fixed completion cycle. An un-issued producer sits earlier
-            // in the chain (rename order), so it cannot issue at `now`
-            // after this visit: it cannot issue before now+1, and with
-            // >= 1 cycle latencies its consumer cannot be ready before
-            // now+2 (or the producer's own bound + 1, whichever is
-            // later).
-            auto wake = [&](std::uint64_t seq, const RobEntry *src) {
-                if (seq == 0 || seq <= last_committed_seq_ || !src)
-                    return Cycle{0}; // This dep is ready; other one binds.
-                if (!src->issued)
-                    return std::max(now + 2, src->stall_until + 1);
-                return src->inst.complete_cycle <= now
-                           ? Cycle{0}
-                           : src->inst.complete_cycle;
-            };
-            e->stall_until = std::max(wake(d.dep1, e->dep1_src),
-                                      wake(d.dep2, e->dep2_src));
+        if (e->stall_until <= now) {
+            // Bound the next possible wake-up (0 = ready now). An issued
+            // producer has a fixed completion cycle. An un-issued
+            // producer sits earlier in the chain (rename order), so it
+            // cannot issue at `now` after this visit: it cannot issue
+            // before now+1, and with >= 1 cycle latencies its consumer
+            // cannot be ready before now+2 (or the producer's own bound
+            // + 1, whichever is later).
+            e->stall_until =
+                std::max(depWake(d.dep1, now), depWake(d.dep2, now));
         }
 
         if (e->stall_until > now) {
@@ -215,7 +196,6 @@ Backend::runCycle(Cycle now)
             continue;
         }
 
-        d.issue_cycle = now;
         d.complete_cycle = now + execLatency(d, now);
         e->issued = true;
         --iq_occupancy_;
@@ -248,8 +228,8 @@ Backend::runCycle(Cycle now)
   commit_stage:
     // ---- Commit ---------------------------------------------------------
     unsigned commits = 0;
-    while (!rob_.empty() && commits < cfg_.commit_width) {
-        RobEntry &head = rob_.front();
+    while (robOccupancy() > 0 && commits < cfg_.commit_width) {
+        const RobEntry &head = slot(last_committed_seq_ + 1);
         if (!head.issued || head.inst.complete_cycle > now)
             break;
         if (head.inst.in.isStore()) {
@@ -258,9 +238,7 @@ Backend::runCycle(Cycle now)
         }
         if (head.inst.in.isLoad())
             --loads_in_flight_;
-        last_committed_seq_ = head.inst.seq;
-        rob_.pop_front();
-        ++committed_;
+        ++last_committed_seq_;
         ++commits;
     }
 }

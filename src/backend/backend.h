@@ -16,7 +16,6 @@
 #define BTBSIM_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.h"
@@ -60,7 +59,9 @@ struct BackendConfig
 
 /**
  * The backend pipeline from Allocate to Commit. The Cpu pushes decoded
- * instructions through tryAllocate() and polls for exec-resolved resteers.
+ * instructions through allocate() and polls for exec-resolved resteers.
+ * Instructions must arrive with contiguous seqs starting at 1: the ROB
+ * is a ring indexed by seq.
  */
 class Backend
 {
@@ -70,7 +71,9 @@ class Backend
     /** Space for one more instruction this cycle? */
     bool canAllocate() const;
 
-    /** Allocate @p inst into ROB/IQ (call only when canAllocate()). */
+    /** Allocate @p inst into ROB/IQ (call only when canAllocate()).
+     *  Throws std::logic_error unless @p inst.seq follows the previous
+     *  allocation's and the ROB ring has a free slot. */
     void allocate(DynInst &&inst, Cycle now);
 
     /** Issue + complete + commit for cycle @p now. */
@@ -82,9 +85,12 @@ class Backend
      */
     Cycle takeExecResteer(Cycle now);
 
-    std::uint64_t committed() const { return committed_; }
-    bool empty() const { return rob_.empty(); }
-    std::uint64_t robOccupancy() const { return rob_.size(); }
+    std::uint64_t committed() const { return last_committed_seq_; }
+    std::uint64_t
+    robOccupancy() const
+    {
+        return last_allocated_seq_ - last_committed_seq_;
+    }
 
     StatSet stats;
 
@@ -93,12 +99,6 @@ class Backend
     {
         DynInst inst;
         bool issued = false;
-        /// Producing ROB entries of the renamed sources (null = none or
-        /// producer outside the ROB). Dereference only after checking the
-        /// dep seq against last_committed_seq_: deque references stay
-        /// stable until commit pops the producer.
-        RobEntry *dep1_src = nullptr;
-        RobEntry *dep2_src = nullptr;
         /// Intrusive issue-scan chain threading the un-issued entries in
         /// ROB order; issue unlinks, so the per-cycle scan never walks
         /// already-issued entries.
@@ -115,9 +115,12 @@ class Backend
     BackendConfig cfg_;
     MemHier *mem_;
 
-    std::deque<RobEntry> rob_;
+    /// The ROB: bit_ceil(rob_size) slots indexed by seq. The in-flight
+    /// range is (last_committed_seq_, last_allocated_seq_], so a
+    /// producer whose seq is above last_committed_seq_ is at its slot.
+    std::vector<RobEntry> rob_;
+    std::uint64_t last_allocated_seq_ = 0;
     std::uint64_t last_committed_seq_ = 0;
-    std::uint64_t committed_ = 0;
 
     unsigned loads_in_flight_ = 0;
     unsigned stores_in_flight_ = 0;
@@ -128,9 +131,8 @@ class Backend
     Cycle pending_resteer_complete_ = 0;
     bool has_pending_resteer_ = false;
 
-    /// Rename: architectural register -> producing seq / ROB entry.
+    /// Rename: architectural register -> producing seq.
     std::uint64_t last_writer_[64] = {};
-    RobEntry *last_writer_entry_[64] = {};
 
     RobEntry *unissued_head_ = nullptr;
     RobEntry *unissued_tail_ = nullptr;
@@ -142,7 +144,14 @@ class Backend
     /// so skipped walks are provable no-ops.
     Cycle issue_sleep_until_ = 0;
 
-    bool depReady(std::uint64_t seq, const RobEntry *src, Cycle now) const;
+    const RobEntry &
+    slot(std::uint64_t seq) const
+    {
+        return rob_[seq & (rob_.size() - 1)];
+    }
+    /** Earliest cycle producer @p seq can have its result, as known at
+     *  @p now; 0 when it already has. */
+    Cycle depWake(std::uint64_t seq, Cycle now) const;
     unsigned execLatency(const DynInst &d, Cycle now);
 };
 

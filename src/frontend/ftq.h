@@ -2,12 +2,15 @@
  * @file
  * Fetch Target Queue: the decoupling queue between PC generation and
  * instruction fetch (Reinman et al.). One entry relates to a single cache
- * line (Table 1), holding the fetch PCs that fall within it.
+ * line (Table 1) and names the run of fetch PCs that fall within it. The
+ * queue also owns those instructions, in one seq-indexed store, until the
+ * core hands them to the backend.
  */
 
 #ifndef BTBSIM_FRONTEND_FTQ_H
 #define BTBSIM_FRONTEND_FTQ_H
 
+#include <cassert>
 #include <deque>
 #include <vector>
 
@@ -16,15 +19,15 @@
 
 namespace btbsim {
 
-/** One FTQ entry: instructions within a single I-cache line. */
+/** One FTQ entry: the stored instructions (previous entry's end_seq,
+ *  end_seq], all within a single I-cache line. */
 struct FtqEntry
 {
     Addr line = 0;
-    std::vector<DynInst> insts;
+    std::uint64_t end_seq = 0; ///< Seq of the entry's youngest instruction.
     Cycle min_issue_cycle = 0; ///< Earliest I$ access (FTQ bypass when 0-delay).
     bool issued = false;       ///< I$ access started.
     Cycle data_ready = 0;      ///< I$ data available (valid when issued).
-    std::size_t next_idx = 0;  ///< Delivery progress within @c insts.
 };
 
 /** The queue itself (64 entries per Table 1). */
@@ -50,18 +53,13 @@ class Ftq
     push(const DynInst &inst, Cycle now, bool bypass, bool new_entry)
     {
         const Addr line = alignDown(inst.in.pc, kLineBytes);
-        if (!new_entry && !entries_.empty() && !entries_.back().issued &&
-            entries_.back().line == line) {
-            entries_.back().insts.push_back(inst);
-            return true;
+        if (!appends(line, new_entry)) {
+            if (full())
+                return false;
+            entries_.push_back({line, 0, bypass ? now : now + 1});
         }
-        if (full())
-            return false;
-        FtqEntry e;
-        e.line = line;
-        e.min_issue_cycle = bypass ? now : now + 1;
-        e.insts.push_back(inst);
-        entries_.push_back(std::move(e));
+        store(inst);
+        entries_.back().end_seq = inst.seq;
         return true;
     }
 
@@ -69,11 +67,7 @@ class Ftq
     bool
     canAccept(Addr pc, bool new_entry) const
     {
-        const Addr line = alignDown(pc, kLineBytes);
-        if (!new_entry && !entries_.empty() && !entries_.back().issued &&
-            entries_.back().line == line)
-            return true;
-        return !full();
+        return appends(alignDown(pc, kLineBytes), new_entry) || !full();
     }
 
     std::deque<FtqEntry> &entries() { return entries_; }
@@ -94,6 +88,7 @@ class Ftq
     {
         entries_.clear();
         first_unissued_ = 0;
+        head_seq_ = tail_seq_;
     }
 
     /**
@@ -106,10 +101,47 @@ class Ftq
     /** Record that the entry at firstUnissued() was just issued. */
     void noteIssued() { ++first_unissued_; }
 
+    /** The stored instruction @p seq; valid until release(seq). */
+    DynInst &inst(std::uint64_t seq) { return ring_[seq & (ring_.size() - 1)]; }
+
+    /** Drop every stored instruction up to and including @p seq (it
+     *  has moved on to the backend). */
+    void release(std::uint64_t seq) { head_seq_ = seq + 1; }
+
   private:
     std::size_t capacity_;
     std::deque<FtqEntry> entries_;
     std::size_t first_unissued_ = 0;
+
+    /// Instruction store: a power-of-two ring holding seqs
+    /// [head_seq_, tail_seq_). It doubles when full rather than assume a
+    /// per-entry bound: a ChampSim `rep` stream repeats one IP, so one
+    /// entry can hold any number of instructions.
+    std::vector<DynInst> ring_ = std::vector<DynInst>(256);
+    std::uint64_t head_seq_ = 0;
+    std::uint64_t tail_seq_ = 0;
+
+    bool
+    appends(Addr line, bool new_entry) const
+    {
+        return !new_entry && !entries_.empty() && !entries_.back().issued &&
+               entries_.back().line == line;
+    }
+
+    void
+    store(const DynInst &d)
+    {
+        if (head_seq_ == tail_seq_)
+            head_seq_ = tail_seq_ = d.seq;
+        assert(d.seq == tail_seq_ && "FTQ stream seqs must be contiguous");
+        if (tail_seq_ - head_seq_ == ring_.size()) {
+            std::vector<DynInst> bigger(ring_.size() * 2);
+            for (std::uint64_t s = head_seq_; s < tail_seq_; ++s)
+                bigger[s & (bigger.size() - 1)] = inst(s);
+            ring_.swap(bigger);
+        }
+        inst(tail_seq_++) = d;
+    }
 };
 
 } // namespace btbsim

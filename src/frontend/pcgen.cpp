@@ -101,8 +101,6 @@ PcGen::runCycle(Cycle now)
             // decoder identifies it.
             predicted_target = predicted_target ? predicted_target
                                                 : bpred_->popReturn();
-            if (!tracked || !predicted_taken)
-                (void)0; // value used below for untracked-return resteer
         }
 
         if (is_branch) {
@@ -121,23 +119,30 @@ PcGen::runCycle(Cycle now)
         const bool ends_access_nt =
             tracked && v.end_on_not_taken && !predicted_taken && !in.taken;
 
+        // Consume the instruction into the FTQ. A resteer also stalls PC
+        // generation until the pipeline resolves the flagged branch.
+        auto consume = [&](bool resteer) {
+            ftq_->push(d, now, bypass, force_new_entry);
+            force_new_entry = false;
+            ++stats.fetch_pcs;
+            advance();
+            next_fetch_pc_ = in.next_pc;
+            if (!resteer)
+                return;
+            waiting_resteer_ = true;
+            redirect_pending_ = true;
+            if (tracer_)
+                tracer_->record(now, obs::TraceEventType::kFetchRedirect,
+                                in.pc, in.next_pc);
+        };
+
         if (tracked && !is_branch) {
             // Stale entry over a non-branch: the decoder flags a misfetch
             // if the stale slot would have redirected fetch.
             if (isAlwaysTaken(v.type)) {
                 d.resteer = Resteer::kDecode;
-                d.counts_misfetch = true;
                 ++stats.misfetches;
-                ftq_->push(d, now, bypass, force_new_entry);
-                ++stats.fetch_pcs;
-                advance();
-                next_fetch_pc_ = in.next_pc;
-                waiting_resteer_ = true;
-                redirect_pending_ = true;
-                if (tracer_)
-                    tracer_->record(now,
-                                    obs::TraceEventType::kFetchRedirect,
-                                    in.pc, in.next_pc);
+                consume(true);
                 deferred_updates_.emplace_back(in, true);
                 break;
             }
@@ -194,10 +199,8 @@ PcGen::runCycle(Cycle now)
             }
             d.resteer = r;
             if (r == Resteer::kDecode) {
-                d.counts_misfetch = true;
                 ++stats.misfetches;
             } else {
-                d.counts_mispredict = true;
                 ++stats.mispredicts;
                 if (in.branch == BranchClass::kCondDirect) {
                     if (tracked && dir_pred != in.taken)
@@ -212,33 +215,18 @@ PcGen::runCycle(Cycle now)
                     ++stats.misp_indirect;
                 }
             }
-            ftq_->push(d, now, bypass, force_new_entry);
-            ++stats.fetch_pcs;
-            advance();
-            next_fetch_pc_ = in.next_pc;
-            waiting_resteer_ = true;
-            redirect_pending_ = true;
-            if (tracer_)
-                tracer_->record(now, obs::TraceEventType::kFetchRedirect,
-                                in.pc, in.next_pc);
+            consume(true);
             break;
         }
 
-        // Consume the instruction into the FTQ.
-        ftq_->push(d, now, bypass, force_new_entry);
-        force_new_entry = false;
-        ++stats.fetch_pcs;
-        advance();
-        next_fetch_pc_ = in.next_pc;
+        consume(false);
 
         if (chained) {
             force_new_entry = true; // New fetch block at the taken target.
             continue;
         }
         if (end_bundle) {
-            if (bubbles == 0 && !in.taken) {
-                // Not-taken end (MB-BTB pulled slot): sequential restart.
-            }
+            // A not-taken end (MB-BTB pulled slot) restarts sequentially.
             redirect_pending_ = in.taken;
             break;
         }

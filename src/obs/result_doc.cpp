@@ -1,6 +1,8 @@
 #include "obs/result_doc.h"
 
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -147,12 +149,118 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
 ResultDoc
 loadResultDoc(const std::string &path)
 {
+    return parseResultDoc(loadJson(path), path);
+}
+
+JsonValue
+loadJson(const std::string &path)
+{
     std::ifstream is(path);
     if (!is)
         throw std::runtime_error("cannot open " + path);
     std::ostringstream buf;
     buf << is.rdbuf();
-    return parseResultDoc(parseJson(buf.str()), path);
+    return parseJson(buf.str());
+}
+
+namespace {
+
+std::string
+exactNumber(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/** First difference between @p a and @p b at @p path ("" when equal);
+ *  objects compare only the keys both hold. */
+std::string
+firstValueDifference(const JsonValue &a, const JsonValue &b,
+                     const std::string &path)
+{
+    if (a.type != b.type)
+        return path + ": value types differ";
+    switch (a.type) {
+      case JsonValue::Type::kNull:
+        return "";
+      case JsonValue::Type::kBool:
+        return a.boolean == b.boolean ? "" : path + ": booleans differ";
+      case JsonValue::Type::kNumber:
+        return a.number == b.number ? ""
+            : path + ": " + exactNumber(a.number) + " vs " +
+                exactNumber(b.number);
+      case JsonValue::Type::kString:
+        return a.str == b.str ? ""
+                              : path + ": \"" + a.str + "\" vs \"" +
+                                    b.str + "\"";
+      case JsonValue::Type::kArray:
+        if (a.array.size() != b.array.size())
+            return path + ": " + std::to_string(a.array.size()) + " vs " +
+                   std::to_string(b.array.size()) + " elements";
+        for (std::size_t i = 0; i < a.array.size(); ++i) {
+            std::string d = firstValueDifference(
+                a.array[i], b.array[i], path + "[" + std::to_string(i) + "]");
+            if (!d.empty())
+                return d;
+        }
+        return "";
+      case JsonValue::Type::kObject:
+        for (const auto &[key, va] : a.object) {
+            const JsonValue *vb = b.find(key);
+            if (!vb)
+                continue;
+            std::string d = firstValueDifference(va, *vb, path + "." + key);
+            if (!d.empty())
+                return d;
+        }
+        return "";
+    }
+    return "";
+}
+
+/** Runs of a document by "config / workload", in file order. */
+std::map<std::string, std::vector<const JsonValue *>>
+runsByKey(const JsonValue &root)
+{
+    std::map<std::string, std::vector<const JsonValue *>> out;
+    for (const JsonValue &r : root.at("runs").array)
+        out[r.at("config").asString() + " / " + r.at("workload").asString()]
+            .push_back(&r);
+    return out;
+}
+
+} // namespace
+
+std::string
+firstRunDifference(const JsonValue &old_root, const JsonValue &new_root)
+{
+    const auto old_runs = runsByKey(old_root);
+    const auto new_runs = runsByKey(new_root);
+    for (const auto &[key, runs] : new_runs)
+        if (!old_runs.count(key))
+            return "run (" + key + ") only in the new file";
+    for (const auto &[key, runs] : old_runs) {
+        const auto it = new_runs.find(key);
+        if (it == new_runs.end())
+            return "run (" + key + ") only in the old file";
+        if (it->second.size() != runs.size())
+            return "run (" + key + ") appears " +
+                   std::to_string(runs.size()) + " vs " +
+                   std::to_string(it->second.size()) + " times";
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            for (const char *part : {"stats", "counters", "samples"}) {
+                const JsonValue *a = runs[i]->find(part);
+                const JsonValue *b = it->second[i]->find(part);
+                if (!a || !b)
+                    continue;
+                std::string d =
+                    firstValueDifference(*a, *b, "(" + key + ")." + part);
+                if (!d.empty())
+                    return d;
+            }
+    }
+    return "";
 }
 
 std::string

@@ -67,6 +67,19 @@ ResultDoc parseResultDoc(const JsonValue &root, const std::string &origin);
 /** Read and parse @p path (throws std::runtime_error). */
 ResultDoc loadResultDoc(const std::string &path);
 
+/** Read @p path as plain JSON (throws std::runtime_error). */
+JsonValue loadJson(const std::string &path);
+
+/**
+ * The exact comparison `btbsim-stats diff --threshold 0` applies to two
+ * result documents: both must hold the same (config, workload) runs, and
+ * every matched run's "stats", "counters" and "samples" must be equal,
+ * limited to the object keys present in both. @return "" when they
+ * match, else a message naming the first differing field.
+ */
+std::string firstRunDifference(const JsonValue &old_root,
+                               const JsonValue &new_root);
+
 /**
  * Unicode block-character sparkline of @p v scaled to its own min..max
  * ("▁▂▃▅▇█"); constant series render mid-height. Empty input -> "".

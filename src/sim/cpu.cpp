@@ -1,8 +1,8 @@
 #include "sim/cpu.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <unordered_map>
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "check/checker.h"
 #include "obs/span.h"
@@ -36,10 +36,9 @@ Cpu::fetchIssue()
     unsigned issues = 0;
     std::deque<FtqEntry> &entries = ftq_.entries();
     // Entries before firstUnissued() are all issued; start past them.
-    for (std::size_t i = ftq_.firstUnissued(); i < entries.size(); ++i) {
+    for (std::size_t i = ftq_.firstUnissued();
+         i < entries.size() && issues < cfg_.fetch_lines; ++i) {
         FtqEntry &e = entries[i];
-        if (issues >= cfg_.fetch_lines)
-            break;
         if (e.min_issue_cycle > now_)
             break; // Younger entries cannot be earlier.
         const bool was_miss = !mem_.l1i().contains(e.line);
@@ -59,42 +58,33 @@ Cpu::deliver()
     unsigned lines_used = 0;
     unsigned used_interleaves = 0;
     Addr prev_line = 0;
-    bool have_prev = false;
 
     while (!ftq_.empty() && instrs < cfg_.fetch_width &&
-           decode_queue_.size() < cfg_.decode_queue) {
+           delivered_ - decoded_ < cfg_.decode_queue) {
         FtqEntry &e = ftq_.front();
         if (!e.issued || e.data_ready > now_)
             break; // In-order delivery.
         // Consecutive entries for the same line share one data-array
         // read: only a *new* line consumes a line slot and must land in
         // a fresh interleave.
-        const bool new_line = !have_prev || e.line != prev_line;
-        if (new_line) {
+        if (lines_used == 0 || e.line != prev_line) {
             const unsigned il = mem_.icacheInterleave(e.line);
-            if (lines_used > 0 && (used_interleaves & (1u << il)))
+            if (used_interleaves & (1u << il))
                 break; // Same-interleave conflict this cycle.
             if (lines_used >= cfg_.fetch_lines)
                 break;
             used_interleaves |= (1u << il);
             ++lines_used;
             prev_line = e.line;
-            have_prev = true;
         }
 
-        bool entry_done = true;
-        while (e.next_idx < e.insts.size()) {
-            if (instrs >= cfg_.fetch_width ||
-                decode_queue_.size() >= cfg_.decode_queue) {
-                entry_done = false;
-                break;
-            }
-            decode_queue_.push_back(std::move(e.insts[e.next_idx]));
-            ++e.next_idx;
-            ++instrs;
-        }
-        if (!entry_done)
-            break;
+        const std::uint64_t n = std::min<std::uint64_t>(
+            {e.end_seq - delivered_, cfg_.fetch_width - instrs,
+             cfg_.decode_queue - (delivered_ - decoded_)});
+        delivered_ += n;
+        instrs += static_cast<unsigned>(n);
+        if (delivered_ < e.end_seq)
+            break; // Width or decode-queue room ran out mid-entry.
         ftq_.popFront();
     }
 }
@@ -102,31 +92,27 @@ Cpu::deliver()
 void
 Cpu::decode()
 {
-    unsigned n = 0;
-    while (!decode_queue_.empty() && n < cfg_.decode_width &&
-           alloc_queue_.size() < cfg_.alloc_queue) {
-        DynInst d = std::move(decode_queue_.front());
-        decode_queue_.pop_front();
+    for (unsigned n = 0; decoded_ < delivered_ && n < cfg_.decode_width &&
+                         decoded_ - allocated_ < cfg_.alloc_queue;
+         ++n) {
+        DynInst &d = ftq_.inst(++decoded_);
         d.decode_cycle = now_;
         if (d.resteer == Resteer::kDecode)
             pcgen_.resteerResolved(now_);
-        alloc_queue_.push_back(std::move(d));
-        ++n;
     }
 }
 
 void
 Cpu::allocate()
 {
-    unsigned n = 0;
-    while (!alloc_queue_.empty() && n < cfg_.alloc_width &&
-           backend_.canAllocate()) {
-        if (alloc_queue_.front().decode_cycle >= now_)
+    for (unsigned n = 0; allocated_ < decoded_ && n < cfg_.alloc_width &&
+                         backend_.canAllocate();
+         ++n) {
+        DynInst &d = ftq_.inst(allocated_ + 1);
+        if (d.decode_cycle >= now_)
             break; // Decoded this cycle; allocate next cycle.
-        DynInst d = std::move(alloc_queue_.front());
-        alloc_queue_.pop_front();
         backend_.allocate(std::move(d), now_);
-        ++n;
+        ftq_.release(++allocated_);
     }
 }
 
@@ -156,6 +142,24 @@ Cpu::step()
     deliver();
     pcgen_.runCycle(now_);
     fetchIssue();
+}
+
+void
+Cpu::guardedStep(Cycle guard)
+{
+    step();
+    if (now_ <= guard)
+        return;
+    throw std::runtime_error(
+        "btbsim: deadlock guard hit: config " + stats_.config +
+        ", workload " + stats_.workload + ", cycle " + std::to_string(now_) +
+        ", committed " + std::to_string(backend_.committed()) +
+        "; FTQ entries " + std::to_string(ftq_.size()) + ", decode queue " +
+        std::to_string(delivered_ - decoded_) + ", alloc queue " +
+        std::to_string(decoded_ - allocated_) + ", ROB " +
+        std::to_string(backend_.robOccupancy()) + ", PcGen " +
+        (pcgen_.waitingResteer() ? "waiting on" : "not waiting on") +
+        " a resteer");
 }
 
 void
@@ -201,20 +205,12 @@ void
 Cpu::run(std::uint64_t warmup, std::uint64_t measure)
 {
     // ---- warmup ----------------------------------------------------------
-    const Cycle cycle_guard_per_inst = 400;
-    std::uint64_t guard =
-        (warmup + measure) * cycle_guard_per_inst + 1'000'000;
+    // Deadlock guard: no run legitimately averages 400 cycles per inst.
+    const Cycle guard = (warmup + measure) * 400 + 1'000'000;
     {
         obs::ObsSpan span("warmup");
-        while (backend_.committed() < warmup) {
-            step();
-            if (now_ > guard) {
-                std::fprintf(stderr,
-                             "btbsim: deadlock guard hit (%s / %s)\n",
-                             stats_.workload.c_str(), stats_.config.c_str());
-                std::abort();
-            }
-        }
+        while (backend_.committed() < warmup)
+            guardedStep(guard);
     }
 
     // ---- snapshot --------------------------------------------------------
@@ -232,7 +228,7 @@ Cpu::run(std::uint64_t warmup, std::uint64_t measure)
         obs::Sampler sampler(sample_interval_);
         ftq_occ_sum_ = 0.0;
         while (backend_.committed() < end) {
-            step();
+            guardedStep(guard);
             ftq_occ_sum_ += static_cast<double>(ftq_.size());
             if (backend_.committed() >= next_sample) {
                 sampleStructures();
@@ -240,12 +236,6 @@ Cpu::run(std::uint64_t warmup, std::uint64_t measure)
             }
             if (sampler.due(now_ - cycles0))
                 sampler.sample(sampleSnapshot(cycles0, insts0, pg0, i_miss0));
-            if (now_ > guard) {
-                std::fprintf(stderr,
-                             "btbsim: deadlock guard hit (%s / %s)\n",
-                             stats_.workload.c_str(), stats_.config.c_str());
-                std::abort();
-            }
         }
         if (occ_samples_ == 0.0)
             sampleStructures();

@@ -7,7 +7,6 @@
 #ifndef BTBSIM_SIM_CPU_H
 #define BTBSIM_SIM_CPU_H
 
-#include <deque>
 #include <memory>
 
 #include "backend/backend.h"
@@ -32,7 +31,9 @@ class CheckedBtb;
 /**
  * The simulated core. Construction wires BP stage (BTB + predictors),
  * FTQ, fetch, decode/allocate queues and the backend; run() executes a
- * warmup phase followed by a measurement phase and fills stats().
+ * warmup phase followed by a measurement phase and fills stats(). Each
+ * in-flight instruction is stored once: by the FTQ until allocation (the
+ * decode and allocate queues are seq cursors over it), then by the ROB.
  */
 class Cpu
 {
@@ -51,7 +52,9 @@ class Cpu
 
     /**
      * Simulate until @p warmup + @p measure instructions commit;
-     * statistics cover only the measurement window.
+     * statistics cover only the measurement window. Throws
+     * std::runtime_error naming the pipeline state when the core stops
+     * committing (the deadlock guard).
      */
     void run(std::uint64_t warmup, std::uint64_t measure);
 
@@ -64,7 +67,6 @@ class Cpu
     std::uint64_t committed() const { return backend_.committed(); }
 
     BtbOrg &btb() { return *org_; }
-    MemHier &mem() { return mem_; }
     const PcGenStats &pcgenStats() const { return pcgen_.stats; }
 
     /**
@@ -73,7 +75,6 @@ class Cpu
      * event site reduces to one predictable branch.
      */
     void attachTracer(obs::Tracer *tracer);
-    obs::Tracer *tracer() { return tracer_; }
 
     /** Interval (cycles) of the time-series sampler; 0 disables it.
      *  Defaults to BTBSIM_SAMPLE_INTERVAL / 100k. Takes effect at the
@@ -82,9 +83,6 @@ class Cpu
     {
         sample_interval_ = cycles;
     }
-
-    /** Hierarchical stats harvested from every component at end of run. */
-    const obs::StatRegistry &registry() const { return registry_; }
 
   private:
     CpuConfig cfg_;
@@ -102,8 +100,11 @@ class Cpu
     PcGen pcgen_;
     Backend backend_;
 
-    std::deque<DynInst> decode_queue_;
-    std::deque<DynInst> alloc_queue_;
+    /// Pipeline cursors over FTQ-owned seqs: the decode queue holds
+    /// (decoded_, delivered_], the allocate queue (allocated_, decoded_].
+    std::uint64_t delivered_ = 0;
+    std::uint64_t decoded_ = 0;
+    std::uint64_t allocated_ = 0;
 
     Cycle now_ = 0;
     SimStats stats_;
@@ -123,6 +124,7 @@ class Cpu
     void deliver();
     void decode();
     void allocate();
+    void guardedStep(Cycle guard);
     void sampleStructures();
     obs::SampleSnapshot sampleSnapshot(Cycle cycles0, std::uint64_t insts0,
                                        const PcGenStats &pg0,

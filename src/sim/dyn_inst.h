@@ -28,8 +28,6 @@ struct DynInst
 
     /// Frontend event this instruction resolves.
     Resteer resteer = Resteer::kNone;
-    bool counts_mispredict = false; ///< Branch misprediction (MPKI).
-    bool counts_misfetch = false;   ///< BTB misfetch (resolved at Decode).
 
     /// Producer sequence numbers (0 = no dependency).
     std::uint64_t dep1 = 0;
@@ -38,7 +36,6 @@ struct DynInst
     // Timing (absolute cycles, 0 = not reached).
     Cycle decode_cycle = 0;
     Cycle alloc_cycle = 0;
-    Cycle issue_cycle = 0;
     Cycle complete_cycle = 0;
 };
 

@@ -11,7 +11,10 @@
  *   btbsim-stats diff <old.json> <new.json> [--threshold FRAC]
  *       Match runs by (config, workload), compare per-config geomean IPC
  *       and exit 1 when any config regresses by more than FRAC (default
- *       0.02 = 2%). Used by CI as a regression gate.
+ *       0.02 = 2%). Used by CI as a regression gate. At FRAC 0 the gate
+ *       is exact instead: both files must hold the same runs, with equal
+ *       "stats", "counters" and "samples" (keys present in both); the
+ *       first differing field is named.
  *
  *   btbsim-stats prof <file.json>
  *       Render the host span profile as an indented tree: where the
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "obs/json.h"
 #include "obs/result_doc.h"
 
 namespace {
@@ -100,8 +104,10 @@ int
 cmdDiff(const std::string &old_path, const std::string &new_path,
         double threshold)
 {
-    const ResultDoc a = btbsim::obs::loadResultDoc(old_path);
-    const ResultDoc b = btbsim::obs::loadResultDoc(new_path);
+    const btbsim::obs::JsonValue old_root = btbsim::obs::loadJson(old_path);
+    const btbsim::obs::JsonValue new_root = btbsim::obs::loadJson(new_path);
+    const ResultDoc a = btbsim::obs::parseResultDoc(old_root, old_path);
+    const ResultDoc b = btbsim::obs::parseResultDoc(new_root, new_path);
 
     std::map<std::pair<std::string, std::string>, double> old_ipc;
     for (const DocRun &r : a.runs)
@@ -148,6 +154,16 @@ cmdDiff(const std::string &old_path, const std::string &new_path,
         std::printf("\nIPC regression beyond %.1f%% detected.\n",
                     threshold * 100.0);
         return 1;
+    }
+    if (threshold == 0.0) {
+        const std::string d =
+            btbsim::obs::firstRunDifference(old_root, new_root);
+        if (!d.empty()) {
+            std::printf("\nnot identical: %s\n", d.c_str());
+            return 1;
+        }
+        std::printf("\nall runs identical.\n");
+        return 0;
     }
     std::printf("\nno IPC regression beyond %.1f%%.\n", threshold * 100.0);
     return 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "backend/backend.h"
 #include "trace_util.h"
 
@@ -186,4 +188,49 @@ TEST(Backend, StoresRetireThroughSq)
     EXPECT_FALSE(f.be->canAllocate()); // SQ full
     f.drain(now, 2);
     EXPECT_TRUE(f.be->canAllocate());
+}
+
+TEST(Backend, NonPowerOfTwoRobRing)
+{
+    // The ROB ring rounds up to 8 slots; occupancy must still cap at 5.
+    BackendConfig cfg;
+    cfg.rob_size = 5;
+    Fixture f(cfg);
+    Cycle now = 1;
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(f.be->canAllocate());
+        f.be->allocate(f.alu(1, 1), now);
+    }
+    EXPECT_FALSE(f.be->canAllocate());
+
+    // Feed a serial r1 <- r1 chain far longer than the ring: every
+    // producer is found at its slot and the chain commits one per cycle.
+    constexpr std::uint64_t kChain = 64;
+    std::uint64_t last = 0;
+    while (f.be->committed() < kChain && now < 1000) {
+        f.be->runCycle(++now);
+        ASSERT_LE(f.be->committed(), last + 1);
+        last = f.be->committed();
+        while (f.seq < kChain && f.be->canAllocate())
+            f.be->allocate(f.alu(1, 1), now);
+    }
+    EXPECT_EQ(f.be->committed(), kChain);
+    EXPECT_EQ(now, 66u);
+}
+
+TEST(Backend, AllocateChecksRingInvariants)
+{
+    Fixture f;
+    f.be->allocate(f.alu(), 1);
+    DynInst gap = f.alu();
+    ++gap.seq; // Seq 3 after seq 1.
+    EXPECT_THROW(f.be->allocate(std::move(gap), 1), std::logic_error);
+
+    // Past canAllocate(): the 8-slot ring of a 5-entry ROB fills up.
+    BackendConfig cfg;
+    cfg.rob_size = 5;
+    Fixture g(cfg);
+    for (int i = 0; i < 8; ++i)
+        g.be->allocate(g.alu(), 1);
+    EXPECT_THROW(g.be->allocate(g.alu(), 1), std::logic_error);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "btb_test_util.h"
 #include "sim/cpu.h"
 #include "trace_util.h"
@@ -17,6 +20,35 @@ jumpLoop(Addr base, unsigned body)
     auto v = straight(base, body);
     v.push_back(
         branchAt(base + body * kInstBytes, BranchClass::kUncondDirect, base));
+    return v;
+}
+
+/**
+ * A ChampSim-style `rep` stream: 3,000 records of one IP (each one's
+ * next_pc is its own pc), then a run of 2-byte ALUs and a jump back.
+ * One FTQ entry here holds far more than kLineBytes / kInstBytes
+ * instructions.
+ */
+std::vector<Instruction>
+repStream()
+{
+    std::vector<Instruction> v;
+    for (int i = 0; i < 3000; ++i) {
+        Instruction in;
+        in.pc = 0x1000;
+        in.next_pc = i + 1 < 3000 ? 0x1000 : 0x1002;
+        in.dst = in.src1 = 1;
+        v.push_back(in);
+    }
+    for (Addr pc = 0x1002; pc <= 0x103C; pc += 2) {
+        Instruction in;
+        in.pc = pc;
+        in.next_pc = pc + 2;
+        in.dst = static_cast<std::uint8_t>(2 + pc % 7);
+        in.src1 = static_cast<std::uint8_t>(2 + (pc + 3) % 7);
+        v.push_back(in);
+    }
+    v.push_back(branchAt(0x103E, BranchClass::kUncondDirect, 0x1000));
     return v;
 }
 
@@ -170,4 +202,36 @@ TEST(Cpu, ObservabilityHarvest)
     }
     EXPECT_TRUE(saw_miss);
     EXPECT_TRUE(saw_fill);
+}
+
+TEST(Cpu, RepStreamGolden)
+{
+    VectorTrace trace(repStream());
+    Cpu cpu(CpuConfig{}, trace);
+    cpu.run(5000, 50000);
+    // Golden values: a change to them is a change to simulated timing.
+    EXPECT_EQ(cpu.stats().cycles, 49473u);
+    EXPECT_EQ(cpu.cycleCount(), 54614u);
+    EXPECT_EQ(cpu.stats().instructions, 50000u);
+}
+
+TEST(Cpu, DeadlockGuardThrowsWithPipelineState)
+{
+    // No ROB: nothing ever allocates, so nothing commits.
+    VectorTrace trace(jumpLoop(0x1000, 15));
+    CpuConfig cfg;
+    cfg.backend.rob_size = 0;
+    Cpu cpu(cfg, trace);
+    try {
+        cpu.run(0, 1);
+        FAIL() << "run() returned without committing";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        for (const char *field :
+             {"config ", "workload vector", "cycle 1000401", "committed 0",
+              "FTQ entries ", "decode queue ", "alloc queue 64", "ROB 0",
+              "resteer"})
+            EXPECT_NE(msg.find(field), std::string::npos)
+                << "missing \"" << field << "\" in: " << msg;
+    }
 }

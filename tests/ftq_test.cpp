@@ -9,10 +9,11 @@ using namespace btbsim;
 namespace {
 
 DynInst
-instAt(Addr pc)
+instAt(Addr pc, std::uint64_t seq)
 {
     DynInst d;
     d.in.pc = pc;
+    d.seq = seq;
     return d;
 }
 
@@ -21,67 +22,104 @@ instAt(Addr pc)
 TEST(Ftq, SameLineSharesEntry)
 {
     Ftq q(4);
-    EXPECT_TRUE(q.push(instAt(0x1000), 1, false, true));
-    EXPECT_TRUE(q.push(instAt(0x1004), 1, false, false));
-    EXPECT_TRUE(q.push(instAt(0x103C), 1, false, false));
+    EXPECT_TRUE(q.push(instAt(0x1000, 1), 1, false, true));
+    EXPECT_TRUE(q.push(instAt(0x1004, 2), 1, false, false));
+    EXPECT_TRUE(q.push(instAt(0x103C, 3), 1, false, false));
     EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.front().insts.size(), 3u);
+    EXPECT_EQ(q.front().end_seq, 3u); // Seqs 1..3.
 }
 
 TEST(Ftq, LineCrossOpensEntry)
 {
     Ftq q(4);
-    q.push(instAt(0x103C), 1, false, true);
-    q.push(instAt(0x1040), 1, false, false);
-    EXPECT_EQ(q.size(), 2u);
+    q.push(instAt(0x103C, 1), 1, false, true);
+    q.push(instAt(0x1040, 2), 1, false, false);
+    ASSERT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.entries()[0].end_seq, 1u);
+    EXPECT_EQ(q.entries()[1].end_seq, 2u);
 }
 
 TEST(Ftq, ForcedNewEntryAfterRedirect)
 {
     Ftq q(4);
-    q.push(instAt(0x1000), 1, false, true);
+    q.push(instAt(0x1000, 1), 1, false, true);
     // Taken-branch target in the same line still opens a fresh entry.
-    q.push(instAt(0x1020), 1, false, true);
+    q.push(instAt(0x1020, 2), 1, false, true);
     EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(Ftq, CapacityEnforced)
 {
     Ftq q(2);
-    EXPECT_TRUE(q.push(instAt(0x1000), 1, false, true));
-    EXPECT_TRUE(q.push(instAt(0x2000), 1, false, true));
-    EXPECT_FALSE(q.push(instAt(0x3000), 1, false, true));
+    EXPECT_TRUE(q.push(instAt(0x1000, 1), 1, false, true));
+    EXPECT_TRUE(q.push(instAt(0x2000, 2), 1, false, true));
+    EXPECT_FALSE(q.push(instAt(0x3000, 3), 1, false, true));
     EXPECT_TRUE(q.full());
     // But appending to the open tail entry still works.
     EXPECT_TRUE(q.canAccept(0x2004, false));
-    EXPECT_TRUE(q.push(instAt(0x2004), 1, false, false));
+    EXPECT_TRUE(q.push(instAt(0x2004, 3), 1, false, false));
+    EXPECT_EQ(q.entries()[1].end_seq, 3u); // Seqs 2..3.
 }
 
 TEST(Ftq, BypassSetsImmediateIssue)
 {
     Ftq q(4);
-    q.push(instAt(0x1000), 5, true, true);
+    q.push(instAt(0x1000, 1), 5, true, true);
     EXPECT_EQ(q.front().min_issue_cycle, 5u);
-    q.push(instAt(0x2000), 5, false, true);
+    q.push(instAt(0x2000, 2), 5, false, true);
     EXPECT_EQ(q.entries()[1].min_issue_cycle, 6u);
 }
 
 TEST(Ftq, NoAppendToIssuedEntry)
 {
     Ftq q(4);
-    q.push(instAt(0x1000), 1, false, true);
+    q.push(instAt(0x1000, 1), 1, false, true);
     q.front().issued = true;
-    q.push(instAt(0x1004), 2, false, false);
+    q.push(instAt(0x1004, 2), 2, false, false);
     EXPECT_EQ(q.size(), 2u); // had to open a new entry
 }
 
 TEST(Ftq, PopAndClear)
 {
     Ftq q(4);
-    q.push(instAt(0x1000), 1, false, true);
-    q.push(instAt(0x2000), 1, false, true);
+    q.push(instAt(0x1000, 1), 1, false, true);
+    q.push(instAt(0x2000, 2), 1, false, true);
     q.popFront();
     EXPECT_EQ(q.size(), 1u);
     q.clear();
     EXPECT_TRUE(q.empty());
+    // A cleared queue accepts a stream restarting at any seq.
+    EXPECT_TRUE(q.push(instAt(0x3000, 1), 2, false, true));
+    EXPECT_EQ(q.inst(1).in.pc, 0x3000u);
+}
+
+TEST(Ftq, StoreHoldsUnboundedEntry)
+{
+    // A `rep` stream repeats one IP: a single entry may hold far more
+    // instructions than a line has slots, and the store grows to fit.
+    Ftq q(2);
+    constexpr std::uint64_t kReps = 3000;
+    for (std::uint64_t s = 1; s <= kReps; ++s)
+        ASSERT_TRUE(q.push(instAt(0x1000, s), 1, false, s == 1));
+    q.push(instAt(0x1040, kReps + 1), 1, false, false);
+    ASSERT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.entries()[0].end_seq, kReps);
+    EXPECT_EQ(q.entries()[1].end_seq, kReps + 1);
+    for (std::uint64_t s = 1; s <= kReps + 1; ++s)
+        ASSERT_EQ(q.inst(s).seq, s);
+    EXPECT_EQ(q.inst(kReps + 1).in.pc, 0x1040u);
+}
+
+TEST(Ftq, ReleaseKeepsYoungerInstructions)
+{
+    Ftq q(64);
+    std::uint64_t seq = 0;
+    for (; seq < 200; ++seq)
+        q.push(instAt(0x1000 + 4 * seq, seq + 1), 1, false, false);
+    q.release(150);
+    // Growing past the first ring size must keep seqs 151.. intact.
+    for (; seq < 600; ++seq)
+        q.push(instAt(0x1000 + 4 * seq, seq + 1), 1, false, false);
+    for (std::uint64_t s = 151; s <= 600; ++s)
+        ASSERT_EQ(q.inst(s).in.pc, 0x1000 + 4 * (s - 1));
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -214,4 +215,76 @@ TEST(Sparkline, DownsamplesToMaxPoints)
     EXPECT_EQ(s.size(), 16u * 3u); // Bucket-averaged down to 16 chars.
     EXPECT_EQ(s.substr(0, 3), "▁");
     EXPECT_EQ(s.substr(s.size() - 3), "█");
+}
+
+namespace {
+
+/** The v1 golden's text with @p from replaced by @p to, parsed. */
+obs::JsonValue
+goldenWith(const std::string &from, const std::string &to)
+{
+    std::ifstream is(dataFile("schema_v1_golden.json"));
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    std::string text = buf.str();
+    if (!from.empty()) {
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+    }
+    return obs::parseJson(text);
+}
+
+} // namespace
+
+TEST(ExactDiff, IdenticalDocumentsMatch)
+{
+    EXPECT_EQ(obs::firstRunDifference(goldenWith("", ""), goldenWith("", "")),
+              "");
+    // Host timings are not simulated results.
+    EXPECT_EQ(obs::firstRunDifference(
+                  goldenWith("", ""),
+                  goldenWith("\"seconds\": 0.42", "\"seconds\": 9.5")),
+              "");
+    // A key only one file holds (a counter added later) is not compared.
+    EXPECT_EQ(obs::firstRunDifference(
+                  goldenWith("", ""),
+                  goldenWith("\"btb.l1.hits\": 9000",
+                             "\"btb.l1.hits\": 9000, \"btb.new\": 1")),
+              "");
+}
+
+TEST(ExactDiff, MutatedCounterIsNamed)
+{
+    const std::string d = obs::firstRunDifference(
+        goldenWith("", ""),
+        goldenWith("\"btb.l1.misses\": 270", "\"btb.l1.misses\": 271"));
+    EXPECT_NE(d.find("(I-BTB 16 / srv-small).counters.btb.l1.misses"),
+              std::string::npos)
+        << d;
+    EXPECT_NE(d.find("270 vs 271"), std::string::npos) << d;
+}
+
+TEST(ExactDiff, RaisedIpcAndSamplesAreFlagged)
+{
+    EXPECT_NE(obs::firstRunDifference(goldenWith("", ""),
+                                      goldenWith("\"ipc\": 1.7",
+                                                 "\"ipc\": 2.55"))
+                  .find("(B-BTB 1 / srv-small).stats.ipc"),
+              std::string::npos);
+    EXPECT_NE(obs::firstRunDifference(goldenWith("", ""),
+                                      goldenWith("\"ftq_occupancy\": 10.8",
+                                                 "\"ftq_occupancy\": 10.9"))
+                  .find("samples.points[1].ftq_occupancy"),
+              std::string::npos);
+}
+
+TEST(ExactDiff, RunSetsMustMatch)
+{
+    const std::string d = obs::firstRunDifference(
+        goldenWith("", ""),
+        goldenWith("\"config\": \"B-BTB 1\"", "\"config\": \"B-BTB 2\""));
+    EXPECT_NE(d.find("(B-BTB 2 / srv-small) only in the new file"),
+              std::string::npos)
+        << d;
 }
