@@ -56,11 +56,12 @@ speedConfigs()
 
 /** Best-of-kReps simulation throughput in Mi/s for one point. */
 double
-timePoint(const CpuConfig &cfg, Workload &wl, const RunOptions &opt)
+timePoint(const CpuConfig &cfg, const WorkloadSpec &spec,
+          const RunOptions &opt)
 {
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-        wl.reset();
+        Workload wl(spec);
         Cpu cpu(cfg, wl);
         const auto t0 = std::chrono::steady_clock::now();
         cpu.run(opt.warmup, opt.measure);
@@ -155,13 +156,6 @@ main()
                 static_cast<unsigned long long>(opt.warmup),
                 static_cast<unsigned long long>(opt.measure), suite.size());
 
-    // Workloads are generated once and reset between points so timing
-    // excludes program generation.
-    std::vector<std::unique_ptr<Workload>> workloads;
-    workloads.reserve(suite.size());
-    for (const WorkloadSpec &spec : suite)
-        workloads.push_back(makeWorkload(spec));
-
     std::printf("%-22s", "config");
     for (const WorkloadSpec &spec : suite)
         std::printf(" %10s", spec.name.c_str());
@@ -172,8 +166,8 @@ main()
     for (const CpuConfig &cfg : configs) {
         OrgResult r;
         r.config = cfg.btb.name();
-        for (auto &wl : workloads)
-            r.mips.push_back(timePoint(cfg, *wl, opt));
+        for (const WorkloadSpec &spec : suite)
+            r.mips.push_back(timePoint(cfg, spec, opt));
         r.geo = geomeanOf(r.mips);
         geos.push_back(r.geo);
 

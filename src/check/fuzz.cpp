@@ -103,6 +103,7 @@ randomCase(std::uint64_t seed, std::uint64_t trace_insts)
     // tables above many times over, small enough to revisit PCs often.
     gp.target_static_insts = 1024u << rng.below(3);
     gp.num_handlers = 2 + static_cast<std::uint32_t>(rng.below(5));
+    // Fresh params every case: sharedProgram() would only grow its memo.
     auto prog = std::make_shared<Program>(generateProgram(gp));
 
     SyntheticTrace trace(*prog, rng.next() | 1, c.name);

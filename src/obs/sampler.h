@@ -31,6 +31,8 @@ struct IntervalSample
     double misfetch_pki = 0.0;
     double ftq_occupancy = 0.0; ///< Mean FTQ entries over the interval.
     double icache_mpki = 0.0;
+
+    bool operator==(const IntervalSample &) const = default;
 };
 
 /** Cumulative (measurement-relative) counter snapshot fed by the Cpu. */

@@ -68,7 +68,8 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
         // Live-generated workload, or a recorded .btbt replay when
         // BTBSIM_TRACE_DIR holds one. A fresh source per run keeps
         // concurrent runMatrix workers isolated (TraceSource instances
-        // are not shareable across threads).
+        // are not shareable across threads); only the read-only Program
+        // image is shared.
         std::unique_ptr<Cpu> cpu;
         traceio::OpenedSource opened;
         std::unique_ptr<obs::Tracer> tracer;

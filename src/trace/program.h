@@ -34,6 +34,8 @@ struct CondBehavior
     std::uint32_t max_trips = 1;   ///< kLoop: trip count upper bound.
     std::uint64_t pattern = 0;     ///< kPattern: bit i = outcome of step i.
     std::uint8_t pattern_len = 1;  ///< kPattern: period in [1, 64].
+
+    bool operator==(const CondBehavior &) const = default;
 };
 
 /** Behaviour model of an indirect jump/call site. */
@@ -52,6 +54,8 @@ struct IndirectBehavior
     std::uint32_t burst = 6;    ///< kBursty: executions per target.
     std::vector<std::uint32_t> targets; ///< Static instruction indices.
     std::vector<double> weights;        ///< kWeighted: selection weights.
+
+    bool operator==(const IndirectBehavior &) const = default;
 };
 
 /** Memory access stream attached to loads/stores. */
@@ -67,6 +71,8 @@ struct MemStream
     Addr base = 0;
     std::uint64_t footprint = 4096; ///< Bytes covered by the stream.
     std::int64_t stride = 64;       ///< kStride step in bytes.
+
+    bool operator==(const MemStream &) const = default;
 };
 
 /** One static instruction with its semantic annotations. */
@@ -85,6 +91,8 @@ struct StaticInst
     std::int32_t behavior = -1;
     /// Index into Program::streams, -1 if not a memory instruction.
     std::int32_t stream = -1;
+
+    bool operator==(const StaticInst &) const = default;
 };
 
 /**

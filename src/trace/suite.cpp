@@ -1,5 +1,8 @@
 #include "trace/suite.h"
 
+#include <mutex>
+#include <utility>
+
 namespace btbsim {
 
 std::vector<WorkloadSpec>
@@ -104,6 +107,32 @@ serverSuite(std::size_t count)
     if (count < suite.size())
         suite.resize(count);
     return suite;
+}
+
+std::shared_ptr<const Program>
+sharedProgram(const GenParams &params)
+{
+    static std::mutex mu;
+    static std::vector<std::pair<GenParams, std::shared_ptr<const Program>>>
+        memo;
+    auto lookup = [&]() -> std::shared_ptr<const Program> {
+        for (const auto &[p, prog] : memo)
+            if (p == params)
+                return prog;
+        return nullptr;
+    };
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        if (auto hit = lookup())
+            return hit;
+    }
+    // Generate outside the lock so distinct specs build in parallel.
+    auto fresh = std::make_shared<const Program>(generateProgram(params));
+    std::lock_guard<std::mutex> lk(mu);
+    if (auto hit = lookup())
+        return hit;
+    memo.emplace_back(params, fresh);
+    return fresh;
 }
 
 std::unique_ptr<Workload>

@@ -26,29 +26,37 @@ struct WorkloadSpec
 };
 
 /**
- * A TraceSource owning both its Program and interpreter. Not copyable or
- * movable (the interpreter holds a pointer into the owned program).
+ * The process-wide read-only image for @p params: generated on first
+ * request, then shared by every later caller with equal params. Safe to
+ * call concurrently; racing first callers all receive the first inserted
+ * instance. There is no eviction, so the memo holds one Program per
+ * distinct GenParams the process asks for: one per serverSuite() workload
+ * a bench runs (6 at the default BTBSIM_TRACES, at most 12). Callers with
+ * one-off params (the fuzzer) call generateProgram() directly instead.
+ */
+std::shared_ptr<const Program> sharedProgram(const GenParams &params);
+
+/**
+ * A TraceSource interpreting the shared image of its spec's params: the
+ * interpreter state is the Workload's own, the Program is sharedProgram()'s.
  */
 class Workload : public TraceSource
 {
   public:
     explicit Workload(const WorkloadSpec &spec)
-        : program_(generateProgram(spec.params)),
-          trace_(program_, spec.trace_seed, spec.name)
+        : program_(sharedProgram(spec.params)),
+          trace_(*program_, spec.trace_seed, spec.name)
     {}
-
-    Workload(const Workload &) = delete;
-    Workload &operator=(const Workload &) = delete;
 
     const Instruction &next() override { return trace_.next(); }
     void reset() override { trace_.reset(); }
     std::string name() const override { return trace_.name(); }
 
-    const Program &program() const { return program_; }
-    const Program *codeImage() const override { return &program_; }
+    const Program &program() const { return *program_; }
+    const Program *codeImage() const override { return program_.get(); }
 
   private:
-    Program program_;
+    std::shared_ptr<const Program> program_;
     SyntheticTrace trace_;
 };
 
@@ -63,7 +71,7 @@ class Workload : public TraceSource
  */
 std::vector<WorkloadSpec> serverSuite(std::size_t count = 8);
 
-/** Instantiate a workload (generation is deterministic in the spec). */
+/** Instantiate a fresh interpreter over the spec's shared image. */
 std::unique_ptr<Workload> makeWorkload(const WorkloadSpec &spec);
 
 } // namespace btbsim

@@ -34,30 +34,47 @@ TEST(Runner, EnvDefaultsWhenUnset)
 
 TEST(Runner, MatrixOrderingAndDeterminism)
 {
+    // Live-generated workloads: every worker interprets the one shared
+    // Program of its spec, so concurrent interpreters must not interfere.
+    test::ScopedEnv replay("BTBSIM_TRACE_DIR", nullptr);
+    test::ScopedEnv interval("BTBSIM_SAMPLE_INTERVAL", "20000");
     RunOptions opt;
     opt.warmup = 60'000;
     opt.measure = 120'000;
-    opt.threads = 2;
 
-    WorkloadSpec spec;
-    spec.name = "rt";
-    spec.params.seed = 0x42;
-    spec.params.target_static_insts = 24 * 1024;
-    spec.params.num_handlers = 4;
+    std::vector<WorkloadSpec> specs(2);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].name = "rt" + std::to_string(i);
+        specs[i].params.seed = 0x42 + i;
+        specs[i].params.target_static_insts = 24 * 1024;
+        specs[i].params.num_handlers = 4;
+    }
 
     std::vector<CpuConfig> configs(2);
     configs[0].btb = BtbConfig::ibtb(16);
     configs[1].btb = BtbConfig::bbtb(1, true);
 
-    const auto r1 = runMatrix(configs, {spec}, opt);
-    const auto r2 = runMatrix(configs, {spec}, opt);
-    ASSERT_EQ(r1.size(), 2u);
+    opt.threads = 1;
+    const auto st = runMatrix(configs, specs, opt);
+    opt.threads = 4;
+    const auto mt = runMatrix(configs, specs, opt);
+    ASSERT_EQ(st.size(), 4u);
+    ASSERT_EQ(mt.size(), 4u);
     // Ordered by (config, workload).
-    EXPECT_EQ(r1[0].config, "I-BTB 16");
-    EXPECT_EQ(r1[1].config, "B-BTB 1BS Splt");
+    EXPECT_EQ(st[0].config, "I-BTB 16");
+    EXPECT_EQ(st[0].workload, "rt0");
+    EXPECT_EQ(st[1].workload, "rt1");
+    EXPECT_EQ(st[2].config, "B-BTB 1BS Splt");
     // Thread scheduling must not affect results.
-    EXPECT_EQ(r1[0].cycles, r2[0].cycles);
-    EXPECT_EQ(r1[1].cycles, r2[1].cycles);
+    for (std::size_t i = 0; i < st.size(); ++i) {
+        EXPECT_EQ(mt[i].config, st[i].config) << i;
+        EXPECT_EQ(mt[i].workload, st[i].workload) << i;
+        EXPECT_EQ(mt[i].source_kind, "generated") << i;
+        EXPECT_EQ(mt[i].cycles, st[i].cycles) << i;
+        EXPECT_EQ(mt[i].counters, st[i].counters) << i;
+        EXPECT_FALSE(st[i].samples.empty()) << i;
+        EXPECT_EQ(mt[i].samples, st[i].samples) << i;
+    }
 }
 
 TEST(Runner, ReplayAcrossThreadsIsBitIdentical)

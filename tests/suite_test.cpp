@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "trace/suite.h"
 
@@ -63,4 +65,53 @@ TEST(Suite, CodeImageExposed)
     ASSERT_NE(w->codeImage(), nullptr);
     EXPECT_EQ(w->codeImage(), &w->program());
     EXPECT_EQ(w->program().validate(), "");
+}
+
+TEST(Suite, WorkloadsShareOneProgramPerSpec)
+{
+    const auto suite = serverSuite(2);
+    auto a = makeWorkload(suite[0]);
+    auto b = makeWorkload(suite[0]);
+    auto c = makeWorkload(suite[1]);
+    EXPECT_EQ(&a->program(), &b->program());
+    EXPECT_EQ(a->codeImage(), b->codeImage());
+    EXPECT_NE(&a->program(), &c->program());
+}
+
+TEST(Suite, SharedProgramEqualsFreshGeneration)
+{
+    const WorkloadSpec spec = serverSuite(1).front();
+    const Program &shared = *sharedProgram(spec.params);
+    const Program fresh = generateProgram(spec.params);
+    EXPECT_EQ(shared.code_base, fresh.code_base);
+    EXPECT_EQ(shared.name, fresh.name);
+
+    EXPECT_TRUE(shared.insts == fresh.insts);
+    EXPECT_TRUE(shared.conds == fresh.conds);
+    EXPECT_TRUE(shared.indirects == fresh.indirects);
+    EXPECT_TRUE(shared.streams == fresh.streams);
+    EXPECT_EQ(shared.entries, fresh.entries);
+    EXPECT_EQ(shared.entry_weights, fresh.entry_weights);
+}
+
+TEST(Suite, RacingFirstCallersGetOneProgram)
+{
+    // Params no other test asks for, so every thread races the first
+    // generation; the losers must discard theirs and adopt the winner's.
+    GenParams params;
+    params.seed = 0x5eed5eed;
+    params.target_static_insts = 8 * 1024;
+    params.num_handlers = 3;
+
+    constexpr int kThreads = 8;
+    std::vector<const Program *> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back(
+            [&, t] { got[t] = sharedProgram(params).get(); });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    EXPECT_EQ(sharedProgram(params).get(), got[0]);
 }
