@@ -68,10 +68,10 @@ class HybridBtb : public BtbOrg
     void
     update(const Instruction &br, bool resteer) override
     {
-        const auto displaced_before = inner_.stats.get("slot_displacements");
+        const auto displaced_before = inner_.counters.slot_displacements;
         inner_.update(br, resteer);
         if (br.taken &&
-            inner_.stats.get("slot_displacements") != displaced_before) {
+            inner_.counters.slot_displacements != displaced_before) {
             Victim &o = fillEntry(overflow_, br.pc);
             o.type = br.branch;
             o.target = br.takenTarget();

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "memory/memhier.h"
 #include "sim/dyn_inst.h"
 
@@ -91,8 +90,6 @@ class Backend
     {
         return last_allocated_seq_ - last_committed_seq_;
     }
-
-    StatSet stats;
 
   private:
     struct RobEntry

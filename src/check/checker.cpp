@@ -51,7 +51,7 @@ CheckedBtb::CheckedBtb(BtbOrg &inner, bool abort_on_failure)
     // Walk helpers (PredictionBundle::chain) account through the wrapper
     // when it fronts the frontend; keep the counters on the inner org so
     // harvested stats are identical with and without checking.
-    walk_stats = &inner_.stats;
+    walk_counters = &inner_.counters;
     const BtbConfig &cfg = inner_.config();
     switch (cfg.kind) {
       case BtbKind::kInstruction:

@@ -6,27 +6,6 @@
 namespace btbsim {
 
 double
-Histogram::mean() const
-{
-    if (total_ == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        sum += static_cast<double>(i) * static_cast<double>(buckets_[i]);
-    return sum / static_cast<double>(total_);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.buckets_.size() > buckets_.size())
-        buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    total_ += other.total_;
-}
-
-double
 geomean(const std::vector<double> &values)
 {
     double log_sum = 0.0;

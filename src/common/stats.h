@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: named counters, running averages,
- * histograms, and the geometric-mean helpers the paper's figures use.
+ * Statistics primitives: the per-component counter export and the
+ * geometric-mean helpers the paper's figures use.
  */
 
 #ifndef BTBSIM_COMMON_STATS_H
@@ -13,71 +13,6 @@
 #include <vector>
 
 namespace btbsim {
-
-/** Running mean without storing samples. */
-class RunningMean
-{
-  public:
-    void
-    add(double v, double weight = 1.0)
-    {
-        sum_ += v * weight;
-        count_ += weight;
-    }
-
-    double mean() const { return count_ > 0 ? sum_ / count_ : 0.0; }
-    double count() const { return count_; }
-    double sum() const { return sum_; }
-
-    /** Pool another running mean into this one. */
-    void
-    merge(const RunningMean &other)
-    {
-        sum_ += other.sum_;
-        count_ += other.count_;
-    }
-
-  private:
-    double sum_ = 0.0;
-    double count_ = 0.0;
-};
-
-/** Fixed-bucket histogram over small non-negative integers. Values at or
- *  beyond the last bucket clamp into it (overflow bucket). */
-class Histogram
-{
-  public:
-    /** @p buckets is clamped to at least 1 so add() always has a valid
-     *  overflow bucket. */
-    explicit Histogram(std::size_t buckets = 64)
-        : buckets_(buckets > 0 ? buckets : 1, 0)
-    {}
-
-    void
-    add(std::size_t v)
-    {
-        if (v >= buckets_.size())
-            v = buckets_.size() - 1;
-        ++buckets_[v];
-        ++total_;
-    }
-
-    std::uint64_t count(std::size_t v) const { return buckets_.at(v); }
-    std::uint64_t total() const { return total_; }
-    std::size_t bucketCount() const { return buckets_.size(); }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-    /** Mean of the recorded values (overflow bucket counted at its index). */
-    double mean() const;
-
-    /** Add another histogram's counts bucket-wise. A wider @p other grows
-     *  this histogram; counts keep their bucket index. */
-    void merge(const Histogram &other);
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-};
 
 /**
  * Geometric mean over the strictly positive entries of @p values;
@@ -91,34 +26,45 @@ double geomean(const std::vector<double> &values);
 double vecMin(const std::vector<double> &values);
 double vecMax(const std::vector<double> &values);
 
-/**
- * A tiny registry mapping stat names to counter values, used by modules to
- * expose internal occurrence counts without hard-coding a schema.
- */
-class StatSet
+/** One entry of a counter struct's name table: exported key suffix and
+ *  the member it reads. */
+template <typename T>
+struct CounterName
 {
-  public:
-    std::uint64_t &operator[](const std::string &name) { return counters_[name]; }
-
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
-
-    const std::map<std::string, std::uint64_t> &all() const { return counters_; }
-
-    void
-    merge(const StatSet &other)
-    {
-        for (const auto &[k, v] : other.counters_)
-            counters_[k] += v;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
+    const char *name;
+    std::uint64_t T::*field;
 };
+
+/**
+ * Write every counter of @p c into @p out as "prefix.name" -> value.
+ *
+ * This is the one counter mechanism: a component keeps its event counts
+ * as plain std::uint64_t members of a struct T (a hot-path bump is one
+ * add) and names them once in a static table,
+ *
+ *   static constexpr bool kExportZero = ...;
+ *   static constexpr CounterName<T> kNames[] = {{"accesses", &T::accesses}, ...};
+ *
+ * Key-set rule, fixed per table by kExportZero: a table that sets it
+ * exports every key, zeros included (PcGenStats: every pcgen.* key is
+ * always present); a table that clears it exports a key only once its
+ * counter has fired (BtbCounters, CacheCounters: an organization lists
+ * only the events it can produce). Scalars the Cpu reads off a structure
+ * (demand_*, dram.accesses, backend.committed, ftq.capacity) always
+ * appear. The key set feeds the golden digests and the frozen benchmark
+ * reference digests, so changing a rule changes both.
+ */
+template <typename T>
+void
+exportCounters(std::map<std::string, double> &out, const std::string &prefix,
+               const T &c)
+{
+    for (const CounterName<T> &n : T::kNames) {
+        const std::uint64_t v = c.*n.field;
+        if (v != 0 || T::kExportZero)
+            out[prefix + "." + n.name] = static_cast<double>(v);
+    }
+}
 
 } // namespace btbsim
 

@@ -22,7 +22,7 @@ BlockBtb::blockEnd(Addr start) const
 int
 BlockBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
-    ++stats["accesses"];
+    ++counters.accesses;
     auto [e, lvl] = table_.lookup(pc);
     b.tick_counter = &tick_;
     b.addSegment(pc, pc + (e ? e->end_bytes : reachBytes()));
@@ -76,7 +76,7 @@ BlockBtb::insertTaken(const Instruction &br)
             canon = *e;
         } else {
             canon.end_bytes = static_cast<std::uint32_t>(reachBytes());
-            ++stats["allocs"];
+            ++counters.allocs;
         }
         if (p.pc >= p.block + canon.end_bytes) {
             // Stale cursor relative to a shrunk entry: the branch belongs
@@ -128,7 +128,7 @@ BlockBtb::insertTaken(const Instruction &br)
             Slot spill = staged.back();
             canon.end_bytes = canon.slots.back().offset + kInstBytes;
             canon.split = true;
-            ++stats["splits"];
+            ++counters.splits;
             work.push_back({p.block + canon.end_bytes,
                             p.block + spill.offset, spill.type,
                             spill.target});
@@ -145,7 +145,7 @@ BlockBtb::insertTaken(const Instruction &br)
                       [](const Slot &a, const Slot &b) {
                           return a.offset < b.offset;
                       });
-            ++stats["slot_displacements"];
+            ++counters.slot_displacements;
         }
 
         // Always-taken-class branches end the block at their offset; the

@@ -39,6 +39,38 @@ struct OccupancySample
     std::uint64_t l2_entries = 0;
 };
 
+/** Event counters of a BTB organization, exported under "btb.". Each
+ *  key appears once its event has fired (see exportCounters). */
+struct BtbCounters
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t allocs = 0;
+    std::uint64_t prefills = 0;
+    std::uint64_t pulls = 0;      ///< MB-BTB: blocks pulled into an entry.
+    std::uint64_t downgrades = 0; ///< MB-BTB: pulled blocks removed again.
+    std::uint64_t splits = 0;     ///< Splt: blocks split on slot overflow.
+    std::uint64_t slot_displacements = 0;
+    std::uint64_t chained_blocks = 0; ///< Recorded continuations followed.
+    std::uint64_t l2_allocs = 0;
+    std::uint64_t l2_slot_displacements = 0;
+    std::uint64_t l2_synthesized_fills = 0;
+
+    static constexpr bool kExportZero = false;
+    static constexpr CounterName<BtbCounters> kNames[] = {
+        {"accesses", &BtbCounters::accesses},
+        {"allocs", &BtbCounters::allocs},
+        {"prefills", &BtbCounters::prefills},
+        {"pulls", &BtbCounters::pulls},
+        {"downgrades", &BtbCounters::downgrades},
+        {"splits", &BtbCounters::splits},
+        {"slot_displacements", &BtbCounters::slot_displacements},
+        {"chained_blocks", &BtbCounters::chained_blocks},
+        {"l2_allocs", &BtbCounters::l2_allocs},
+        {"l2_slot_displacements", &BtbCounters::l2_slot_displacements},
+        {"l2_synthesized_fills", &BtbCounters::l2_synthesized_fills},
+    };
+};
+
 /**
  * A BTB organization over a two-level hierarchy.
  *
@@ -130,14 +162,13 @@ class BtbOrg
         return 0;
     }
 
-    /// Occurrence counters (accesses, hits per level, etc.).
-    StatSet stats;
+    BtbCounters counters;
 
     /** Where bundle-walk helpers account their counters. Defaults to this
-     *  organization's own @c stats; a checking decorator points it at the
-     *  wrapped organization's set so harvested counters stay identical
+     *  organization's own @c counters; a checking decorator points it at
+     *  the wrapped organization's so harvested counters stay identical
      *  with and without checking. */
-    StatSet *walk_stats = &stats;
+    BtbCounters *walk_counters = &counters;
 };
 
 /**
@@ -272,7 +303,7 @@ PredictionBundle::chain(BtbOrg &org, Addr pc, Addr target)
     if (cur_seg + 1 < n_segments && segments[cur_seg + 1].start == target) {
         // Recorded continuation: the entry chained this block (MB-BTB).
         ++cur_seg;
-        ++(*org.walk_stats)["chained_blocks"];
+        ++org.walk_counters->chained_blocks;
         return true;
     }
     if (dynamic_chain)

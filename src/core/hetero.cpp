@@ -65,7 +65,7 @@ HeteroBtb::synthesizeFromL2(Addr start)
         blk.slots.resize(cfg_.branch_slots);
         blk.split = true;
     }
-    ++stats["l2_synthesized_fills"];
+    ++counters.l2_synthesized_fills;
     BlockEntry &filled = fillEntry(l1_, start);
     filled = blk;
     return &filled;
@@ -74,7 +74,7 @@ HeteroBtb::synthesizeFromL2(Addr start)
 int
 HeteroBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
-    ++stats["accesses"];
+    ++counters.accesses;
     BlockEntry *entry = nullptr;
     int level = 0;
     if ((entry = touchingFind(l1_, pc)))
@@ -164,7 +164,7 @@ HeteroBtb::insertIntoBlock(Addr block, Addr pc, BranchClass type, Addr target)
                 canon.end_bytes = canon.slots.back().offset +
                     static_cast<std::uint32_t>(kInstBytes);
                 canon.split = true;
-                ++stats["splits"];
+                ++counters.splits;
                 spill_block = block + canon.end_bytes;
                 spill_pc = block + spill.offset;
                 spill_type = spill.type;
@@ -180,7 +180,7 @@ HeteroBtb::insertIntoBlock(Addr block, Addr pc, BranchClass type, Addr target)
                           [](const Slot &a, const Slot &b) {
                               return a.offset < b.offset;
                           });
-                ++stats["slot_displacements"];
+                ++counters.slot_displacements;
             }
         }
 
@@ -219,7 +219,7 @@ HeteroBtb::insertIntoRegion(Addr pc, BranchClass type, Addr target)
     RegionEntry *e = touchingFind(l2_, region);
     if (!e) {
         e = &fillEntry(l2_, region);
-        ++stats["l2_allocs"];
+        ++counters.l2_allocs;
     }
     Slot *hit = nullptr;
     for (Slot &s : e->slots)
@@ -233,7 +233,7 @@ HeteroBtb::insertIntoRegion(Addr pc, BranchClass type, Addr target)
             hit = &*std::min_element(
                 e->slots.begin(), e->slots.end(),
                 [](const Slot &a, const Slot &b) { return a.tick < b.tick; });
-            ++stats["l2_slot_displacements"];
+            ++counters.l2_slot_displacements;
         }
         hit->offset = offset;
     }
@@ -272,7 +272,7 @@ HeteroBtb::prefill(const Instruction &br)
             return;
     }
     insertIntoRegion(br.pc, br.branch, br.takenTarget());
-    ++stats["prefills"];
+    ++counters.prefills;
 }
 
 OccupancySample

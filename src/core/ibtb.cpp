@@ -211,7 +211,7 @@ InstructionBtb::commitProbed(PredictionBundle &b)
 int
 InstructionBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
-    ++stats["accesses"];
+    ++counters.accesses;
     b.dynamic_chain = cfg_.skip_taken;
     b.wants_end_access = true;
     fillWindow(pc, cfg_.width, b);
@@ -250,7 +250,7 @@ InstructionBtb::update(const Instruction &br, bool resteer)
         auto [a, b] = table_.allocate(br.pc);
         l1 = a;
         l2 = b;
-        ++stats["allocs"];
+        ++counters.allocs;
     }
     for (Entry *e : {l1, l2}) {
         if (!e)
@@ -268,7 +268,7 @@ InstructionBtb::prefill(const Instruction &br)
     if (table_.peek(br.pc))
         return; // Already tracked; do not disturb LRU.
     update(br, false);
-    ++stats["prefills"];
+    ++counters.prefills;
 }
 
 OccupancySample

@@ -53,7 +53,7 @@ MultiBlockBtb::sortSlots(Entry &e)
 int
 MultiBlockBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
-    ++stats["accesses"];
+    ++counters.accesses;
     auto [e, lvl] = table_.lookup(pc);
     b.tick_counter = &tick_;
     if (!e) {
@@ -133,7 +133,7 @@ MultiBlockBtb::doPull(Entry &e, Slot &slot)
     BTBSIM_FAULT_POINT("mbbtb_pull_seam",
                        e.blocks.back().start = slot.target + kInstBytes);
     slot.follow = true;
-    ++stats["pulls"];
+    ++counters.pulls;
 }
 
 void
@@ -150,7 +150,7 @@ MultiBlockBtb::removePulled(Entry &e, std::size_t slot_index)
     // Restore the fall-through coverage of the (now last) block.
     const std::uint32_t prefix = usedBytes(e, keep_blk);
     e.blocks[keep_blk].len = reachBytes() - prefix;
-    ++stats["downgrades"];
+    ++counters.downgrades;
 }
 
 // ---- update-side cursor -----------------------------------------------------
@@ -229,7 +229,7 @@ MultiBlockBtb::updateTaken(const Instruction &br)
         fresh = true;
     }
     if (fresh)
-        ++stats["allocs"];
+        ++counters.allocs;
 
     auto offset = static_cast<std::uint32_t>(br.pc - cur_start_);
     if (offset >= canon.blocks[cur_blk_].len) {
@@ -240,7 +240,7 @@ MultiBlockBtb::updateTaken(const Instruction &br)
             canon = *e2;
         } else {
             canon = freshEntry(cur_key_);
-            ++stats["allocs"];
+            ++counters.allocs;
         }
         offset = 0;
     }
@@ -289,7 +289,7 @@ MultiBlockBtb::updateTaken(const Instruction &br)
                 canon.slots.erase(canon.slots.begin() +
                                   static_cast<std::ptrdiff_t>(victim));
             }
-            ++stats["slot_displacements"];
+            ++counters.slot_displacements;
         }
         Slot s;
         s.blk = static_cast<std::uint8_t>(cur_blk_);

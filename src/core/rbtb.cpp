@@ -22,7 +22,7 @@ RegionBtb::bundleSlots(PredictionBundle &b, Entry &e, Addr base, int level)
 int
 RegionBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
-    ++stats["accesses"];
+    ++counters.accesses;
     const Addr region0 = regionBase(pc);
     Addr window_end = region0 + cfg_.region_bytes;
 
@@ -60,7 +60,7 @@ RegionBtb::applySlotUpdate(const Instruction &br)
         auto [a, b] = table_.allocate(region);
         l1 = a;
         l2 = b;
-        ++stats["allocs"];
+        ++counters.allocs;
     }
 
     bool displaced = false;
@@ -91,7 +91,7 @@ RegionBtb::applySlotUpdate(const Instruction &br)
                            hit->target = br.takenTarget() + kInstBytes);
     }
     if (displaced)
-        ++stats["slot_displacements"];
+        ++counters.slot_displacements;
 }
 
 void
@@ -118,7 +118,7 @@ RegionBtb::prefill(const Instruction &br)
             return; // Entry full: a prefill must not evict training.
     }
     applySlotUpdate(br);
-    ++stats["prefills"];
+    ++counters.prefills;
 }
 
 OccupancySample

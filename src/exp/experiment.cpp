@@ -15,7 +15,6 @@
 #include "exp/sha256.h"
 #include "obs/export.h"
 #include "obs/progress.h"
-#include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
 #include "traceio/replay_env.h"
@@ -39,13 +38,11 @@ pointStatusName(PointStatus s)
 std::map<std::string, double>
 ExperimentResult::counters() const
 {
-    obs::StatRegistry reg;
-    auto scope = reg.scope("exp");
-    scope.counter("points") = summary.total;
-    scope.counter("ok") = summary.ok;
-    scope.counter("cached") = summary.cached;
-    scope.counter("failed") = summary.failed;
-    std::map<std::string, double> out = reg.flatten();
+    std::map<std::string, double> out;
+    out["exp.points"] = static_cast<double>(summary.total);
+    out["exp.ok"] = static_cast<double>(summary.ok);
+    out["exp.cached"] = static_cast<double>(summary.cached);
+    out["exp.failed"] = static_cast<double>(summary.failed);
     out["exp.cache_hit_rate"] = summary.cacheHitRate();
     out["exp.wall_seconds"] = summary.wall_seconds;
     if (!shards.empty()) {

@@ -15,9 +15,8 @@
  *    worker threads, giving each point exactly one attempt (the
  *    simulator is deterministic, so a failing point would fail again)
  *    and isolating a worker exception to its point;
- *  - reports progress and cache-hit-rate through an obs::StatRegistry
- *    ("exp.*" counters) surfaced in the ExperimentResult and in the
- *    bench JSON "experiment" block.
+ *  - reports progress and cache-hit-rate as "exp.*" counters surfaced
+ *    in the ExperimentResult and in the bench JSON "experiment" block.
  *
  * Per-point status: ok (simulated this run), cached (served from the
  * store), failed (the simulation raised; error names the reproducer).

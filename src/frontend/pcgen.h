@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bpred/bpred_unit.h"
+#include "common/stats.h"
 #include "core/btb_org.h"
 #include "frontend/ftq.h"
 #include "obs/tracer.h"
@@ -21,7 +22,8 @@
 
 namespace btbsim {
 
-/** Counters the figures report. */
+/** Counters the figures report, exported under "pcgen.". Every key is
+ *  exported, zeros included (see exportCounters). */
 struct PcGenStats
 {
     std::uint64_t accesses = 0;
@@ -39,6 +41,25 @@ struct PcGenStats
     std::uint64_t misp_btbmiss = 0;   ///< taken-cond BTB/slot miss
     std::uint64_t taken_bubbles = 0;
     std::uint64_t branches = 0;
+
+    static constexpr bool kExportZero = true;
+    static constexpr CounterName<PcGenStats> kNames[] = {
+        {"accesses", &PcGenStats::accesses},
+        {"fetch_pcs", &PcGenStats::fetch_pcs},
+        {"branches", &PcGenStats::branches},
+        {"taken_branches", &PcGenStats::taken_branches},
+        {"taken_l1_hits", &PcGenStats::taken_l1_hits},
+        {"taken_l2_hits", &PcGenStats::taken_l2_hits},
+        {"cond_branches", &PcGenStats::cond_branches},
+        {"cond_mispredicts", &PcGenStats::cond_mispredicts},
+        {"mispredicts", &PcGenStats::mispredicts},
+        {"misfetches", &PcGenStats::misfetches},
+        {"misp_cond", &PcGenStats::misp_cond},
+        {"misp_indirect", &PcGenStats::misp_indirect},
+        {"misp_return", &PcGenStats::misp_return},
+        {"misp_btbmiss", &PcGenStats::misp_btbmiss},
+        {"taken_bubbles", &PcGenStats::taken_bubbles},
+    };
 };
 
 /**

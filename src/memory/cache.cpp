@@ -16,7 +16,7 @@ Cache::accessLine(Addr line, Cycle now, bool is_prefetch)
     if (!is_prefetch) {
         ++demand_accesses_;
     } else {
-        ++stats["prefetches"];
+        ++counters.prefetches;
     }
 
     // One probe serves both outcomes: the set handle carries the hit way
@@ -31,7 +31,7 @@ Cache::accessLine(Addr line, Cycle now, bool is_prefetch)
         Line &l = set.entry(static_cast<unsigned>(w));
         const Cycle available = std::max(now + cfg_.latency, l.ready);
         if (l.ready > now)
-            ++stats["mshr_merges"];
+            ++counters.mshr_merges;
         return available;
     }
 
@@ -40,7 +40,7 @@ Cache::accessLine(Addr line, Cycle now, bool is_prefetch)
 
     auto mshr = std::min_element(mshr_free_.begin(), mshr_free_.end());
     if (*mshr > now)
-        ++stats["mshr_full_stalls"];
+        ++counters.mshr_full_stalls;
     const Cycle start = std::max(now, *mshr);
     Cycle done;
     if (next_) {

@@ -63,6 +63,22 @@ struct CacheConfig
     bool operator==(const CacheConfig &) const = default;
 };
 
+/** Event counters of one cache level, exported under its name. Each key
+ *  appears once its event has fired (see exportCounters). */
+struct CacheCounters
+{
+    std::uint64_t prefetches = 0;
+    std::uint64_t mshr_merges = 0;      ///< Hits on a line still in flight.
+    std::uint64_t mshr_full_stalls = 0; ///< Misses that waited for an MSHR.
+
+    static constexpr bool kExportZero = false;
+    static constexpr CounterName<CacheCounters> kNames[] = {
+        {"prefetches", &CacheCounters::prefetches},
+        {"mshr_merges", &CacheCounters::mshr_merges},
+        {"mshr_full_stalls", &CacheCounters::mshr_full_stalls},
+    };
+};
+
 /**
  * One cache level. Misses forward to @c next or, at the last level, to
  * DRAM. Fills are inclusive along the path back.
@@ -89,7 +105,7 @@ class Cache
     std::uint64_t demandAccesses() const { return demand_accesses_; }
     std::uint64_t demandMisses() const { return demand_misses_; }
 
-    StatSet stats;
+    CacheCounters counters;
 
   private:
     struct Line

@@ -6,7 +6,6 @@
 #ifndef BTBSIM_MEMORY_TLB_H
 #define BTBSIM_MEMORY_TLB_H
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "core/soa_table.h"
 

@@ -288,8 +288,7 @@ Cpu::run(std::uint64_t warmup, std::uint64_t measure)
         stats_.l2_redundancy = occ_accum_.l2_redundancy / occ_samples_;
     }
 
-    harvestRegistry();
-    stats_.counters = registry_.flatten();
+    harvestCounters();
 }
 
 obs::SampleSnapshot
@@ -311,55 +310,33 @@ Cpu::sampleSnapshot(Cycle cycles0, std::uint64_t insts0,
 }
 
 void
-Cpu::harvestRegistry()
+Cpu::harvestCounters()
 {
-    registry_.clear();
+    std::map<std::string, double> &out = stats_.counters;
+    out.clear();
+    exportCounters(out, "pcgen", pcgen_.stats);
+    exportCounters(out, "btb", org_->counters);
 
-    auto pg = registry_.scope("pcgen");
-    pg.counter("accesses") = pcgen_.stats.accesses;
-    pg.counter("fetch_pcs") = pcgen_.stats.fetch_pcs;
-    pg.counter("branches") = pcgen_.stats.branches;
-    pg.counter("taken_branches") = pcgen_.stats.taken_branches;
-    pg.counter("taken_l1_hits") = pcgen_.stats.taken_l1_hits;
-    pg.counter("taken_l2_hits") = pcgen_.stats.taken_l2_hits;
-    pg.counter("cond_branches") = pcgen_.stats.cond_branches;
-    pg.counter("cond_mispredicts") = pcgen_.stats.cond_mispredicts;
-    pg.counter("mispredicts") = pcgen_.stats.mispredicts;
-    pg.counter("misfetches") = pcgen_.stats.misfetches;
-    pg.counter("misp_cond") = pcgen_.stats.misp_cond;
-    pg.counter("misp_indirect") = pcgen_.stats.misp_indirect;
-    pg.counter("misp_return") = pcgen_.stats.misp_return;
-    pg.counter("misp_btbmiss") = pcgen_.stats.misp_btbmiss;
-    pg.counter("taken_bubbles") = pcgen_.stats.taken_bubbles;
-
-    registry_.scope("btb").importStatSet(org_->stats);
-
-    auto cacheScope = [this](const char *name, const Cache &c) {
-        auto s = registry_.scope(name);
-        s.counter("demand_accesses") = c.demandAccesses();
-        s.counter("demand_misses") = c.demandMisses();
-        s.importStatSet(c.stats);
+    auto cache = [&out](const std::string &name, const Cache &c) {
+        out[name + ".demand_accesses"] =
+            static_cast<double>(c.demandAccesses());
+        out[name + ".demand_misses"] = static_cast<double>(c.demandMisses());
+        exportCounters(out, name, c.counters);
     };
-    cacheScope("l1i", mem_.l1i());
-    cacheScope("l1d", mem_.l1d());
-    cacheScope("l2", mem_.l2());
-    cacheScope("llc", mem_.llc());
-    registry_.counter("dram.accesses") = mem_.dram().accesses();
-
-    auto be = registry_.scope("backend");
-    be.counter("committed") = backend_.committed();
-    be.importStatSet(backend_.stats);
-
-    auto ftq = registry_.scope("ftq");
-    ftq.counter("capacity") = ftq_.capacity();
+    cache("l1i", mem_.l1i());
+    cache("l1d", mem_.l1d());
+    cache("l2", mem_.l2());
+    cache("llc", mem_.llc());
+    out["dram.accesses"] = static_cast<double>(mem_.dram().accesses());
+    out["backend.committed"] = static_cast<double>(backend_.committed());
+    out["ftq.capacity"] = static_cast<double>(ftq_.capacity());
     if (stats_.cycles > 0)
-        ftq.mean("occupancy").add(
-            ftq_occ_sum_ / static_cast<double>(stats_.cycles));
+        out["ftq.occupancy"] =
+            ftq_occ_sum_ / static_cast<double>(stats_.cycles);
 
     if (tracer_) {
-        auto tr = registry_.scope("trace");
-        tr.counter("events") = tracer_->total();
-        tr.counter("dropped") = tracer_->dropped();
+        out["trace.events"] = static_cast<double>(tracer_->total());
+        out["trace.dropped"] = static_cast<double>(tracer_->dropped());
     }
 }
 

@@ -15,7 +15,6 @@
 #include "frontend/ftq.h"
 #include "frontend/pcgen.h"
 #include "memory/memhier.h"
-#include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/tracer.h"
 #include "sim/config.h"
@@ -115,7 +114,6 @@ class Cpu
 
     // Observability.
     obs::Tracer *tracer_ = nullptr;
-    obs::StatRegistry registry_;
     std::uint64_t sample_interval_ = obs::Sampler::intervalFromEnv();
     double ftq_occ_sum_ = 0.0; ///< Per-cycle FTQ size, measurement only.
 
@@ -129,7 +127,7 @@ class Cpu
     obs::SampleSnapshot sampleSnapshot(Cycle cycles0, std::uint64_t insts0,
                                        const PcGenStats &pg0,
                                        std::uint64_t i_miss0) const;
-    void harvestRegistry();
+    void harvestCounters();
 };
 
 } // namespace btbsim

@@ -78,7 +78,7 @@ TEST(LastSlotPull, AblationAllowsLastSlotToPull)
     redirectTo(*btb, 0x1000);
     // Call in the last slot: pulls only with the ablation flag.
     btb->update(branchAt(0x1008, BranchClass::kDirectCall, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
     EXPECT_EQ(cfg.name(), "MB-BTB 2BS CallDir LSP");
 }
 
@@ -93,11 +93,11 @@ TEST(StabilityThreshold, LowerThresholdPullsSooner)
         redirectTo(*btb, 0x1000);
         btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x2000),
                     false);
-        EXPECT_EQ(btb->stats.get("pulls"), 0u);
+        EXPECT_EQ(btb->counters.pulls, 0u);
     }
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
 }
 
 // ---- Section 7.3 decode-based prefill ---------------------------------------
@@ -139,7 +139,7 @@ TEST(PredecodeFill, PrefillCountersAdvance)
     cfg.btb_predecode_fill = true;
     Cpu cpu(cfg, *w);
     cpu.run(0, 100'000);
-    EXPECT_GT(cpu.btb().stats.get("prefills"), 0u);
+    EXPECT_GT(cpu.btb().counters.prefills, 0u);
 }
 
 TEST(PredecodeFill, BlockOrgsIgnorePrefillSafely)
@@ -154,6 +154,6 @@ TEST(PredecodeFill, BlockOrgsIgnorePrefillSafely)
     cfg.btb_predecode_fill = true; // no-op for block organizations
     Cpu cpu(cfg, *w);
     cpu.run(0, 100'000);
-    EXPECT_EQ(cpu.btb().stats.get("prefills"), 0u);
+    EXPECT_EQ(cpu.btb().counters.prefills, 0u);
     EXPECT_GT(cpu.stats().ipc, 0.2);
 }

@@ -89,7 +89,7 @@ TEST(Bbtb, DisplacementWithoutSplit)
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1004).kind,
               StepView::Kind::kSequential);
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1008).kind, StepView::Kind::kBranch);
-    EXPECT_EQ(btb->stats.get("slot_displacements"), 1u);
+    EXPECT_EQ(btb->counters.slot_displacements, 1u);
 }
 
 TEST(Bbtb, SplitPreservesBothBranches)
@@ -99,7 +99,7 @@ TEST(Bbtb, SplitPreservesBothBranches)
     btb->update(branchAt(0x1000 - 0x400, BranchClass::kUncondDirect, 0x1000),
                 false);
     btb->update(branchAt(0x1008, BranchClass::kCondDirect, 0x4000), false);
-    EXPECT_EQ(btb->stats.get("splits"), 1u);
+    EXPECT_EQ(btb->counters.splits, 1u);
     // Original entry keeps the first branch and now ends after it.
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1004).kind, StepView::Kind::kBranch);
     auto views = walk(*btb, 0x1000, 64);
@@ -182,7 +182,7 @@ TEST_P(BbtbSlotsTest, CapacityRespected)
             false);
     OccupancySample s = btb->sampleOccupancy();
     EXPECT_LE(s.l1_slot_occupancy, static_cast<double>(slots));
-    EXPECT_EQ(btb->stats.get("splits"), 0u);
+    EXPECT_EQ(btb->counters.splits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Slots, BbtbSlotsTest,

@@ -75,7 +75,7 @@ TEST(Cache, MshrMergeOnInflightLine)
     const Cycle a = h.l1.access(0x1000, 0);
     const Cycle b = h.l1.access(0x1004, 2); // same line, still in flight
     EXPECT_EQ(a, b);
-    EXPECT_EQ(h.l1.stats.get("mshr_merges"), 1u);
+    EXPECT_EQ(h.l1.counters.mshr_merges, 1u);
     EXPECT_EQ(h.dram.accesses(), 1u);
 }
 

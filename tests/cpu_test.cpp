@@ -6,6 +6,7 @@
 #include <string>
 
 #include "btb_test_util.h"
+#include "env_util.h"
 #include "sim/cpu.h"
 #include "trace_util.h"
 
@@ -187,11 +188,31 @@ TEST(Cpu, ObservabilityHarvest)
     for (std::size_t i = 1; i < s.samples.size(); ++i)
         EXPECT_GT(s.samples[i].cycle, s.samples[i - 1].cycle);
 
-    // Registry: harvested into the flattened counters map.
+    // Counters: harvested into the flattened counters map.
     EXPECT_GT(s.counters.at("pcgen.accesses"), 0.0);
     EXPECT_GT(s.counters.at("backend.committed"), 0.0);
     EXPECT_GT(s.counters.at("ftq.occupancy"), 0.0);
     EXPECT_GT(s.counters.at("trace.events"), 0.0);
+
+    // Key-set contract (see exportCounters): every pcgen.* key is
+    // exported, zeros included; a btb.* key only once its event fired.
+    for (const char *name :
+         {"accesses", "fetch_pcs", "branches", "taken_branches",
+          "taken_l1_hits", "taken_l2_hits", "cond_branches",
+          "cond_mispredicts", "mispredicts", "misfetches", "misp_cond",
+          "misp_indirect", "misp_return", "misp_btbmiss", "taken_bubbles"}) {
+        EXPECT_EQ(s.counters.count(std::string("pcgen.") + name), 1u)
+            << name;
+    }
+    EXPECT_EQ(s.counters.at("pcgen.misp_return"), 0.0);
+    EXPECT_EQ(s.counters.count("btb.prefills"), 0u); // I-BTB, no prefill
+    EXPECT_EQ(s.counters.count("btb.pulls"), 0u);    // MB-BTB only
+    EXPECT_EQ(s.counters.count("btb.accesses"), 1u);
+    for (const auto &[key, value] : s.counters) {
+        if (key.rfind("btb.", 0) == 0) {
+            EXPECT_GT(value, 0.0) << key;
+        }
+    }
 
     // Tracer: the cold-start BTB misses and their fills must be visible.
     EXPECT_GT(tracer.total(), 0u);
@@ -202,6 +223,33 @@ TEST(Cpu, ObservabilityHarvest)
     }
     EXPECT_TRUE(saw_miss);
     EXPECT_TRUE(saw_fill);
+}
+
+TEST(Cpu, CheckedAndUncheckedCountersMatch)
+{
+    // Two blocks ending in jumps: AllBr pulls each into the other's
+    // entry, so the frontend follows recorded continuations. The checker
+    // fronts the frontend, so chained_blocks only lands on the inner
+    // organization through walk_counters.
+    std::vector<Instruction> v = straight(0x1000, 3);
+    v.push_back(branchAt(0x100C, BranchClass::kUncondDirect, 0x2000));
+    const auto b = straight(0x2000, 3);
+    v.insert(v.end(), b.begin(), b.end());
+    v.push_back(branchAt(0x200C, BranchClass::kUncondDirect, 0x1000));
+
+    auto run = [&v](const char *check) {
+        ScopedEnv env("BTBSIM_CHECK", check);
+        CpuConfig cfg;
+        cfg.btb = BtbConfig::mbbtb(2, PullPolicy::kAllBr);
+        VectorTrace trace(v);
+        Cpu cpu(cfg, trace);
+        cpu.run(2000, 8000);
+        return cpu.stats().counters;
+    };
+    const auto unchecked = run(nullptr);
+    const auto checked = run("1");
+    EXPECT_GT(unchecked.at("btb.chained_blocks"), 0.0);
+    EXPECT_EQ(checked, unchecked);
 }
 
 TEST(Cpu, RepStreamGolden)

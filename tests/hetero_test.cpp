@@ -63,7 +63,7 @@ TEST(Hetero, L2RegionBacksL1AfterEviction)
     ASSERT_EQ(v.kind, StepView::Kind::kBranch);
     EXPECT_EQ(v.level, 2);
     EXPECT_EQ(v.target, 0x2000u);
-    EXPECT_GT(btb->stats.get("l2_synthesized_fills"), 0u);
+    EXPECT_GT(btb->counters.l2_synthesized_fills, 0u);
 }
 
 TEST(Hetero, SynthesisSpansRegions)
@@ -104,7 +104,7 @@ TEST(Hetero, SplitPreservesBranches)
     btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x3000), false);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kCondDirect, 0x4000), false);
-    EXPECT_EQ(btb->stats.get("splits"), 1u);
+    EXPECT_EQ(btb->counters.splits, 1u);
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1004).kind, StepView::Kind::kBranch);
     EXPECT_EQ(viewAt(*btb, 0x1008, 0x1008).kind, StepView::Kind::kBranch);
 }
@@ -114,7 +114,7 @@ TEST(Hetero, PrefillLandsInRegionL2)
     auto btb = makeHetero(1);
     Instruction br = branchAt(0x5008, BranchClass::kDirectCall, 0x9000);
     btb->prefill(br);
-    EXPECT_EQ(btb->stats.get("prefills"), 1u);
+    EXPECT_EQ(btb->counters.prefills, 1u);
     // Visible through L2 synthesis on first access.
     StepView v = viewAt(*btb, 0x5000, 0x5008);
     ASSERT_EQ(v.kind, StepView::Kind::kBranch);

@@ -31,7 +31,7 @@ TEST(Mbbtb, UncondDirPullsTargetBlock)
     auto btb = makeMb(2, PullPolicy::kUncondDir);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kUncondDirect, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
 
     // One access supplies block 0 and chains into the pulled block.
     PredictionBundle b;
@@ -50,7 +50,7 @@ TEST(Mbbtb, UncondDirDoesNotPullCalls)
     auto btb = makeMb(2, PullPolicy::kUncondDir);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kDirectCall, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, CallDirPullsCalls)
@@ -58,7 +58,7 @@ TEST(Mbbtb, CallDirPullsCalls)
     auto btb = makeMb(2, PullPolicy::kCallDir);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kDirectCall, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
 }
 
 TEST(Mbbtb, AllBrPullsTakenConditionalImmediately)
@@ -66,7 +66,7 @@ TEST(Mbbtb, AllBrPullsTakenConditionalImmediately)
     auto btb = makeMb(2, PullPolicy::kAllBr);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kCondDirect, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
 }
 
 TEST(Mbbtb, CallDirDoesNotPullConditionals)
@@ -74,7 +74,7 @@ TEST(Mbbtb, CallDirDoesNotPullConditionals)
     auto btb = makeMb(2, PullPolicy::kCallDir);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kCondDirect, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, IndirectNeedsStabilityThreshold)
@@ -86,12 +86,12 @@ TEST(Mbbtb, IndirectNeedsStabilityThreshold)
         redirectTo(*btb, 0x1000);
         btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x2000),
                     false);
-        EXPECT_EQ(btb->stats.get("pulls"), 0u) << "iteration " << i;
+        EXPECT_EQ(btb->counters.pulls, 0u) << "iteration " << i;
     }
     // The 64th consistent execution saturates the 6-bit counter.
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
 }
 
 TEST(Mbbtb, IndirectTargetChangeResetsStability)
@@ -112,7 +112,7 @@ TEST(Mbbtb, IndirectTargetChangeResetsStability)
         btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x5000),
                     false);
     }
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, ReturnsNeverPull)
@@ -122,7 +122,7 @@ TEST(Mbbtb, ReturnsNeverPull)
         redirectTo(*btb, 0x1000);
         btb->update(branchAt(0x1008, BranchClass::kReturn, 0x2000), false);
     }
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, LastSlotNeverPulls)
@@ -134,7 +134,7 @@ TEST(Mbbtb, LastSlotNeverPulls)
     btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x3000), false);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kDirectCall, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, DowngradeOnNotTakenConditional)
@@ -142,12 +142,12 @@ TEST(Mbbtb, DowngradeOnNotTakenConditional)
     auto btb = makeMb(2, PullPolicy::kAllBr);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x2000), false);
-    ASSERT_EQ(btb->stats.get("pulls"), 1u);
+    ASSERT_EQ(btb->counters.pulls, 1u);
     // Later the conditional falls through: immediate downgrade.
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x2000, false),
                 false);
-    EXPECT_EQ(btb->stats.get("downgrades"), 1u);
+    EXPECT_EQ(btb->counters.downgrades, 1u);
     // The slot remains as a normal conditional; no follow.
     PredictionBundle b;
     btb->beginAccess(0x1000, b);
@@ -181,7 +181,7 @@ TEST(Mbbtb, ChainsMultipleBlocks)
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1004, BranchClass::kUncondDirect, 0x2000), false);
     btb->update(branchAt(0x2004, BranchClass::kUncondDirect, 0x3000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 2u);
+    EXPECT_EQ(btb->counters.pulls, 2u);
 
     PredictionBundle b;
     btb->beginAccess(0x1000, b);
@@ -193,7 +193,7 @@ TEST(Mbbtb, ChainsMultipleBlocks)
     ASSERT_EQ(v.kind, StepView::Kind::kBranch);
     ASSERT_TRUE(b.chain(*btb, 0x2004, 0x3000));
     EXPECT_EQ(b.probe(0x3000).kind, StepView::Kind::kSequential);
-    EXPECT_EQ(btb->stats.get("chained_blocks"), 2u);
+    EXPECT_EQ(btb->counters.chained_blocks, 2u);
 }
 
 TEST(Mbbtb, ReachBudgetLimitsPulling)
@@ -202,7 +202,7 @@ TEST(Mbbtb, ReachBudgetLimitsPulling)
     auto btb = makeMb(2, PullPolicy::kUncondDir, 4);
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x100C, BranchClass::kUncondDirect, 0x2000), false);
-    EXPECT_EQ(btb->stats.get("pulls"), 0u);
+    EXPECT_EQ(btb->counters.pulls, 0u);
 }
 
 TEST(Mbbtb, RedundancySampleSeesChainedSlots)

@@ -205,7 +205,7 @@ TEST(PcGen, MbBtbPulledNotTakenEndsAccessSequentially)
     f.btb->update(branchAt(0xFFC, BranchClass::kCondDirect, 0x3000, false),
                   true); // resteer to normalize the cursor at 0x1000
     f.btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x2000), false);
-    ASSERT_EQ(f.btb->stats.get("pulls"), 1u);
+    ASSERT_EQ(f.btb->counters.pulls, 1u);
     // Bias the direction predictor toward not-taken for this branch.
     for (int i = 0; i < 16; ++i)
         (void)f.bpred.predictDirection(0x1004, false);
@@ -255,7 +255,7 @@ TEST(PcGen, MbBtbChainSeamChargesNoBubble)
         pcgen.runCycle(c);
         pcgen.resteerResolved(c);
     }
-    const auto chained0 = f.btb->stats.get("chained_blocks");
+    const auto chained0 = f.btb->counters.chained_blocks;
     const auto bubbles0 = pcgen.stats.taken_bubbles;
     for (; c < 24; ++c)
         pcgen.runCycle(c);
@@ -263,7 +263,7 @@ TEST(PcGen, MbBtbChainSeamChargesNoBubble)
     // continuation segment — the chain is followed in-bundle (counted by
     // the organization's stat) and, unlike a bundle-ending taken branch,
     // charges no taken-branch bubble.
-    EXPECT_GT(f.btb->stats.get("chained_blocks"), chained0);
+    EXPECT_GT(f.btb->counters.chained_blocks, chained0);
     EXPECT_EQ(pcgen.stats.taken_bubbles, bubbles0);
 }
 

@@ -60,7 +60,7 @@ TEST(Rbtb, SlotContentionDisplaces)
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1004).kind,
               StepView::Kind::kSequential);
     EXPECT_EQ(viewAt(*btb, 0x1000, 0x1008).kind, StepView::Kind::kBranch);
-    EXPECT_EQ(btb->stats.get("slot_displacements"), 1u);
+    EXPECT_EQ(btb->counters.slot_displacements, 1u);
 }
 
 TEST(Rbtb, SlotLruDisplacement)

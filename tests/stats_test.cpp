@@ -9,66 +9,6 @@
 
 using namespace btbsim;
 
-TEST(RunningMean, Basics)
-{
-    RunningMean m;
-    EXPECT_DOUBLE_EQ(m.mean(), 0.0);
-    m.add(2.0);
-    m.add(4.0);
-    EXPECT_DOUBLE_EQ(m.mean(), 3.0);
-    m.add(6.0, 2.0); // weighted
-    EXPECT_DOUBLE_EQ(m.mean(), (2 + 4 + 12) / 4.0);
-}
-
-TEST(Histogram, MeanAndOverflow)
-{
-    Histogram h(8);
-    h.add(1);
-    h.add(3);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-    h.add(100); // clamps to bucket 7
-    EXPECT_EQ(h.count(7), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ZeroBucketsClampsToOne)
-{
-    // Regression: Histogram(0) used to compute buckets_.size() - 1 on an
-    // empty vector (underflow) and write out of bounds.
-    Histogram h(0);
-    EXPECT_EQ(h.bucketCount(), 1u);
-    h.add(0);
-    h.add(100);
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.total(), 2u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, Merge)
-{
-    Histogram a(4), b(8);
-    a.add(1);
-    a.add(100); // clamps to bucket 3
-    b.add(6);
-    a.merge(b);
-    EXPECT_EQ(a.bucketCount(), 8u); // grew to the wider histogram
-    EXPECT_EQ(a.count(1), 1u);
-    EXPECT_EQ(a.count(3), 1u);
-    EXPECT_EQ(a.count(6), 1u);
-    EXPECT_EQ(a.total(), 3u);
-}
-
-TEST(RunningMean, Merge)
-{
-    RunningMean a, b;
-    a.add(2.0);
-    b.add(4.0);
-    b.add(6.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.count(), 3.0);
-}
-
 TEST(Geomean, KnownValues)
 {
     EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
@@ -92,18 +32,6 @@ TEST(VecMinMax, Basics)
     EXPECT_DOUBLE_EQ(vecMin({3.0, 1.0, 2.0}), 1.0);
     EXPECT_DOUBLE_EQ(vecMax({3.0, 1.0, 2.0}), 3.0);
     EXPECT_DOUBLE_EQ(vecMin({}), 0.0);
-}
-
-TEST(StatSet, MergeAndGet)
-{
-    StatSet a, b;
-    a["x"] = 2;
-    b["x"] = 3;
-    b["y"] = 1;
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 1u);
-    EXPECT_EQ(a.get("z"), 0u);
 }
 
 TEST(SatCounter, SaturatesUp)
