@@ -22,42 +22,37 @@ main()
     Context ctx = setup("Extension — decode-based BTB prefill",
                         "Section 7.3 (BTB prefetching)");
 
-    struct Variant
-    {
-        BtbConfig btb;
-        bool prefill;
-    };
-    const std::vector<Variant> variants = {
-        {BtbConfig::ibtb(16), false},
-        {BtbConfig::ibtb(16), true},
-        {BtbConfig::rbtb(3), false},
-        {BtbConfig::rbtb(3), true},
-        {BtbConfig::hetero(1, true), false},
-        {BtbConfig::hetero(1, true), true},
-    };
+    std::vector<CpuConfig> configs;
+    std::vector<std::string> suffixes;
+    for (const BtbConfig &btb : {BtbConfig::ibtb(16), BtbConfig::rbtb(3),
+                                 BtbConfig::hetero(1, true)}) {
+        for (bool prefill : {false, true}) {
+            CpuConfig cfg;
+            cfg.btb = btb;
+            cfg.btb_predecode_fill = prefill;
+            configs.push_back(cfg);
+            suffixes.push_back(prefill ? " +pf" : "");
+        }
+    }
+    const ResultSet rs = runAll(ctx, configs, suffixes);
 
     std::printf("%-24s %9s %9s %9s %9s\n", "config", "IPC(gm)", "MFPKI",
                 "MPKI", "L1hit%");
     std::printf("%s\n", std::string(64, '-').c_str());
-    ResultSet rs;
-    for (const Variant &v : variants) {
-        CpuConfig cfg;
-        cfg.btb = v.btb;
-        cfg.btb_predecode_fill = v.prefill;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const std::string name = configs[i].btb.name() + suffixes[i];
         double ipc = 1.0, mf = 0, mp = 0, hit = 0;
         for (const WorkloadSpec &spec : ctx.suite) {
-            SimStats s = runOne(cfg, spec, ctx.opt);
-            ipc *= s.ipc;
-            mf += s.misfetch_pki;
-            mp += s.branch_mpki;
-            hit += s.l1_btb_hitrate;
-            if (v.prefill)
-                s.config += " +pf";
-            rs.add(s);
+            const SimStats *s = rs.find(name, spec.name);
+            if (!s)
+                continue; // Failed point; finish() reports it.
+            ipc *= s->ipc;
+            mf += s->misfetch_pki;
+            mp += s->branch_mpki;
+            hit += s->l1_btb_hitrate;
         }
         const double n = static_cast<double>(ctx.suite.size());
-        std::printf("%-24s %9.3f %9.2f %9.2f %9.1f\n",
-                    (v.btb.name() + (v.prefill ? " +pf" : "")).c_str(),
+        std::printf("%-24s %9.3f %9.2f %9.2f %9.1f\n", name.c_str(),
                     std::pow(ipc, 1.0 / n), mf / n, mp / n,
                     100.0 * hit / n);
     }
@@ -71,5 +66,5 @@ main()
         "heterogeneous hierarchy's region L2 directly); conditional and "
         "indirect-branch mispredictions are untouched, so the IPC gain "
         "tracks the misfetch share of the resteer mix.");
-    return 0;
+    return bench::finish();
 }

@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -74,8 +75,16 @@ realIbtb16()
 }
 
 ResultSet
-runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
+runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
+       const std::vector<std::string> &suffixes)
 {
+    auto suffix = [&](std::size_t c) {
+        return suffixes.empty() ? std::string() : suffixes[c];
+    };
+    auto tagged = [&](std::size_t c) {
+        return configs[c].btb.name() + suffix(c);
+    };
+
     exp::ExperimentOptions opt = exp::ExperimentOptions::fromEnv();
     opt.run = ctx.opt;
 
@@ -109,14 +118,18 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
         exp::runExperiment(g_bench_slug, configs, ctx.suite, std::move(opt));
 
     ResultSet rs;
-    for (const SimStats &s : res.stats())
+    for (const exp::PointResult &p : res.points) {
+        if (!p.hasStats())
+            continue;
+        SimStats s = p.stats;
+        s.config = tagged(p.config_index);
         rs.add(s);
+    }
 
-    // Per-config geomeans, as the serial runner used to print.
     std::printf("\n");
-    for (const CpuConfig &cfg : configs)
-        std::printf("  %-28s geomean IPC %.3f\n", cfg.btb.name().c_str(),
-                    geomeanIpc(rs.all(), cfg.btb.name()));
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        std::printf("  %-28s geomean IPC %.3f\n", tagged(c).c_str(),
+                    geomeanIpc(rs.all(), tagged(c)));
 
     const exp::ExperimentSummary &sum = res.summary;
     std::printf("  experiment: %zu points — %zu simulated, %zu cached "
@@ -127,9 +140,13 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs)
     g_exp_counters = res.counters();
     g_have_experiment = true;
     for (const exp::PointResult *p : res.failures()) {
-        g_failures.push_back(p->error);
+        // The engine's error opens with "config <name>, "; tag the name.
+        std::string error = p->error;
+        error.insert(std::strlen("config ") + p->config.size(),
+                     suffix(p->config_index));
         std::fprintf(stderr, "btbsim: sweep point FAILED: %s\n",
-                     p->error.c_str());
+                     error.c_str());
+        g_failures.push_back(std::move(error));
     }
     return rs;
 }

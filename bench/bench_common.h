@@ -45,8 +45,13 @@ CpuConfig realIbtb16();
  * reproducer without aborting the sweep.
  * Prints per-point progress, per-config geomeans and the sweep summary
  * (cache-hit rate, failures). Failures are remembered for finish().
+ *
+ * @p suffixes (empty, or one per config) is appended to the results'
+ * SimStats::config so configs sharing a BtbConfig::name() stay distinct
+ * in the tables and the exported runs, e.g. " bp8KB" or " +pf".
  */
-ResultSet runAll(const Context &ctx, const std::vector<CpuConfig> &configs);
+ResultSet runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
+                 const std::vector<std::string> &suffixes = {});
 
 /**
  * Bench epilogue: prints any failed points (with their reproducers)

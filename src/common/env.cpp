@@ -1,6 +1,9 @@
 #include "common/env.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 namespace btbsim::env {
 
@@ -21,7 +24,7 @@ knobs()
         // obs/sampler
         {"BTBSIM_SAMPLE_INTERVAL", "100000",
          "Cycles per time-series sample; 0 disables sampling."},
-        // obs/span + obs/host_counters + obs/progress
+        // obs/span + obs/host_counters
         {"BTBSIM_SPANS", "1",
          "0 disables the host-time span profiler (on by default; span "
          "sites are phase-grained, not per-instruction)."},
@@ -35,12 +38,6 @@ knobs()
         {"BTBSIM_HOST_COUNTERS", "1",
          "0 skips perf_event_open so span profiles carry timestamps "
          "only (auto-fallback when the kernel denies perf access)."},
-        {"BTBSIM_PROGRESS_FD", "",
-         "File descriptor number for the JSONL sweep-progress stream; "
-         "empty disables."},
-        {"BTBSIM_PROGRESS_FILE", "",
-         "Append-mode file for the JSONL sweep-progress stream "
-         "(BTBSIM_PROGRESS_FD wins when both are set)."},
         // obs/tracer + sim/runner trace dump; also the .btbt replay dir
         {"BTBSIM_TRACE", "0", "Non-0 enables the pipeline event tracer."},
         {"BTBSIM_TRACE_CAP", "65536",
@@ -94,7 +91,16 @@ u64(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    // Unlike strtoull, from_chars takes no sign or whitespace, and the
+    // whole value must parse.
+    std::uint64_t n = 0;
+    const char *end = v + std::strlen(v);
+    const auto [ptr, ec] = std::from_chars(v, end, n);
+    if (ec != std::errc() || ptr != end)
+        throw std::invalid_argument(std::string(name) + "=\"" + v +
+                                    "\": expected an unsigned decimal "
+                                    "integer");
+    return n;
 }
 
 bool

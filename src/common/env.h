@@ -38,7 +38,9 @@ std::string raw(const char *name);
 /** True when the variable is set to a non-empty value. */
 bool isSet(const char *name);
 
-/** Unsigned integer knob; @p fallback when unset/empty. */
+/** Unsigned decimal integer knob; @p fallback when unset/empty. Throws
+ *  std::invalid_argument naming the knob and its value on a sign, a
+ *  non-digit, trailing characters or overflow ("-1", "1e6", "500k"). */
 std::uint64_t u64(const char *name, std::uint64_t fallback);
 
 /** Flag semantics: set, non-empty and not "0". */

@@ -4,17 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/env.h"
 #include "exp/sha256.h"
-#include "obs/export.h"
-#include "obs/progress.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
 #include "traceio/replay_env.h"
@@ -112,23 +106,6 @@ ExperimentOptions::fromEnv(const std::string &default_cache_dir)
 
 namespace {
 
-/** Render one single-line JSON record (JsonWriter pretty-prints, so
- *  newlines are stripped; JSON strings never contain raw newlines). */
-std::string
-flatJsonLine(const std::function<void(obs::JsonWriter &)> &fill)
-{
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    fill(w);
-    const std::string s = os.str();
-    std::string flat;
-    flat.reserve(s.size());
-    for (char c : s)
-        if (c != '\n')
-            flat += c;
-    return flat;
-}
-
 unsigned
 resolveThreads(unsigned requested, std::size_t jobs)
 {
@@ -208,74 +185,7 @@ Experiment::run()
     std::atomic<std::size_t> next{0};
     std::mutex point_mu; // Serializes the on_point callback.
 
-    // Live JSONL progress stream (BTBSIM_PROGRESS_FD / _FILE): one
-    // sweep_start record, one per finished point, one sweep_end.
-    const std::unique_ptr<obs::ProgressStream> progress =
-        obs::ProgressStream::openFromEnv();
-    std::mutex progress_mu; // Guards the done/status tallies below.
-    struct
-    {
-        std::size_t done = 0, ok = 0, cached = 0, failed = 0;
-    } tally;
-    if (progress) {
-        progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-            w.beginObject();
-            w.kv("type", "sweep_start");
-            w.kv("sweep", name_);
-            w.kv("total", static_cast<std::uint64_t>(result.points.size()));
-            w.kv("cache", cache.enabled() ? cache.dir() : "");
-            w.kv("threads", n_threads);
-            w.endObject();
-        }));
-    }
-
-    auto finishPoint = [&](PointResult &p) {
-        if (progress) {
-            std::lock_guard<std::mutex> lk(progress_mu);
-            ++tally.done;
-            switch (p.status) {
-              case PointStatus::kOk:
-                ++tally.ok;
-                break;
-              case PointStatus::kCached:
-                ++tally.cached;
-                break;
-              case PointStatus::kFailed:
-                ++tally.failed;
-                break;
-            }
-            const double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            // Linear extrapolation over finished points; -1 until the
-            // first one lands (no basis for an estimate yet).
-            const std::size_t left = result.points.size() - tally.done;
-            const double eta =
-                tally.done > 0
-                    ? elapsed / static_cast<double>(tally.done) *
-                          static_cast<double>(left)
-                    : -1.0;
-            progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-                w.beginObject();
-                w.kv("type", "point");
-                w.kv("sweep", name_);
-                w.kv("done", static_cast<std::uint64_t>(tally.done));
-                w.kv("total",
-                     static_cast<std::uint64_t>(result.points.size()));
-                w.kv("ok", static_cast<std::uint64_t>(tally.ok));
-                w.kv("cached", static_cast<std::uint64_t>(tally.cached));
-                w.kv("failed", static_cast<std::uint64_t>(tally.failed));
-                w.kv("elapsed_seconds", elapsed);
-                w.kv("eta_seconds", eta);
-                w.kv("config", p.config);
-                w.kv("workload", p.workload);
-                w.kv("status", pointStatusName(p.status));
-                w.kv("span",
-                     obs::SpanCollector::instance().currentPath());
-                w.endObject();
-            }));
-        }
+    auto finishPoint = [&](const PointResult &p) {
         if (opt_.on_point) {
             std::lock_guard<std::mutex> lk(point_mu);
             opt_.on_point(p);
@@ -365,19 +275,6 @@ Experiment::run()
                          std::chrono::steady_clock::now() - t0)
                          .count();
 
-    if (progress) {
-        progress->emitLine(flatJsonLine([&](obs::JsonWriter &w) {
-            w.beginObject();
-            w.kv("type", "sweep_end");
-            w.kv("sweep", name_);
-            w.kv("total", static_cast<std::uint64_t>(s.total));
-            w.kv("ok", static_cast<std::uint64_t>(s.ok));
-            w.kv("cached", static_cast<std::uint64_t>(s.cached));
-            w.kv("failed", static_cast<std::uint64_t>(s.failed));
-            w.kv("wall_seconds", s.wall_seconds);
-            w.endObject();
-        }));
-    }
     return result;
 }
 

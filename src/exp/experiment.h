@@ -1,10 +1,7 @@
 /**
  * @file
- * The experiment engine: a cache-aware sweep of configs x workloads,
- * sitting above sim/runner.h's runOne().
- *
- * Where runMatrix() returns bare SimStats and throws once any point
- * fails, an Experiment:
+ * The experiment engine: the one sweep executor for configs x
+ * workloads, sitting above sim/runner.h's runOne(). An Experiment:
  *
  *  - identifies every point by a content hash of its canonical run key
  *    (exp/run_cache.h) and serves warm points bit-identically from the

@@ -4,9 +4,8 @@
  * go? ObsSpan is an RAII region marker (steady-clock nanoseconds plus a
  * raw timestamp counter); spans nest through a thread-local stack, so a
  * span's path is the '/'-joined chain of its ancestors ("point/execute/
- * measure"). Every thread owns its own buffer — runMatrix workers and the
- * replay background-decode thread record concurrently without locks on
- * the hot path.
+ * measure"). Every thread owns its own buffer — engine workers record
+ * concurrently without locks on the hot path.
  *
  * Two products come out of a run:
  *

@@ -85,7 +85,7 @@ class ResultSet
 double geomeanIpc(const std::vector<SimStats> &all, const std::string &config);
 
 /** Merge the flattened per-run counters of @p all into one aggregate map
- *  (suite-level totals across the runMatrix results). */
+ *  (suite-level totals across a sweep's results). */
 std::map<std::string, double>
 aggregateCounters(const std::vector<SimStats> &all);
 

@@ -4,10 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 
 #include "common/env.h"
-#include "exp/experiment.h"
 #include "obs/export.h"
 #include "obs/span.h"
 #include "obs/tracer.h"
@@ -67,7 +65,7 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
 
         // Live-generated workload, or a recorded .btbt replay when
         // BTBSIM_TRACE_DIR holds one. A fresh source per run keeps
-        // concurrent runMatrix workers isolated (TraceSource instances
+        // concurrent engine workers isolated (TraceSource instances
         // are not shareable across threads); only the read-only Program
         // image is shared.
         std::unique_ptr<Cpu> cpu;
@@ -106,31 +104,6 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
     s.span_profile = spans.aggregateSince(span_mark);
     s.host_counters_available = spans.countersAvailable();
     return s;
-}
-
-std::vector<SimStats>
-runMatrix(const std::vector<CpuConfig> &configs,
-          const std::vector<WorkloadSpec> &suite, const RunOptions &opt)
-{
-    // Thin delegating wrapper over the experiment engine (exp/
-    // experiment.h). The run cache stays off unless BTBSIM_RUN_CACHE is
-    // explicitly set, keeping direct callers (tests) hermetic; benches
-    // get caching by default through bench_common's Experiment use.
-    exp::ExperimentOptions eopt;
-    eopt.run = opt;
-    eopt.cache_dir = exp::RunCache::dirFromEnv("");
-
-    exp::ExperimentResult r = exp::runExperiment(
-        "run_matrix", configs, suite, std::move(eopt));
-    if (!r.allOk()) {
-        std::string what = "runMatrix: " +
-                           std::to_string(r.summary.failed) +
-                           " point(s) failed:";
-        for (const exp::PointResult *p : r.failures())
-            what += "\n  " + p->error;
-        throw std::runtime_error(what);
-    }
-    return r.stats();
 }
 
 } // namespace btbsim

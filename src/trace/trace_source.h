@@ -21,7 +21,7 @@ struct Program;
  *
  * Thread-ownership contract: a TraceSource belongs to exactly one
  * consumer. next()/reset() mutate cursor state without locking, so
- * concurrent simulations (runMatrix workers) must each construct their
+ * concurrent simulations (engine workers) must each construct their
  * own instance rather than share one — implementations are required to
  * be independently instantiable and deterministic per instance, which
  * makes lock-free parallel replay safe by construction.

@@ -28,7 +28,7 @@ replayPath(const std::string &dir, const std::string &workload_name)
 
 namespace {
 
-/** Warn once per broken file, even across concurrent runMatrix workers. */
+/** Warn once per broken file, even across concurrent engine workers. */
 void
 warnOnce(const std::string &path, const std::string &what)
 {

@@ -45,7 +45,7 @@ std::string replayPath(const std::string &dir,
  * to stderr once and falls back to live generation rather than
  * aborting a whole bench matrix.
  *
- * Each call constructs a fresh interpreter, so every runMatrix worker
+ * Each call constructs a fresh interpreter, so every engine worker
  * gets its own instance (the thread-safety contract of TraceSource); a
  * live workload's Program is the read-only sharedProgram() image.
  */

@@ -71,7 +71,7 @@ struct ChunkInfo
  * instructions they consume.
  *
  * Instances are self-contained (own mapping and buffers), so
- * concurrent runMatrix workers must each construct their own — sharing
+ * concurrent engine workers must each construct their own — sharing
  * one instance across threads is a data race by design (next() mutates
  * cursor state; no lock serializes callers).
  */

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/env.h"
@@ -41,8 +42,7 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
           "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SAMPLE_INTERVAL",
           "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
-          "BTBSIM_HOST_COUNTERS", "BTBSIM_PROGRESS_FD",
-          "BTBSIM_PROGRESS_FILE", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
+          "BTBSIM_HOST_COUNTERS", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
           "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
@@ -74,6 +74,23 @@ TEST(Env, U64)
     {
         ScopedEnv e(kVar, "123456789012");
         EXPECT_EQ(env::u64(kVar, 77), 123456789012ull);
+    }
+    {
+        ScopedEnv e(kVar, "18446744073709551615");
+        EXPECT_EQ(env::u64(kVar, 77), UINT64_MAX);
+    }
+    // Sign, empty parse, trailing characters, overflow: each is an
+    // error naming the knob and its value, never a silent misread.
+    for (const char *bad : {"-1", "+5", " 7", "abc", "1e6", "500k", "12 ",
+                            "18446744073709551616"}) {
+        ScopedEnv e(kVar, bad);
+        try {
+            env::u64(kVar, 77);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument &ex) {
+            EXPECT_NE(std::string(ex.what()).find(kVar), std::string::npos);
+            EXPECT_NE(std::string(ex.what()).find(bad), std::string::npos);
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-/** @file Tests for the experiment runner. */
+/** @file Tests for the single-point runner and engine sweeps over it. */
 
 #include <gtest/gtest.h>
 
@@ -6,11 +6,29 @@
 #include <filesystem>
 
 #include "env_util.h"
+#include "exp/experiment.h"
 #include "sim/runner.h"
 #include "traceio/replay_env.h"
 #include "traceio/trace_writer.h"
 
 using namespace btbsim;
+
+namespace {
+
+/** Sweep @p configs x @p specs through the engine (run cache off). */
+std::vector<SimStats>
+sweep(const std::vector<CpuConfig> &configs,
+      const std::vector<WorkloadSpec> &specs, const RunOptions &opt)
+{
+    exp::ExperimentOptions eopt;
+    eopt.run = opt;
+    const exp::ExperimentResult r =
+        exp::runExperiment("runner_test", configs, specs, eopt);
+    EXPECT_TRUE(r.allOk());
+    return r.stats();
+}
+
+} // namespace
 
 TEST(Runner, EnvOverrides)
 {
@@ -32,7 +50,7 @@ TEST(Runner, EnvDefaultsWhenUnset)
     EXPECT_EQ(o.warmup, RunOptions{}.warmup);
 }
 
-TEST(Runner, MatrixOrderingAndDeterminism)
+TEST(Runner, SweepOrderingAndDeterminism)
 {
     // Live-generated workloads: every worker interprets the one shared
     // Program of its spec, so concurrent interpreters must not interfere.
@@ -55,9 +73,9 @@ TEST(Runner, MatrixOrderingAndDeterminism)
     configs[1].btb = BtbConfig::bbtb(1, true);
 
     opt.threads = 1;
-    const auto st = runMatrix(configs, specs, opt);
+    const auto st = sweep(configs, specs, opt);
     opt.threads = 4;
-    const auto mt = runMatrix(configs, specs, opt);
+    const auto mt = sweep(configs, specs, opt);
     ASSERT_EQ(st.size(), 4u);
     ASSERT_EQ(mt.size(), 4u);
     // Ordered by (config, workload).
@@ -79,7 +97,7 @@ TEST(Runner, MatrixOrderingAndDeterminism)
 
 TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
 {
-    // One .btbt recording, replayed concurrently by several runMatrix
+    // One .btbt recording, replayed concurrently by several engine
     // workers: every worker opens its own TraceReplaySource, so thread
     // count must not change a single bit of the results.
     RunOptions opt;
@@ -113,9 +131,9 @@ TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
     {
         test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
         opt.threads = 2;
-        mt = runMatrix(configs, {spec}, opt);
+        mt = sweep(configs, {spec}, opt);
         opt.threads = 1;
-        st = runMatrix(configs, {spec}, opt);
+        st = sweep(configs, {spec}, opt);
     }
 
     ASSERT_EQ(mt.size(), 2u);
