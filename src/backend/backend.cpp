@@ -8,7 +8,8 @@
 namespace btbsim {
 
 Backend::Backend(const BackendConfig &cfg, MemHier &mem)
-    : cfg_(cfg), mem_(&mem), rob_(std::bit_ceil(std::size_t{cfg.rob_size}))
+    : cfg_(cfg), mem_(&mem), rob_(std::bit_ceil(std::size_t{cfg.rob_size})),
+      rob_mask_(rob_.size() - 1)
 {}
 
 bool
@@ -60,7 +61,7 @@ Backend::allocate(DynInst &&inst, Cycle now)
         }
     }
 
-    RobEntry &e = rob_[inst.seq & (rob_.size() - 1)];
+    RobEntry &e = rob_[inst.seq & rob_mask_];
     e = RobEntry{std::move(inst), cfg_.ideal};
     if (cfg_.ideal)
         return;

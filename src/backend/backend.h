@@ -116,6 +116,7 @@ class Backend
     /// range is (last_committed_seq_, last_allocated_seq_], so a
     /// producer whose seq is above last_committed_seq_ is at its slot.
     std::vector<RobEntry> rob_;
+    std::uint64_t rob_mask_; ///< rob_.size() - 1.
     std::uint64_t last_allocated_seq_ = 0;
     std::uint64_t last_committed_seq_ = 0;
 
@@ -144,7 +145,7 @@ class Backend
     const RobEntry &
     slot(std::uint64_t seq) const
     {
-        return rob_[seq & (rob_.size() - 1)];
+        return rob_[seq & rob_mask_];
     }
     /** Earliest cycle producer @p seq can have its result, as known at
      *  @p now; 0 when it already has. */

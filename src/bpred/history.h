@@ -7,6 +7,7 @@
 #define BTBSIM_BPRED_HISTORY_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.h"
@@ -30,9 +31,18 @@ class GlobalHistory
 
     /**
      * XOR-fold the most recent @p length bits down to @p out_bits bits.
-     * length == 0 yields 0 (bias-table indexing).
+     * length == 0 yields 0 (bias-table indexing); lengths above kBits
+     * fold all kBits.
      */
     std::uint64_t fold(unsigned length, unsigned out_bits) const;
+
+    /**
+     * out[i] = fold(lengths[i], out_bits) for i < n, from one walk of the
+     * history. @p lengths must be non-decreasing: then each shorter fold
+     * takes the same chunks as the longest one up to its own length.
+     */
+    void foldPrefixes(const unsigned *lengths, std::size_t n,
+                      unsigned out_bits, std::uint64_t *out) const;
 
     /** Raw low @p n bits of history (n <= 64). */
     std::uint64_t low(unsigned n) const;

@@ -1,12 +1,30 @@
 #include "bpred/perceptron.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace btbsim {
 
 HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
     : cfg_(config)
 {
+    auto reject = [](const char *field, unsigned got, const char *rule) {
+        throw std::invalid_argument("PerceptronConfig::" +
+                                    std::string(field) + " = " +
+                                    std::to_string(got) + ": " + rule);
+    };
+    if (cfg_.num_tables < 2)
+        reject("num_tables", cfg_.num_tables,
+               "need at least 2 (a bias table plus one history table)");
+    if (!isPow2(cfg_.entries_per_table))
+        reject("entries_per_table", cfg_.entries_per_table,
+               "must be a power of two");
+    if (cfg_.max_history < 3 || cfg_.max_history > GlobalHistory::kBits)
+        reject("max_history", cfg_.max_history,
+               "must lie in [3, 256]: the geometric lengths start at 3 "
+               "and the history holds 256 bits");
+
     // Geometric history lengths from 0 to max_history: table 0 is the
     // PC-indexed bias table, the rest follow a geometric progression.
     hist_lengths_.resize(cfg_.num_tables);
@@ -33,23 +51,19 @@ HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
     theta_ = static_cast<int>(2.14 * cfg_.num_tables + 20.58);
 }
 
-unsigned
-HashedPerceptron::index(Addr pc, unsigned table) const
-{
-    std::uint64_t h = (pc >> 2) ^ ((pc >> 2) >> index_bits_) ^
-        table_hash_[table];
-    h ^= history_.fold(hist_lengths_[table], index_bits_);
-    return static_cast<unsigned>(h & index_mask_);
-}
-
 int
-HashedPerceptron::sum(Addr pc, std::vector<unsigned> &indices) const
+HashedPerceptron::sum(Addr pc, std::vector<std::uint64_t> &indices) const
 {
+    // One history walk folds every table's length; the lengths never
+    // decrease, as foldPrefixes requires.
     indices.resize(cfg_.num_tables);
+    history_.foldPrefixes(hist_lengths_.data(), cfg_.num_tables, index_bits_,
+                          indices.data());
+    const std::uint64_t pc_hash = (pc >> 2) ^ ((pc >> 2) >> index_bits_);
     int s = 0;
     const SignedSatCounter<8> *w = weights_.data();
     for (unsigned t = 0; t < cfg_.num_tables; ++t) {
-        indices[t] = index(pc, t);
+        indices[t] = (pc_hash ^ table_hash_[t] ^ indices[t]) & index_mask_;
         s += w[std::size_t{t} * cfg_.entries_per_table + indices[t]].value();
     }
     return s;
@@ -58,7 +72,7 @@ HashedPerceptron::sum(Addr pc, std::vector<unsigned> &indices) const
 bool
 HashedPerceptron::predict(Addr pc) const
 {
-    std::vector<unsigned> indices;
+    std::vector<std::uint64_t> indices;
     return sum(pc, indices) >= 0;
 }
 

@@ -54,6 +54,9 @@ struct PerceptronConfig
 class HashedPerceptron
 {
   public:
+    /** Throws std::invalid_argument naming the field when @p config has
+     *  fewer than 2 tables, a non-power-of-two table size, or a
+     *  max_history outside [3, GlobalHistory::kBits]. */
     explicit HashedPerceptron(const PerceptronConfig &config = {});
 
     /** Predict the branch at @p pc, then train with @p taken. */
@@ -81,7 +84,7 @@ class HashedPerceptron
     /// Per-table hash constant: t * phi64 >> 48, fixed at construction.
     std::vector<std::uint64_t> table_hash_;
     /// Scratch for predictAndTrain (avoids a per-lookup allocation).
-    std::vector<unsigned> scratch_;
+    std::vector<std::uint64_t> scratch_;
 
     int theta_ = 0;
     int tc_ = 0; ///< Adaptive-threshold training counter.
@@ -89,8 +92,9 @@ class HashedPerceptron
     std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;
 
-    unsigned index(Addr pc, unsigned table) const;
-    int sum(Addr pc, std::vector<unsigned> &indices) const;
+    /** Sum the weights @p pc selects, leaving each table's weight index
+     *  in @p indices. */
+    int sum(Addr pc, std::vector<std::uint64_t> &indices) const;
 };
 
 } // namespace btbsim

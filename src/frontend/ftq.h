@@ -10,8 +10,8 @@
 #ifndef BTBSIM_FRONTEND_FTQ_H
 #define BTBSIM_FRONTEND_FTQ_H
 
+#include <bit>
 #include <cassert>
-#include <deque>
 #include <vector>
 
 #include "common/types.h"
@@ -34,11 +34,14 @@ struct FtqEntry
 class Ftq
 {
   public:
-    explicit Ftq(std::size_t capacity = 64) : capacity_(capacity) {}
+    explicit Ftq(std::size_t capacity = 64)
+        : capacity_(capacity), slots_(std::bit_ceil(capacity)),
+          slot_mask_(slots_.size() - 1)
+    {}
 
-    bool full() const { return entries_.size() >= capacity_; }
-    bool empty() const { return entries_.empty(); }
-    std::size_t size() const { return entries_.size(); }
+    bool full() const { return size_ >= capacity_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
     /**
@@ -56,10 +59,11 @@ class Ftq
         if (!appends(line, new_entry)) {
             if (full())
                 return false;
-            entries_.push_back({line, 0, bypass ? now : now + 1});
+            slots_[(head_ + size_++) & slot_mask_] =
+                FtqEntry{line, 0, bypass ? now : now + 1};
         }
         store(inst);
-        entries_.back().end_seq = inst.seq;
+        entry(size_ - 1).end_seq = inst.seq;
         return true;
     }
 
@@ -70,8 +74,9 @@ class Ftq
         return appends(alignDown(pc, kLineBytes), new_entry) || !full();
     }
 
-    std::deque<FtqEntry> &entries() { return entries_; }
-    FtqEntry &front() { return entries_.front(); }
+    /** The @p i-th entry from the front (i < size()). */
+    FtqEntry &entry(std::size_t i) { return slots_[(head_ + i) & slot_mask_]; }
+    FtqEntry &front() { return entry(0); }
 
     void
     popFront()
@@ -80,13 +85,14 @@ class Ftq
         // the first-unissued index left by one.
         if (first_unissued_ > 0)
             --first_unissued_;
-        entries_.pop_front();
+        head_ = (head_ + 1) & slot_mask_;
+        --size_;
     }
 
     void
     clear()
     {
-        entries_.clear();
+        size_ = 0;
         first_unissued_ = 0;
         head_seq_ = tail_seq_;
     }
@@ -102,7 +108,7 @@ class Ftq
     void noteIssued() { ++first_unissued_; }
 
     /** The stored instruction @p seq; valid until release(seq). */
-    DynInst &inst(std::uint64_t seq) { return ring_[seq & (ring_.size() - 1)]; }
+    DynInst &inst(std::uint64_t seq) { return ring_[seq & ring_mask_]; }
 
     /** Drop every stored instruction up to and including @p seq (it
      *  has moved on to the backend). */
@@ -110,7 +116,12 @@ class Ftq
 
   private:
     std::size_t capacity_;
-    std::deque<FtqEntry> entries_;
+    /// Entry ring of bit_ceil(capacity_) slots; the queue is the size_
+    /// entries from head_ on.
+    std::vector<FtqEntry> slots_;
+    std::size_t slot_mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
     std::size_t first_unissued_ = 0;
 
     /// Instruction store: a power-of-two ring holding seqs
@@ -118,14 +129,17 @@ class Ftq
     /// per-entry bound: a ChampSim `rep` stream repeats one IP, so one
     /// entry can hold any number of instructions.
     std::vector<DynInst> ring_ = std::vector<DynInst>(256);
+    std::uint64_t ring_mask_ = 255; ///< ring_.size() - 1.
     std::uint64_t head_seq_ = 0;
     std::uint64_t tail_seq_ = 0;
 
     bool
     appends(Addr line, bool new_entry) const
     {
-        return !new_entry && !entries_.empty() && !entries_.back().issued &&
-               entries_.back().line == line;
+        if (new_entry || empty())
+            return false;
+        const FtqEntry &tail = slots_[(head_ + size_ - 1) & slot_mask_];
+        return !tail.issued && tail.line == line;
     }
 
     void
@@ -139,6 +153,7 @@ class Ftq
             for (std::uint64_t s = head_seq_; s < tail_seq_; ++s)
                 bigger[s & (bigger.size() - 1)] = inst(s);
             ring_.swap(bigger);
+            ring_mask_ = ring_.size() - 1;
         }
         inst(tail_seq_++) = d;
     }

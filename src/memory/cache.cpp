@@ -38,10 +38,10 @@ Cache::accessLine(Addr line, Cycle now, bool is_prefetch)
     if (!is_prefetch)
         ++demand_misses_;
 
-    auto mshr = std::min_element(mshr_free_.begin(), mshr_free_.end());
-    if (*mshr > now)
+    const Cycle earliest = mshr_free_[0];
+    if (earliest > now)
         ++counters.mshr_full_stalls;
-    const Cycle start = std::max(now, *mshr);
+    const Cycle start = std::max(now, earliest);
     Cycle done;
     if (next_) {
         done = next_->accessLine(line, start, is_prefetch);
@@ -52,14 +52,41 @@ Cache::accessLine(Addr line, Cycle now, bool is_prefetch)
     Line &l = set.fill(static_cast<unsigned>(set.victim()), line);
     l.ready = done;
 
-    // Charge the MSHR until the fill returns (the element picked above
-    // is still the minimum: only other cache objects ran in between).
-    *mshr = done;
+    // Charge the MSHR until the fill returns (the heap top read above is
+    // still the earliest: only other cache objects ran in between).
+    chargeEarliestMshr(done);
 
     if (cfg_.next_line_prefetch && !is_prefetch)
         accessLine(line + kLineBytes, now, true);
 
     return done;
+}
+
+void
+Cache::chargeEarliestMshr(Cycle busy_until)
+{
+    // Replace the heap top (the MSHR this miss took), Floyd-style: walk
+    // the hole down to a leaf along the earlier child, one compare per
+    // level, then sift busy_until back up. A fill usually outlasts every
+    // other MSHR, so it rarely moves up, and the walk down has no
+    // data-dependent branch.
+    Cycle *heap = mshr_free_.data();
+    const std::size_t n = mshr_free_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+        if (child + 1 < n)
+            child += heap[child + 1] < heap[child];
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (heap[parent] <= busy_until)
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = busy_until;
 }
 
 } // namespace btbsim

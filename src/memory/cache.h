@@ -116,11 +116,15 @@ class Cache
     static Addr lineOf(Addr addr) { return alignDown(addr, kLineBytes); }
 
     Cycle accessLine(Addr line, Cycle now, bool is_prefetch);
+    void chargeEarliestMshr(Cycle busy_until);
 
     CacheConfig cfg_;
     Cache *next_;
     Dram *dram_;
     SoaSetTable<Line> tags_;
+    /// Free cycle of each MSHR, as a min-heap: [0] is the earliest. The
+    /// MSHRs are interchangeable and a miss only ever takes the earliest
+    /// one, so their order carries no timing.
     std::vector<Cycle> mshr_free_;
 
     std::uint64_t demand_accesses_ = 0;

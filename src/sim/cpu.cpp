@@ -34,19 +34,20 @@ void
 Cpu::fetchIssue()
 {
     unsigned issues = 0;
-    std::deque<FtqEntry> &entries = ftq_.entries();
     // Entries before firstUnissued() are all issued; start past them.
     for (std::size_t i = ftq_.firstUnissued();
-         i < entries.size() && issues < cfg_.fetch_lines; ++i) {
-        FtqEntry &e = entries[i];
+         i < ftq_.size() && issues < cfg_.fetch_lines; ++i) {
+        FtqEntry &e = ftq_.entry(i);
         if (e.min_issue_cycle > now_)
             break; // Younger entries cannot be earlier.
-        const bool was_miss = !mem_.l1i().contains(e.line);
+        // Only predecode needs to know whether the line missed.
+        const bool predecode =
+            cfg_.btb_predecode_fill && !mem_.l1i().contains(e.line);
         e.data_ready = mem_.fetchLine(e.line, now_);
         e.issued = true;
         ftq_.noteIssued();
         ++issues;
-        if (cfg_.btb_predecode_fill && was_miss)
+        if (predecode)
             predecodeLine(e.line);
     }
 }

@@ -79,6 +79,32 @@ TEST(Cache, MshrMergeOnInflightLine)
     EXPECT_EQ(h.dram.accesses(), 1u);
 }
 
+TEST(Cache, MissesTakeTheEarliestFreeMshr)
+{
+    // Two MSHRs over an LLC: misses that hit the LLC return in 35
+    // cycles and DRAM misses in 100, so MSHRs free out of issue order.
+    // Each miss must start when the earliest MSHR frees.
+    Dram dram(4, 100);
+    Cache llc({"LLC", 64, 8, 35, 16, false}, nullptr, &dram);
+    Cache l1({"L1", 8, 4, 3, 2, false}, &llc, nullptr);
+    const Addr warm_x = 0x50000, warm_y = 0x60040;
+    llc.access(warm_x, 0);
+    llc.access(warm_y, 0);
+
+    // Distinct lines, one per DRAM channel, no set conflicts.
+    EXPECT_EQ(l1.access(0x10000, 1000), 1100u); // MSHRs free: 0, 0
+    EXPECT_EQ(l1.access(warm_x, 1001), 1036u);  // 0, 1100
+    EXPECT_EQ(l1.counters.mshr_full_stalls, 0u);
+    EXPECT_EQ(l1.access(0x20040, 1002), 1136u); // waits for 1036
+    EXPECT_EQ(l1.access(0x30080, 1003), 1200u); // waits for 1100
+    EXPECT_EQ(l1.access(warm_y, 1004), 1171u);  // waits for 1136
+    EXPECT_EQ(l1.access(0x400C0, 1005), 1271u); // waits for 1171
+    EXPECT_EQ(l1.counters.mshr_full_stalls, 4u);
+    // Both MSHRs are free again by 1271: no stall.
+    EXPECT_EQ(l1.access(0x70000, 2000), 2100u);
+    EXPECT_EQ(l1.counters.mshr_full_stalls, 4u);
+}
+
 TEST(Cache, PrefetchWarmsWithoutDemandCount)
 {
     Hierarchy h;

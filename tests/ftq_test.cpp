@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/rng.h"
 #include "frontend/ftq.h"
 
 using namespace btbsim;
@@ -35,8 +38,8 @@ TEST(Ftq, LineCrossOpensEntry)
     q.push(instAt(0x103C, 1), 1, false, true);
     q.push(instAt(0x1040, 2), 1, false, false);
     ASSERT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.entries()[0].end_seq, 1u);
-    EXPECT_EQ(q.entries()[1].end_seq, 2u);
+    EXPECT_EQ(q.entry(0).end_seq, 1u);
+    EXPECT_EQ(q.entry(1).end_seq, 2u);
 }
 
 TEST(Ftq, ForcedNewEntryAfterRedirect)
@@ -58,7 +61,7 @@ TEST(Ftq, CapacityEnforced)
     // But appending to the open tail entry still works.
     EXPECT_TRUE(q.canAccept(0x2004, false));
     EXPECT_TRUE(q.push(instAt(0x2004, 3), 1, false, false));
-    EXPECT_EQ(q.entries()[1].end_seq, 3u); // Seqs 2..3.
+    EXPECT_EQ(q.entry(1).end_seq, 3u); // Seqs 2..3.
 }
 
 TEST(Ftq, BypassSetsImmediateIssue)
@@ -67,7 +70,7 @@ TEST(Ftq, BypassSetsImmediateIssue)
     q.push(instAt(0x1000, 1), 5, true, true);
     EXPECT_EQ(q.front().min_issue_cycle, 5u);
     q.push(instAt(0x2000, 2), 5, false, true);
-    EXPECT_EQ(q.entries()[1].min_issue_cycle, 6u);
+    EXPECT_EQ(q.entry(1).min_issue_cycle, 6u);
 }
 
 TEST(Ftq, NoAppendToIssuedEntry)
@@ -103,8 +106,8 @@ TEST(Ftq, StoreHoldsUnboundedEntry)
         ASSERT_TRUE(q.push(instAt(0x1000, s), 1, false, s == 1));
     q.push(instAt(0x1040, kReps + 1), 1, false, false);
     ASSERT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.entries()[0].end_seq, kReps);
-    EXPECT_EQ(q.entries()[1].end_seq, kReps + 1);
+    EXPECT_EQ(q.entry(0).end_seq, kReps);
+    EXPECT_EQ(q.entry(1).end_seq, kReps + 1);
     for (std::uint64_t s = 1; s <= kReps + 1; ++s)
         ASSERT_EQ(q.inst(s).seq, s);
     EXPECT_EQ(q.inst(kReps + 1).in.pc, 0x1040u);
@@ -122,4 +125,52 @@ TEST(Ftq, ReleaseKeepsYoungerInstructions)
         q.push(instAt(0x1000 + 4 * seq, seq + 1), 1, false, false);
     for (std::uint64_t s = 151; s <= 600; ++s)
         ASSERT_EQ(q.inst(s).in.pc, 0x1000 + 4 * (s - 1));
+}
+
+TEST(Ftq, RingWrapsWithNonPowerOfTwoCapacity)
+{
+    // 24 entries live in a 32-slot ring; drive the head around it many
+    // times against a plain model of the queue.
+    Ftq q(24);
+    std::deque<std::uint64_t> model; // end_seq of each entry, front first.
+    std::size_t issued = 0;          // Issued entries form a prefix.
+    std::uint64_t seq = 0;
+    Rng rng(24);
+    for (int round = 0; round < 300; ++round) {
+        // Fill to capacity: one line per entry.
+        while (!q.full()) {
+            ++seq;
+            ASSERT_TRUE(q.push(instAt(0x1000 + 64 * seq, seq), 1, false, false));
+            model.push_back(seq);
+        }
+        ASSERT_EQ(q.size(), 24u);
+        EXPECT_FALSE(q.push(instAt(0x1000 + 64 * (seq + 1), seq + 1), 1,
+                            false, false));
+
+        // Issue a few more entries in order, then pop some.
+        const std::size_t n_issue = rng.nextBounded(q.size() - issued + 1);
+        for (std::size_t i = 0; i < n_issue; ++i) {
+            ASSERT_EQ(q.firstUnissued(), issued);
+            q.entry(issued++).issued = true;
+            q.noteIssued();
+        }
+        const std::size_t n_pop = 1 + rng.nextBounded(q.size());
+        for (std::size_t i = 0; i < n_pop; ++i) {
+            q.popFront();
+            model.pop_front();
+            if (issued > 0)
+                --issued;
+        }
+
+        ASSERT_EQ(q.size(), model.size());
+        ASSERT_EQ(q.firstUnissued(), issued);
+        EXPECT_FALSE(q.full());
+        for (std::size_t i = 0; i < model.size(); ++i) {
+            ASSERT_EQ(q.entry(i).end_seq, model[i]) << "round " << round;
+            ASSERT_EQ(q.entry(i).issued, i < issued) << "round " << round;
+        }
+        if (!model.empty()) {
+            ASSERT_EQ(q.front().end_seq, model.front());
+        }
+    }
 }

@@ -2,9 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bpred/history.h"
+#include "common/rng.h"
 
 using namespace btbsim;
+
+namespace {
+
+/**
+ * The fold spelled out bit by bit over @p outcomes (most recent first):
+ * XOR in chunks of at most @p out_bits bits that never straddle a 64-bit
+ * word, rotating the accumulator left by one within @p out_bits after
+ * each chunk.
+ */
+std::uint64_t
+referenceFold(const std::vector<bool> &outcomes, unsigned length,
+              unsigned out_bits)
+{
+    if (out_bits == 0)
+        return 0;
+    length = std::min(length, GlobalHistory::kBits);
+    const std::uint64_t out_mask =
+        out_bits == 64 ? ~0ull : (1ull << out_bits) - 1;
+    std::uint64_t acc = 0;
+    for (unsigned consumed = 0; consumed < length;) {
+        const unsigned chunk =
+            std::min({64 - consumed % 64, length - consumed, out_bits});
+        for (unsigned j = 0; j < chunk; ++j)
+            if (consumed + j < outcomes.size() && outcomes[consumed + j])
+                acc ^= 1ull << j;
+        acc = ((acc << 1) | (acc >> (out_bits - 1))) & out_mask;
+        consumed += chunk;
+    }
+    return acc;
+}
+
+} // namespace
 
 TEST(GlobalHistory, ShiftAndLow)
 {
@@ -65,6 +101,49 @@ TEST(GlobalHistory, ResetClears)
     h.reset();
     EXPECT_EQ(h.low(64), 0u);
     EXPECT_EQ(h.fold(232, 12), 0u);
+}
+
+TEST(GlobalHistory, FoldPrefixesMatchesPerLengthFold)
+{
+    // Lengths around the word boundaries, the Table-1 maximum (232), the
+    // register size and beyond it (clamped to kBits).
+    const std::vector<unsigned> edges = {0, 1, 63, 64, 65, 232, 256, 300};
+    Rng rng(20);
+    for (int trial = 0; trial < 200; ++trial) {
+        GlobalHistory h;
+        std::vector<bool> outcomes; // Most recent first.
+        const unsigned n_shifts = static_cast<unsigned>(rng.nextBounded(400));
+        for (unsigned i = 0; i < n_shifts; ++i) {
+            const bool taken = rng.nextBool(0.5);
+            h.shift(taken);
+            outcomes.insert(outcomes.begin(), taken);
+        }
+
+        // A non-decreasing list: every edge plus random lengths, with
+        // repeats.
+        std::vector<unsigned> lengths = edges;
+        const unsigned extra = static_cast<unsigned>(rng.nextBounded(12));
+        for (unsigned i = 0; i < extra; ++i)
+            lengths.push_back(static_cast<unsigned>(rng.nextBounded(320)));
+        lengths.push_back(lengths[rng.nextBounded(lengths.size())]);
+        std::sort(lengths.begin(), lengths.end());
+
+        for (const unsigned out_bits : {1u, 7u, 12u, 13u, 64u}) {
+            std::vector<std::uint64_t> out(lengths.size(), ~0ull);
+            h.foldPrefixes(lengths.data(), lengths.size(), out_bits,
+                           out.data());
+            for (std::size_t i = 0; i < lengths.size(); ++i) {
+                const std::uint64_t want =
+                    referenceFold(outcomes, lengths[i], out_bits);
+                ASSERT_EQ(out[i], want)
+                    << "trial " << trial << ", length " << lengths[i]
+                    << ", out_bits " << out_bits;
+                ASSERT_EQ(h.fold(lengths[i], out_bits), want)
+                    << "trial " << trial << ", length " << lengths[i]
+                    << ", out_bits " << out_bits;
+            }
+        }
+    }
 }
 
 TEST(PathHistory, ShiftMixes)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.h"
 #include "bpred/perceptron.h"
 
@@ -144,4 +147,43 @@ TEST(PerceptronConfig, SizeBytes)
     PerceptronConfig c;
     EXPECT_EQ(c.sizeBytes(), 64u * 1024u);
     EXPECT_EQ(PerceptronConfig::ofSizeKB(2).sizeBytes(), 2048u);
+}
+
+TEST(PerceptronConfig, InvalidConfigsNameTheField)
+{
+    auto rejects = [](PerceptronConfig c, const std::string &field) {
+        try {
+            HashedPerceptron p(c);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what()).find(field) != std::string::npos;
+        }
+        return false;
+    };
+    PerceptronConfig c;
+    for (const unsigned tables : {0u, 1u}) {
+        c = {};
+        c.num_tables = tables;
+        EXPECT_TRUE(rejects(c, "num_tables")) << tables;
+    }
+    for (const unsigned entries : {0u, 192u, 4095u}) {
+        c = {};
+        c.entries_per_table = entries;
+        EXPECT_TRUE(rejects(c, "entries_per_table")) << entries;
+    }
+    EXPECT_TRUE(rejects(PerceptronConfig::ofSizeKB(3), "entries_per_table"));
+    for (const unsigned hist : {0u, 2u, 257u, 1000u}) {
+        c = {};
+        c.max_history = hist;
+        EXPECT_TRUE(rejects(c, "max_history")) << hist;
+    }
+
+    // The edges of the valid ranges, and every Fig. 11b size, construct.
+    c = {};
+    c.num_tables = 2;
+    c.max_history = 3;
+    EXPECT_NO_THROW(HashedPerceptron{c});
+    c.max_history = GlobalHistory::kBits;
+    EXPECT_NO_THROW(HashedPerceptron{c});
+    for (const unsigned kb : {2u, 4u, 8u, 16u, 32u, 64u})
+        EXPECT_NO_THROW(HashedPerceptron{PerceptronConfig::ofSizeKB(kb)});
 }
