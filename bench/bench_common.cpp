@@ -10,7 +10,6 @@
 #include "exp/experiment.h"
 #include "obs/export.h"
 #include "obs/span.h"
-#include "traceio/replay_env.h"
 
 namespace btbsim::bench {
 
@@ -45,14 +44,6 @@ setup(const std::string &title, const std::string &paper_ref)
                 ctx.suite.size(),
                 static_cast<unsigned long long>(ctx.opt.warmup),
                 static_cast<unsigned long long>(ctx.opt.measure));
-    if (const std::string dir = traceio::replayDirFromEnv(); !dir.empty()) {
-        std::size_t recorded = 0;
-        for (const WorkloadSpec &spec : ctx.suite)
-            if (std::filesystem::exists(traceio::replayPath(dir, spec.name)))
-                ++recorded;
-        std::printf("trace replay: %s (%zu/%zu workloads recorded)\n",
-                    dir.c_str(), recorded, ctx.suite.size());
-    }
     std::printf("==============================================================\n\n");
     return ctx;
 }

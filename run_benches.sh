@@ -6,11 +6,6 @@
 # results/<bench>.json (schema documented in src/obs/export.h); inspect or
 # regression-compare them with build/src/tools/btbsim-stats.
 #
-#   --record   Capture the server suite as .btbt traces under results/btbt
-#              first (sized to the current env knobs; see btbsim-trace).
-#   --replay   Run the benches from those recordings instead of live
-#              stream generation, and report the wall clock saved against
-#              the most recent live run.
 #   --fresh    Drop the run cache first so every point simulates cold.
 #
 # Completed points are kept in the run cache (BTBSIM_RUN_CACHE, default
@@ -19,23 +14,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-record=0
-replay=0
 fresh=0
 for arg in "$@"; do
     case "$arg" in
-        --record) record=1 ;;
-        --replay) replay=1 ;;
         --fresh) fresh=1 ;;
         *)
-            echo "usage: $0 [--record] [--replay] [--fresh]" >&2
+            echo "usage: $0 [--fresh]" >&2
             exit 2
             ;;
     esac
 done
 
 mkdir -p results
-trace_dir=results/btbt
 cache_dir=${BTBSIM_RUN_CACHE:-results/cache}
 
 # Per-bench result JSON. An externally-set BTBSIM_JSON_OUT names the
@@ -53,21 +43,6 @@ esac
 if [[ $fresh -eq 1 && "$cache_dir" != 0 ]]; then
     echo "=== dropping run cache $cache_dir ==="
     rm -rf "$cache_dir"
-fi
-
-if [[ $record -eq 1 ]]; then
-    echo "=== recording suite traces -> $trace_dir ==="
-    ./build/src/tools/btbsim-trace record --out "$trace_dir"
-    ./build/src/tools/btbsim-trace verify "$trace_dir"/*.btbt
-fi
-
-if [[ $replay -eq 1 ]]; then
-    if ! ls "$trace_dir"/*.btbt >/dev/null 2>&1; then
-        echo "no traces in $trace_dir; run '$0 --record' first" >&2
-        exit 2
-    fi
-    export BTBSIM_TRACE_DIR="$trace_dir"
-    echo "=== replaying traces from $trace_dir ==="
 fi
 
 SECONDS=0
@@ -96,17 +71,4 @@ for b in build/bench/bench_*; do
         BTBSIM_JSON_OUT=0 "$b" 2>&1 | tee "results/$name.txt"
     fi
 done
-elapsed=$SECONDS
-
-if [[ $replay -eq 1 ]]; then
-    if [[ -f results/.wall_live ]]; then
-        live=$(cat results/.wall_live)
-        echo "=== replay wall clock: ${elapsed}s (last live run: ${live}s," \
-             "saved $((live - elapsed))s) ==="
-    else
-        echo "=== replay wall clock: ${elapsed}s (no live baseline yet) ==="
-    fi
-else
-    echo "$elapsed" >results/.wall_live
-    echo "=== live wall clock: ${elapsed}s ==="
-fi
+echo "=== live wall clock: ${SECONDS}s ==="

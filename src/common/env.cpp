@@ -24,7 +24,7 @@ knobs()
         // obs/sampler
         {"BTBSIM_SAMPLE_INTERVAL", "100000",
          "Cycles per time-series sample; 0 disables sampling."},
-        // obs/span + obs/host_counters
+        // obs/span
         {"BTBSIM_SPANS", "1",
          "0 disables the host-time span profiler (on by default; span "
          "sites are phase-grained, not per-instruction)."},
@@ -35,16 +35,12 @@ knobs()
          "Chrome-trace span dump (Perfetto-loadable): 1/true = "
          "results/spans/<bench>.trace.json, else a path; 0/empty "
          "disables."},
-        {"BTBSIM_HOST_COUNTERS", "1",
-         "0 skips perf_event_open so span profiles carry timestamps "
-         "only (auto-fallback when the kernel denies perf access)."},
-        // obs/tracer + sim/runner trace dump; also the .btbt replay dir
+        // obs/tracer + sim/runner trace dump
         {"BTBSIM_TRACE", "0", "Non-0 enables the pipeline event tracer."},
         {"BTBSIM_TRACE_CAP", "65536",
          "Event-tracer ring-buffer capacity (events kept per run)."},
         {"BTBSIM_TRACE_DIR", "results/traces",
-         "Directory for per-run .jsonl event dumps, and the directory "
-         "searched for recorded .btbt workload traces to replay."},
+         "Directory for per-run .jsonl event dumps."},
         // bench output
         {"BTBSIM_JSON_OUT", "",
          "Result JSON: 1/true = results/<bench>.json, else a path; "

@@ -1,6 +1,7 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/bbtb.h"
 #include "core/btb_org.h"
@@ -93,6 +94,20 @@ const BtbRegistrar reg_hetero{
         out = BtbConfig::hetero(n);
         return true;
     }};
+
+/** Reject a level geometry SoaSetTable cannot hold: at least one set,
+ *  1..32 ways (the per-set valid mask is 32 bits wide). */
+void
+checkLevelGeom(const BtbLevelGeom &g, const char *level)
+{
+    if (g.sets < 1)
+        throw std::invalid_argument(std::string(level) +
+                                    ".sets must be >= 1, got 0");
+    if (g.ways < 1 || g.ways > 32)
+        throw std::invalid_argument(std::string(level) +
+                                    ".ways must be in 1..32, got " +
+                                    std::to_string(g.ways));
+}
 
 /** Canonical registry key for a built-in kind. */
 const char *
@@ -291,6 +306,11 @@ BtbConfig::name() const
 std::unique_ptr<BtbOrg>
 makeBtb(const BtbConfig &cfg)
 {
+    // An ideal BTB ignores l1/l2 and builds its own fixed-size table.
+    if (!cfg.ideal) {
+        checkLevelGeom(cfg.l1, "l1");
+        checkLevelGeom(cfg.l2, "l2");
+    }
     return BtbRegistry::instance().make(kindKey(cfg.kind), cfg);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -11,7 +10,6 @@
 #include "exp/sha256.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
-#include "traceio/replay_env.h"
 
 namespace btbsim::exp {
 
@@ -143,10 +141,8 @@ Experiment::run()
     result.points.resize(configs_.size() * workloads_.size());
 
     // Pre-compute every point's identity. The effective sample interval
-    // and per-workload source kind are part of the key: both change the
-    // resulting SimStats.
+    // is part of the key: it changes the resulting SimStats.
     const std::uint64_t sample_interval = obs::Sampler::intervalFromEnv();
-    const std::string replay_dir = traceio::replayDirFromEnv();
     std::vector<std::string> key_jsons(result.points.size());
     for (std::size_t c = 0; c < configs_.size(); ++c) {
         for (std::size_t w = 0; w < workloads_.size(); ++w) {
@@ -162,13 +158,6 @@ Experiment::run()
             key.workload = workloads_[w];
             key.opt = opt_.run;
             key.sample_interval = sample_interval;
-            std::error_code ec;
-            const std::string rp =
-                traceio::replayPath(replay_dir, workloads_[w].name);
-            key.source_kind = (!rp.empty() &&
-                               std::filesystem::exists(rp, ec))
-                                  ? "replay"
-                                  : "generated";
             key_jsons[i] = canonicalRunKeyJson(key);
             p.digest = Sha256::hexDigest(key_jsons[i]);
         }

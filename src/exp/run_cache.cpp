@@ -44,7 +44,6 @@ canonicalRunKeyJson(const RunKey &key, int key_schema)
     w.kv("warmup", key.opt.warmup);
     w.kv("measure", key.opt.measure);
     w.kv("sample_interval", key.sample_interval);
-    w.kv("source", key.source_kind);
     w.endObject();
     return os.str();
 }
@@ -104,13 +103,11 @@ writeStatsJson(obs::JsonWriter &w, const SimStats &s)
     w.endObject();
     w.kv("host_seconds", s.host_seconds);
     w.kv("minst_per_host_sec", s.minst_per_host_sec);
-    w.kv("source_kind", s.source_kind);
     // The host span profile is cached too: a warm hit restores the
     // original run's profile bit-identically, keeping cold and warm
     // sweeps byte-comparable (the CI determinism gate relies on it).
     w.key("span_profile");
     obs::writeSpanProfileJson(w, s.span_profile);
-    w.kv("host_counters_available", s.host_counters_available ? 1 : 0);
     w.endObject();
 }
 
@@ -174,21 +171,12 @@ statsFromJson(const obs::JsonValue &v)
         s.counters[name] = cv.asNumber();
     s.host_seconds = v.at("host_seconds").asNumber();
     s.minst_per_host_sec = v.at("minst_per_host_sec").asNumber();
-    s.source_kind = v.at("source_kind").asString();
     for (const auto &[path, av] : v.at("span_profile").object) {
         obs::SpanAgg a;
         a.count = u64At(av, "count");
         a.wall_ns = u64At(av, "wall_ns");
-        a.tsc = u64At(av, "tsc");
-        a.cycles = u64At(av, "cycles");
-        a.instructions = u64At(av, "instructions");
-        a.branch_misses = u64At(av, "branch_misses");
-        a.cache_misses = u64At(av, "cache_misses");
-        a.task_clock_ns = u64At(av, "task_clock_ns");
         s.span_profile[path] = a;
     }
-    s.host_counters_available =
-        v.at("host_counters_available").asNumber() != 0.0;
     return s;
 }
 

@@ -5,11 +5,10 @@
  * A run point is identified by the SHA-256 digest of its canonical run
  * key: the canonical JSON (exp/config_json.h) of the CpuConfig, the
  * WorkloadSpec and the result-affecting RunOptions fields, plus the
- * effective sample interval, the instruction-source kind (generated vs
- * .btbt replay) and the key/result schema versions. Anything that can
- * change the resulting SimStats is in the key; anything that cannot
- * (thread count, suite size, output knobs) deliberately is not, so
- * re-sharding a sweep never invalidates its cache.
+ * effective sample interval and the key/result schema versions. Anything
+ * that can change the resulting SimStats is in the key; anything that
+ * cannot (thread count, suite size, output knobs) deliberately is not,
+ * so re-sharding a sweep never invalidates its cache.
  *
  * Entry layout under the cache directory (BTBSIM_RUN_CACHE):
  *
@@ -42,7 +41,7 @@ namespace btbsim::exp {
 
 /** Bump on any change that alters simulation results or the canonical
  *  key/stats serialization (see file comment).
- *  v2: SimStats gained span_profile / host_counters_available. */
+ *  v2: SimStats gained span_profile. */
 constexpr int kRunKeySchemaVersion = 2;
 
 /** Version of the on-disk cache-entry envelope. */
@@ -55,7 +54,6 @@ struct RunKey
     WorkloadSpec workload;
     RunOptions opt; ///< Only warmup/measure are hashed (see file comment).
     std::uint64_t sample_interval = 0; ///< Effective time-series interval.
-    std::string source_kind = "generated"; ///< "generated" or "replay".
 };
 
 /**

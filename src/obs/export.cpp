@@ -65,8 +65,6 @@ writeSimStatsJson(JsonWriter &w, const SimStats &s)
     w.beginObject();
     w.kv("seconds", s.host_seconds);
     w.kv("minst_per_sec", s.minst_per_host_sec);
-    w.kv("source", s.source_kind);
-    w.kv("counters_available", s.host_counters_available ? 1 : 0);
     w.key("spans");
     writeSpanProfileJson(w, s.span_profile);
     w.endObject();
@@ -104,12 +102,6 @@ writeSpanProfileJson(JsonWriter &w, const SpanProfile &p)
         w.beginObject();
         w.kv("count", a.count);
         w.kv("wall_ns", a.wall_ns);
-        w.kv("tsc", a.tsc);
-        w.kv("cycles", a.cycles);
-        w.kv("instructions", a.instructions);
-        w.kv("branch_misses", a.branch_misses);
-        w.kv("cache_misses", a.cache_misses);
-        w.kv("task_clock_ns", a.task_clock_ns);
         w.endObject();
     }
     w.endObject();
@@ -122,7 +114,6 @@ writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p)
     w.kv("total_spans", p.total_spans);
     w.kv("dropped", p.dropped);
     w.kv("threads", p.threads);
-    w.kv("counters_available", p.counters_available ? 1 : 0);
     w.key("spans");
     writeSpanProfileJson(w, p.spans);
     w.endObject();
@@ -150,7 +141,7 @@ writeRunsCsvHeader(std::ostream &os)
     os << "config,workload,instructions,cycles";
     for (const Field &f : kScalarFields)
         os << ',' << f.name;
-    os << ",host_seconds,minst_per_host_sec,source\n";
+    os << ",host_seconds,minst_per_host_sec\n";
 }
 
 void
@@ -162,9 +153,7 @@ writeRunCsvRow(std::ostream &os, const SimStats &s)
     os << ',' << s.instructions << ',' << s.cycles;
     for (const Field &f : kScalarFields)
         os << ',' << f.get(s);
-    os << ',' << s.host_seconds << ',' << s.minst_per_host_sec << ',';
-    csvQuote(os, s.source_kind);
-    os << '\n';
+    os << ',' << s.host_seconds << ',' << s.minst_per_host_sec << '\n';
 }
 
 void

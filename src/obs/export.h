@@ -18,10 +18,8 @@
  *         "counters": { "<component.stat>": <number>, ... },
  *         "host": {
  *           "seconds": s, "minst_per_sec": r,
- *           "counters_available": 0|1,          // v2
  *           "spans": {                          // v2: per-run profile
- *             "<path>": { count, wall_ns, tsc, cycles, instructions,
- *                         branch_misses, cache_misses, task_clock_ns }
+ *             "<path>": { count, wall_ns }
  *           }
  *         },
  *         "samples": {
@@ -37,13 +35,15 @@
  *     },
  *     "profile": {                              // v2: whole process
  *       "total_spans": n, "dropped": d, "threads": t,
- *       "counters_available": 0|1,
  *       "spans": { "<path>": { ...same as host.spans... } }
  *     }
  *   }
  *
- * v1 is v2 without the host.counters_available / host.spans / profile
- * members; consumers (obs/result_doc.h) accept both.
+ * v1 is v2 without the host.spans / profile members; consumers
+ * (obs/result_doc.h) accept both. Keys a consumer does not know are
+ * ignored, so v2 documents from builds that also wrote the workload
+ * source, a host perf-counter flag and per-span counter columns still
+ * load.
  */
 
 #ifndef BTBSIM_OBS_EXPORT_H

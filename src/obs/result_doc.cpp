@@ -33,12 +33,6 @@ parseSpanAgg(const JsonValue &v)
     SpanAgg a;
     a.count = u64Or(v, "count", 0);
     a.wall_ns = u64Or(v, "wall_ns", 0);
-    a.tsc = u64Or(v, "tsc", 0);
-    a.cycles = u64Or(v, "cycles", 0);
-    a.instructions = u64Or(v, "instructions", 0);
-    a.branch_misses = u64Or(v, "branch_misses", 0);
-    a.cache_misses = u64Or(v, "cache_misses", 0);
-    a.task_clock_ns = u64Or(v, "task_clock_ns", 0);
     return a;
 }
 
@@ -67,17 +61,6 @@ ResultDoc::mergedSpans() const
         for (const auto &[path, agg] : r.spans)
             out[path] += agg;
     return out;
-}
-
-bool
-ResultDoc::mergedCountersAvailable() const
-{
-    if (has_profile && profile.counters_available)
-        return true;
-    for (const DocRun &r : runs)
-        if (r.counters_available)
-            return true;
-    return false;
 }
 
 ResultDoc
@@ -123,12 +106,9 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
             }
         }
 
-        if (const JsonValue *h = r.find("host")) {
-            run.counters_available = numberOr(*h, "counters_available",
-                                              0.0) != 0.0;
+        if (const JsonValue *h = r.find("host"))
             if (const JsonValue *spans = h->find("spans"))
                 run.spans = parseSpanTable(*spans);
-        }
         doc.runs.push_back(std::move(run));
     }
 
@@ -138,8 +118,6 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
         doc.profile.dropped = u64Or(*p, "dropped", 0);
         doc.profile.threads =
             static_cast<std::uint32_t>(u64Or(*p, "threads", 0));
-        doc.profile.counters_available =
-            numberOr(*p, "counters_available", 0.0) != 0.0;
         if (const JsonValue *spans = p->find("spans"))
             doc.profile.spans = parseSpanTable(*spans);
     }

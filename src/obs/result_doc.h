@@ -36,7 +36,6 @@ struct DocRun
 
     /** Host span table of this run (schema v2; empty for v1). */
     SpanProfile spans;
-    bool counters_available = false;
 };
 
 /** A parsed result document (schema v1 or v2). */
@@ -53,11 +52,9 @@ struct ResultDoc
     /**
      * The complete span tree `btbsim-stats prof` renders: the process
      * profile block when present (it already contains every run's
-     * spans), otherwise the runs' host.spans summed. Counter
-     * availability is the OR over the profile block and all runs.
+     * spans), otherwise the runs' host.spans summed.
      */
     SpanProfile mergedSpans() const;
-    bool mergedCountersAvailable() const;
 };
 
 /** Parse @p root; @p origin names the source in error messages. Throws

@@ -8,25 +8,7 @@
 #include "common/env.h"
 #include "obs/json.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
-
 namespace btbsim::obs {
-
-std::uint64_t
-readTsc()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __rdtsc();
-#elif defined(__aarch64__)
-    std::uint64_t v;
-    asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-    return v;
-#else
-    return 0;
-#endif
-}
 
 namespace {
 
@@ -50,12 +32,6 @@ SpanAgg::operator+=(const SpanAgg &o)
 {
     count += o.count;
     wall_ns += o.wall_ns;
-    tsc += o.tsc;
-    cycles += o.cycles;
-    instructions += o.instructions;
-    branch_misses += o.branch_misses;
-    cache_misses += o.cache_misses;
-    task_clock_ns += o.task_clock_ns;
     return *this;
 }
 
@@ -68,12 +44,6 @@ SpanAgg::minus(const SpanAgg &o) const
     SpanAgg d;
     d.count = sub(count, o.count);
     d.wall_ns = sub(wall_ns, o.wall_ns);
-    d.tsc = sub(tsc, o.tsc);
-    d.cycles = sub(cycles, o.cycles);
-    d.instructions = sub(instructions, o.instructions);
-    d.branch_misses = sub(branch_misses, o.branch_misses);
-    d.cache_misses = sub(cache_misses, o.cache_misses);
-    d.task_clock_ns = sub(task_clock_ns, o.task_clock_ns);
     return d;
 }
 
@@ -81,9 +51,8 @@ SpanAgg::minus(const SpanAgg &o) const
 
 namespace detail {
 
-SpanThreadBuf::SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity,
-                             bool open_counters)
-    : tid_(tid), counters_(open_counters)
+SpanThreadBuf::SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity)
+    : tid_(tid)
 {
     ring_.resize(ring_capacity == 0 ? 1 : ring_capacity);
 }
@@ -103,7 +72,6 @@ SpanCollector::SpanCollector()
 {
     enabled_.store(!env::disabled("BTBSIM_SPANS"),
                    std::memory_order_relaxed);
-    host_counters_wanted_ = HostCounters::wantedFromEnv();
     ring_capacity_ = static_cast<std::size_t>(
         env::u64("BTBSIM_SPAN_CAP", 1 << 16));
     if (ring_capacity_ == 0)
@@ -119,8 +87,7 @@ SpanCollector::threadBuf()
         return t_buf;
     std::lock_guard<std::mutex> lk(mu_);
     threads_.push_back(std::make_unique<detail::SpanThreadBuf>(
-        static_cast<std::uint32_t>(threads_.size()), ring_capacity_,
-        host_counters_wanted_));
+        static_cast<std::uint32_t>(threads_.size()), ring_capacity_));
     t_buf = threads_.back().get();
     return t_buf;
 }
@@ -163,8 +130,6 @@ SpanCollector::begin(detail::SpanThreadBuf *buf, const char *name)
 
     detail::SpanThreadBuf::Frame &f = buf->stack_[buf->depth_++];
     f.path = id;
-    f.start_counters = buf->counters_.read();
-    f.start_tsc = readTsc();
     f.start_ns = steadyNs();
 }
 
@@ -178,30 +143,18 @@ SpanCollector::end(detail::SpanThreadBuf *buf)
         return;
     }
     const std::uint64_t end_ns = steadyNs();
-    const std::uint64_t end_tsc = readTsc();
-    const HostCounters::Values end_counters = buf->counters_.read();
-
     const detail::SpanThreadBuf::Frame &f = buf->stack_[--buf->depth_];
-    const HostCounters::Values d = end_counters.minus(f.start_counters);
 
     SpanRecord rec;
     rec.path = f.path;
     rec.depth = static_cast<std::uint16_t>(buf->depth_);
     rec.start_ns = f.start_ns > epoch_ns_ ? f.start_ns - epoch_ns_ : 0;
     rec.dur_ns = end_ns > f.start_ns ? end_ns - f.start_ns : 0;
-    rec.tsc = end_tsc > f.start_tsc ? end_tsc - f.start_tsc : 0;
-    rec.counters = d;
 
     // Aggregate first (complete), then ring (most recent window).
     SpanAgg &a = buf->agg_[f.path];
     ++a.count;
     a.wall_ns += rec.dur_ns;
-    a.tsc += rec.tsc;
-    a.cycles += d.cycles;
-    a.instructions += d.instructions;
-    a.branch_misses += d.branch_misses;
-    a.cache_misses += d.cache_misses;
-    a.task_clock_ns += d.task_clock_ns;
 
     buf->ring_[(buf->head_ + buf->count_) % buf->ring_.size()] = rec;
     if (buf->count_ < buf->ring_.size())
@@ -211,16 +164,6 @@ SpanCollector::end(detail::SpanThreadBuf *buf)
         ++buf->dropped_;
     }
     ++buf->completed_;
-}
-
-bool
-SpanCollector::countersAvailable() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &t : threads_)
-        if (t->counters().available())
-            return true;
-    return false;
 }
 
 std::string
@@ -291,8 +234,6 @@ SpanCollector::profile() const
         for (const auto &t : threads_) {
             p.total_spans += t->completed();
             p.dropped += t->dropped() + t->deep_skips_;
-            if (t->counters().available())
-                p.counters_available = true;
             for (const auto &[id, agg] : t->agg_)
                 rows.emplace_back(id, agg);
         }
@@ -369,17 +310,6 @@ SpanCollector::writeChromeTrace(std::ostream &os) const
         w.kv("dur", static_cast<double>(rec.dur_ns) / 1000.0);
         w.kv("pid", 1);
         w.kv("tid", static_cast<std::uint64_t>(tid));
-        w.key("args");
-        w.beginObject();
-        w.kv("tsc", rec.tsc);
-        if (rec.counters.cycles != 0 || rec.counters.instructions != 0) {
-            w.kv("cycles", rec.counters.cycles);
-            w.kv("instructions", rec.counters.instructions);
-            w.kv("branch_misses", rec.counters.branch_misses);
-            w.kv("cache_misses", rec.counters.cache_misses);
-        }
-        w.kv("task_clock_ns", rec.counters.task_clock_ns);
-        w.endObject();
         w.endObject();
     }
     w.endArray();

@@ -1,17 +1,15 @@
 /**
  * @file
  * Hierarchical host-time span tracer: where do the *simulator's* cycles
- * go? ObsSpan is an RAII region marker (steady-clock nanoseconds plus a
- * raw timestamp counter); spans nest through a thread-local stack, so a
- * span's path is the '/'-joined chain of its ancestors ("point/execute/
- * measure"). Every thread owns its own buffer — engine workers record
- * concurrently without locks on the hot path.
+ * go? ObsSpan is an RAII region marker (steady-clock nanoseconds); spans
+ * nest through a thread-local stack, so a span's path is the '/'-joined
+ * chain of its ancestors ("point/execute/measure"). Every thread owns its
+ * own buffer — engine workers record concurrently without locks on the
+ * hot path.
  *
  * Two products come out of a run:
  *
- *  - A complete per-path aggregate (SpanProfile: count, wall time, tsc
- *    ticks, and — when host perf counters are available — cycles,
- *    instructions, branch misses, cache misses and thread CPU time).
+ *  - A complete per-path aggregate (SpanProfile: count and wall time).
  *    Aggregation is incremental at span end, so it never loses data to
  *    ring overflow. The per-run slice lands in SimStats::span_profile
  *    (result-JSON host block, schema v2); the whole-process table is the
@@ -24,8 +22,8 @@
  *    directly in Perfetto / chrome://tracing. BTBSIM_SPAN_OUT selects
  *    the output file; benches write it on exit.
  *
- * Recording is on by default and costs one relaxed atomic load plus a
- * few dozen nanoseconds per span — span sites are phase-grained (per
+ * Recording is on by default and costs one relaxed atomic load plus two
+ * steady-clock reads per span — span sites are phase-grained (per
  * run, per sweep point, per decoded chunk), never per simulated
  * instruction. BTBSIM_SPANS=0 disables recording entirely;
  * BTBSIM_SPAN_CAP resizes the per-thread ring.
@@ -45,8 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/host_counters.h"
-
 namespace btbsim::obs {
 
 /** Aggregate of every completed span sharing one path. */
@@ -54,14 +50,6 @@ struct SpanAgg
 {
     std::uint64_t count = 0;
     std::uint64_t wall_ns = 0; ///< Summed steady-clock duration.
-    std::uint64_t tsc = 0;     ///< Summed raw timestamp-counter ticks.
-
-    // Host perf-counter deltas (all zero when counters are unavailable).
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t branch_misses = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t task_clock_ns = 0; ///< Thread CPU time in the span.
 
     SpanAgg &operator+=(const SpanAgg &o);
     /** Saturating subtraction, member-wise (for mark/delta captures). */
@@ -81,7 +69,6 @@ struct ProfileBlock
     std::uint64_t total_spans = 0; ///< Spans ever completed.
     std::uint64_t dropped = 0;     ///< Span records lost to ring overflow.
     std::uint32_t threads = 0;     ///< Threads that recorded spans.
-    bool counters_available = false;
 };
 
 /** One retained span record (Chrome-trace export granularity). */
@@ -91,8 +78,6 @@ struct SpanRecord
     std::uint16_t depth = 0;
     std::uint64_t start_ns = 0; ///< Relative to the collector epoch.
     std::uint64_t dur_ns = 0;
-    std::uint64_t tsc = 0; ///< Timestamp-counter ticks in the span.
-    HostCounters::Values counters; ///< Deltas; zeros when unavailable.
 };
 
 class SpanCollector;
@@ -103,13 +88,11 @@ namespace detail {
 class SpanThreadBuf
 {
   public:
-    SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity,
-                  bool open_counters);
+    SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity);
 
     std::uint32_t tid() const { return tid_; }
     std::uint64_t completed() const { return completed_; }
     std::uint64_t dropped() const { return dropped_; }
-    const HostCounters &counters() const { return counters_; }
 
   private:
     friend class btbsim::obs::SpanCollector;
@@ -120,12 +103,9 @@ class SpanThreadBuf
     {
         std::uint32_t path = 0;
         std::uint64_t start_ns = 0;
-        std::uint64_t start_tsc = 0;
-        HostCounters::Values start_counters;
     };
 
     std::uint32_t tid_;
-    HostCounters counters_;
 
     Frame stack_[kMaxDepth];
     std::size_t depth_ = 0;
@@ -165,9 +145,6 @@ class SpanCollector
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
     /** Override the gate (tests); affects spans opened afterwards. */
     void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-    /** True when at least one thread opened host perf counters. */
-    bool countersAvailable() const;
 
     /** '/'-joined path of interned id @p id ("sweep/point/execute"). */
     std::string pathName(std::uint32_t id) const;
@@ -233,7 +210,6 @@ class SpanCollector
     std::uint32_t intern(std::uint32_t parent, const char *name);
 
     std::atomic<bool> enabled_{true};
-    bool host_counters_wanted_ = true;
     std::size_t ring_capacity_;
     std::uint64_t epoch_ns_ = 0; ///< steady_clock origin of start_ns.
 
@@ -277,9 +253,6 @@ class ObsSpan
   private:
     detail::SpanThreadBuf *buf_ = nullptr;
 };
-
-/** Raw timestamp counter (0 on architectures without one). */
-std::uint64_t readTsc();
 
 } // namespace btbsim::obs
 

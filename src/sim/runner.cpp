@@ -10,7 +10,6 @@
 #include "obs/span.h"
 #include "obs/tracer.h"
 #include "sim/cpu.h"
-#include "traceio/replay_env.h"
 
 namespace btbsim {
 
@@ -63,18 +62,16 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
     {
         obs::ObsSpan run_span("run");
 
-        // Live-generated workload, or a recorded .btbt replay when
-        // BTBSIM_TRACE_DIR holds one. A fresh source per run keeps
-        // concurrent engine workers isolated (TraceSource instances
-        // are not shareable across threads); only the read-only Program
-        // image is shared.
+        // A fresh live-generated source per run keeps concurrent engine
+        // workers isolated (TraceSource instances are not shareable
+        // across threads); only the read-only Program image is shared.
+        std::unique_ptr<Workload> source;
         std::unique_ptr<Cpu> cpu;
-        traceio::OpenedSource opened;
         std::unique_ptr<obs::Tracer> tracer;
         {
             obs::ObsSpan init_span("init");
-            opened = traceio::openWorkloadSource(spec);
-            cpu = std::make_unique<Cpu>(cfg, *opened.source);
+            source = makeWorkload(spec);
+            cpu = std::make_unique<Cpu>(cfg, *source);
             if (obs::Tracer::enabledFromEnv()) {
                 tracer = std::make_unique<obs::Tracer>(
                     obs::Tracer::capacityFromEnv());
@@ -93,8 +90,6 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
         s.minst_per_host_sec =
             s.host_seconds > 0 ? total_insts / 1e6 / s.host_seconds : 0.0;
 
-        s.source_kind = opened.replay ? "replay" : "generated";
-
         if (tracer) {
             obs::ObsSpan dump_span("trace_dump");
             dumpTrace(*tracer, s);
@@ -102,7 +97,6 @@ runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
     }
 
     s.span_profile = spans.aggregateSince(span_mark);
-    s.host_counters_available = spans.countersAvailable();
     return s;
 }
 

@@ -31,10 +31,9 @@ struct RunOptions
 };
 
 /**
- * Simulate one configuration on one workload. Each call opens its own
- * TraceSource (generated or .btbt replay — see traceio/replay_env.h), so
- * concurrent calls never share one and results are bit-identical at any
- * thread count.
+ * Simulate one configuration on one live-generated workload. Each call
+ * opens its own TraceSource, so concurrent calls never share one and
+ * results are bit-identical at any thread count.
  */
 SimStats runOne(const CpuConfig &cfg, const WorkloadSpec &spec,
                 const RunOptions &opt);

@@ -59,12 +59,6 @@ struct SimStats
     /// Host spans completed on the running thread during this run
     /// (paths like "run/measure"); empty when BTBSIM_SPANS=0.
     obs::SpanProfile span_profile;
-    /// Whether span_profile carries real perf-counter columns.
-    bool host_counters_available = false;
-
-    /// How the instruction stream was produced: "generated" (synthetic
-    /// program interpreted live) or "replay" (recorded .btbt trace).
-    std::string source_kind = "generated";
 };
 
 } // namespace btbsim

@@ -18,10 +18,8 @@
  *
  *   btbsim-stats prof <file.json>
  *       Render the host span profile as an indented tree: where the
- *       simulator itself spent its time (warmup vs measure vs export,
- *       experiment-engine stages), with host perf-counter columns
- *       (simulator IPC, branch MPKI) when the producing run had
- *       perf_event_open access.
+ *       simulator itself spent its wall time (warmup vs measure vs
+ *       export, experiment-engine stages).
  *
  *   btbsim-stats prof --compare <a.json> <b.json>
  *       Side-by-side wall-time comparison of two profiles by span path.
@@ -204,7 +202,6 @@ cmdProf(const std::string &path)
 {
     const ResultDoc doc = btbsim::obs::loadResultDoc(path);
     const SpanProfile spans = doc.mergedSpans();
-    const bool have_counters = doc.mergedCountersAvailable();
 
     std::printf("%s: schema v%d, bench \"%s\", %zu runs\n", path.c_str(),
                 doc.schema_version, doc.bench.c_str(), doc.runs.size());
@@ -221,15 +218,10 @@ cmdProf(const std::string &path)
                     static_cast<unsigned long long>(doc.profile.total_spans),
                     doc.profile.threads,
                     static_cast<unsigned long long>(doc.profile.dropped));
-    std::printf("host counters: %s\n\n",
-                have_counters ? "available (perf_event_open)"
-                              : "unavailable — timestamps only");
 
-    std::printf("%-36s %8s %10s %6s %9s", "span", "count", "wall(s)", "%",
-                "avg(ms)");
-    if (have_counters)
-        std::printf(" %6s %8s %6s", "IPC", "brMPKI", "cpu%");
-    std::printf("\n%s\n", std::string(have_counters ? 102 : 78, '-').c_str());
+    std::printf("\n%-36s %8s %10s %6s %9s\n", "span", "count", "wall(s)",
+                "%", "avg(ms)");
+    std::printf("%s\n", std::string(78, '-').c_str());
 
     // std::map iterates paths lexicographically, so every span follows
     // its ancestors; indentation by depth renders the tree.
@@ -248,26 +240,9 @@ cmdProf(const std::string &path)
                 ? static_cast<double>(a.wall_ns) / 1e6 /
                       static_cast<double>(a.count)
                 : 0.0;
-        std::printf("%-36s %8llu %10.3f %5.1f%% %9.3f", label.c_str(),
+        std::printf("%-36s %8llu %10.3f %5.1f%% %9.3f\n", label.c_str(),
                     static_cast<unsigned long long>(a.count), wall_s, pct,
                     avg_ms);
-        if (have_counters) {
-            const double ipc =
-                a.cycles > 0 ? static_cast<double>(a.instructions) /
-                                   static_cast<double>(a.cycles)
-                             : 0.0;
-            const double br_mpki =
-                a.instructions > 0
-                    ? static_cast<double>(a.branch_misses) /
-                          static_cast<double>(a.instructions) * 1000.0
-                    : 0.0;
-            const double cpu_pct =
-                a.wall_ns > 0 ? static_cast<double>(a.task_clock_ns) /
-                                    static_cast<double>(a.wall_ns) * 100.0
-                              : 0.0;
-            std::printf(" %6.2f %8.2f %5.0f%%", ipc, br_mpki, cpu_pct);
-        }
-        std::printf("\n");
     }
     return 0;
 }

@@ -42,8 +42,8 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
           "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SAMPLE_INTERVAL",
           "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
-          "BTBSIM_HOST_COUNTERS", "BTBSIM_TRACE", "BTBSIM_TRACE_CAP",
-          "BTBSIM_TRACE_DIR", "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT"})
+          "BTBSIM_TRACE", "BTBSIM_TRACE_CAP", "BTBSIM_TRACE_DIR",
+          "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <unistd.h>
 
 #include "check/fuzz.h"
@@ -109,6 +111,43 @@ TEST(Fuzz, LoadReproRejectsMissingSidecar)
     check::writeRepro(c, path);
     std::filesystem::remove(check::reproConfigPath(path));
     EXPECT_THROW(check::loadRepro(path), std::runtime_error);
+}
+
+// A sidecar is outside input: a geometry SoaSetTable cannot hold (no
+// sets, or more ways than its 32-bit valid mask) must be rejected by
+// name when the repro's BTB is built, not crash or run on a bad table.
+TEST(Fuzz, ReproWithBadGeometryIsRejectedByName)
+{
+    ScratchDir dir;
+    const std::string path = (dir.path / "case.btbt").string();
+    const struct
+    {
+        BtbLevelGeom BtbConfig::*level;
+        unsigned BtbLevelGeom::*field;
+        unsigned value;
+        const char *name;
+    } cases[] = {
+        {&BtbConfig::l1, &BtbLevelGeom::sets, 0, "l1.sets"},
+        {&BtbConfig::l1, &BtbLevelGeom::ways, 40, "l1.ways"},
+        {&BtbConfig::l2, &BtbLevelGeom::sets, 0, "l2.sets"},
+        {&BtbConfig::l2, &BtbLevelGeom::ways, 0, "l2.ways"},
+    };
+    for (const auto &bad : cases) {
+        check::FuzzCase c = check::randomCase(7, 100);
+        c.btb.ideal = false; // An ideal BTB ignores l1/l2.
+        c.btb.*bad.level.*bad.field = bad.value;
+        check::writeRepro(c, path);
+
+        const check::FuzzCase back = check::loadRepro(path);
+        try {
+            check::runCase(back);
+            ADD_FAILURE() << bad.name << " = " << bad.value << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(bad.name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // Shrinking a case that does not fail must change nothing but the

@@ -33,8 +33,8 @@ dataFile(const std::string &name)
 TEST(ResultDoc, LoadsCheckedInV1Golden)
 {
     // The golden file is a schema-v1 document exactly as PR 1 wrote
-    // them — no host.spans, no counters_available, no profile block.
-    // It must keep loading as the schema moves forward.
+    // them — no host.spans, no profile block. It must keep loading as
+    // the schema moves forward.
     const obs::ResultDoc doc =
         obs::loadResultDoc(dataFile("schema_v1_golden.json"));
 
@@ -53,10 +53,8 @@ TEST(ResultDoc, LoadsCheckedInV1Golden)
 
     // v2-only members come back empty, not as parse errors.
     EXPECT_TRUE(r0.spans.empty());
-    EXPECT_FALSE(r0.counters_available);
     EXPECT_FALSE(doc.has_profile);
     EXPECT_TRUE(doc.mergedSpans().empty());
-    EXPECT_FALSE(doc.mergedCountersAvailable());
 
     // Second run has no samples block at all.
     EXPECT_TRUE(doc.runs[1].samples.empty());
@@ -64,6 +62,9 @@ TEST(ResultDoc, LoadsCheckedInV1Golden)
 
 TEST(ResultDoc, ParsesV2SpansAndProfile)
 {
+    // Earlier v2 writers also emitted the workload source, a host
+    // perf-counter flag and per-span counter columns. Those keys are
+    // retired; documents that still carry them must load unchanged.
     const std::string text = R"({
       "schema_version": 2,
       "bench": "b",
@@ -73,9 +74,13 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
           "stats": { "ipc": 1.5, "branch_mpki": 2.0 },
           "host": {
             "seconds": 0.1,
+            "source": "replay",
             "counters_available": 1,
             "spans": {
-              "run": { "count": 1, "wall_ns": 1000, "cycles": 500 },
+              "run": { "count": 1, "wall_ns": 1000, "tsc": 3000,
+                       "cycles": 500, "instructions": 900,
+                       "branch_misses": 4, "cache_misses": 6,
+                       "task_clock_ns": 990 },
               "run/measure": { "count": 1, "wall_ns": 800 }
             }
           }
@@ -95,9 +100,8 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
         obs::parseResultDoc(obs::parseJson(text), "inline");
 
     ASSERT_EQ(doc.runs.size(), 1u);
-    EXPECT_TRUE(doc.runs[0].counters_available);
-    EXPECT_EQ(doc.runs[0].spans.at("run").wall_ns, 1000u);
-    EXPECT_EQ(doc.runs[0].spans.at("run").cycles, 500u);
+    EXPECT_EQ(doc.runs[0].spans.at("run"), (obs::SpanAgg{1, 1000}));
+    EXPECT_EQ(doc.runs[0].spans.at("run/measure").wall_ns, 800u);
 
     ASSERT_TRUE(doc.has_profile);
     EXPECT_EQ(doc.profile.total_spans, 7u);
@@ -109,7 +113,6 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
     const obs::SpanProfile merged = doc.mergedSpans();
     EXPECT_EQ(merged.size(), 3u);
     EXPECT_EQ(merged.at("run").count, 1u);
-    EXPECT_TRUE(doc.mergedCountersAvailable());
 }
 
 TEST(ResultDoc, MergedSpansFallsBackToSummingRuns)
@@ -159,9 +162,8 @@ TEST(ResultDoc, SpanProfileJsonRoundTrips)
     obs::SpanProfile in;
     in["a"].count = 3;
     in["a"].wall_ns = 1234;
-    in["a"].instructions = 99;
     in["a/b"].count = 1;
-    in["a/b"].task_clock_ns = 55;
+    in["a/b"].wall_ns = 55;
 
     std::ostringstream os;
     {
@@ -175,16 +177,6 @@ TEST(ResultDoc, SpanProfileJsonRoundTrips)
         obs::SpanAgg a;
         a.count = static_cast<std::uint64_t>(agg.at("count").asNumber());
         a.wall_ns = static_cast<std::uint64_t>(agg.at("wall_ns").asNumber());
-        a.instructions =
-            static_cast<std::uint64_t>(agg.at("instructions").asNumber());
-        a.tsc = static_cast<std::uint64_t>(agg.at("tsc").asNumber());
-        a.cycles = static_cast<std::uint64_t>(agg.at("cycles").asNumber());
-        a.branch_misses =
-            static_cast<std::uint64_t>(agg.at("branch_misses").asNumber());
-        a.cache_misses =
-            static_cast<std::uint64_t>(agg.at("cache_misses").asNumber());
-        a.task_clock_ns =
-            static_cast<std::uint64_t>(agg.at("task_clock_ns").asNumber());
         out[path] = a;
     }
     EXPECT_EQ(out, in);

@@ -27,7 +27,6 @@ baseKey()
     k.opt.warmup = 1000;
     k.opt.measure = 2000;
     k.sample_interval = 50'000;
-    k.source_kind = "generated";
     return k;
 }
 
@@ -72,7 +71,6 @@ fullStats()
                   {"frontend.fetch_stalls", 567.0}};
     s.host_seconds = 0.125;
     s.minst_per_host_sec = 0.987;
-    s.source_kind = "generated";
     return s;
 }
 
@@ -136,7 +134,6 @@ TEST(RunCache, EverySingleFieldChangeInvalidatesTheDigest)
         [](exp::RunKey &k) { k.workload.params.w_loop += 0.001; },
         // Engine-level key components.
         [](exp::RunKey &k) { k.sample_interval += 1; },
-        [](exp::RunKey &k) { k.source_kind = "replay"; },
     };
 
     std::set<std::string> digests{base};
@@ -237,8 +234,8 @@ TEST(RunCache, CorruptedEntryIsDiscardedAndResimulated)
 TEST(RunCache, EntryWithRetiredSourceSpeedFieldStillLoads)
 {
     // Earlier builds also stored the source's drain throughput
-    // ("source_minst_per_sec", right after source_kind) and hashed the
-    // payload with it. Such entries must keep serving warm hits.
+    // ("source_minst_per_sec", right after minst_per_host_sec) and hashed
+    // the payload with it. Such entries must keep serving warm hits.
     const std::string dir = ::testing::TempDir() + "run_cache_legacy";
     std::filesystem::remove_all(dir);
     const exp::RunCache cache(dir);
@@ -247,11 +244,10 @@ TEST(RunCache, EntryWithRetiredSourceSpeedFieldStillLoads)
     const std::string digest = exp::runKeyDigest(key);
     const SimStats s = fullStats();
     std::string stats_json = exp::statsToJson(s);
-    const std::string anchor = "\"source_kind\": \"generated\",";
-    const auto pos = stats_json.find(anchor);
+    const auto pos = stats_json.find(
+        ',', stats_json.find("\"minst_per_host_sec\": "));
     ASSERT_NE(pos, std::string::npos);
-    stats_json.insert(pos + anchor.size(),
-                      "\n  \"source_minst_per_sec\": 42.5,");
+    stats_json.insert(pos + 1, "\n  \"source_minst_per_sec\": 42.5,");
 
     const std::string path = cache.entryPath(digest);
     std::filesystem::create_directories(

@@ -7,21 +7,25 @@
 
 #include "env_util.h"
 #include "exp/experiment.h"
+#include "sim/cpu.h"
 #include "sim/runner.h"
-#include "traceio/replay_env.h"
+#include "traceio/trace_reader.h"
 #include "traceio/trace_writer.h"
 
 using namespace btbsim;
 
 namespace {
 
-/** Sweep @p configs x @p specs through the engine (run cache off). */
+/** Sweep @p configs x @p specs through the engine (run cache off).
+ *  @p simulate replaces runOne when set. */
 std::vector<SimStats>
 sweep(const std::vector<CpuConfig> &configs,
-      const std::vector<WorkloadSpec> &specs, const RunOptions &opt)
+      const std::vector<WorkloadSpec> &specs, const RunOptions &opt,
+      decltype(exp::ExperimentOptions::simulate) simulate = {})
 {
     exp::ExperimentOptions eopt;
     eopt.run = opt;
+    eopt.simulate = std::move(simulate);
     const exp::ExperimentResult r =
         exp::runExperiment("runner_test", configs, specs, eopt);
     EXPECT_TRUE(r.allOk());
@@ -54,7 +58,6 @@ TEST(Runner, SweepOrderingAndDeterminism)
 {
     // Live-generated workloads: every worker interprets the one shared
     // Program of its spec, so concurrent interpreters must not interfere.
-    test::ScopedEnv replay("BTBSIM_TRACE_DIR", nullptr);
     test::ScopedEnv interval("BTBSIM_SAMPLE_INTERVAL", "20000");
     RunOptions opt;
     opt.warmup = 60'000;
@@ -87,7 +90,6 @@ TEST(Runner, SweepOrderingAndDeterminism)
     for (std::size_t i = 0; i < st.size(); ++i) {
         EXPECT_EQ(mt[i].config, st[i].config) << i;
         EXPECT_EQ(mt[i].workload, st[i].workload) << i;
-        EXPECT_EQ(mt[i].source_kind, "generated") << i;
         EXPECT_EQ(mt[i].cycles, st[i].cycles) << i;
         EXPECT_EQ(mt[i].counters, st[i].counters) << i;
         EXPECT_FALSE(st[i].samples.empty()) << i;
@@ -98,7 +100,7 @@ TEST(Runner, SweepOrderingAndDeterminism)
 TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
 {
     // One .btbt recording, replayed concurrently by several engine
-    // workers: every worker opens its own TraceReplaySource, so thread
+    // workers: every point opens its own TraceReplaySource, so thread
     // count must not change a single bit of the results.
     RunOptions opt;
     opt.warmup = 40'000;
@@ -111,11 +113,11 @@ TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
     spec.params.num_handlers = 4;
 
     const std::string dir = ::testing::TempDir() + "btbt_runner";
+    const std::string path = dir + "/" + spec.name + traceio::kTraceExt;
     std::filesystem::create_directories(dir);
     {
         auto wl = makeWorkload(spec);
-        traceio::TraceWriter writer(traceio::replayPath(dir, spec.name),
-                                    spec.name, &wl->program());
+        traceio::TraceWriter writer(path, spec.name, &wl->program());
         traceio::RecordingSource rec(*wl, writer);
         const std::uint64_t insts = opt.warmup + opt.measure + (64u << 10);
         for (std::uint64_t i = 0; i < insts; ++i)
@@ -127,24 +129,32 @@ TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
     configs[0].btb = BtbConfig::ibtb(16);
     configs[1].btb = BtbConfig::bbtb(1, true);
 
-    std::vector<SimStats> mt, st;
-    {
-        test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
-        opt.threads = 2;
-        mt = sweep(configs, {spec}, opt);
-        opt.threads = 1;
-        st = sweep(configs, {spec}, opt);
-    }
+    const auto replay = [&](const CpuConfig &cfg, const WorkloadSpec &,
+                            const RunOptions &o) {
+        traceio::TraceReplaySource src(path);
+        Cpu cpu(cfg, src);
+        cpu.run(o.warmup, o.measure);
+        EXPECT_EQ(src.wraps(), 0u);
+        return cpu.stats();
+    };
+    opt.threads = 2;
+    const std::vector<SimStats> mt = sweep(configs, {spec}, opt, replay);
+    opt.threads = 1;
+    const std::vector<SimStats> st = sweep(configs, {spec}, opt, replay);
+    const std::vector<SimStats> live = sweep(configs, {spec}, opt);
 
     ASSERT_EQ(mt.size(), 2u);
     ASSERT_EQ(st.size(), 2u);
+    ASSERT_EQ(live.size(), 2u);
     for (std::size_t i = 0; i < mt.size(); ++i) {
-        EXPECT_EQ(mt[i].source_kind, "replay") << i;
-        EXPECT_EQ(st[i].source_kind, "replay") << i;
         EXPECT_EQ(mt[i].cycles, st[i].cycles) << i;
         EXPECT_EQ(mt[i].instructions, st[i].instructions) << i;
         EXPECT_EQ(mt[i].ipc, st[i].ipc) << i;
         EXPECT_EQ(mt[i].counters, st[i].counters) << i;
+        // ...and the recording replays exactly what live generation ran.
+        EXPECT_EQ(mt[i].cycles, live[i].cycles) << i;
+        EXPECT_EQ(mt[i].ipc, live[i].ipc) << i;
+        EXPECT_EQ(mt[i].counters, live[i].counters) << i;
     }
     std::filesystem::remove_all(dir);
 }

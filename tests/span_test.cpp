@@ -1,5 +1,5 @@
-/** @file Tests for the host span profiler (obs/span.h) and its perf
- *  counter / Chrome-trace / progress-stream companions. */
+/** @file Tests for the host span profiler (obs/span.h) and its
+ *  Chrome-trace export. */
 
 #include <gtest/gtest.h>
 
@@ -10,23 +10,18 @@
 #include <vector>
 
 #include "exp/experiment.h"
-#include "obs/host_counters.h"
 #include "obs/json.h"
 #include "obs/span.h"
-#include "env_util.h"
 
 using namespace btbsim;
-using btbsim::test::ScopedEnv;
 
 namespace {
 
 // The collector singleton reads its knobs once, at first use — pin them
 // before any test touches it: a tiny ring so overflow is cheap to
-// trigger, and the no-perf fallback so counter expectations are the
-// same on locked-down CI runners and on dev machines with perf access.
+// trigger.
 const bool g_env_init = [] {
     ::setenv("BTBSIM_SPAN_CAP", "64", 1);
-    ::setenv("BTBSIM_HOST_COUNTERS", "0", 1);
     ::setenv("BTBSIM_SPANS", "1", 1);
     return true;
 }();
@@ -192,7 +187,6 @@ TEST(Span, RunOneAttachesPerRunSlice)
     ASSERT_EQ(s.span_profile.count("run/measure"), 1u);
     EXPECT_EQ(s.span_profile.at("run/measure").count, 1u);
     EXPECT_GT(s.span_profile.at("run/measure").wall_ns, 0u);
-    EXPECT_FALSE(s.host_counters_available); // Forced fallback (env).
 
     // The collector's global table additionally holds the run span.
     EXPECT_EQ(c.profile().spans.count("run"), 1u);
@@ -238,58 +232,4 @@ TEST(Span, ChromeTraceIsStructurallyValidJson)
     EXPECT_GE(meta, 1u);
     EXPECT_EQ(complete, 2u);
     EXPECT_TRUE(saw_inner);
-}
-
-TEST(HostCounters, FallbackCarriesTaskClockOnly)
-{
-    // want=false is exactly the BTBSIM_HOST_COUNTERS=0 / EPERM path.
-    obs::HostCounters hc(false);
-    EXPECT_FALSE(hc.available());
-
-    const obs::HostCounters::Values v1 = hc.read();
-    EXPECT_EQ(v1.cycles, 0u);
-    EXPECT_EQ(v1.instructions, 0u);
-    EXPECT_EQ(v1.branch_misses, 0u);
-    EXPECT_EQ(v1.cache_misses, 0u);
-
-    // Thread CPU time needs no privileges and keeps advancing.
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 2'000'000; ++i)
-        sink = sink + static_cast<std::uint64_t>(i);
-    const obs::HostCounters::Values v2 = hc.read();
-    EXPECT_GE(v2.task_clock_ns, v1.task_clock_ns);
-    EXPECT_GT(v2.task_clock_ns, 0u);
-}
-
-TEST(HostCounters, EnvKnobGatesTheAttempt)
-{
-    {
-        ScopedEnv e("BTBSIM_HOST_COUNTERS", "0");
-        EXPECT_FALSE(obs::HostCounters::wantedFromEnv());
-    }
-    {
-        ScopedEnv e("BTBSIM_HOST_COUNTERS", "1");
-        EXPECT_TRUE(obs::HostCounters::wantedFromEnv());
-    }
-    {
-        ScopedEnv e("BTBSIM_HOST_COUNTERS", nullptr);
-        EXPECT_TRUE(obs::HostCounters::wantedFromEnv());
-    }
-}
-
-TEST(Span, CollectorReportsNoCountersInForcedFallback)
-{
-    // g_env_init pinned BTBSIM_HOST_COUNTERS=0 before the collector was
-    // born, so the whole-process profile must record the degradation.
-    obs::SpanCollector &c = collector();
-    {
-        obs::ObsSpan span("fallback_probe");
-    }
-    EXPECT_FALSE(c.countersAvailable());
-    const obs::ProfileBlock p = c.profile();
-    EXPECT_FALSE(p.counters_available);
-    const obs::SpanAgg &a = p.spans.at("fallback_probe");
-    EXPECT_EQ(a.cycles, 0u);
-    EXPECT_EQ(a.instructions, 0u);
-    EXPECT_GT(a.wall_ns, 0u); // Timestamps still work.
 }

@@ -5,15 +5,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
-#include "env_util.h"
+#include "sim/cpu.h"
 #include "sim/runner.h"
 #include "trace/suite.h"
-#include "traceio/replay_env.h"
 #include "traceio/trace_reader.h"
 #include "traceio/trace_writer.h"
 
@@ -21,19 +18,21 @@ using namespace btbsim;
 
 namespace {
 
-/** Records @p spec into `<dir>/<name>.btbt`, @p insts instructions long. */
-void
+/** Records @p spec into `<dir>/<name>.btbt`, @p insts instructions long;
+ *  returns the file's path. */
+std::string
 recordWorkload(const std::string &dir, const WorkloadSpec &spec,
                std::uint64_t insts)
 {
     std::filesystem::create_directories(dir);
+    const std::string path = dir + "/" + spec.name + traceio::kTraceExt;
     auto wl = makeWorkload(spec);
-    traceio::TraceWriter writer(traceio::replayPath(dir, spec.name),
-                                spec.name, &wl->program());
+    traceio::TraceWriter writer(path, spec.name, &wl->program());
     traceio::RecordingSource rec(*wl, writer);
     for (std::uint64_t i = 0; i < insts; ++i)
         rec.next();
     writer.finish();
+    return path;
 }
 
 void
@@ -81,23 +80,17 @@ TEST(TraceRoundTrip, ReplayedRunIsBitIdenticalToLive)
 
     // Record more than the run consumes so replay never wraps (a wrap
     // rewrites the seam instruction and would diverge from live).
-    recordWorkload(dir, spec, opt.warmup + opt.measure + (64u << 10));
+    const std::string path =
+        recordWorkload(dir, spec, opt.warmup + opt.measure + (64u << 10));
 
     CpuConfig cfg;
-    SimStats live;
-    {
-        test::ScopedEnv env("BTBSIM_TRACE_DIR", nullptr);
-        live = runOne(cfg, spec, opt);
-    }
-    EXPECT_EQ(live.source_kind, "generated");
+    const SimStats live = runOne(cfg, spec, opt);
 
-    SimStats rep;
-    {
-        test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
-        rep = runOne(cfg, spec, opt);
-    }
-    EXPECT_EQ(rep.source_kind, "replay");
-    expectBitIdentical(live, rep);
+    traceio::TraceReplaySource replay(path);
+    Cpu cpu(cfg, replay);
+    cpu.run(opt.warmup, opt.measure);
+    EXPECT_EQ(replay.wraps(), 0u);
+    expectBitIdentical(live, cpu.stats());
 
     std::filesystem::remove_all(dir);
 }
@@ -107,7 +100,7 @@ TEST(TraceRoundTrip, ReplayDeliversFasterThanGeneration)
     const std::string dir = ::testing::TempDir() + "btbt_speed";
 
     WorkloadSpec spec = serverSuite(1)[0];
-    recordWorkload(dir, spec, 512u << 10);
+    const std::string path = recordWorkload(dir, spec, 512u << 10);
 
     using clock = std::chrono::steady_clock;
     const std::uint64_t kDrain = 1'500'000;
@@ -124,7 +117,7 @@ TEST(TraceRoundTrip, ReplayDeliversFasterThanGeneration)
     // Replay wraps several times over the drain — throughput is about
     // delivery speed, not stream identity. Warm one lap first so the
     // decode-once cache is populated, as it is after any sim run.
-    traceio::TraceReplaySource replay(traceio::replayPath(dir, spec.name));
+    traceio::TraceReplaySource replay(path);
     for (std::uint64_t i = 0; i < replay.instructionCount(); ++i)
         sink += replay.next().pc;
     replay.reset();
@@ -144,47 +137,6 @@ TEST(TraceRoundTrip, ReplayDeliversFasterThanGeneration)
     EXPECT_GT(replay_mips, live_mips)
         << "replay must beat live generation (generated " << live_mips
         << " Mi/s, replay " << replay_mips << " Mi/s)";
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceRoundTrip, CorruptRecordingFallsBackToGeneration)
-{
-    const std::string dir = ::testing::TempDir() + "btbt_fallback";
-    std::filesystem::create_directories(dir);
-
-    WorkloadSpec spec = serverSuite(1)[0];
-    {
-        std::ofstream os(traceio::replayPath(dir, spec.name),
-                         std::ios::binary);
-        os << "this is not a trace";
-    }
-
-    RunOptions opt;
-    opt.warmup = 10'000;
-    opt.measure = 20'000;
-    test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
-    const SimStats s = runOne(CpuConfig{}, spec, opt);
-    // The bad file is diagnosed (to stderr) and the run still completes
-    // on the live source.
-    EXPECT_EQ(s.source_kind, "generated");
-    EXPECT_GT(s.cycles, 0u);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceRoundTrip, MissingRecordingUsesGeneration)
-{
-    const std::string dir = ::testing::TempDir() + "btbt_missing";
-    std::filesystem::create_directories(dir); // Empty: no .btbt inside.
-
-    WorkloadSpec spec = serverSuite(1)[0];
-    RunOptions opt;
-    opt.warmup = 10'000;
-    opt.measure = 20'000;
-    test::ScopedEnv env("BTBSIM_TRACE_DIR", dir.c_str());
-    const SimStats s = runOne(CpuConfig{}, spec, opt);
-    EXPECT_EQ(s.source_kind, "generated");
 
     std::filesystem::remove_all(dir);
 }
