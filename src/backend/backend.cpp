@@ -4,13 +4,57 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace btbsim {
 
+namespace {
+
+/** @return @p cfg, or throw std::invalid_argument naming the first
+ *  backend.<field> the backend cannot model. */
+const BackendConfig &
+validated(const BackendConfig &cfg)
+{
+    auto reject = [](const char *field, unsigned got, const char *rule) {
+        throw std::invalid_argument("backend." + std::string(field) +
+                                    " = " + std::to_string(got) + ": " +
+                                    rule);
+    };
+    const std::pair<const char *, unsigned> sizes[] = {
+        {"rob_size", cfg.rob_size},         {"iq_size", cfg.iq_size},
+        {"lq_size", cfg.lq_size},           {"sq_size", cfg.sq_size},
+        {"alloc_width", cfg.alloc_width},   {"commit_width", cfg.commit_width},
+        {"issue_width", cfg.issue_width},
+    };
+    for (const auto &[field, v] : sizes)
+        if (v == 0)
+            reject(field, v, "must be >= 1");
+    if (!cfg.ideal) {
+        const std::pair<const char *, unsigned> ports[] = {
+            {"misc_ports", cfg.misc_ports},
+            {"load_ports", cfg.load_ports},
+            {"store_ports", cfg.store_ports},
+        };
+        for (const auto &[field, v] : ports)
+            if (v == 0)
+                reject(field, v, "must be >= 1 on the non-ideal backend");
+    }
+    if (cfg.rob_size > Backend::kMaxRobSize)
+        reject("rob_size", cfg.rob_size,
+               "must be <= 16384, the most ROB slots a 16-bit wake-list "
+               "link can address");
+    return cfg;
+}
+
+} // namespace
+
 Backend::Backend(const BackendConfig &cfg, MemHier &mem)
-    : cfg_(cfg), mem_(&mem), rob_(std::bit_ceil(std::size_t{cfg.rob_size})),
-      rob_mask_(rob_.size() - 1)
-{}
+    : cfg_(validated(cfg)), mem_(&mem),
+      rob_(std::bit_ceil(std::size_t{cfg_.rob_size})),
+      rob_mask_(rob_.size() - 1), ready_((rob_.size() + 63) / 64, 0)
+{
+    wheel_.fill(kNil);
+}
 
 bool
 Backend::canAllocate() const
@@ -61,31 +105,81 @@ Backend::allocate(DynInst &&inst, Cycle now)
         }
     }
 
-    RobEntry &e = rob_[inst.seq & rob_mask_];
-    e = RobEntry{std::move(inst), cfg_.ideal};
+    // Overwrite the reused slot field by field rather than assigning a
+    // fresh RobEntry; next_waiter and next_due are written when linked.
+    const std::size_t s = inst.seq & rob_mask_;
+    RobEntry &e = rob_[s];
+    e.inst = std::move(inst);
+    e.issued = cfg_.ideal;
     if (cfg_.ideal)
         return;
 
     ++iq_occupancy_;
-    if (unissued_tail_)
-        unissued_tail_->next_unissued = &e;
-    else
-        unissued_head_ = &e;
-    unissued_tail_ = &e;
-
-    // A new chain entry voids the issue-stage sleep proof.
-    issue_sleep_until_ = 0;
+    // Wait on each producer that has not issued; an issued one already
+    // pins its completion cycle. A committed one has completed.
+    const DynInst &d = e.inst;
+    e.ready_at = now + 1;
+    e.pending = 0;
+    e.waiters = kNil;
+    for (unsigned op = 0; op < 2; ++op) {
+        const std::uint64_t dep = op ? d.dep2 : d.dep1;
+        if (dep <= last_committed_seq_ || (op == 1 && dep == d.dep1))
+            continue;
+        RobEntry &p = rob_[dep & rob_mask_];
+        if (p.issued) {
+            e.ready_at = std::max(e.ready_at, p.inst.complete_cycle);
+            continue;
+        }
+        e.next_waiter[op] = p.waiters;
+        p.waiters = static_cast<Link>(s << 1 | op);
+        ++e.pending;
+    }
+    if (e.pending == 0)
+        schedule(s);
 }
 
-Cycle
-Backend::depWake(std::uint64_t seq, Cycle now) const
+void
+Backend::schedule(std::size_t s)
 {
-    if (seq <= last_committed_seq_)
-        return 0; // No dependency (seq 0) or producer committed.
-    const RobEntry &src = slot(seq);
-    if (!src.issued)
-        return std::max(now + 2, src.stall_until + 1);
-    return src.inst.complete_cycle <= now ? 0 : src.inst.complete_cycle;
+    RobEntry &e = rob_[s];
+    Link &bucket = wheel_[e.ready_at & (kWheelCycles - 1)];
+    e.next_due = bucket;
+    bucket = static_cast<Link>(s);
+}
+
+void
+Backend::drainWheel(Cycle now)
+{
+    // Cpu runs every cycle; a caller that skips cycles gets the skipped
+    // buckets drained here (at most one full turn).
+    Cycle c = std::max(wheel_now_ + 1,
+                       now >= kWheelCycles ? now - kWheelCycles + 1 : 0);
+    for (; c <= now; ++c) {
+        for (Link *l = &wheel_[c & (kWheelCycles - 1)]; *l != kNil;) {
+            RobEntry &e = rob_[*l];
+            if (e.ready_at > now) {
+                l = &e.next_due; // Due on a later turn.
+                continue;
+            }
+            ready_[*l >> 6] |= std::uint64_t{1} << (*l & 63);
+            ++ready_count_;
+            *l = e.next_due;
+        }
+    }
+    wheel_now_ = std::max(wheel_now_, now);
+}
+
+void
+Backend::wake(const RobEntry &producer)
+{
+    for (Link l = producer.waiters; l != kNil;) {
+        RobEntry &c = rob_[l >> 1];
+        const Link next = c.next_waiter[l & 1];
+        c.ready_at = std::max(c.ready_at, producer.inst.complete_cycle);
+        if (--c.pending == 0)
+            schedule(l >> 1);
+        l = next;
+    }
 }
 
 unsigned
@@ -112,121 +206,61 @@ Backend::execLatency(const DynInst &d, Cycle now)
 }
 
 void
+Backend::issue(Cycle now)
+{
+    // Visit the ready bits in seq order: from the ROB head's slot to the
+    // end of the ring, then from slot 0 back up to the head.
+    unsigned issued = 0, loads = 0, stores = 0, misc = 0;
+    const std::size_t words = ready_.size();
+    const std::size_t head = (last_committed_seq_ + 1) & rob_mask_;
+    const std::uint64_t head_high = ~std::uint64_t{0} << (head & 63);
+    std::size_t w = head >> 6;
+    std::uint64_t bits = ready_[w] & head_high;
+    unsigned left = ready_count_;
+    for (std::size_t i = 0; left > 0;) {
+        while (bits) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            --left;
+            RobEntry &e = rob_[w * 64 + b];
+            DynInst &d = e.inst;
+            unsigned &used = d.in.isLoad()    ? loads
+                             : d.in.isStore() ? stores
+                                              : misc;
+            const unsigned cap = d.in.isLoad()    ? cfg_.load_ports
+                                 : d.in.isStore() ? cfg_.store_ports
+                                                  : cfg_.misc_ports;
+            if (used >= cap)
+                continue; // Port-capped: stays ready for next cycle.
+            ++used;
+
+            d.complete_cycle = now + execLatency(d, now);
+            e.issued = true;
+            ready_[w] &= ~(std::uint64_t{1} << b);
+            --ready_count_;
+            --iq_occupancy_;
+            if (d.resteer == Resteer::kExec) {
+                has_pending_resteer_ = true;
+                pending_resteer_complete_ = d.complete_cycle;
+            }
+            wake(e);
+            if (++issued == cfg_.issue_width)
+                return;
+        }
+        if (++i > words)
+            break;
+        w = (w + 1) & (words - 1);
+        bits = i == words ? ready_[w] & ~head_high : ready_[w];
+    }
+}
+
+void
 Backend::runCycle(Cycle now)
 {
-    // ---- Issue ----------------------------------------------------------
-    // Walk the un-issued chain (the ROB-order subsequence the old
-    // full-ROB scan visited after skipping issued entries); issue unlinks
-    // in place, so long-lived issued entries cost nothing per cycle.
-    unsigned issued = 0, loads = 0, stores = 0, misc = 0;
-    unsigned window_scanned = 0;
-    // Whole-stage sleep: when the previous walk proved that no entry can
-    // become issuable before issue_sleep_until_ (and nothing was
-    // allocated since — allocate() resets the bound), the walk is a
-    // provable no-op and is skipped outright.
-    if (issue_sleep_until_ > now)
-        goto commit_stage;
-    {
-    constexpr Cycle kNoWake = ~Cycle{0};
-    Cycle min_wake = kNoWake;
+    drainWheel(now);
+    if (ready_count_ > 0)
+        issue(now);
 
-    RobEntry *prev = nullptr;
-    for (RobEntry *e = unissued_head_; e;) {
-        if (issued >= cfg_.issue_width) {
-            // Unvisited tail: no bound on it, re-walk next cycle.
-            min_wake = now + 1;
-            break;
-        }
-        // Only the IQ window of oldest un-issued instructions is
-        // eligible (canAllocate() bounds total un-issued to iq_size, so
-        // this break is a safety net rather than a reachable limit).
-        if (++window_scanned > cfg_.iq_size) {
-            min_wake = now + 1;
-            break;
-        }
-        DynInst &d = e->inst;
-        RobEntry *next = e->next_unissued;
-        if (d.alloc_cycle >= now) {
-            // Allocated this cycle; earliest issue is next cycle.
-            min_wake = std::min(min_wake, now + 1);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        if (e->stall_until <= now) {
-            // Bound the next possible wake-up (0 = ready now). An issued
-            // producer has a fixed completion cycle. An un-issued
-            // producer sits earlier in the chain (rename order), so it
-            // cannot issue at `now` after this visit: it cannot issue
-            // before now+1, and with >= 1 cycle latencies its consumer
-            // cannot be ready before now+2 (or the producer's own bound
-            // + 1, whichever is later).
-            e->stall_until =
-                std::max(depWake(d.dep1, now), depWake(d.dep2, now));
-        }
-
-        if (e->stall_until > now) {
-            // Known-unready until e->stall_until: skip the producer
-            // re-check (and the port logic) entirely.
-            min_wake = std::min(min_wake, e->stall_until);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        if (d.in.isLoad()) {
-            if (loads >= cfg_.load_ports) {
-                // Ready but port-capped: eligible again next cycle.
-                min_wake = std::min(min_wake, now + 1);
-                prev = e;
-                e = next;
-                continue;
-            }
-        } else if (d.in.isStore()) {
-            if (stores >= cfg_.store_ports) {
-                min_wake = std::min(min_wake, now + 1);
-                prev = e;
-                e = next;
-                continue;
-            }
-        } else if (misc >= cfg_.misc_ports) {
-            min_wake = std::min(min_wake, now + 1);
-            prev = e;
-            e = next;
-            continue;
-        }
-
-        d.complete_cycle = now + execLatency(d, now);
-        e->issued = true;
-        --iq_occupancy_;
-        ++issued;
-        if (d.in.isLoad())
-            ++loads;
-        else if (d.in.isStore())
-            ++stores;
-        else
-            ++misc;
-
-        if (d.resteer == Resteer::kExec) {
-            has_pending_resteer_ = true;
-            pending_resteer_complete_ = d.complete_cycle;
-        }
-
-        if (prev)
-            prev->next_unissued = next;
-        else
-            unissued_head_ = next;
-        if (e == unissued_tail_)
-            unissued_tail_ = prev;
-        e = next;
-    }
-    // kNoWake (nothing pending at all) sleeps until the next allocation
-    // (allocate() clears the bound).
-    issue_sleep_until_ = min_wake;
-    }
-
-  commit_stage:
     // ---- Commit ---------------------------------------------------------
     unsigned commits = 0;
     while (robOccupancy() > 0 && commits < cfg_.commit_width) {

@@ -15,6 +15,7 @@
 #ifndef BTBSIM_BACKEND_BACKEND_H
 #define BTBSIM_BACKEND_BACKEND_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -61,10 +62,27 @@ struct BackendConfig
  * instructions through allocate() and polls for exec-resolved resteers.
  * Instructions must arrive with contiguous seqs starting at 1: the ROB
  * is a ring indexed by seq.
+ *
+ * Issue is dependency-driven. allocate() links each consumer onto the
+ * wake list of every producer that has not issued yet. When the last
+ * one issues, the consumer's ready cycle is known and it goes on a
+ * cycle-indexed wheel. Each cycle drains the due bucket into a ready
+ * bitmap (one bit per ROB slot), and issue scans that bitmap from the
+ * ROB head, so it visits only entries whose operands are ready.
  */
 class Backend
 {
   public:
+    /// Largest rob_size the wake lists can address: a link is a 16-bit
+    /// (slot << 1 | operand) and 0xffff ends a list.
+    static constexpr unsigned kMaxRobSize = 1u << 14;
+    /// Cycles the wakeup wheel spans. A consumer due further out stays
+    /// in its bucket for another turn of the wheel.
+    static constexpr unsigned kWheelCycles = 256;
+
+    /** Throws std::invalid_argument naming the backend.<field> of @p cfg
+     *  when a size or width is 0, a port count is 0 (non-ideal only), or
+     *  rob_size exceeds kMaxRobSize. */
     Backend(const BackendConfig &cfg, MemHier &mem);
 
     /** Space for one more instruction this cycle? */
@@ -92,21 +110,24 @@ class Backend
     }
 
   private:
+    using Link = std::uint16_t;
+    static constexpr Link kNil = 0xffff;
+
     struct RobEntry
     {
         DynInst inst;
+        /// Earliest cycle the operands can be ready: the latest
+        /// completion among the issued producers, and alloc_cycle + 1.
+        Cycle ready_at = 0;
         bool issued = false;
-        /// Intrusive issue-scan chain threading the un-issued entries in
-        /// ROB order; issue unlinks, so the per-cycle scan never walks
-        /// already-issued entries.
-        RobEntry *next_unissued = nullptr;
-        /// Earliest cycle the dependencies can possibly be ready (issued
-        /// producers pin their completion cycle; an un-issued producer
-        /// cannot complete before now+2). Purely a scan shortcut:
-        /// readiness never regresses, so skipping the producer re-check
-        /// until this cycle is timing-identical to re-checking every
-        /// cycle.
-        Cycle stall_until = 0;
+        /// Producers that have not issued yet.
+        std::uint8_t pending = 0;
+        /// Head of the consumer operands waiting on this entry.
+        Link waiters = kNil;
+        /// This entry's link in its producers' wake lists, per operand.
+        Link next_waiter[2] = {kNil, kNil};
+        /// Next slot in the same wheel bucket.
+        Link next_due = kNil;
     };
 
     BackendConfig cfg_;
@@ -132,24 +153,24 @@ class Backend
     /// Rename: architectural register -> producing seq.
     std::uint64_t last_writer_[64] = {};
 
-    RobEntry *unissued_head_ = nullptr;
-    RobEntry *unissued_tail_ = nullptr;
+    /// Wakeup wheel: bucket c % kWheelCycles chains the slots whose
+    /// ready_at is c (or a later turn's c).
+    std::array<Link, kWheelCycles> wheel_;
+    Cycle wheel_now_ = 0; ///< Last cycle whose bucket was drained.
 
-    /// Proven lower bound on the next cycle any entry could issue; the
-    /// issue walk is skipped while now < issue_sleep_until_. Reset to 0
-    /// by allocate() (a new entry voids the proof). Purely a scan
-    /// shortcut — every bound is derived from fixed completion cycles,
-    /// so skipped walks are provable no-ops.
-    Cycle issue_sleep_until_ = 0;
+    /// One bit per ROB slot: operands ready, not yet issued.
+    std::vector<std::uint64_t> ready_;
+    unsigned ready_count_ = 0;
 
     const RobEntry &
     slot(std::uint64_t seq) const
     {
         return rob_[seq & rob_mask_];
     }
-    /** Earliest cycle producer @p seq can have its result, as known at
-     *  @p now; 0 when it already has. */
-    Cycle depWake(std::uint64_t seq, Cycle now) const;
+    void schedule(std::size_t s);
+    void drainWheel(Cycle now);
+    void issue(Cycle now);
+    void wake(const RobEntry &producer);
     unsigned execLatency(const DynInst &d, Cycle now);
 };
 

@@ -1,11 +1,37 @@
 #include "memory/cache.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace btbsim {
 
+namespace {
+
+/** @return @p cfg, or throw std::invalid_argument naming the first
+ *  <name>.<field> the cache cannot model. */
+const CacheConfig &
+validated(const CacheConfig &cfg)
+{
+    auto reject = [&cfg](const char *field, unsigned got, const char *rule) {
+        throw std::invalid_argument(cfg.name + "." + field + " = " +
+                                    std::to_string(got) + ": " + rule);
+    };
+    if (cfg.sets < 1)
+        reject("sets", cfg.sets, "must be >= 1");
+    if (cfg.ways < 1 || cfg.ways > 32)
+        reject("ways", cfg.ways,
+               "must be in 1..32 (the per-set valid mask is 32 bits)");
+    if (cfg.mshrs < 1)
+        reject("mshrs", cfg.mshrs,
+               "must be >= 1: every miss holds an MSHR until its fill");
+    return cfg;
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &cfg, Cache *next, Dram *dram)
-    : cfg_(cfg), next_(next), dram_(dram),
+    : cfg_(validated(cfg)), next_(next), dram_(dram),
       tags_(cfg.sets, cfg.ways, log2i(kLineBytes)),
       mshr_free_(cfg.mshrs, 0)
 {}

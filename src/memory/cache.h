@@ -86,6 +86,8 @@ struct CacheCounters
 class Cache
 {
   public:
+    /** Throws std::invalid_argument naming <name>.<field> of @p cfg when
+     *  sets is 0, ways is outside 1..32 or mshrs is 0. */
     Cache(const CacheConfig &cfg, Cache *next, Dram *dram);
 
     /**

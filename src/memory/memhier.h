@@ -7,6 +7,8 @@
 #define BTBSIM_MEMORY_MEMHIER_H
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "memory/cache.h"
 #include "memory/prefetcher.h"
@@ -22,7 +24,7 @@ struct MemConfig
     CacheConfig l2{"L2", 1024, 8, 15, 32, true}; ///< Next-line prefetcher.
     CacheConfig llc{"LLC", 2048, 16, 35, 64, false};
     unsigned dram_latency = 120;
-    unsigned icache_interleaves = 8;
+    unsigned icache_interleaves = 8; ///< 1..32 (a 32-bit mask per cycle).
 
     bool operator==(const MemConfig &) const = default;
 };
@@ -34,12 +36,22 @@ struct MemConfig
 class MemHier
 {
   public:
+    /** Throws std::invalid_argument naming the field when
+     *  icache_interleaves is outside 1..32 or a cache level's geometry
+     *  or MSHR count is impossible (see Cache). */
     explicit MemHier(const MemConfig &cfg = {})
         : cfg_(cfg), dram_(4, cfg.dram_latency),
           llc_(cfg.llc, nullptr, &dram_), l2_(cfg.l2, &llc_, nullptr),
           l1i_(cfg.l1i, &l2_, nullptr), l1d_(cfg.l1d, &l2_, nullptr),
           itlb_(l2tlb_), dtlb_(l2tlb_)
-    {}
+    {
+        if (cfg.icache_interleaves < 1 || cfg.icache_interleaves > 32)
+            throw std::invalid_argument(
+                "mem.icache_interleaves = " +
+                std::to_string(cfg.icache_interleaves) +
+                ": must be in 1..32 (Cpu::deliver tracks the interleaves "
+                "used in a cycle as a 32-bit mask)");
+    }
 
     /** Instruction fetch of the line containing @p pc. Includes ITLB. */
     Cycle

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "backend/backend.h"
 #include "trace_util.h"
@@ -233,4 +238,338 @@ TEST(Backend, AllocateChecksRingInvariants)
     for (int i = 0; i < 8; ++i)
         g.be->allocate(g.alu(), 1);
     EXPECT_THROW(g.be->allocate(g.alu(), 1), std::logic_error);
+}
+
+TEST(Backend, RejectsImpossibleConfigsByName)
+{
+    // Each case breaks one field of the Table-1 backend; the error must
+    // name it.
+    struct Case
+    {
+        const char *field;
+        void (*mutate)(BackendConfig &);
+    };
+    const Case cases[] = {
+        {"backend.rob_size", [](BackendConfig &c) { c.rob_size = 0; }},
+        {"backend.iq_size", [](BackendConfig &c) { c.iq_size = 0; }},
+        {"backend.lq_size", [](BackendConfig &c) { c.lq_size = 0; }},
+        {"backend.sq_size", [](BackendConfig &c) { c.sq_size = 0; }},
+        {"backend.alloc_width", [](BackendConfig &c) { c.alloc_width = 0; }},
+        {"backend.commit_width",
+         [](BackendConfig &c) { c.commit_width = 0; }},
+        {"backend.issue_width", [](BackendConfig &c) { c.issue_width = 0; }},
+        {"backend.misc_ports", [](BackendConfig &c) { c.misc_ports = 0; }},
+        {"backend.load_ports", [](BackendConfig &c) { c.load_ports = 0; }},
+        {"backend.store_ports", [](BackendConfig &c) { c.store_ports = 0; }},
+        {"backend.rob_size",
+         [](BackendConfig &c) { c.rob_size = Backend::kMaxRobSize + 1; }},
+    };
+    MemHier mem;
+    for (const Case &k : cases) {
+        BackendConfig cfg;
+        k.mutate(cfg);
+        try {
+            Backend be(cfg, mem);
+            ADD_FAILURE() << k.field << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The ideal backend has no ports to size, and the largest ROB the
+    // wake lists address constructs.
+    BackendConfig ideal = BackendConfig::idealBackend();
+    ideal.misc_ports = ideal.load_ports = ideal.store_ports = 0;
+    EXPECT_NO_THROW(Backend(ideal, mem));
+    BackendConfig max;
+    max.rob_size = Backend::kMaxRobSize;
+    EXPECT_NO_THROW(Backend(max, mem));
+}
+
+namespace {
+
+/**
+ * Brute-force reference scheduler: every cycle it scans all un-issued
+ * entries in seq order and issues one when each in-flight producer has
+ * completed by now and a port and an issue slot are free. Commit,
+ * rename and the resteer event follow the backend's documented rules.
+ */
+class RefBackend
+{
+  public:
+    RefBackend(const BackendConfig &cfg, MemHier &mem) : cfg_(cfg), mem_(mem)
+    {}
+
+    bool
+    canAllocate() const
+    {
+        return rob_.size() < cfg_.rob_size && unissued_ < cfg_.iq_size &&
+               loads_ < cfg_.lq_size && stores_ < cfg_.sq_size;
+    }
+
+    void
+    allocate(DynInst d, Cycle now)
+    {
+        d.alloc_cycle = now;
+        d.dep1 = d.in.src1 ? last_writer_[d.in.src1] : 0;
+        d.dep2 = d.in.src2 ? last_writer_[d.in.src2] : 0;
+        if (d.in.dst)
+            last_writer_[d.in.dst] = d.seq;
+        loads_ += d.in.isLoad();
+        stores_ += d.in.isStore();
+        ++unissued_;
+        rob_.push_back({d, false});
+    }
+
+    void
+    runCycle(Cycle now)
+    {
+        unsigned issued = 0, loads = 0, stores = 0, misc = 0;
+        for (Entry &e : rob_) {
+            if (issued == cfg_.issue_width)
+                break;
+            DynInst &d = e.d;
+            if (e.issued || d.alloc_cycle >= now || !done(d.dep1, now) ||
+                !done(d.dep2, now))
+                continue;
+            unsigned &used = d.in.isLoad()    ? loads
+                             : d.in.isStore() ? stores
+                                              : misc;
+            if (used >= (d.in.isLoad()    ? cfg_.load_ports
+                         : d.in.isStore() ? cfg_.store_ports
+                                          : cfg_.misc_ports))
+                continue;
+            ++used;
+            ++issued;
+            e.issued = true;
+            --unissued_;
+            Cycle lat = 1;
+            switch (d.in.cls) {
+              case InstClass::kMul:
+              case InstClass::kFp:
+                lat = 3;
+                break;
+              case InstClass::kDiv:
+                lat = 12;
+                break;
+              case InstClass::kLoad: {
+                const Cycle t = mem_.load(d.in.pc, d.in.mem_addr, now);
+                lat = t > now ? t - now : 1;
+                break;
+              }
+              default:
+                break;
+            }
+            max_latency = std::max(max_latency, lat);
+            d.complete_cycle = now + lat;
+            if (d.resteer == Resteer::kExec)
+                resteer_ = d.complete_cycle;
+        }
+        for (unsigned n = 0; n < cfg_.commit_width && !rob_.empty(); ++n) {
+            const DynInst &d = rob_.front().d;
+            if (!rob_.front().issued || d.complete_cycle > now)
+                break;
+            if (d.in.isStore()) {
+                mem_.store(d.in.mem_addr, now);
+                --stores_;
+            }
+            loads_ -= d.in.isLoad();
+            rob_.pop_front();
+            ++committed_;
+        }
+    }
+
+    Cycle
+    takeExecResteer(Cycle now)
+    {
+        if (resteer_ == 0 || resteer_ > now)
+            return 0;
+        return std::exchange(resteer_, 0);
+    }
+
+    std::uint64_t committed() const { return committed_; }
+
+    /// Longest execution latency issued so far.
+    Cycle max_latency = 0;
+
+  private:
+    struct Entry
+    {
+        DynInst d;
+        bool issued;
+    };
+
+    bool
+    done(std::uint64_t dep, Cycle now) const
+    {
+        if (dep <= committed_)
+            return true;
+        const Entry &p = rob_[dep - committed_ - 1];
+        return p.issued && p.d.complete_cycle <= now;
+    }
+
+    BackendConfig cfg_;
+    MemHier &mem_;
+    std::deque<Entry> rob_;
+    std::uint64_t committed_ = 0;
+    std::uint64_t last_writer_[64] = {};
+    unsigned unissued_ = 0, loads_ = 0, stores_ = 0;
+    Cycle resteer_ = 0;
+};
+
+/** Knobs of one differential stream. */
+struct StreamSpec
+{
+    BackendConfig backend;
+    MemConfig mem;
+    std::uint64_t insts = 4000;
+    unsigned regs = 16;          ///< Registers drawn from 0..regs-1.
+    unsigned cold_lines = 4096;  ///< Distinct load/store lines.
+    double load_frac = 0.25;
+};
+
+/** Random instruction @p seq: every class, random registers (0 = none,
+ *  src1 == src2 now and then) and exec-resteer branches. */
+DynInst
+randomInst(std::mt19937_64 &rng, const StreamSpec &spec, std::uint64_t seq)
+{
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    auto reg = [&] {
+        return static_cast<std::uint8_t>(rng() % spec.regs);
+    };
+    DynInst d;
+    d.seq = seq;
+    d.in = seqAt(0x10000 + seq * 4);
+    const double r = u(rng);
+    const double rest = (1.0 - spec.load_frac) / 6.0;
+    if (r < spec.load_frac) {
+        d.in.cls = InstClass::kLoad;
+    } else {
+        const InstClass others[] = {InstClass::kAlu, InstClass::kMul,
+                                    InstClass::kDiv, InstClass::kFp,
+                                    InstClass::kStore, InstClass::kBranch};
+        d.in.cls = others[std::min<std::size_t>(
+            5, static_cast<std::size_t>((r - spec.load_frac) / rest))];
+    }
+    if (d.in.isLoad() || d.in.isStore())
+        d.in.mem_addr = 0x800000 + (rng() % spec.cold_lines) * kLineBytes +
+                        (rng() % 8) * 8;
+    if (d.in.cls == InstClass::kBranch) {
+        d.in.branch = BranchClass::kCondDirect;
+        if (u(rng) < 0.3)
+            d.resteer = Resteer::kExec;
+    } else if (!d.in.isStore()) {
+        d.in.dst = reg();
+    }
+    d.in.src1 = reg();
+    d.in.src2 = u(rng) < 0.2 ? d.in.src1 : reg();
+    return d;
+}
+
+/**
+ * Run @p spec's seeded stream through Backend and RefBackend side by
+ * side, each on its own MemHier, and require equal committed() and
+ * takeExecResteer() on every cycle run. Allocation is bursty and
+ * sometimes precedes runCycle in the same cycle, and a few stretches of
+ * cycles are skipped. @return the reference's longest execution
+ * latency.
+ */
+Cycle
+runDifferential(const StreamSpec &spec, std::uint64_t seed)
+{
+    if (::testing::Test::HasFailure())
+        return 0; // Report only the first diverging stream.
+    MemHier mem(spec.mem), ref_mem(spec.mem);
+    Backend be(spec.backend, mem);
+    RefBackend ref(spec.backend, ref_mem);
+    std::mt19937_64 rng(seed);
+    std::uint64_t seq = 0;
+    Cycle now = 0;
+    auto allocateBurst = [&] {
+        // Idle, a trickle, or as much as fits.
+        const unsigned pick = static_cast<unsigned>(rng() % 4);
+        const unsigned burst = pick == 0   ? 0
+                               : pick == 1 ? 1 + rng() % 3
+                                           : spec.backend.alloc_width;
+        for (unsigned n = 0; n < burst && seq < spec.insts; ++n) {
+            EXPECT_EQ(be.canAllocate(), ref.canAllocate())
+                << "seed " << seed << " cycle " << now;
+            if (!be.canAllocate())
+                break;
+            const DynInst d = randomInst(rng, spec, ++seq);
+            ref.allocate(d, now);
+            be.allocate(DynInst(d), now);
+        }
+    };
+    // Stop at the first divergence: later cycles only echo it.
+    while (ref.committed() < spec.insts && now < 10'000'000 &&
+           !::testing::Test::HasFailure()) {
+        // Now and then skip cycles, up to more than a wheel turn.
+        now += rng() % 64 == 0 ? 2 + rng() % 300 : 1;
+        EXPECT_EQ(be.takeExecResteer(now), ref.takeExecResteer(now))
+            << "seed " << seed << " cycle " << now;
+        const bool alloc_first = rng() % 8 == 0;
+        if (alloc_first)
+            allocateBurst();
+        be.runCycle(now);
+        ref.runCycle(now);
+        if (!alloc_first)
+            allocateBurst();
+        EXPECT_EQ(be.committed(), ref.committed())
+            << "seed " << seed << " cycle " << now;
+    }
+    EXPECT_EQ(be.committed(), spec.insts) << "seed " << seed;
+    return ref.max_latency;
+}
+
+} // namespace
+
+TEST(Backend, MatchesBruteForceSchedulerOnRandomStreams)
+{
+    StreamSpec table1; // The Table-1 core.
+    StreamSpec small;  // Tight ports and queues, a non-power-of-two ROB.
+    small.backend.rob_size = 37;
+    small.backend.iq_size = 9;
+    small.backend.lq_size = 5;
+    small.backend.sq_size = 3;
+    small.backend.alloc_width = small.backend.issue_width = 4;
+    small.backend.commit_width = 3;
+    small.backend.misc_ports = 2;
+    small.backend.load_ports = small.backend.store_ports = 1;
+    small.regs = 6;
+    StreamSpec chained; // Few registers: long dependency chains.
+    chained.regs = 4;
+    chained.load_frac = 0.4;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        for (const StreamSpec *spec : {&table1, &small, &chained})
+            runDifferential(*spec, seed);
+}
+
+TEST(Backend, MatchesBruteForceBeyondTheWakeWheel)
+{
+    // One L1D MSHR and a slow DRAM: cold loads queue behind each other,
+    // so their consumers come due more than a wheel turn after issue.
+    StreamSpec spec;
+    spec.mem.l1d.mshrs = 1;
+    spec.mem.dram_latency = 300;
+    spec.load_frac = 0.5;
+    spec.cold_lines = 1u << 16;
+    spec.insts = 800;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        EXPECT_GT(runDifferential(spec, seed), Cycle{Backend::kWheelCycles});
+}
+
+TEST(Backend, AllocatedThisCycleIssuesNextCycle)
+{
+    Fixture f;
+    DynInst br = f.alu();
+    br.in.cls = InstClass::kBranch;
+    br.in.branch = BranchClass::kCondDirect;
+    br.resteer = Resteer::kExec;
+    f.be->allocate(std::move(br), 5);
+    f.be->runCycle(5); // Same cycle as the allocation: must not issue.
+    EXPECT_EQ(f.be->takeExecResteer(100), 0u);
+    f.be->runCycle(6);
+    EXPECT_EQ(f.be->takeExecResteer(100), 7u); // Issued at 6, 1 cycle.
 }

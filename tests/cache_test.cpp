@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "memory/cache.h"
 
 using namespace btbsim;
@@ -150,4 +153,34 @@ TEST(Dram, ChannelsInterleaveByLine)
     const Cycle b = dram.access(0x040, 0); // different channel
     EXPECT_EQ(a, 100u);
     EXPECT_EQ(b, 100u);
+}
+
+TEST(Cache, RejectsImpossibleConfigsByName)
+{
+    // Each case breaks one field of a valid L1D; the error must name it.
+    struct Case
+    {
+        const char *field;
+        void (*mutate)(CacheConfig &);
+    };
+    const Case cases[] = {
+        {"L1D.sets", [](CacheConfig &c) { c.sets = 0; }},
+        {"L1D.ways", [](CacheConfig &c) { c.ways = 0; }},
+        {"L1D.ways", [](CacheConfig &c) { c.ways = 33; }},
+        {"L1D.mshrs", [](CacheConfig &c) { c.mshrs = 0; }},
+    };
+    Dram dram;
+    for (const Case &k : cases) {
+        CacheConfig cfg{"L1D", 64, 12, 5, 16, false};
+        k.mutate(cfg);
+        try {
+            Cache c(cfg, nullptr, &dram);
+            ADD_FAILURE() << k.field << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+                << e.what();
+        }
+    }
+    // The edges of the valid ranges construct.
+    EXPECT_NO_THROW(Cache({"L1D", 1, 32, 5, 1, false}, nullptr, &dram));
 }

@@ -265,10 +265,11 @@ TEST(Cpu, RepStreamGolden)
 
 TEST(Cpu, DeadlockGuardThrowsWithPipelineState)
 {
-    // No ROB: nothing ever allocates, so nothing commits.
+    // A DRAM slower than the guard: the first fetch never returns, so
+    // nothing commits.
     VectorTrace trace(jumpLoop(0x1000, 15));
     CpuConfig cfg;
-    cfg.backend.rob_size = 0;
+    cfg.mem.dram_latency = 10'000'000;
     Cpu cpu(cfg, trace);
     try {
         cpu.run(0, 1);
@@ -277,7 +278,7 @@ TEST(Cpu, DeadlockGuardThrowsWithPipelineState)
         const std::string msg = e.what();
         for (const char *field :
              {"config ", "workload vector", "cycle 1000401", "committed 0",
-              "FTQ entries ", "decode queue ", "alloc queue 64", "ROB 0",
+              "FTQ entries ", "decode queue ", "alloc queue 0", "ROB 0",
               "resteer"})
             EXPECT_NE(msg.find(field), std::string::npos)
                 << "missing \"" << field << "\" in: " << msg;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "memory/memhier.h"
 
 using namespace btbsim;
@@ -75,4 +78,37 @@ TEST(MemHier, L2NextLinePrefetchOnInstructionPath)
     mem.fetchLine(0xC00000, 0);
     // The L2's next-line prefetcher pulled the following line into L2.
     EXPECT_TRUE(mem.l2().contains(0xC00040));
+}
+
+TEST(MemHier, RejectsImpossibleConfigsByName)
+{
+    struct Case
+    {
+        const char *field;
+        void (*mutate)(MemConfig &);
+    };
+    const Case cases[] = {
+        {"mem.icache_interleaves",
+         [](MemConfig &c) { c.icache_interleaves = 0; }},
+        {"mem.icache_interleaves",
+         [](MemConfig &c) { c.icache_interleaves = 33; }},
+        {"L1D.mshrs", [](MemConfig &c) { c.l1d.mshrs = 0; }},
+        {"L2.sets", [](MemConfig &c) { c.l2.sets = 0; }},
+        {"LLC.ways", [](MemConfig &c) { c.llc.ways = 40; }},
+    };
+    for (const Case &k : cases) {
+        MemConfig cfg;
+        k.mutate(cfg);
+        try {
+            MemHier mem(cfg);
+            ADD_FAILURE() << k.field << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+                << e.what();
+        }
+    }
+    MemConfig edge;
+    edge.icache_interleaves = 32;
+    MemHier mem(edge);
+    EXPECT_EQ(mem.icacheInterleave(31 * kLineBytes), 31u);
 }
