@@ -13,12 +13,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "core/btb_org.h"
-#include "core/btb_registry.h"
 #include "core/rbtb.h"
 #include "sim/cpu.h"
 #include "sim/runner.h"
@@ -98,25 +96,6 @@ class HybridBtb : public BtbOrg
     SoaSetTable<Victim> overflow_;
 };
 
-// Out-of-tree registration: the organization becomes constructible (and
-// its token parseable) everywhere the registry is consulted — no core
-// edits, no subclass-and-switch in a factory.
-const BtbRegistrar reg_hybrid{
-    "hybrid-rbtb",
-    "Region BTB with an overflow victim store (token hybrid-rbtb<S>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<HybridBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        if (tok.rfind("hybrid-rbtb", 0) != 0 || tok.size() <= 11)
-            return false;
-        const int n = std::atoi(tok.c_str() + 11);
-        if (n <= 0)
-            return false;
-        out = BtbConfig::rbtb(static_cast<unsigned>(n));
-        return true;
-    }};
-
 } // namespace
 
 int
@@ -138,10 +117,9 @@ main()
         stock_cfg.btb = cfg;
         const SimStats stock = runOne(stock_cfg, spec, opt);
 
-        // Same pipeline, custom organization resolved by name.
+        // Same pipeline, custom organization handed to the Cpu.
         auto workload = makeWorkload(spec);
-        Cpu cpu(stock_cfg, *workload,
-                BtbRegistry::instance().make("hybrid-rbtb", cfg));
+        Cpu cpu(stock_cfg, *workload, std::make_unique<HybridBtb>(cfg));
         cpu.run(opt.warmup, opt.measure);
         const SimStats hybrid = cpu.stats();
 

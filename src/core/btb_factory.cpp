@@ -1,11 +1,9 @@
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/bbtb.h"
 #include "core/btb_org.h"
-#include "core/btb_registry.h"
 #include "core/hetero.h"
 #include "core/ibtb.h"
 #include "core/mbbtb.h"
@@ -14,86 +12,6 @@
 namespace btbsim {
 
 namespace {
-
-/** "rbtb3" -> 3 for prefix "rbtb"; false when the prefix or the number
- *  does not match. */
-bool
-numberedToken(const std::string &tok, const char *prefix, unsigned &n)
-{
-    const std::string p(prefix);
-    if (tok.rfind(p, 0) != 0 || tok.size() == p.size())
-        return false;
-    n = static_cast<unsigned>(std::atoi(tok.c_str() + p.size()));
-    return n != 0;
-}
-
-// Built-in organizations, keyed by the canonical names BtbKind maps to.
-// Registration order defines token-parser priority and --help order.
-
-const BtbRegistrar reg_ibtb{
-    "ibtb", "Instruction BTB: one branch per entry (token ibtb<W>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<InstructionBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        unsigned n = 0;
-        if (!numberedToken(tok, "ibtb", n))
-            return false;
-        out = BtbConfig::ibtb(n);
-        return true;
-    }};
-
-const BtbRegistrar reg_rbtb{
-    "rbtb", "Region BTB: slots per aligned region (token rbtb<S>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<RegionBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        unsigned n = 0;
-        if (!numberedToken(tok, "rbtb", n))
-            return false;
-        out = BtbConfig::rbtb(n);
-        return true;
-    }};
-
-const BtbRegistrar reg_bbtb{
-    "bbtb", "Block BTB: slots per dynamic block (token bbtb<S>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<BlockBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        unsigned n = 0;
-        if (!numberedToken(tok, "bbtb", n))
-            return false;
-        out = BtbConfig::bbtb(n);
-        return true;
-    }};
-
-const BtbRegistrar reg_mbbtb{
-    "mbbtb", "Multi-block BTB with AllBr pull (token mbbtb<S>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<MultiBlockBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        unsigned n = 0;
-        if (!numberedToken(tok, "mbbtb", n))
-            return false;
-        out = BtbConfig::mbbtb(n, PullPolicy::kAllBr);
-        return true;
-    }};
-
-const BtbRegistrar reg_hetero{
-    "hetero", "Heterogeneous BTB: block L1 over region L2 (token hetero<S>)",
-    [](const BtbConfig &c) -> std::unique_ptr<BtbOrg> {
-        return std::make_unique<HeteroBtb>(c);
-    },
-    [](const std::string &tok, BtbConfig &out) {
-        unsigned n = 0;
-        if (!numberedToken(tok, "hetero", n))
-            return false;
-        out = BtbConfig::hetero(n);
-        return true;
-    }};
 
 /** Reject a level geometry SoaSetTable cannot hold: at least one set,
  *  1..32 ways (the per-set valid mask is 32 bits wide). */
@@ -107,25 +25,6 @@ checkLevelGeom(const BtbLevelGeom &g, const char *level)
         throw std::invalid_argument(std::string(level) +
                                     ".ways must be in 1..32, got " +
                                     std::to_string(g.ways));
-}
-
-/** Canonical registry key for a built-in kind. */
-const char *
-kindKey(BtbKind kind)
-{
-    switch (kind) {
-      case BtbKind::kInstruction:
-        return "ibtb";
-      case BtbKind::kRegion:
-        return "rbtb";
-      case BtbKind::kBlock:
-        return "bbtb";
-      case BtbKind::kMultiBlock:
-        return "mbbtb";
-      case BtbKind::kHetero:
-        return "hetero";
-    }
-    return "";
 }
 
 } // namespace
@@ -311,7 +210,19 @@ makeBtb(const BtbConfig &cfg)
         checkLevelGeom(cfg.l1, "l1");
         checkLevelGeom(cfg.l2, "l2");
     }
-    return BtbRegistry::instance().make(kindKey(cfg.kind), cfg);
+    switch (cfg.kind) {
+      case BtbKind::kInstruction:
+        return std::make_unique<InstructionBtb>(cfg);
+      case BtbKind::kRegion:
+        return std::make_unique<RegionBtb>(cfg);
+      case BtbKind::kBlock:
+        return std::make_unique<BlockBtb>(cfg);
+      case BtbKind::kMultiBlock:
+        return std::make_unique<MultiBlockBtb>(cfg);
+      case BtbKind::kHetero:
+        return std::make_unique<HeteroBtb>(cfg);
+    }
+    return nullptr;
 }
 
 } // namespace btbsim

@@ -13,15 +13,17 @@
  * Entry layout under the cache directory (BTBSIM_RUN_CACHE):
  *
  *   <dir>/<digest[0:2]>/<digest>.json
- *   { "cache_schema": 2, "digest": "...", "stats_sha256": "...",
- *     "key": { ...canonical run key... }, "stats": { ...full SimStats... } }
+ *   { "cache_schema": 3, "digest": "...", "run_sha256": "...",
+ *     "key": { ...canonical run key... }, "run": { ...result run... } }
  *
- * Writes are atomic (temp file + rename), so concurrent sweep workers
- * and parallel test jobs can share a directory. Loads verify the stored
- * stats against stats_sha256 by re-serializing; a corrupted, truncated
- * or stale-schema entry is discarded (unlinked) and reported as a miss,
- * never returned. A warm hit restores SimStats bit-identically — the
- * serialization round-trips every field, with doubles at %.17g.
+ * The payload is the result-JSON run object (obs::writeSimStatsJson),
+ * read back by obs::simStatsFromJson. Writes are atomic (temp file +
+ * rename), so concurrent sweep workers and parallel test jobs can share
+ * a directory. Loads hash the stored payload bytes and check them
+ * against run_sha256; a corrupted, truncated or stale-schema entry is
+ * discarded (unlinked) and reported as a miss, never returned. A warm
+ * hit restores SimStats bit-identically: the run object carries every
+ * field, with doubles at %.17g.
  *
  * NOTE the cache cannot see simulator *code* changes. Bump
  * kRunKeySchemaVersion whenever a change alters simulation results so
@@ -44,8 +46,9 @@ namespace btbsim::exp {
  *  v2: SimStats gained span_profile. */
 constexpr int kRunKeySchemaVersion = 2;
 
-/** Version of the on-disk cache-entry envelope. */
-constexpr int kRunCacheSchemaVersion = 2;
+/** Version of the on-disk cache-entry envelope.
+ *  v3: the payload is the result-JSON run object. */
+constexpr int kRunCacheSchemaVersion = 3;
 
 /** Everything that identifies one run point's results. */
 struct RunKey
@@ -67,13 +70,6 @@ std::string canonicalRunKeyJson(const RunKey &key,
 /** SHA-256 hex digest of canonicalRunKeyJson(key). */
 std::string runKeyDigest(const RunKey &key,
                          int key_schema = kRunKeySchemaVersion);
-
-/** Complete SimStats serialization (every field; cache fidelity). */
-void writeStatsJson(obs::JsonWriter &w, const SimStats &s);
-std::string statsToJson(const SimStats &s);
-
-/** Strict inverse of writeStatsJson (throws std::runtime_error). */
-SimStats statsFromJson(const obs::JsonValue &v);
 
 /** The persistent store. An empty directory string disables it: load()
  *  always misses and store() is a no-op. */
@@ -98,7 +94,7 @@ class RunCache
     /**
      * Load the entry for @p digest. Returns the stored stats only when
      * the envelope parses, schema and digest match, and the payload
-     * verifies against stats_sha256; otherwise the entry (if any) is
+     * verifies against run_sha256; otherwise the entry (if any) is
      * unlinked and nullopt is returned.
      */
     std::optional<SimStats> load(const std::string &digest) const;

@@ -1,7 +1,10 @@
 #include "obs/export.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <ostream>
+#include <stdexcept>
 
 #include "sim/sim_stats.h"
 
@@ -9,34 +12,130 @@ namespace btbsim::obs {
 
 namespace {
 
-/** The scalar SimStats fields exported both to JSON and CSV, in order. */
+/**
+ * One numeric member of T and its result-JSON key: a count (emitted as
+ * an integer) or a double. The tables below name each field once; the
+ * JSON writer, the JSON reader and the runs CSV all iterate them.
+ */
+template <typename T>
 struct Field
 {
     const char *name;
-    double (*get)(const SimStats &);
+    std::uint64_t T::*count = nullptr;
+    double T::*value = nullptr;
+
+    constexpr Field(const char *n, std::uint64_t T::*c) : name(n), count(c)
+    {}
+    constexpr Field(const char *n, double T::*v) : name(n), value(v) {}
+
+    /** Call @p fn with the member of @p obj at its own type. */
+    template <typename Fn>
+    void
+    visit(const T &obj, Fn &&fn) const
+    {
+        if (count)
+            fn(obj.*count);
+        else
+            fn(obj.*value);
+    }
 };
 
-constexpr Field kScalarFields[] = {
-    {"ipc", [](const SimStats &s) { return s.ipc; }},
-    {"branch_mpki", [](const SimStats &s) { return s.branch_mpki; }},
-    {"misfetch_pki", [](const SimStats &s) { return s.misfetch_pki; }},
-    {"combined_mpki", [](const SimStats &s) { return s.combined_mpki; }},
-    {"cond_mispredict_rate",
-     [](const SimStats &s) { return s.cond_mispredict_rate; }},
-    {"l1_btb_hitrate", [](const SimStats &s) { return s.l1_btb_hitrate; }},
-    {"btb_hitrate", [](const SimStats &s) { return s.btb_hitrate; }},
-    {"fetch_pcs_per_access",
-     [](const SimStats &s) { return s.fetch_pcs_per_access; }},
-    {"taken_per_ki", [](const SimStats &s) { return s.taken_per_ki; }},
-    {"l1_slot_occupancy",
-     [](const SimStats &s) { return s.l1_slot_occupancy; }},
-    {"l2_slot_occupancy",
-     [](const SimStats &s) { return s.l2_slot_occupancy; }},
-    {"l1_redundancy", [](const SimStats &s) { return s.l1_redundancy; }},
-    {"l2_redundancy", [](const SimStats &s) { return s.l2_redundancy; }},
-    {"icache_mpki", [](const SimStats &s) { return s.icache_mpki; }},
-    {"avg_dyn_bb_size", [](const SimStats &s) { return s.avg_dyn_bb_size; }},
+/** The "stats" members of a run, in export order. */
+constexpr Field<SimStats> kStatFields[] = {
+    {"instructions", &SimStats::instructions},
+    {"cycles", &SimStats::cycles},
+    {"ipc", &SimStats::ipc},
+    {"branch_mpki", &SimStats::branch_mpki},
+    {"misfetch_pki", &SimStats::misfetch_pki},
+    {"combined_mpki", &SimStats::combined_mpki},
+    {"cond_mispredict_rate", &SimStats::cond_mispredict_rate},
+    {"l1_btb_hitrate", &SimStats::l1_btb_hitrate},
+    {"btb_hitrate", &SimStats::btb_hitrate},
+    {"fetch_pcs_per_access", &SimStats::fetch_pcs_per_access},
+    {"taken_per_ki", &SimStats::taken_per_ki},
+    {"l1_slot_occupancy", &SimStats::l1_slot_occupancy},
+    {"l2_slot_occupancy", &SimStats::l2_slot_occupancy},
+    {"l1_redundancy", &SimStats::l1_redundancy},
+    {"l2_redundancy", &SimStats::l2_redundancy},
+    {"icache_mpki", &SimStats::icache_mpki},
+    {"avg_dyn_bb_size", &SimStats::avg_dyn_bb_size},
 };
+
+/** The members of one "samples.points" element, in export order. */
+constexpr Field<IntervalSample> kSampleFields[] = {
+    {"cycle", &IntervalSample::cycle},
+    {"instructions", &IntervalSample::instructions},
+    {"ipc", &IntervalSample::ipc},
+    {"l1_btb_hitrate", &IntervalSample::l1_btb_hitrate},
+    {"btb_hitrate", &IntervalSample::btb_hitrate},
+    {"branch_mpki", &IntervalSample::branch_mpki},
+    {"misfetch_pki", &IntervalSample::misfetch_pki},
+    {"ftq_occupancy", &IntervalSample::ftq_occupancy},
+    {"icache_mpki", &IntervalSample::icache_mpki},
+};
+
+template <typename T, std::size_t N>
+void
+writeFields(JsonWriter &w, const T &obj, const Field<T> (&fields)[N])
+{
+    w.beginObject();
+    for (const Field<T> &f : fields)
+        f.visit(obj, [&](auto v) { w.kv(f.name, v); });
+    w.endObject();
+}
+
+/** @p m (the member @p key of the object at @p where) checked to have
+ *  type @p type; throws std::runtime_error naming the dotted key. */
+const JsonValue &
+typed(const JsonValue *m, std::string_view where, std::string_view key,
+      JsonValue::Type type)
+{
+    if (m && m->type == type)
+        return *m;
+    std::string path(where);
+    if (!path.empty())
+        path += '.';
+    path += key;
+    throw std::runtime_error(m ? "run JSON: '" + path + "' has the wrong type"
+                               : "run JSON: missing key '" + path + "'");
+}
+
+const JsonValue &
+member(const JsonValue &obj, std::string_view where, std::string_view key,
+       JsonValue::Type type)
+{
+    return typed(obj.find(key), where, key, type);
+}
+
+double
+number(const JsonValue *m, std::string_view where, std::string_view key)
+{
+    // The writer renders a non-finite double as null.
+    if (m && m->isNull())
+        return std::numeric_limits<double>::quiet_NaN();
+    return typed(m, where, key, JsonValue::Type::kNumber).number;
+}
+
+std::uint64_t
+count(const JsonValue *m, std::string_view where, std::string_view key)
+{
+    return static_cast<std::uint64_t>(
+        typed(m, where, key, JsonValue::Type::kNumber).number);
+}
+
+template <typename T, std::size_t N>
+void
+readFields(const JsonValue &obj, std::string_view where, T &out,
+           const Field<T> (&fields)[N])
+{
+    for (const Field<T> &f : fields) {
+        const JsonValue *m = obj.find(f.name);
+        if (f.count)
+            out.*f.count = count(m, where, f.name);
+        else
+            out.*f.value = number(m, where, f.name);
+    }
+}
 
 } // namespace
 
@@ -48,12 +147,7 @@ writeSimStatsJson(JsonWriter &w, const SimStats &s)
     w.kv("workload", s.workload);
 
     w.key("stats");
-    w.beginObject();
-    w.kv("instructions", s.instructions);
-    w.kv("cycles", s.cycles);
-    for (const Field &f : kScalarFields)
-        w.kv(f.name, f.get(s));
-    w.endObject();
+    writeFields(w, s, kStatFields);
 
     w.key("counters");
     w.beginObject();
@@ -74,23 +168,44 @@ writeSimStatsJson(JsonWriter &w, const SimStats &s)
     w.kv("interval_cycles", s.sample_interval);
     w.key("points");
     w.beginArray();
-    for (const obs::IntervalSample &p : s.samples) {
-        w.beginObject();
-        w.kv("cycle", p.cycle);
-        w.kv("instructions", p.instructions);
-        w.kv("ipc", p.ipc);
-        w.kv("l1_btb_hitrate", p.l1_btb_hitrate);
-        w.kv("btb_hitrate", p.btb_hitrate);
-        w.kv("branch_mpki", p.branch_mpki);
-        w.kv("misfetch_pki", p.misfetch_pki);
-        w.kv("ftq_occupancy", p.ftq_occupancy);
-        w.kv("icache_mpki", p.icache_mpki);
-        w.endObject();
-    }
+    for (const IntervalSample &p : s.samples)
+        writeFields(w, p, kSampleFields);
     w.endArray();
     w.endObject();
 
     w.endObject();
+}
+
+SimStats
+simStatsFromJson(const JsonValue &run)
+{
+    using Type = JsonValue::Type;
+    SimStats s;
+    s.config = member(run, "", "config", Type::kString).str;
+    s.workload = member(run, "", "workload", Type::kString).str;
+    readFields(member(run, "", "stats", Type::kObject), "stats", s,
+               kStatFields);
+    for (const auto &[name, v] :
+         member(run, "", "counters", Type::kObject).object)
+        s.counters[name] = number(&v, "counters", name);
+
+    const JsonValue &host = member(run, "", "host", Type::kObject);
+    s.host_seconds = number(host.find("seconds"), "host", "seconds");
+    s.minst_per_host_sec =
+        number(host.find("minst_per_sec"), "host", "minst_per_sec");
+    s.span_profile =
+        spanProfileFromJson(member(host, "host", "spans", Type::kObject));
+
+    const JsonValue &samples = member(run, "", "samples", Type::kObject);
+    s.sample_interval =
+        count(samples.find("interval_cycles"), "samples", "interval_cycles");
+    const JsonValue &points =
+        member(samples, "samples", "points", Type::kArray);
+    s.samples.resize(points.array.size());
+    for (std::size_t i = 0; i < points.array.size(); ++i)
+        readFields(points.array[i], "samples.points", s.samples[i],
+                   kSampleFields);
+    return s;
 }
 
 void
@@ -105,6 +220,18 @@ writeSpanProfileJson(JsonWriter &w, const SpanProfile &p)
         w.endObject();
     }
     w.endObject();
+}
+
+SpanProfile
+spanProfileFromJson(const JsonValue &spans)
+{
+    SpanProfile out;
+    for (const auto &[path, agg] : spans.object) {
+        SpanAgg &a = out[path];
+        a.count = count(agg.find("count"), "spans", "count");
+        a.wall_ns = count(agg.find("wall_ns"), "spans", "wall_ns");
+    }
+    return out;
 }
 
 void
@@ -138,8 +265,8 @@ csvQuote(std::ostream &os, const std::string &s)
 void
 writeRunsCsvHeader(std::ostream &os)
 {
-    os << "config,workload,instructions,cycles";
-    for (const Field &f : kScalarFields)
+    os << "config,workload";
+    for (const Field<SimStats> &f : kStatFields)
         os << ',' << f.name;
     os << ",host_seconds,minst_per_host_sec\n";
 }
@@ -150,26 +277,9 @@ writeRunCsvRow(std::ostream &os, const SimStats &s)
     csvQuote(os, s.config);
     os << ',';
     csvQuote(os, s.workload);
-    os << ',' << s.instructions << ',' << s.cycles;
-    for (const Field &f : kScalarFields)
-        os << ',' << f.get(s);
+    for (const Field<SimStats> &f : kStatFields)
+        f.visit(s, [&](auto v) { os << ',' << v; });
     os << ',' << s.host_seconds << ',' << s.minst_per_host_sec << '\n';
-}
-
-void
-writeSamplesCsv(std::ostream &os, const SimStats &s)
-{
-    os << "config,workload,cycle,instructions,ipc,l1_btb_hitrate,"
-          "btb_hitrate,branch_mpki,misfetch_pki,ftq_occupancy,icache_mpki\n";
-    for (const obs::IntervalSample &p : s.samples) {
-        csvQuote(os, s.config);
-        os << ',';
-        csvQuote(os, s.workload);
-        os << ',' << p.cycle << ',' << p.instructions << ',' << p.ipc << ','
-           << p.l1_btb_hitrate << ',' << p.btb_hitrate << ','
-           << p.branch_mpki << ',' << p.misfetch_pki << ','
-           << p.ftq_occupancy << ',' << p.icache_mpki << '\n';
-    }
 }
 
 std::string

@@ -39,11 +39,15 @@
  *     }
  *   }
  *
- * v1 is v2 without the host.spans / profile members; consumers
- * (obs/result_doc.h) accept both. Keys a consumer does not know are
- * ignored, so v2 documents from builds that also wrote the workload
- * source, a host perf-counter flag and per-span counter columns still
- * load.
+ * Only v2 loads: obs/result_doc.h rejects every other schema_version.
+ * Keys a reader does not know are ignored, so v2 documents from builds
+ * that also wrote the workload source, a host perf-counter flag and
+ * per-span counter columns still load.
+ *
+ * A run object is the one JSON form of a SimStats: the result document
+ * lists them under "runs", and the run cache (exp/run_cache.h) stores
+ * one per entry. writeSimStatsJson writes it and simStatsFromJson reads
+ * it back exactly.
  */
 
 #ifndef BTBSIM_OBS_EXPORT_H
@@ -69,9 +73,20 @@ constexpr int kSchemaVersion = 2;
 /** Emit one run as a JSON object (config/workload/stats/counters/...). */
 void writeSimStatsJson(JsonWriter &w, const SimStats &s);
 
+/**
+ * Exact inverse of writeSimStatsJson: every SimStats field comes back
+ * bit-identical (doubles are written at %.17g; a null reads as the NaN
+ * it stands for). Throws std::runtime_error naming the first missing or
+ * mistyped key ("stats.ipc"); keys it does not know are ignored.
+ */
+SimStats simStatsFromJson(const JsonValue &run);
+
 /** Emit a path-keyed span-aggregate table as a JSON object (the value
  *  of "host.spans" and "profile.spans"). */
 void writeSpanProfileJson(JsonWriter &w, const SpanProfile &p);
+
+/** Inverse of writeSpanProfileJson (throws std::runtime_error). */
+SpanProfile spanProfileFromJson(const JsonValue &spans);
 
 /** Emit a whole-process profile as the top-level "profile" value. */
 void writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p);
@@ -81,9 +96,6 @@ void writeRunsCsvHeader(std::ostream &os);
 
 /** One CSV row of a run's headline stats. */
 void writeRunCsvRow(std::ostream &os, const SimStats &s);
-
-/** The per-interval time series of one run as CSV (header + rows). */
-void writeSamplesCsv(std::ostream &os, const SimStats &s);
 
 /** Filesystem-safe slug: lowercase alnum, everything else collapsed
  *  to single underscores ("I-BTB 16" -> "i_btb_16"). */

@@ -11,42 +11,6 @@
 
 namespace btbsim::obs {
 
-namespace {
-
-double
-numberOr(const JsonValue &v, std::string_view key, double fallback)
-{
-    const JsonValue *m = v.find(key);
-    return m && m->isNumber() ? m->number : fallback;
-}
-
-std::uint64_t
-u64Or(const JsonValue &v, std::string_view key, std::uint64_t fallback)
-{
-    return static_cast<std::uint64_t>(
-        numberOr(v, key, static_cast<double>(fallback)));
-}
-
-SpanAgg
-parseSpanAgg(const JsonValue &v)
-{
-    SpanAgg a;
-    a.count = u64Or(v, "count", 0);
-    a.wall_ns = u64Or(v, "wall_ns", 0);
-    return a;
-}
-
-SpanProfile
-parseSpanTable(const JsonValue &spans)
-{
-    SpanProfile out;
-    for (const auto &[path, agg] : spans.object)
-        out[path] = parseSpanAgg(agg);
-    return out;
-}
-
-} // namespace
-
 SpanProfile
 ResultDoc::mergedSpans() const
 {
@@ -57,8 +21,8 @@ ResultDoc::mergedSpans() const
     if (has_profile && !profile.spans.empty())
         return profile.spans;
     SpanProfile out;
-    for (const DocRun &r : runs)
-        for (const auto &[path, agg] : r.spans)
+    for (const SimStats &r : runs)
+        for (const auto &[path, agg] : r.span_profile)
             out[path] += agg;
     return out;
 }
@@ -69,57 +33,26 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
     ResultDoc doc;
     doc.schema_version =
         static_cast<int>(root.at("schema_version").asNumber());
-    // Compat shim: v1 documents (pre-profiling) parse with empty span
-    // data; anything newer than the build is rejected loudly.
-    if (doc.schema_version < 1 || doc.schema_version > kSchemaVersion)
+    if (doc.schema_version != kSchemaVersion)
         throw std::runtime_error(
             origin + ": unsupported schema_version " +
-            std::to_string(doc.schema_version) + " (tool supports 1.." +
+            std::to_string(doc.schema_version) + " (tool supports " +
             std::to_string(kSchemaVersion) + ")");
     if (const JsonValue *b = root.find("bench"))
         doc.bench = b->isString() ? b->str : "";
 
-    for (const JsonValue &r : root.at("runs").array) {
-        DocRun run;
-        run.config = r.at("config").asString();
-        run.workload = r.at("workload").asString();
-        const JsonValue &stats = r.at("stats");
-        run.ipc = stats.at("ipc").asNumber();
-        run.branch_mpki = numberOr(stats, "branch_mpki", 0.0);
-
-        if (const JsonValue *s = r.find("samples")) {
-            run.sample_interval = u64Or(*s, "interval_cycles", 0);
-            if (const JsonValue *pts = s->find("points")) {
-                for (const JsonValue &pv : pts->array) {
-                    IntervalSample p;
-                    p.cycle = u64Or(pv, "cycle", 0);
-                    p.instructions = u64Or(pv, "instructions", 0);
-                    p.ipc = numberOr(pv, "ipc", 0.0);
-                    p.l1_btb_hitrate = numberOr(pv, "l1_btb_hitrate", 0.0);
-                    p.btb_hitrate = numberOr(pv, "btb_hitrate", 0.0);
-                    p.branch_mpki = numberOr(pv, "branch_mpki", 0.0);
-                    p.misfetch_pki = numberOr(pv, "misfetch_pki", 0.0);
-                    p.ftq_occupancy = numberOr(pv, "ftq_occupancy", 0.0);
-                    p.icache_mpki = numberOr(pv, "icache_mpki", 0.0);
-                    run.samples.push_back(p);
-                }
-            }
-        }
-
-        if (const JsonValue *h = r.find("host"))
-            if (const JsonValue *spans = h->find("spans"))
-                run.spans = parseSpanTable(*spans);
-        doc.runs.push_back(std::move(run));
-    }
+    for (const JsonValue &r : root.at("runs").array)
+        doc.runs.push_back(simStatsFromJson(r));
 
     if (const JsonValue *p = root.find("profile")) {
         doc.has_profile = true;
-        doc.profile.total_spans = u64Or(*p, "total_spans", 0);
-        doc.profile.dropped = u64Or(*p, "dropped", 0);
+        doc.profile.total_spans =
+            static_cast<std::uint64_t>(p->at("total_spans").asNumber());
+        doc.profile.dropped =
+            static_cast<std::uint64_t>(p->at("dropped").asNumber());
         doc.profile.threads =
-            static_cast<std::uint32_t>(u64Or(*p, "threads", 0));
-        if (const JsonValue *spans = p->find("spans"))
-            doc.profile.spans = parseSpanTable(*spans);
+            static_cast<std::uint32_t>(p->at("threads").asNumber());
+        doc.profile.spans = spanProfileFromJson(p->at("spans"));
     }
     return doc;
 }

@@ -1,11 +1,9 @@
 /**
  * @file
- * Loader for btbsim result JSON shared by tools/btbsim-stats and the
- * tests: accepts schema v1 (PR 1, no profiling data) and v2 (adds the
- * per-run host span table and the top-level "profile" block) through one
- * Document, so `show`/`diff`/`prof` work on both and old result files
- * stay comparable. Version-specific fields simply come back empty for
- * v1 documents.
+ * Loader for btbsim result JSON (schema v2, obs/export.h) shared by
+ * tools/btbsim-stats and the tests. Each run is read back into a full
+ * SimStats by obs::simStatsFromJson; any other schema_version is
+ * rejected.
  */
 
 #ifndef BTBSIM_OBS_RESULT_DOC_H
@@ -15,37 +13,21 @@
 #include <string>
 #include <vector>
 
-#include "obs/sampler.h"
 #include "obs/span.h"
+#include "sim/sim_stats.h"
 
 namespace btbsim::obs {
 
 struct JsonValue;
 
-/** One entry of the "runs" array, as the tools consume it. */
-struct DocRun
-{
-    std::string config;
-    std::string workload;
-    double ipc = 0.0;
-    double branch_mpki = 0.0;
-
-    /** Interval time series ("samples.points"); empty when absent. */
-    std::uint64_t sample_interval = 0;
-    std::vector<IntervalSample> samples;
-
-    /** Host span table of this run (schema v2; empty for v1). */
-    SpanProfile spans;
-};
-
-/** A parsed result document (schema v1 or v2). */
+/** A parsed result document. */
 struct ResultDoc
 {
     int schema_version = 0;
     std::string bench;
-    std::vector<DocRun> runs;
+    std::vector<SimStats> runs;
 
-    /** Top-level "profile" block (v2); has_profile false for v1. */
+    /** Top-level "profile" block; has_profile false when absent. */
     bool has_profile = false;
     ProfileBlock profile;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "check/checker.h"
 #include "obs/span.h"
@@ -10,14 +11,36 @@
 
 namespace btbsim {
 
+namespace {
+
+/** @return @p cfg, or throw std::invalid_argument naming the first
+ *  cpu.<field> that would let the frontend deliver nothing. */
+const CpuConfig &
+validated(const CpuConfig &cfg)
+{
+    const std::pair<const char *, unsigned> sizes[] = {
+        {"ftq_entries", cfg.ftq_entries},   {"decode_queue", cfg.decode_queue},
+        {"alloc_queue", cfg.alloc_queue},   {"fetch_width", cfg.fetch_width},
+        {"fetch_lines", cfg.fetch_lines},   {"decode_width", cfg.decode_width},
+        {"alloc_width", cfg.alloc_width},
+    };
+    for (const auto &[field, v] : sizes)
+        if (v == 0)
+            throw std::invalid_argument("cpu." + std::string(field) +
+                                        " = 0: must be >= 1");
+    return cfg;
+}
+
+} // namespace
+
 Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace)
     : Cpu(cfg, trace, makeBtb(cfg.btb))
 {}
 
 Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace,
          std::unique_ptr<BtbOrg> org)
-    : cfg_(cfg), trace_(&trace), mem_(cfg.mem), bpred_(cfg.bpred),
-      org_(std::move(org)),
+    : cfg_(validated(cfg)), trace_(&trace), mem_(cfg.mem),
+      bpred_(cfg.bpred), org_(std::move(org)),
       checked_(check::CheckedBtb::wrapFromEnv(*org_)),
       btb_front_(checked_ ? static_cast<BtbOrg *>(checked_.get())
                           : org_.get()),

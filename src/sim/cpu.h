@@ -37,6 +37,9 @@ class CheckedBtb;
 class Cpu
 {
   public:
+    /** Throws std::invalid_argument naming the field when cfg.btb's
+     *  geometry or a cpu.<width/queue> is impossible (0), or when a
+     *  backend or memory field is (see Backend, MemHier). */
     Cpu(const CpuConfig &cfg, TraceSource &trace);
 
     /**

@@ -59,6 +59,8 @@ struct SimStats
     /// Host spans completed on the running thread during this run
     /// (paths like "run/measure"); empty when BTBSIM_SPANS=0.
     obs::SpanProfile span_profile;
+
+    bool operator==(const SimStats &) const = default;
 };
 
 } // namespace btbsim

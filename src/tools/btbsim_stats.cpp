@@ -1,8 +1,7 @@
 /**
  * @file
- * btbsim-stats — inspect and compare btbsim result JSON (schema v1/v2,
- * see obs/export.h; loading goes through obs/result_doc.h so every
- * command accepts both versions).
+ * btbsim-stats — inspect and compare btbsim result JSON (schema v2,
+ * see obs/export.h; every command loads through obs/result_doc.h).
  *
  *   btbsim-stats show <file.json>
  *       Validate the file and print per-config aggregates, with a
@@ -45,7 +44,7 @@
 
 namespace {
 
-using btbsim::obs::DocRun;
+using btbsim::SimStats;
 using btbsim::obs::ResultDoc;
 using btbsim::obs::SpanAgg;
 using btbsim::obs::SpanProfile;
@@ -67,7 +66,7 @@ std::map<std::string, std::vector<double>>
 ipcByConfig(const ResultDoc &doc)
 {
     std::map<std::string, std::vector<double>> out;
-    for (const DocRun &r : doc.runs)
+    for (const SimStats &r : doc.runs)
         out[r.config].push_back(r.ipc);
     return out;
 }
@@ -86,7 +85,7 @@ cmdShow(const std::string &path)
     // order, concatenated — a coarse shape, not a per-run plot).
     std::map<std::string, std::size_t> samples;
     std::map<std::string, std::vector<double>> series;
-    for (const DocRun &r : doc.runs) {
+    for (const SimStats &r : doc.runs) {
         samples[r.config] += r.samples.size();
         for (const btbsim::obs::IntervalSample &p : r.samples)
             series[r.config].push_back(p.ipc);
@@ -108,13 +107,13 @@ cmdDiff(const std::string &old_path, const std::string &new_path,
     const ResultDoc b = btbsim::obs::parseResultDoc(new_root, new_path);
 
     std::map<std::pair<std::string, std::string>, double> old_ipc;
-    for (const DocRun &r : a.runs)
+    for (const SimStats &r : a.runs)
         old_ipc[{r.config, r.workload}] = r.ipc;
 
     // Per-config geomean over the runs present in BOTH files.
     std::map<std::string, std::vector<double>> old_by_cfg, new_by_cfg;
     std::size_t matched = 0;
-    for (const DocRun &r : b.runs) {
+    for (const SimStats &r : b.runs) {
         auto it = old_ipc.find({r.config, r.workload});
         if (it == old_ipc.end())
             continue;
@@ -206,10 +205,8 @@ cmdProf(const std::string &path)
     std::printf("%s: schema v%d, bench \"%s\", %zu runs\n", path.c_str(),
                 doc.schema_version, doc.bench.c_str(), doc.runs.size());
     if (spans.empty()) {
-        std::printf("no host span profile in this document%s\n",
-                    doc.schema_version < 2
-                        ? " (schema v1 predates profiling)"
-                        : " (BTBSIM_SPANS=0 when it was produced?)");
+        std::printf("no host span profile in this document "
+                    "(BTBSIM_SPANS=0 when it was produced?)\n");
         return 0;
     }
     if (doc.has_profile)

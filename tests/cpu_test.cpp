@@ -284,3 +284,37 @@ TEST(Cpu, DeadlockGuardThrowsWithPipelineState)
                 << "missing \"" << field << "\" in: " << msg;
     }
 }
+
+TEST(Cpu, RejectsImpossibleConfigsByName)
+{
+    // Each case zeroes one frontend width or queue size, which would let
+    // the core deliver nothing until the deadlock guard fired; the
+    // constructor must reject it by name instead.
+    struct Case
+    {
+        const char *field;
+        unsigned CpuConfig::*member;
+    };
+    const Case cases[] = {
+        {"cpu.ftq_entries", &CpuConfig::ftq_entries},
+        {"cpu.decode_queue", &CpuConfig::decode_queue},
+        {"cpu.alloc_queue", &CpuConfig::alloc_queue},
+        {"cpu.fetch_width", &CpuConfig::fetch_width},
+        {"cpu.fetch_lines", &CpuConfig::fetch_lines},
+        {"cpu.decode_width", &CpuConfig::decode_width},
+        {"cpu.alloc_width", &CpuConfig::alloc_width},
+    };
+    VectorTrace trace(jumpLoop(0x1000, 15));
+    for (const Case &k : cases) {
+        CpuConfig cfg;
+        cfg.*k.member = 0;
+        try {
+            Cpu cpu(cfg, trace);
+            ADD_FAILURE() << k.field << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_NO_THROW(Cpu(CpuConfig{}, trace));
+}

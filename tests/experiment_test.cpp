@@ -123,8 +123,7 @@ TEST(Experiment, SecondRunIsServedEntirelyFromCache)
     // Bit-identical restoration, point by point.
     for (std::size_t i = 0; i < warm.points.size(); ++i) {
         EXPECT_EQ(warm.points[i].status, exp::PointStatus::kCached);
-        EXPECT_EQ(exp::statsToJson(warm.points[i].stats),
-                  exp::statsToJson(cold.points[i].stats));
+        EXPECT_EQ(warm.points[i].stats, cold.points[i].stats);
     }
     std::filesystem::remove_all(dir);
 }

@@ -1,10 +1,9 @@
-/** @file Tests for the result-JSON loader (obs/result_doc.h): schema
- *  v1 compatibility against a checked-in golden file, v2 span parsing,
- *  version rejection, and the sparkline renderer. */
+/** @file Tests for the result-JSON loader (obs/result_doc.h): runs read
+ *  back as SimStats, span parsing, version rejection, the exact diff
+ *  and the sparkline renderer. */
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,51 +12,97 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/result_doc.h"
+#include "sim/report.h"
 
 using namespace btbsim;
 
-#ifndef BTBSIM_TEST_DATA_DIR
-#error "BTBSIM_TEST_DATA_DIR must point at tests/data"
-#endif
-
 namespace {
 
-std::string
-dataFile(const std::string &name)
+/** Two runs in the shape of a small fig10_fetchpcs sweep. */
+std::vector<SimStats>
+fixtureRuns()
 {
-    return std::string(BTBSIM_TEST_DATA_DIR) + "/" + name;
+    SimStats a;
+    a.config = "I-BTB 16";
+    a.workload = "srv-small";
+    a.instructions = 50'000;
+    a.cycles = 31'250;
+    a.ipc = 1.6;
+    a.branch_mpki = 4.2;
+    a.l1_btb_hitrate = 0.97;
+    a.btb_hitrate = 0.99;
+    a.counters = {{"btb.l1.hits", 9000.0}, {"btb.l1.misses", 270.0}};
+    a.host_seconds = 0.42;
+    a.minst_per_host_sec = 0.119;
+    a.span_profile = {{"run", {1, 1000}}, {"run/measure", {1, 800}}};
+    a.sample_interval = 10'000;
+    obs::IntervalSample p;
+    p.cycle = 10'000;
+    p.instructions = 16'100;
+    p.ipc = 1.61;
+    p.ftq_occupancy = 11.25;
+    a.samples = {p, p};
+    a.samples[1].cycle = 20'000;
+    a.samples[1].ipc = 1.59;
+    a.samples[1].ftq_occupancy = 10.75;
+
+    SimStats b;
+    b.config = "B-BTB 1";
+    b.workload = "srv-small";
+    b.instructions = 50'000;
+    b.cycles = 29'412;
+    b.ipc = 1.7;
+    b.span_profile = {{"run", {1, 3000}}};
+    return {a, b};
+}
+
+/** The result document ResultSet::writeJson makes of @p runs. */
+std::string
+docText(const std::vector<SimStats> &runs,
+        const obs::ProfileBlock *profile = nullptr)
+{
+    ResultSet rs;
+    rs.add(runs);
+    std::ostringstream os;
+    rs.writeJson(os, "fig10_fetchpcs", "I-BTB 16", nullptr, profile);
+    return os.str();
+}
+
+/** The parsed document of fixtureRuns() after @p mutate. */
+template <typename Fn>
+obs::JsonValue
+docWith(Fn mutate)
+{
+    std::vector<SimStats> runs = fixtureRuns();
+    mutate(runs);
+    return obs::parseJson(docText(runs));
+}
+
+const auto kUnchanged = [](std::vector<SimStats> &) {};
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
 }
 
 } // namespace
 
-TEST(ResultDoc, LoadsCheckedInV1Golden)
+TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
 {
-    // The golden file is a schema-v1 document exactly as PR 1 wrote
-    // them — no host.spans, no profile block. It must keep loading as
-    // the schema moves forward.
-    const obs::ResultDoc doc =
-        obs::loadResultDoc(dataFile("schema_v1_golden.json"));
+    const std::vector<SimStats> runs = fixtureRuns();
+    const obs::ResultDoc doc = obs::parseResultDoc(
+        obs::parseJson(docText(runs)), "inline");
 
-    EXPECT_EQ(doc.schema_version, 1);
+    EXPECT_EQ(doc.schema_version, obs::kSchemaVersion);
     EXPECT_EQ(doc.bench, "fig10_fetchpcs");
-    ASSERT_EQ(doc.runs.size(), 2u);
-
-    const obs::DocRun &r0 = doc.runs[0];
-    EXPECT_EQ(r0.config, "I-BTB 16");
-    EXPECT_EQ(r0.workload, "srv-small");
-    EXPECT_DOUBLE_EQ(r0.ipc, 1.6);
-    EXPECT_DOUBLE_EQ(r0.branch_mpki, 4.2);
-    EXPECT_EQ(r0.sample_interval, 10000u);
-    ASSERT_EQ(r0.samples.size(), 2u);
-    EXPECT_DOUBLE_EQ(r0.samples[1].ipc, 1.59);
-
-    // v2-only members come back empty, not as parse errors.
-    EXPECT_TRUE(r0.spans.empty());
+    EXPECT_EQ(doc.runs, runs);
     EXPECT_FALSE(doc.has_profile);
-    EXPECT_TRUE(doc.mergedSpans().empty());
-
-    // Second run has no samples block at all.
-    EXPECT_TRUE(doc.runs[1].samples.empty());
 }
 
 TEST(ResultDoc, ParsesV2SpansAndProfile)
@@ -65,76 +110,49 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
     // Earlier v2 writers also emitted the workload source, a host
     // perf-counter flag and per-span counter columns. Those keys are
     // retired; documents that still carry them must load unchanged.
-    const std::string text = R"({
-      "schema_version": 2,
-      "bench": "b",
-      "runs": [
-        {
-          "config": "c0", "workload": "w0",
-          "stats": { "ipc": 1.5, "branch_mpki": 2.0 },
-          "host": {
-            "seconds": 0.1,
-            "source": "replay",
-            "counters_available": 1,
-            "spans": {
-              "run": { "count": 1, "wall_ns": 1000, "tsc": 3000,
-                       "cycles": 500, "instructions": 900,
-                       "branch_misses": 4, "cache_misses": 6,
-                       "task_clock_ns": 990 },
-              "run/measure": { "count": 1, "wall_ns": 800 }
-            }
-          }
-        }
-      ],
-      "profile": {
-        "total_spans": 7, "dropped": 2, "threads": 3,
-        "counters_available": 1,
-        "spans": {
-          "run": { "count": 1, "wall_ns": 1000, "cycles": 500 },
-          "run/measure": { "count": 1, "wall_ns": 800 },
-          "setup": { "count": 1, "wall_ns": 50 }
-        }
-      }
-    })";
+    const std::vector<SimStats> runs = fixtureRuns();
+    obs::ProfileBlock profile;
+    profile.total_spans = 7;
+    profile.dropped = 2;
+    profile.threads = 3;
+    profile.spans = {{"run", {1, 1000}},
+                     {"run/measure", {1, 800}},
+                     {"setup", {1, 50}}};
+    std::string text = docText(runs, &profile);
+    text = replaced(text, "\"host\": {",
+                    "\"host\": {\"source\": \"replay\", "
+                    "\"counters_available\": 1,");
+    text = replaced(text, "\"wall_ns\": 1000",
+                    "\"wall_ns\": 1000, \"tsc\": 3000, \"cycles\": 500, "
+                    "\"branch_misses\": 4, \"task_clock_ns\": 990");
+    text = replaced(text, "\"threads\": 3",
+                    "\"threads\": 3, \"counters_available\": 1");
     const obs::ResultDoc doc =
         obs::parseResultDoc(obs::parseJson(text), "inline");
 
-    ASSERT_EQ(doc.runs.size(), 1u);
-    EXPECT_EQ(doc.runs[0].spans.at("run"), (obs::SpanAgg{1, 1000}));
-    EXPECT_EQ(doc.runs[0].spans.at("run/measure").wall_ns, 800u);
-
+    EXPECT_EQ(doc.runs, runs);
     ASSERT_TRUE(doc.has_profile);
     EXPECT_EQ(doc.profile.total_spans, 7u);
     EXPECT_EQ(doc.profile.dropped, 2u);
     EXPECT_EQ(doc.profile.threads, 3u);
+    EXPECT_EQ(doc.profile.spans, profile.spans);
 
     // With a profile block present, mergedSpans() is the profile table
     // alone — run spans are already inside it (double-count guard).
-    const obs::SpanProfile merged = doc.mergedSpans();
-    EXPECT_EQ(merged.size(), 3u);
-    EXPECT_EQ(merged.at("run").count, 1u);
+    EXPECT_EQ(doc.mergedSpans(), profile.spans);
 }
 
 TEST(ResultDoc, MergedSpansFallsBackToSummingRuns)
 {
-    // A v2 document written without a profile block (e.g. a run-cache
-    // envelope consumer) still yields a tree by summing per-run tables.
-    const std::string text = R"({
-      "schema_version": 2,
-      "runs": [
-        { "config": "c0", "workload": "w0", "stats": { "ipc": 1.0 },
-          "host": { "spans": { "run": { "count": 1, "wall_ns": 10 } } } },
-        { "config": "c1", "workload": "w0", "stats": { "ipc": 1.0 },
-          "host": { "spans": { "run": { "count": 1, "wall_ns": 30 } } } }
-      ]
-    })";
-    const obs::ResultDoc doc =
-        obs::parseResultDoc(obs::parseJson(text), "inline");
+    // A document written without a profile block still yields a tree by
+    // summing the per-run tables.
+    const obs::ResultDoc doc = obs::parseResultDoc(
+        obs::parseJson(docText(fixtureRuns())), "inline");
 
     EXPECT_FALSE(doc.has_profile);
     const obs::SpanProfile merged = doc.mergedSpans();
-    EXPECT_EQ(merged.at("run").count, 2u);
-    EXPECT_EQ(merged.at("run").wall_ns, 40u);
+    EXPECT_EQ(merged.at("run"), (obs::SpanAgg{2, 4000}));
+    EXPECT_EQ(merged.at("run/measure"), (obs::SpanAgg{1, 800}));
 }
 
 TEST(ResultDoc, RejectsUnsupportedVersions)
@@ -144,17 +162,24 @@ TEST(ResultDoc, RejectsUnsupportedVersions)
                                  std::to_string(version) + ", \"runs\": []}";
         return obs::parseResultDoc(obs::parseJson(text), "inline");
     };
+    const auto rejected = [&](int version) {
+        try {
+            parse(version);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
 
-    EXPECT_NO_THROW(parse(1));
     EXPECT_NO_THROW(parse(obs::kSchemaVersion));
-    try {
-        parse(obs::kSchemaVersion + 1);
-        FAIL() << "future schema_version must be rejected";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("unsupported schema_version"),
-                  std::string::npos);
-    }
-    EXPECT_THROW(parse(0), std::runtime_error);
+    EXPECT_NE(rejected(1).find("unsupported schema_version 1"),
+              std::string::npos)
+        << rejected(1);
+    EXPECT_NE(rejected(obs::kSchemaVersion + 1)
+                  .find("unsupported schema_version"),
+              std::string::npos);
+    EXPECT_NE(rejected(0).find("unsupported schema_version 0"),
+              std::string::npos);
 }
 
 TEST(ResultDoc, SpanProfileJsonRoundTrips)
@@ -170,16 +195,7 @@ TEST(ResultDoc, SpanProfileJsonRoundTrips)
         obs::JsonWriter w(os);
         obs::writeSpanProfileJson(w, in);
     }
-    const obs::JsonValue v = obs::parseJson(os.str());
-
-    obs::SpanProfile out;
-    for (const auto &[path, agg] : v.object) {
-        obs::SpanAgg a;
-        a.count = static_cast<std::uint64_t>(agg.at("count").asNumber());
-        a.wall_ns = static_cast<std::uint64_t>(agg.at("wall_ns").asNumber());
-        out[path] = a;
-    }
-    EXPECT_EQ(out, in);
+    EXPECT_EQ(obs::spanProfileFromJson(obs::parseJson(os.str())), in);
 }
 
 TEST(Sparkline, RendersScaledBlocks)
@@ -209,48 +225,30 @@ TEST(Sparkline, DownsamplesToMaxPoints)
     EXPECT_EQ(s.substr(s.size() - 3), "█");
 }
 
-namespace {
-
-/** The v1 golden's text with @p from replaced by @p to, parsed. */
-obs::JsonValue
-goldenWith(const std::string &from, const std::string &to)
-{
-    std::ifstream is(dataFile("schema_v1_golden.json"));
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
-    if (!from.empty()) {
-        const std::size_t at = text.find(from);
-        EXPECT_NE(at, std::string::npos) << from;
-        text.replace(at, from.size(), to);
-    }
-    return obs::parseJson(text);
-}
-
-} // namespace
-
 TEST(ExactDiff, IdenticalDocumentsMatch)
 {
-    EXPECT_EQ(obs::firstRunDifference(goldenWith("", ""), goldenWith("", "")),
-              "");
+    const obs::JsonValue base = docWith(kUnchanged);
+    EXPECT_EQ(obs::firstRunDifference(base, docWith(kUnchanged)), "");
     // Host timings are not simulated results.
     EXPECT_EQ(obs::firstRunDifference(
-                  goldenWith("", ""),
-                  goldenWith("\"seconds\": 0.42", "\"seconds\": 9.5")),
+                  base, docWith([](std::vector<SimStats> &r) {
+                      r[0].host_seconds = 9.5;
+                  })),
               "");
     // A key only one file holds (a counter added later) is not compared.
     EXPECT_EQ(obs::firstRunDifference(
-                  goldenWith("", ""),
-                  goldenWith("\"btb.l1.hits\": 9000",
-                             "\"btb.l1.hits\": 9000, \"btb.new\": 1")),
+                  base, docWith([](std::vector<SimStats> &r) {
+                      r[0].counters["btb.new"] = 1.0;
+                  })),
               "");
 }
 
 TEST(ExactDiff, MutatedCounterIsNamed)
 {
     const std::string d = obs::firstRunDifference(
-        goldenWith("", ""),
-        goldenWith("\"btb.l1.misses\": 270", "\"btb.l1.misses\": 271"));
+        docWith(kUnchanged), docWith([](std::vector<SimStats> &r) {
+            r[0].counters["btb.l1.misses"] = 271.0;
+        }));
     EXPECT_NE(d.find("(I-BTB 16 / srv-small).counters.btb.l1.misses"),
               std::string::npos)
         << d;
@@ -259,14 +257,16 @@ TEST(ExactDiff, MutatedCounterIsNamed)
 
 TEST(ExactDiff, RaisedIpcAndSamplesAreFlagged)
 {
-    EXPECT_NE(obs::firstRunDifference(goldenWith("", ""),
-                                      goldenWith("\"ipc\": 1.7",
-                                                 "\"ipc\": 2.55"))
+    EXPECT_NE(obs::firstRunDifference(docWith(kUnchanged),
+                                      docWith([](std::vector<SimStats> &r) {
+                                          r[1].ipc = 2.55;
+                                      }))
                   .find("(B-BTB 1 / srv-small).stats.ipc"),
               std::string::npos);
-    EXPECT_NE(obs::firstRunDifference(goldenWith("", ""),
-                                      goldenWith("\"ftq_occupancy\": 10.8",
-                                                 "\"ftq_occupancy\": 10.9"))
+    EXPECT_NE(obs::firstRunDifference(docWith(kUnchanged),
+                                      docWith([](std::vector<SimStats> &r) {
+                                          r[0].samples[1].ftq_occupancy = 10.5;
+                                      }))
                   .find("samples.points[1].ftq_occupancy"),
               std::string::npos);
 }
@@ -274,8 +274,9 @@ TEST(ExactDiff, RaisedIpcAndSamplesAreFlagged)
 TEST(ExactDiff, RunSetsMustMatch)
 {
     const std::string d = obs::firstRunDifference(
-        goldenWith("", ""),
-        goldenWith("\"config\": \"B-BTB 1\"", "\"config\": \"B-BTB 2\""));
+        docWith(kUnchanged), docWith([](std::vector<SimStats> &r) {
+            r[1].config = "B-BTB 2";
+        }));
     EXPECT_NE(d.find("(B-BTB 2 / srv-small) only in the new file"),
               std::string::npos)
         << d;

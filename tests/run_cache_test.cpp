@@ -7,11 +7,15 @@
 #include <fstream>
 #include <functional>
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "env_util.h"
 #include "exp/run_cache.h"
 #include "exp/sha256.h"
+#include "obs/export.h"
 #include "obs/json.h"
 
 using namespace btbsim;
@@ -30,7 +34,8 @@ baseKey()
     return k;
 }
 
-/** A SimStats with every field (incl. samples and counters) populated. */
+/** A SimStats with every field (incl. samples, counters and spans)
+ *  non-default. */
 SimStats
 fullStats()
 {
@@ -71,24 +76,74 @@ fullStats()
                   {"frontend.fetch_stalls", 567.0}};
     s.host_seconds = 0.125;
     s.minst_per_host_sec = 0.987;
+    s.span_profile = {{"run", {1, 4'000'000}}, {"run/measure", {1, 3'000'000}}};
     return s;
+}
+
+/** The result-JSON run object of @p s. */
+std::string
+runJson(const SimStats &s)
+{
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    obs::writeSimStatsJson(w, s);
+    return os.str();
+}
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** Write a cache entry for @p key by hand: @p payload under @p member,
+ *  hashed into @p sha_member, in envelope version @p schema. */
+void
+writeEntry(const exp::RunCache &cache, const exp::RunKey &key, int schema,
+           const char *sha_member, const char *member,
+           const std::string &payload)
+{
+    const std::string path = cache.entryPath(exp::runKeyDigest(key));
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    std::ofstream(path) << "{\n  \"cache_schema\": " << schema << ",\n"
+                        << "  \"digest\": \"" << exp::runKeyDigest(key)
+                        << "\",\n"
+                        << "  \"" << sha_member << "\": \""
+                        << exp::Sha256::hexDigest(payload) << "\",\n"
+                        << "  \"key\": " << exp::canonicalRunKeyJson(key)
+                        << ",\n  \"" << member << "\": " << payload
+                        << "\n}\n";
 }
 
 } // namespace
 
-TEST(RunCache, StatsJsonRoundTripsEveryField)
+TEST(RunCache, RunJsonRoundTripsEveryField)
 {
+    // The cache payload is the result-JSON run object. Every field of
+    // fullStats() is non-default, so a field the reader drops comes back
+    // default and breaks the equality, and a misnamed one throws.
     const SimStats s = fullStats();
-    const std::string json = exp::statsToJson(s);
-    const SimStats back = exp::statsFromJson(obs::parseJson(json));
-    // Serialization is the cache's equality oracle: byte-identical
-    // re-serialization means every field survived.
-    EXPECT_EQ(exp::statsToJson(back), json);
-    EXPECT_EQ(back.counters, s.counters);
-    ASSERT_EQ(back.samples.size(), s.samples.size());
-    EXPECT_EQ(back.samples[1].cycle, s.samples[1].cycle);
-    EXPECT_EQ(back.ipc, s.ipc);
-    EXPECT_EQ(back.cond_mispredict_rate, s.cond_mispredict_rate);
+    EXPECT_EQ(obs::simStatsFromJson(obs::parseJson(runJson(s))), s);
+}
+
+TEST(RunCache, RunJsonMissingKeyThrowsNamingIt)
+{
+    const std::string text =
+        replaced(runJson(fullStats()), "\"ipc\": ", "\"ipc_renamed\": ");
+    try {
+        (void)obs::simStatsFromJson(obs::parseJson(text));
+        FAIL() << "a run without stats.ipc must not load";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("'stats.ipc'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RunCache, DigestIsStableAndKeyOrderCanonical)
@@ -184,7 +239,7 @@ TEST(RunCache, WarmHitIsBitIdentical)
 
     const auto hit = cache.load(digest);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(exp::statsToJson(*hit), exp::statsToJson(s));
+    EXPECT_EQ(*hit, s);
     std::filesystem::remove_all(dir);
 }
 
@@ -231,38 +286,52 @@ TEST(RunCache, CorruptedEntryIsDiscardedAndResimulated)
     std::filesystem::remove_all(dir);
 }
 
-TEST(RunCache, EntryWithRetiredSourceSpeedFieldStillLoads)
+TEST(RunCache, EntryWithRetiredKeyStillLoads)
 {
-    // Earlier builds also stored the source's drain throughput
-    // ("source_minst_per_sec", right after minst_per_host_sec) and hashed
-    // the payload with it. Such entries must keep serving warm hits.
-    const std::string dir = ::testing::TempDir() + "run_cache_legacy";
+    // Earlier builds also wrote the workload source and its drain
+    // throughput into the host block and hashed the payload with them.
+    // Such entries must keep serving warm hits.
+    const std::string dir = ::testing::TempDir() + "run_cache_retired";
     std::filesystem::remove_all(dir);
     const exp::RunCache cache(dir);
 
     const exp::RunKey key = baseKey();
-    const std::string digest = exp::runKeyDigest(key);
     const SimStats s = fullStats();
-    std::string stats_json = exp::statsToJson(s);
-    const auto pos = stats_json.find(
-        ',', stats_json.find("\"minst_per_host_sec\": "));
-    ASSERT_NE(pos, std::string::npos);
-    stats_json.insert(pos + 1, "\n  \"source_minst_per_sec\": 42.5,");
+    writeEntry(cache, key, exp::kRunCacheSchemaVersion, "run_sha256", "run",
+               replaced(runJson(s), "\"host\": {",
+                        "\"host\": {\n    \"source\": \"synthetic\",\n"
+                        "    \"source_minst_per_sec\": 42.5,"));
 
-    const std::string path = cache.entryPath(digest);
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path());
-    std::ofstream(path) << "{\n  \"cache_schema\": "
-                        << exp::kRunCacheSchemaVersion << ",\n"
-                        << "  \"digest\": \"" << digest << "\",\n"
-                        << "  \"stats_sha256\": \""
-                        << exp::Sha256::hexDigest(stats_json) << "\",\n"
-                        << "  \"key\": " << exp::canonicalRunKeyJson(key)
-                        << ",\n  \"stats\": " << stats_json << "\n}\n";
-
-    const auto hit = cache.load(digest);
+    const auto hit = cache.load(exp::runKeyDigest(key));
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(exp::statsToJson(*hit), exp::statsToJson(s));
+    EXPECT_EQ(*hit, s);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunCache, FlatSchema2EntryIsStale)
+{
+    // Envelope v2 stored a flat copy of SimStats under "stats". Such an
+    // entry, intact and correctly hashed, is a miss and is unlinked; the
+    // point re-simulates.
+    const std::string dir = ::testing::TempDir() + "run_cache_v2";
+    std::filesystem::remove_all(dir);
+    const exp::RunCache cache(dir);
+
+    const exp::RunKey key = baseKey();
+    writeEntry(cache, key, 2, "stats_sha256", "stats",
+               "{\n  \"workload\": \"cache-wl\",\n"
+               "  \"config\": \"I-BTB 16\",\n"
+               "  \"instructions\": 123456,\n  \"cycles\": 234567,\n"
+               "  \"ipc\": 0.5263101471520399,\n"
+               "  \"sample_interval\": 50000,\n  \"samples\": [],\n"
+               "  \"counters\": {},\n  \"host_seconds\": 0.125,\n"
+               "  \"minst_per_host_sec\": 0.987,\n"
+               "  \"span_profile\": {}\n}");
+    const std::string path = cache.entryPath(exp::runKeyDigest(key));
+    ASSERT_TRUE(std::filesystem::exists(path));
+
+    EXPECT_FALSE(cache.load(exp::runKeyDigest(key)).has_value());
+    EXPECT_FALSE(std::filesystem::exists(path));
     std::filesystem::remove_all(dir);
 }
 
