@@ -206,23 +206,6 @@ exportResults(const ResultSet &results, const std::string &baseline)
             std::fprintf(stderr, "btbsim: failed to write %s\n",
                          json_path.c_str());
     }
-
-    const std::string csv_path = env::outPath(
-        "BTBSIM_CSV_OUT", "results/" + g_bench_slug + ".csv");
-    if (!csv_path.empty()) {
-        const std::filesystem::path p(csv_path);
-        std::error_code ec;
-        if (p.has_parent_path())
-            std::filesystem::create_directories(p.parent_path(), ec);
-        std::ofstream os(p);
-        if (os) {
-            results.writeCsv(os);
-            std::printf("wrote %s\n\n", csv_path.c_str());
-        } else {
-            std::fprintf(stderr, "btbsim: failed to write %s\n",
-                         csv_path.c_str());
-        }
-    }
 }
 
 void

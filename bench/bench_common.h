@@ -64,8 +64,7 @@ int finish();
  * Print the normalized-IPC whisker table plus the detail table, then —
  * when BTBSIM_JSON_OUT is set — write the schema-versioned result JSON:
  * to the given path when the value looks like one, otherwise to
- * results/<slug-of-bench-title>.json. BTBSIM_CSV_OUT does the same for
- * the per-run CSV.
+ * results/<slug-of-bench-title>.json.
  */
 void printFigure(const ResultSet &results, const std::string &baseline);
 
@@ -77,7 +76,7 @@ bool writeJsonTo(const ResultSet &results, const std::string &bench_name,
                  const std::string &baseline, const std::string &path);
 
 /**
- * Honour BTBSIM_JSON_OUT / BTBSIM_CSV_OUT for @p results (see
+ * Honour BTBSIM_JSON_OUT for @p results (see
  * printFigure). Benches with custom table printing call this directly so
  * every bench produces machine-readable output.
  */

@@ -1,12 +1,9 @@
 #include "check/checker.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/env.h"
-#include "obs/tracer.h"
 
 namespace btbsim::check {
 
@@ -45,8 +42,7 @@ dumpBundle(std::ostream &os, const PredictionBundle &b)
 
 } // namespace
 
-CheckedBtb::CheckedBtb(BtbOrg &inner, bool abort_on_failure)
-    : inner_(inner), abort_(abort_on_failure)
+CheckedBtb::CheckedBtb(BtbOrg &inner) : inner_(inner)
 {
     // Walk helpers (PredictionBundle::chain) account through the wrapper
     // when it fronts the frontend; keep the counters on the inner org so
@@ -70,7 +66,7 @@ CheckedBtb::wrapFromEnv(BtbOrg &inner)
 {
     if (!env::flag("BTBSIM_CHECK"))
         return nullptr;
-    return std::make_unique<CheckedBtb>(inner, /*abort_on_failure=*/true);
+    return std::make_unique<CheckedBtb>(inner);
 }
 
 void
@@ -83,25 +79,7 @@ CheckedBtb::fail(const PredictionBundle *b, const std::string &msg)
        << "  access_pc: " << hexAddr(access_pc_) << "\n";
     if (b)
         dumpBundle(os, *b);
-    if (tracer_) {
-        tracer_->record(now_, obs::TraceEventType::kCheckFail, access_pc_);
-        const std::size_t n = tracer_->size();
-        const std::size_t from = n > 16 ? n - 16 : 0;
-        os << "  recent pipeline events:\n";
-        for (std::size_t i = from; i < n; ++i) {
-            const obs::TraceEvent &e = tracer_->at(i);
-            os << "    cycle=" << e.cycle << " "
-               << obs::traceEventTypeName(e.type) << " pc=" << hexAddr(e.pc)
-               << " aux=" << hexAddr(e.aux) << " level="
-               << unsigned{e.level} << "\n";
-        }
-    }
-    const std::string report = os.str();
-    if (abort_) {
-        std::fputs(report.c_str(), stderr);
-        std::abort();
-    }
-    throw CheckFailure(report);
+    throw CheckFailure(os.str());
 }
 
 void

@@ -23,10 +23,11 @@
  * shared with another probed slot, where the outcome is
  * order-independent, and to accesses with no interleaved prefill).
  *
- * On divergence the checker dumps full context (organization, cycle,
- * access pc, bundle contents, recent pipeline events) and either aborts
- * (the BTBSIM_CHECK=1 mode wired through Cpu) or throws CheckFailure
- * (the fuzzer's mode, so failures can be shrunk).
+ * On divergence the checker throws CheckFailure carrying the full
+ * context (organization, cycle, access pc, bundle contents). Under
+ * BTBSIM_CHECK=1 the exception fails only its sweep point, and the
+ * experiment engine names its config, workload, trace_seed and run key;
+ * the fuzzer catches it to shrink the failing case.
  *
  * The checker is an opt-in debugging tool: it assumes the stock
  * organization semantics, so wrapping a user-supplied custom BtbOrg may
@@ -46,14 +47,9 @@
 #include "check/reference.h"
 #include "core/btb_org.h"
 
-namespace btbsim::obs {
-class Tracer;
-}
-
 namespace btbsim::check {
 
-/** Thrown (in non-aborting mode) when a check fails; what() carries the
- *  full context report. */
+/** Thrown when a check fails; what() carries the full context report. */
 class CheckFailure : public std::runtime_error
 {
   public:
@@ -64,13 +60,11 @@ class CheckedBtb final : public BtbOrg
 {
   public:
     /** Wrap @p inner (not owned; must outlive the wrapper). */
-    explicit CheckedBtb(BtbOrg &inner, bool abort_on_failure = true);
+    explicit CheckedBtb(BtbOrg &inner);
 
     /** Checker for @p inner when BTBSIM_CHECK is set, else null. */
     static std::unique_ptr<CheckedBtb> wrapFromEnv(BtbOrg &inner);
 
-    /** Pipeline event tracer to dump on failure (may be null). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
     /** Current cycle, for failure reports. */
     void setNow(Cycle now) { now_ = now; }
 
@@ -95,12 +89,10 @@ class CheckedBtb final : public BtbOrg
     [[noreturn]] void fail(const PredictionBundle *b, const std::string &msg);
 
     BtbOrg &inner_;
-    bool abort_;
     BranchHistory history_;
     std::optional<RefIbtb> ref_ibtb_;
     std::optional<RefRbtb> ref_rbtb_;
 
-    obs::Tracer *tracer_ = nullptr;
     Cycle now_ = 0;
     std::uint64_t accesses_ = 0;
     Addr access_pc_ = 0;

@@ -118,7 +118,7 @@ std::optional<FuzzFailure>
 runCase(const FuzzCase &c)
 {
     auto org = makeBtb(c.btb);
-    CheckedBtb checker(*org, /*abort_on_failure=*/false);
+    CheckedBtb checker(*org);
 
     std::size_t i = 0;
     try {

@@ -35,22 +35,15 @@ knobs()
          "Chrome-trace span dump (Perfetto-loadable): 1/true = "
          "results/spans/<bench>.trace.json, else a path; 0/empty "
          "disables."},
-        // obs/tracer + sim/runner trace dump
-        {"BTBSIM_TRACE", "0", "Non-0 enables the pipeline event tracer."},
-        {"BTBSIM_TRACE_CAP", "65536",
-         "Event-tracer ring-buffer capacity (events kept per run)."},
-        {"BTBSIM_TRACE_DIR", "results/traces",
-         "Directory for per-run .jsonl event dumps."},
         // bench output
         {"BTBSIM_JSON_OUT", "",
          "Result JSON: 1/true = results/<bench>.json, else a path; "
          "0/empty disables."},
-        {"BTBSIM_CSV_OUT", "",
-         "Per-run CSV: same semantics as BTBSIM_JSON_OUT."},
         // check/checker + check/fault
         {"BTBSIM_CHECK", "0",
          "Non-0 wraps every BTB in the differential checker (reference "
-         "model + structural invariants; aborts on divergence)."},
+         "model + structural invariants); a divergence fails its sweep "
+         "point."},
         {"BTBSIM_FAULT", "",
          "Name of the fault point to arm (builds configured with "
          "-DBTBSIM_FAULT_POINTS=ON only); empty disables."},
@@ -110,13 +103,6 @@ bool
 disabled(const char *name)
 {
     return raw(name) == "0";
-}
-
-std::string
-str(const char *name, const std::string &fallback)
-{
-    const std::string v = raw(name);
-    return v.empty() ? fallback : v;
 }
 
 std::string

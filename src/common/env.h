@@ -49,11 +49,8 @@ bool flag(const char *name);
 /** True when the variable is explicitly set to "0" (opt-out knobs). */
 bool disabled(const char *name);
 
-/** String knob; @p fallback when unset/empty. */
-std::string str(const char *name, const std::string &fallback = "");
-
 /**
- * Output-path semantics shared by BTBSIM_JSON_OUT / BTBSIM_CSV_OUT:
+ * Output-path semantics of BTBSIM_JSON_OUT and BTBSIM_SPAN_OUT:
  * unset/empty/"0" -> "" (off), "1"/"true" -> @p default_path, anything
  * else is the path itself.
  */

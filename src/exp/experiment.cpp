@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "common/env.h"
 #include "exp/sha256.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
@@ -94,11 +93,6 @@ ExperimentOptions::fromEnv(const std::string &default_cache_dir)
     ExperimentOptions o;
     o.run = RunOptions::fromEnv();
     o.cache_dir = RunCache::dirFromEnv(default_cache_dir);
-    // A cached point skips simulation, so it produces none of the
-    // per-run side effects decision tracing exists for. Run uncached
-    // when the tracer is on.
-    if (env::flag("BTBSIM_TRACE"))
-        o.cache_dir.clear();
     return o;
 }
 

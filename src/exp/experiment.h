@@ -139,9 +139,7 @@ struct ExperimentOptions
     /**
      * Environment-driven options for sweeps run by benches and tools:
      * RunOptions::fromEnv() plus BTBSIM_RUN_CACHE (default
-     * @p default_cache_dir). BTBSIM_TRACE=1 forces the cache off: a
-     * cached point skips the simulation whose decisions the tracer
-     * would have recorded.
+     * @p default_cache_dir).
      */
     static ExperimentOptions
     fromEnv(const std::string &default_cache_dir = "results/cache");

@@ -16,18 +16,12 @@ PcGen::runCycle(Cycle now)
 {
     if (waiting_resteer_ || now < ready_cycle_)
         return;
-    if (!ftq_->canAccept(next_fetch_pc_, redirect_pending_)) {
-        if (tracer_)
-            tracer_->record(now, obs::TraceEventType::kFtqStall,
-                            next_fetch_pc_);
+    if (!ftq_->canAccept(next_fetch_pc_, redirect_pending_))
         return; // Backpressure: the FTQ is full.
-    }
 
     const bool bypass = ftq_->empty();
     PredictionBundle bundle;
-    const int level0 = org_->beginAccess(next_fetch_pc_, bundle);
-    if (tracer_ && level0 == 0)
-        tracer_->record(now, obs::TraceEventType::kBtbMiss, next_fetch_pc_);
+    org_->beginAccess(next_fetch_pc_, bundle);
     ++stats.accesses;
     deferred_updates_.clear();
 
@@ -131,9 +125,6 @@ PcGen::runCycle(Cycle now)
                 return;
             waiting_resteer_ = true;
             redirect_pending_ = true;
-            if (tracer_)
-                tracer_->record(now, obs::TraceEventType::kFetchRedirect,
-                                in.pc, in.next_pc);
         };
 
         if (tracked && !is_branch) {
@@ -241,14 +232,8 @@ PcGen::runCycle(Cycle now)
 
     // Apply the BTB updates after the access so the walk never observes
     // entries mutating underneath it.
-    for (const auto &[br, resteer] : deferred_updates_) {
+    for (const auto &[br, resteer] : deferred_updates_)
         org_->update(br, resteer);
-        // A resteer-triggered update fills or corrects the entry for this
-        // branch; that is the fill event external tooling cares about.
-        if (tracer_ && resteer)
-            tracer_->record(now, obs::TraceEventType::kBtbFill, br.pc,
-                            br.next_pc);
-    }
     deferred_updates_.clear();
 }
 

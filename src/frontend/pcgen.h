@@ -17,7 +17,6 @@
 #include "common/stats.h"
 #include "core/btb_org.h"
 #include "frontend/ftq.h"
-#include "obs/tracer.h"
 #include "trace/trace_source.h"
 
 namespace btbsim {
@@ -86,9 +85,6 @@ class PcGen
 
     bool waitingResteer() const { return waiting_resteer_; }
 
-    /** Attach the opt-in event tracer (nullptr = tracing off). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
-
     PcGenStats stats;
 
   private:
@@ -96,7 +92,6 @@ class PcGen
     BPredUnit *bpred_;
     TraceSource *trace_;
     Ftq *ftq_;
-    obs::Tracer *tracer_ = nullptr;
 
     Instruction pending_;
     Addr next_fetch_pc_ = 0;

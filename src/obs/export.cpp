@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdint>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 #include "sim/sim_stats.h"
@@ -15,7 +14,7 @@ namespace {
 /**
  * One numeric member of T and its result-JSON key: a count (emitted as
  * an integer) or a double. The tables below name each field once; the
- * JSON writer, the JSON reader and the runs CSV all iterate them.
+ * JSON writer and the JSON reader both iterate them.
  */
 template <typename T>
 struct Field
@@ -159,8 +158,6 @@ writeSimStatsJson(JsonWriter &w, const SimStats &s)
     w.beginObject();
     w.kv("seconds", s.host_seconds);
     w.kv("minst_per_sec", s.minst_per_host_sec);
-    w.key("spans");
-    writeSpanProfileJson(w, s.span_profile);
     w.endObject();
 
     w.key("samples");
@@ -193,8 +190,6 @@ simStatsFromJson(const JsonValue &run)
     s.host_seconds = number(host.find("seconds"), "host", "seconds");
     s.minst_per_host_sec =
         number(host.find("minst_per_sec"), "host", "minst_per_sec");
-    s.span_profile =
-        spanProfileFromJson(member(host, "host", "spans", Type::kObject));
 
     const JsonValue &samples = member(run, "", "samples", Type::kObject);
     s.sample_interval =
@@ -244,42 +239,6 @@ writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p)
     w.key("spans");
     writeSpanProfileJson(w, p.spans);
     w.endObject();
-}
-
-namespace {
-
-void
-csvQuote(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"')
-            os << '"';
-        os << c;
-    }
-    os << '"';
-}
-
-} // namespace
-
-void
-writeRunsCsvHeader(std::ostream &os)
-{
-    os << "config,workload";
-    for (const Field<SimStats> &f : kStatFields)
-        os << ',' << f.name;
-    os << ",host_seconds,minst_per_host_sec\n";
-}
-
-void
-writeRunCsvRow(std::ostream &os, const SimStats &s)
-{
-    csvQuote(os, s.config);
-    os << ',';
-    csvQuote(os, s.workload);
-    for (const Field<SimStats> &f : kStatFields)
-        f.visit(s, [&](auto v) { os << ',' << v; });
-    os << ',' << s.host_seconds << ',' << s.minst_per_host_sec << '\n';
 }
 
 std::string

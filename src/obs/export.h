@@ -16,12 +16,7 @@
  *         "config": "...", "workload": "...",
  *         "stats": { instructions, cycles, ipc, branch_mpki, ... },
  *         "counters": { "<component.stat>": <number>, ... },
- *         "host": {
- *           "seconds": s, "minst_per_sec": r,
- *           "spans": {                          // v2: per-run profile
- *             "<path>": { count, wall_ns }
- *           }
- *         },
+ *         "host": { "seconds": s, "minst_per_sec": r },
  *         "samples": {
  *           "interval_cycles": N,
  *           "points": [ { cycle, instructions, ipc, l1_btb_hitrate,
@@ -35,14 +30,15 @@
  *     },
  *     "profile": {                              // v2: whole process
  *       "total_spans": n, "dropped": d, "threads": t,
- *       "spans": { "<path>": { ...same as host.spans... } }
+ *       "spans": { "<path>": { count, wall_ns } }
  *     }
  *   }
  *
  * Only v2 loads: obs/result_doc.h rejects every other schema_version.
  * Keys a reader does not know are ignored, so v2 documents from builds
- * that also wrote the workload source, a host perf-counter flag and
- * per-span counter columns still load.
+ * that also wrote the workload source, a host perf-counter flag,
+ * per-span counter columns or a per-run "host.spans" copy of the
+ * profile still load.
  *
  * A run object is the one JSON form of a SimStats: the result document
  * lists them under "runs", and the run cache (exp/run_cache.h) stores
@@ -53,10 +49,8 @@
 #ifndef BTBSIM_OBS_EXPORT_H
 #define BTBSIM_OBS_EXPORT_H
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/json.h"
 #include "obs/span.h"
@@ -82,7 +76,7 @@ void writeSimStatsJson(JsonWriter &w, const SimStats &s);
 SimStats simStatsFromJson(const JsonValue &run);
 
 /** Emit a path-keyed span-aggregate table as a JSON object (the value
- *  of "host.spans" and "profile.spans"). */
+ *  of "profile.spans"). */
 void writeSpanProfileJson(JsonWriter &w, const SpanProfile &p);
 
 /** Inverse of writeSpanProfileJson (throws std::runtime_error). */
@@ -90,12 +84,6 @@ SpanProfile spanProfileFromJson(const JsonValue &spans);
 
 /** Emit a whole-process profile as the top-level "profile" value. */
 void writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p);
-
-/** CSV header matching writeRunCsvRow's columns. */
-void writeRunsCsvHeader(std::ostream &os);
-
-/** One CSV row of a run's headline stats. */
-void writeRunCsvRow(std::ostream &os, const SimStats &s);
 
 /** Filesystem-safe slug: lowercase alnum, everything else collapsed
  *  to single underscores ("I-BTB 16" -> "i_btb_16"). */

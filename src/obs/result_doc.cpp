@@ -11,22 +11,6 @@
 
 namespace btbsim::obs {
 
-SpanProfile
-ResultDoc::mergedSpans() const
-{
-    // The whole-process profile block already aggregates every span,
-    // including the ones each run's host.spans re-states as a per-run
-    // slice — summing both would double-count. Runs are the fallback
-    // for documents without a profile block.
-    if (has_profile && !profile.spans.empty())
-        return profile.spans;
-    SpanProfile out;
-    for (const SimStats &r : runs)
-        for (const auto &[path, agg] : r.span_profile)
-            out[path] += agg;
-    return out;
-}
-
 ResultDoc
 parseResultDoc(const JsonValue &root, const std::string &origin)
 {
@@ -45,7 +29,6 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
         doc.runs.push_back(simStatsFromJson(r));
 
     if (const JsonValue *p = root.find("profile")) {
-        doc.has_profile = true;
         doc.profile.total_spans =
             static_cast<std::uint64_t>(p->at("total_spans").asNumber());
         doc.profile.dropped =

@@ -27,16 +27,9 @@ struct ResultDoc
     std::string bench;
     std::vector<SimStats> runs;
 
-    /** Top-level "profile" block; has_profile false when absent. */
-    bool has_profile = false;
+    /** Top-level "profile" block (empty when absent): the process's
+     *  host span profile, which `btbsim-stats prof` renders. */
     ProfileBlock profile;
-
-    /**
-     * The complete span tree `btbsim-stats prof` renders: the process
-     * profile block when present (it already contains every run's
-     * spans), otherwise the runs' host.spans summed.
-     */
-    SpanProfile mergedSpans() const;
 };
 
 /** Parse @p root; @p origin names the source in error messages. Throws

@@ -11,13 +11,13 @@
  *
  *  - A complete per-path aggregate (SpanProfile: count and wall time).
  *    Aggregation is incremental at span end, so it never loses data to
- *    ring overflow. The per-run slice lands in SimStats::span_profile
- *    (result-JSON host block, schema v2); the whole-process table is the
- *    bench JSON's top-level "profile" block, rendered by
- *    `btbsim-stats prof`.
+ *    ring overflow. The whole-process table is the bench JSON's
+ *    top-level "profile" block (schema v2), rendered by
+ *    `btbsim-stats prof`; mark()/aggregateSince() take the slice of one
+ *    thread's spans around a region.
  *
  *  - A bounded ring of individual span records per thread (most recent
- *    window, like obs/tracer.h; overflow increments a dropped counter)
+ *    window; overflow increments a dropped counter)
  *    exported as Chrome trace-event JSON (writeChromeTrace) that loads
  *    directly in Perfetto / chrome://tracing. BTBSIM_SPAN_OUT selects
  *    the output file; benches write it on exit.

@@ -141,25 +141,13 @@ Cpu::allocate()
 }
 
 void
-Cpu::attachTracer(obs::Tracer *tracer)
-{
-    tracer_ = tracer;
-    pcgen_.setTracer(tracer);
-    if (checked_)
-        checked_->setTracer(tracer);
-}
-
-void
 Cpu::step()
 {
     ++now_;
     if (checked_)
         checked_->setNow(now_);
-    if (backend_.takeExecResteer(now_) != 0) {
+    if (backend_.takeExecResteer(now_) != 0)
         pcgen_.resteerResolved(now_);
-        if (tracer_)
-            tracer_->record(now_, obs::TraceEventType::kBranchResolve, 0);
-    }
     backend_.runCycle(now_);
     allocate();
     decode();
@@ -357,11 +345,6 @@ Cpu::harvestCounters()
     if (stats_.cycles > 0)
         out["ftq.occupancy"] =
             ftq_occ_sum_ / static_cast<double>(stats_.cycles);
-
-    if (tracer_) {
-        out["trace.events"] = static_cast<double>(tracer_->total());
-        out["trace.dropped"] = static_cast<double>(tracer_->dropped());
-    }
 }
 
 } // namespace btbsim

@@ -16,7 +16,6 @@
 #include "frontend/pcgen.h"
 #include "memory/memhier.h"
 #include "obs/sampler.h"
-#include "obs/tracer.h"
 #include "sim/config.h"
 #include "sim/sim_stats.h"
 #include "trace/trace_source.h"
@@ -71,13 +70,6 @@ class Cpu
     BtbOrg &btb() { return *org_; }
     const PcGenStats &pcgenStats() const { return pcgen_.stats; }
 
-    /**
-     * Attach (or detach with nullptr) a pipeline event tracer. The
-     * tracer pointer is propagated to the frontend; when null, every
-     * event site reduces to one predictable branch.
-     */
-    void attachTracer(obs::Tracer *tracer);
-
     /** Interval (cycles) of the time-series sampler; 0 disables it.
      *  Defaults to BTBSIM_SAMPLE_INTERVAL / 100k. Takes effect at the
      *  next run(). */
@@ -116,7 +108,6 @@ class Cpu
     OccupancySample occ_accum_;
 
     // Observability.
-    obs::Tracer *tracer_ = nullptr;
     std::uint64_t sample_interval_ = obs::Sampler::intervalFromEnv();
     double ftq_occ_sum_ = 0.0; ///< Per-cycle FTQ size, measurement only.
 

@@ -222,14 +222,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
     os << "\n";
 }
 
-void
-ResultSet::writeCsv(std::ostream &os) const
-{
-    obs::writeRunsCsvHeader(os);
-    for (const SimStats &s : results_)
-        obs::writeRunCsvRow(os, s);
-}
-
 std::map<std::string, double>
 aggregateCounters(const std::vector<SimStats> &all)
 {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/span.h"
 #include "sim/sim_stats.h"
 
 namespace btbsim {
@@ -73,9 +74,6 @@ class ResultSet
                    const std::string &baseline,
                    const std::map<std::string, double> *experiment = nullptr,
                    const obs::ProfileBlock *profile = nullptr) const;
-
-    /** One CSV row per (config, workload) run. */
-    void writeCsv(std::ostream &os) const;
 
   private:
     std::vector<SimStats> results_;

@@ -17,7 +17,9 @@
 namespace btbsim {
 
 /** Run-length options; fromEnv() honours BTBSIM_WARMUP / BTBSIM_MEASURE /
- *  BTBSIM_TRACES / BTBSIM_THREADS for scaling benches up or down. */
+ *  BTBSIM_TRACES / BTBSIM_THREADS for scaling benches up or down, and
+ *  throws std::invalid_argument naming the knob for a zero measure or
+ *  trace count or a thread count past UINT_MAX. */
 struct RunOptions
 {
     std::uint64_t warmup = 500'000;

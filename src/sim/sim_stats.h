@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/sampler.h"
-#include "obs/span.h"
 
 namespace btbsim {
 
@@ -50,15 +49,12 @@ struct SimStats
     double avg_dyn_bb_size = 0.0; ///< Instructions per dynamic branch.
 
     // Observability (src/obs): within-run time series, the flattened
-    // dotted-path stat registry, and host-side profiling of the run.
+    // dotted-path stat registry, and the run's host wall time.
     std::uint64_t sample_interval = 0; ///< Cycles per sample (0 = none).
     std::vector<obs::IntervalSample> samples;
     std::map<std::string, double> counters; ///< "component.stat" -> value.
     double host_seconds = 0.0;          ///< Wall time of the whole run.
     double minst_per_host_sec = 0.0;    ///< Sim speed (M instr / host s).
-    /// Host spans completed on the running thread during this run
-    /// (paths like "run/measure"); empty when BTBSIM_SPANS=0.
-    obs::SpanProfile span_profile;
 
     bool operator==(const SimStats &) const = default;
 };

@@ -200,7 +200,7 @@ int
 cmdProf(const std::string &path)
 {
     const ResultDoc doc = btbsim::obs::loadResultDoc(path);
-    const SpanProfile spans = doc.mergedSpans();
+    const SpanProfile &spans = doc.profile.spans;
 
     std::printf("%s: schema v%d, bench \"%s\", %zu runs\n", path.c_str(),
                 doc.schema_version, doc.bench.c_str(), doc.runs.size());
@@ -209,12 +209,11 @@ cmdProf(const std::string &path)
                     "(BTBSIM_SPANS=0 when it was produced?)\n");
         return 0;
     }
-    if (doc.has_profile)
-        std::printf("profile: %llu spans on %u thread(s), %llu trace "
-                    "record(s) dropped\n",
-                    static_cast<unsigned long long>(doc.profile.total_spans),
-                    doc.profile.threads,
-                    static_cast<unsigned long long>(doc.profile.dropped));
+    std::printf("profile: %llu spans on %u thread(s), %llu trace "
+                "record(s) dropped\n",
+                static_cast<unsigned long long>(doc.profile.total_spans),
+                doc.profile.threads,
+                static_cast<unsigned long long>(doc.profile.dropped));
 
     std::printf("\n%-36s %8s %10s %6s %9s\n", "span", "count", "wall(s)",
                 "%", "avg(ms)");
@@ -249,8 +248,8 @@ cmdProfCompare(const std::string &a_path, const std::string &b_path)
 {
     const ResultDoc a = btbsim::obs::loadResultDoc(a_path);
     const ResultDoc b = btbsim::obs::loadResultDoc(b_path);
-    const SpanProfile sa = a.mergedSpans();
-    const SpanProfile sb = b.mergedSpans();
+    const SpanProfile &sa = a.profile.spans;
+    const SpanProfile &sb = b.profile.spans;
 
     // Union of paths, lexicographic (tree order).
     std::map<std::string, std::pair<const SpanAgg *, const SpanAgg *>> all;

@@ -13,6 +13,8 @@
 #include "check/checker.h"
 #include "check/reference.h"
 #include "env_util.h"
+#include "exp/experiment.h"
+#include "sim/cpu.h"
 
 using namespace btbsim;
 using check::BranchHistory;
@@ -122,7 +124,7 @@ TEST(CheckedBtb, CleanOverStockOrganizations)
     };
     for (const BtbConfig &cfg : cfgs) {
         auto org = makeBtb(cfg);
-        CheckedBtb chk(*org, /*abort_on_failure=*/false);
+        CheckedBtb chk(*org);
         // Train a small loop body, then walk accesses over it.
         for (int round = 0; round < 3; ++round) {
             chk.update(cond(0x1008, 0x1100), false);
@@ -224,7 +226,7 @@ void
 expectFailure(BogusOrg::Mode mode, const char *needle)
 {
     BogusOrg org(mode);
-    CheckedBtb chk(org, /*abort_on_failure=*/false);
+    CheckedBtb chk(org);
     // Give modes that replay trained values something to go stale: train
     // the same pc twice with different targets.
     chk.update(cond(0x1000, 0x2000), false);
@@ -272,7 +274,7 @@ TEST(CheckedBtb, CatchesMisanchoredWindow)
 TEST(CheckedBtb, FailureReportCarriesContext)
 {
     BogusOrg org(BogusOrg::Mode::kUntrainedSlot);
-    CheckedBtb chk(org, /*abort_on_failure=*/false);
+    CheckedBtb chk(org);
     chk.setNow(1234);
     PredictionBundle b;
     try {
@@ -285,6 +287,38 @@ TEST(CheckedBtb, FailureReportCarriesContext)
             << report;
         EXPECT_NE(report.find("0xdead0000"), std::string::npos) << report;
     }
+}
+
+// Under BTBSIM_CHECK=1 a divergence fails only its sweep point, and the
+// engine names the reproducer; the process lives on.
+TEST(CheckedBtb, DivergenceFailsOnlyItsSweepPoint)
+{
+    test::ScopedEnv check("BTBSIM_CHECK", "1");
+    WorkloadSpec spec;
+    spec.name = "check_wl";
+    spec.trace_seed = 7;
+
+    exp::ExperimentOptions opt;
+    opt.run.warmup = 1000;
+    opt.run.measure = 2000;
+    opt.run.threads = 1;
+    opt.simulate = [](const CpuConfig &cfg, const WorkloadSpec &w,
+                      const RunOptions &o) {
+        const std::unique_ptr<Workload> source = makeWorkload(w);
+        Cpu cpu(cfg, *source,
+                std::make_unique<BogusOrg>(BogusOrg::Mode::kUntrainedSlot));
+        cpu.run(o.warmup, o.measure);
+        return cpu.stats();
+    };
+    const exp::ExperimentResult r =
+        exp::runExperiment("check_test", {CpuConfig{}}, {spec}, opt);
+
+    ASSERT_EQ(r.points.size(), 1u);
+    const exp::PointResult &p = r.points[0];
+    EXPECT_EQ(p.status, exp::PointStatus::kFailed);
+    EXPECT_NE(p.error.find("trace_seed 7"), std::string::npos) << p.error;
+    EXPECT_NE(p.error.find("differential check FAILED"), std::string::npos)
+        << p.error;
 }
 
 // ---- environment gate -----------------------------------------------------

@@ -42,8 +42,7 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
           "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SAMPLE_INTERVAL",
           "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
-          "BTBSIM_TRACE", "BTBSIM_TRACE_CAP", "BTBSIM_TRACE_DIR",
-          "BTBSIM_JSON_OUT", "BTBSIM_CSV_OUT"})
+          "BTBSIM_JSON_OUT", "BTBSIM_CHECK", "BTBSIM_FAULT"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 
@@ -110,18 +109,6 @@ TEST(Env, FlagAndDisabled)
         ScopedEnv e(kVar, "1");
         EXPECT_TRUE(env::flag(kVar));
         EXPECT_FALSE(env::disabled(kVar));
-    }
-}
-
-TEST(Env, Str)
-{
-    {
-        ScopedEnv e(kVar, nullptr);
-        EXPECT_EQ(env::str(kVar, "fb"), "fb");
-    }
-    {
-        ScopedEnv e(kVar, "path/x");
-        EXPECT_EQ(env::str(kVar, "fb"), "path/x");
     }
 }
 

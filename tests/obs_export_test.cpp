@@ -132,8 +132,7 @@ TEST(ObsExport, RunObjectKeysAreTheSchema)
                   "l1_redundancy", "l2_redundancy", "icache_mpki",
                   "avg_dyn_bb_size"}));
     EXPECT_EQ(keys(run.at("host")),
-              (std::vector<std::string>{"seconds", "minst_per_sec",
-                                        "spans"}));
+              (std::vector<std::string>{"seconds", "minst_per_sec"}));
     EXPECT_EQ(keys(run.at("samples")),
               (std::vector<std::string>{"interval_cycles", "points"}));
     EXPECT_EQ(keys(run.at("samples").at("points").array.at(0)),
@@ -141,32 +140,6 @@ TEST(ObsExport, RunObjectKeysAreTheSchema)
                   "cycle", "instructions", "ipc", "l1_btb_hitrate",
                   "btb_hitrate", "branch_mpki", "misfetch_pki",
                   "ftq_occupancy", "icache_mpki"}));
-}
-
-TEST(ObsExport, CsvHasHeaderAndOneRowPerRun)
-{
-    ResultSet rs;
-    rs.add(makeRun("cfg \"x\"", "wl,1", 1.0));
-    rs.add(makeRun("cfg \"x\"", "wl2", 2.0));
-
-    std::ostringstream os;
-    rs.writeCsv(os);
-    std::istringstream is(os.str());
-    std::string header, row1, row2, extra;
-    ASSERT_TRUE(std::getline(is, header));
-    ASSERT_TRUE(std::getline(is, row1));
-    ASSERT_TRUE(std::getline(is, row2));
-    EXPECT_FALSE(std::getline(is, extra));
-
-    EXPECT_EQ(header,
-              "config,workload,instructions,cycles,ipc,branch_mpki,"
-              "misfetch_pki,combined_mpki,cond_mispredict_rate,"
-              "l1_btb_hitrate,btb_hitrate,fetch_pcs_per_access,"
-              "taken_per_ki,l1_slot_occupancy,l2_slot_occupancy,"
-              "l1_redundancy,l2_redundancy,icache_mpki,avg_dyn_bb_size,"
-              "host_seconds,minst_per_host_sec");
-    // Embedded quotes double, fields with commas/quotes get quoted.
-    EXPECT_EQ(row1.rfind("\"cfg \"\"x\"\"\",\"wl,1\",", 0), 0u);
 }
 
 TEST(ObsExport, Slugify)

@@ -34,7 +34,6 @@ fixtureRuns()
     a.counters = {{"btb.l1.hits", 9000.0}, {"btb.l1.misses", 270.0}};
     a.host_seconds = 0.42;
     a.minst_per_host_sec = 0.119;
-    a.span_profile = {{"run", {1, 1000}}, {"run/measure", {1, 800}}};
     a.sample_interval = 10'000;
     obs::IntervalSample p;
     p.cycle = 10'000;
@@ -52,7 +51,6 @@ fixtureRuns()
     b.instructions = 50'000;
     b.cycles = 29'412;
     b.ipc = 1.7;
-    b.span_profile = {{"run", {1, 3000}}};
     return {a, b};
 }
 
@@ -102,14 +100,15 @@ TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
     EXPECT_EQ(doc.schema_version, obs::kSchemaVersion);
     EXPECT_EQ(doc.bench, "fig10_fetchpcs");
     EXPECT_EQ(doc.runs, runs);
-    EXPECT_FALSE(doc.has_profile);
+    EXPECT_TRUE(doc.profile.spans.empty());
 }
 
 TEST(ResultDoc, ParsesV2SpansAndProfile)
 {
     // Earlier v2 writers also emitted the workload source, a host
-    // perf-counter flag and per-span counter columns. Those keys are
-    // retired; documents that still carry them must load unchanged.
+    // perf-counter flag, per-span counter columns and a per-run
+    // host.spans copy of the profile. Those keys are retired; documents
+    // that still carry them must load unchanged.
     const std::vector<SimStats> runs = fixtureRuns();
     obs::ProfileBlock profile;
     profile.total_spans = 7;
@@ -121,7 +120,8 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
     std::string text = docText(runs, &profile);
     text = replaced(text, "\"host\": {",
                     "\"host\": {\"source\": \"replay\", "
-                    "\"counters_available\": 1,");
+                    "\"counters_available\": 1, \"spans\": {\"run\": "
+                    "{\"count\": 1, \"wall_ns\": 900}},");
     text = replaced(text, "\"wall_ns\": 1000",
                     "\"wall_ns\": 1000, \"tsc\": 3000, \"cycles\": 500, "
                     "\"branch_misses\": 4, \"task_clock_ns\": 990");
@@ -131,28 +131,10 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
         obs::parseResultDoc(obs::parseJson(text), "inline");
 
     EXPECT_EQ(doc.runs, runs);
-    ASSERT_TRUE(doc.has_profile);
     EXPECT_EQ(doc.profile.total_spans, 7u);
     EXPECT_EQ(doc.profile.dropped, 2u);
     EXPECT_EQ(doc.profile.threads, 3u);
     EXPECT_EQ(doc.profile.spans, profile.spans);
-
-    // With a profile block present, mergedSpans() is the profile table
-    // alone — run spans are already inside it (double-count guard).
-    EXPECT_EQ(doc.mergedSpans(), profile.spans);
-}
-
-TEST(ResultDoc, MergedSpansFallsBackToSummingRuns)
-{
-    // A document written without a profile block still yields a tree by
-    // summing the per-run tables.
-    const obs::ResultDoc doc = obs::parseResultDoc(
-        obs::parseJson(docText(fixtureRuns())), "inline");
-
-    EXPECT_FALSE(doc.has_profile);
-    const obs::SpanProfile merged = doc.mergedSpans();
-    EXPECT_EQ(merged.at("run"), (obs::SpanAgg{2, 4000}));
-    EXPECT_EQ(merged.at("run/measure"), (obs::SpanAgg{1, 800}));
 }
 
 TEST(ResultDoc, RejectsUnsupportedVersions)

@@ -34,7 +34,7 @@ baseKey()
     return k;
 }
 
-/** A SimStats with every field (incl. samples, counters and spans)
+/** A SimStats with every field (incl. samples and counters)
  *  non-default. */
 SimStats
 fullStats()
@@ -76,7 +76,6 @@ fullStats()
                   {"frontend.fetch_stalls", 567.0}};
     s.host_seconds = 0.125;
     s.minst_per_host_sec = 0.987;
-    s.span_profile = {{"run", {1, 4'000'000}}, {"run/measure", {1, 3'000'000}}};
     return s;
 }
 
@@ -288,9 +287,10 @@ TEST(RunCache, CorruptedEntryIsDiscardedAndResimulated)
 
 TEST(RunCache, EntryWithRetiredKeyStillLoads)
 {
-    // Earlier builds also wrote the workload source and its drain
-    // throughput into the host block and hashed the payload with them.
-    // Such entries must keep serving warm hits.
+    // Earlier builds also wrote the workload source, its drain
+    // throughput and the run's host span slice into the host block and
+    // hashed the payload with them. Such entries must keep serving warm
+    // hits.
     const std::string dir = ::testing::TempDir() + "run_cache_retired";
     std::filesystem::remove_all(dir);
     const exp::RunCache cache(dir);
@@ -300,7 +300,9 @@ TEST(RunCache, EntryWithRetiredKeyStillLoads)
     writeEntry(cache, key, exp::kRunCacheSchemaVersion, "run_sha256", "run",
                replaced(runJson(s), "\"host\": {",
                         "\"host\": {\n    \"source\": \"synthetic\",\n"
-                        "    \"source_minst_per_sec\": 42.5,"));
+                        "    \"source_minst_per_sec\": 42.5,\n"
+                        "    \"spans\": {\"run\": {\"count\": 1, "
+                        "\"wall_ns\": 4000000}},"));
 
     const auto hit = cache.load(exp::runKeyDigest(key));
     ASSERT_TRUE(hit.has_value());

@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
+#include <utility>
 
 #include "env_util.h"
 #include "exp/experiment.h"
@@ -45,6 +47,21 @@ TEST(Runner, EnvOverrides)
     EXPECT_EQ(o.measure, 5678u);
     EXPECT_EQ(o.traces, 3u);
     EXPECT_EQ(o.threads, 2u);
+
+    // Values that cannot be honoured are errors naming the knob. Parsing
+    // only: no sweep runs, so no thread is started.
+    for (const auto &[knob, bad] :
+         {std::pair{"BTBSIM_TRACES", "0"}, std::pair{"BTBSIM_MEASURE", "0"},
+          std::pair{"BTBSIM_THREADS", "4294967297"}}) {
+        test::ScopedEnv e(knob, bad);
+        try {
+            (void)RunOptions::fromEnv();
+            ADD_FAILURE() << "accepted " << knob << "=" << bad;
+        } catch (const std::invalid_argument &ex) {
+            EXPECT_NE(std::string(ex.what()).find(knob), std::string::npos)
+                << ex.what();
+        }
+    }
 }
 
 TEST(Runner, EnvDefaultsWhenUnset)

@@ -158,38 +158,28 @@ TEST(Span, WorkerThreadsRecordIndependently)
     EXPECT_EQ(p.spans.at("point/execute").count, 4u);
     EXPECT_EQ(p.spans.at("point/execute/stub_sim").count, 4u);
     EXPECT_GE(p.threads, 2u); // Main (sweep) plus at least one worker.
-
-    // The per-run SimStats slice is attached by runner::runOne(), which
-    // the injected stub bypasses — stub stats carry no span_profile.
-    for (const SimStats &s : res.stats())
-        EXPECT_TRUE(s.span_profile.empty())
-            << s.config << "/" << s.workload;
 }
 
-TEST(Span, RunOneAttachesPerRunSlice)
+TEST(Span, RunOneRecordsItsPhases)
 {
     obs::SpanCollector &c = collector();
     CpuConfig cfg;
     WorkloadSpec spec;
-    spec.name = "span_slice_wl";
+    spec.name = "span_phases_wl";
 
     RunOptions opt;
     opt.warmup = 1000;
     opt.measure = 2000;
 
-    const SimStats s = runOne(cfg, spec, opt);
+    (void)runOne(cfg, spec, opt);
 
-    // runOne() diffs the thread's aggregate table around the run, so
-    // the stats carry exactly this run's phases (the enclosing "run"
-    // span closes after the diff and is deliberately absent).
-    ASSERT_EQ(s.span_profile.count("run/init"), 1u);
-    ASSERT_EQ(s.span_profile.count("run/warmup"), 1u);
-    ASSERT_EQ(s.span_profile.count("run/measure"), 1u);
-    EXPECT_EQ(s.span_profile.at("run/measure").count, 1u);
-    EXPECT_GT(s.span_profile.at("run/measure").wall_ns, 0u);
-
-    // The collector's global table additionally holds the run span.
-    EXPECT_EQ(c.profile().spans.count("run"), 1u);
+    // The process profile (the result JSON's "profile" block) holds the
+    // run and each of its phases exactly once.
+    const obs::SpanProfile spans = c.profile().spans;
+    for (const char *path : {"run", "run/init", "run/warmup", "run/measure"})
+        ASSERT_EQ(spans.count(path), 1u) << path;
+    EXPECT_EQ(spans.at("run/measure").count, 1u);
+    EXPECT_GT(spans.at("run/measure").wall_ns, 0u);
 }
 
 TEST(Span, ChromeTraceIsStructurallyValidJson)
