@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -22,8 +23,16 @@ std::string g_bench_slug = "bench";
 std::map<std::string, double> g_exp_counters;
 bool g_have_experiment = false;
 
-/// Failed points' errors (each names its reproducer), for finish().
-std::vector<std::string> g_failures;
+/// Failed points so far (runAll reports each one), for finish().
+std::size_t g_failed_points = 0;
+
+/// Whether @p results hold any run of @p config.
+bool
+hasRuns(const ResultSet &results, const std::string &config)
+{
+    return std::any_of(results.all().begin(), results.all().end(),
+                       [&](const SimStats &s) { return s.config == config; });
+}
 
 } // namespace
 
@@ -118,9 +127,14 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
     }
 
     std::printf("\n");
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        std::printf("  %-28s geomean IPC %.3f\n", tagged(c).c_str(),
-                    geomeanIpc(rs.all(), tagged(c)));
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        if (hasRuns(rs, tagged(c)))
+            std::printf("  %-28s geomean IPC %.3f\n", tagged(c).c_str(),
+                        geomeanIpc(rs.all(), tagged(c)));
+        else
+            std::printf("  %-28s no results (every point failed)\n",
+                        tagged(c).c_str());
+    }
 
     const exp::ExperimentSummary &sum = res.summary;
     std::printf("  experiment: %zu points — %zu simulated, %zu cached "
@@ -137,7 +151,7 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
                      suffix(p->config_index));
         std::fprintf(stderr, "btbsim: sweep point FAILED: %s\n",
                      error.c_str());
-        g_failures.push_back(std::move(error));
+        ++g_failed_points;
     }
     return rs;
 }
@@ -152,12 +166,10 @@ finish()
     if (!trace_path.empty())
         std::printf("wrote %s (host span trace)\n", trace_path.c_str());
 
-    if (g_failures.empty())
+    if (g_failed_points == 0)
         return 0;
-    std::fprintf(stderr, "btbsim: %zu sweep point(s) failed:\n",
-                 g_failures.size());
-    for (const std::string &f : g_failures)
-        std::fprintf(stderr, "  %s\n", f.c_str());
+    std::fprintf(stderr, "btbsim: %zu sweep point(s) failed (reported above)\n",
+                 g_failed_points);
     return 1;
 }
 
@@ -185,8 +197,14 @@ writeJsonTo(const ResultSet &results, const std::string &bench_name,
 void
 printFigure(const ResultSet &results, const std::string &baseline)
 {
-    std::printf("IPC normalized to %s:\n", baseline.c_str());
-    results.printNormalizedTable(std::cout, baseline);
+    if (hasRuns(results, baseline)) {
+        std::printf("IPC normalized to %s:\n", baseline.c_str());
+        results.printNormalizedTable(std::cout, baseline);
+    } else {
+        std::printf("IPC normalized to %s: no results (every baseline point "
+                    "failed)\n",
+                    baseline.c_str());
+    }
     std::printf("\nPer-configuration detail (suite means):\n");
     results.printDetailTable(std::cout);
     std::printf("\n");

@@ -44,7 +44,8 @@ CpuConfig realIbtb16();
  * points it had not finished — and a failed point is reported with its
  * reproducer without aborting the sweep.
  * Prints per-point progress, per-config geomeans and the sweep summary
- * (cache-hit rate, failures). Failures are remembered for finish().
+ * (cache-hit rate, failures). Each failed point's report goes to stderr
+ * once, here; finish() only counts them.
  *
  * @p suffixes (empty, or one per config) is appended to the results'
  * SimStats::config so configs sharing a BtbConfig::name() stay distinct
@@ -54,14 +55,15 @@ ResultSet runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
                  const std::vector<std::string> &suffixes = {});
 
 /**
- * Bench epilogue: prints any failed points (with their reproducers)
- * recorded by runAll and returns the bench's exit code (1 when the sweep lost
- * points, 0 otherwise). Call as `return bench::finish();` from main.
+ * Bench epilogue: prints how many points runAll reported as failed and
+ * returns the bench's exit code (1 when the sweep lost points, 0
+ * otherwise). Call as `return bench::finish();` from main.
  */
 int finish();
 
 /**
- * Print the normalized-IPC whisker table plus the detail table, then —
+ * Print the normalized-IPC whisker table (one line instead when the
+ * baseline has no results) plus the detail table, then —
  * when BTBSIM_JSON_OUT is set — write the schema-versioned result JSON:
  * to the given path when the value looks like one, otherwise to
  * results/<slug-of-bench-title>.json.

@@ -50,13 +50,6 @@ Rng::nextBounded(std::uint64_t bound)
     return next64() % bound;
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    return lo + static_cast<std::int64_t>(
-        nextBounded(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
 double
 Rng::nextDouble()
 {

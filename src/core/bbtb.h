@@ -17,9 +17,7 @@
 #ifndef BTBSIM_CORE_BBTB_H
 #define BTBSIM_CORE_BBTB_H
 
-#include <vector>
-
-#include "core/btb_org.h"
+#include "core/btb_entry.h"
 
 namespace btbsim {
 
@@ -34,38 +32,17 @@ class BlockBtb : public BtbOrg
     const BtbConfig &config() const override { return cfg_; }
 
   private:
-    struct Slot
-    {
-        std::uint32_t offset = 0; ///< Byte offset within the block.
-        BranchClass type = BranchClass::kNone;
-        Addr target = 0;
-        std::uint64_t tick = 0;
-    };
-
-    struct Entry
-    {
-        std::vector<Slot> slots;    ///< Kept sorted by offset.
-        std::uint32_t end_bytes = 0; ///< Block extent from its start.
-        bool split = false;
-    };
-
     BtbConfig cfg_;
-    TwoLevelTable<Entry> table_;
+    TwoLevelTable<BlockEntry> table_;
     std::uint64_t tick_ = 0;
-
-    // Update-side cursor: start of the dynamic block being trained.
-    Addr cur_block_ = 0;
-    bool cur_valid_ = false;
+    BlockCursor cursor_;
 
     Addr reachBytes() const { return Addr{cfg_.reach_instrs} * kInstBytes; }
 
     /** Extent of the (possibly missing) block starting at @p start. */
     std::uint32_t blockEnd(Addr start) const;
 
-    void normalizeCursor(Addr pc);
     void insertTaken(const Instruction &br);
-    void insertSlotInto(Entry &e, Addr block_start, const Instruction &br,
-                        bool &overflowed, Slot &staged_out);
 };
 
 } // namespace btbsim

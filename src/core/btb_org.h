@@ -242,17 +242,6 @@ class TwoLevelTable
         return {a, b};
     }
 
-    /** Write @p value through to both levels. */
-    void
-    writeBoth(Addr key, const Entry &value)
-    {
-        if (Entry *e = touchingFind(l1_, key))
-            *e = value;
-        if (!ideal_)
-            if (Entry *e = touchingFind(l2_, key))
-                *e = value;
-    }
-
     /** Write @p value to both levels, allocating where absent. */
     void
     upsert(Addr key, const Entry &value)

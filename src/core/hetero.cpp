@@ -1,7 +1,6 @@
 #include "core/hetero.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace btbsim {
 
@@ -21,7 +20,7 @@ HeteroBtb::blockEnd(Addr start) const
     return static_cast<std::uint32_t>(reachBytes());
 }
 
-HeteroBtb::BlockEntry *
+BlockEntry *
 HeteroBtb::synthesizeFromL2(Addr start)
 {
     // The L2 is region-organized: gather the slots of every region the
@@ -37,11 +36,11 @@ HeteroBtb::synthesizeFromL2(Addr start)
         if (!re)
             continue;
         any_region_hit = true;
-        for (const Slot &s : re->slots) {
+        for (const BranchSlot &s : re->slots) {
             const Addr pc = region + s.offset;
             if (pc < start || pc >= start + blk.end_bytes)
                 continue;
-            Slot copy = s;
+            BranchSlot copy = s;
             copy.offset = static_cast<std::uint32_t>(pc - start);
             blk.slots.push_back(copy);
             // Blocks end at architecturally-taken branches.
@@ -54,8 +53,10 @@ HeteroBtb::synthesizeFromL2(Addr start)
     if (!any_region_hit)
         return nullptr;
     std::sort(blk.slots.begin(), blk.slots.end(),
-              [](const Slot &a, const Slot &b) { return a.offset < b.offset; });
-    std::erase_if(blk.slots, [&](const Slot &s) {
+              [](const BranchSlot &a, const BranchSlot &b) {
+                  return a.offset < b.offset;
+              });
+    std::erase_if(blk.slots, [&](const BranchSlot &s) {
         return s.offset >= blk.end_bytes;
     });
     // Respect the L1 slot budget: keep the earliest slots and shrink the
@@ -84,130 +85,45 @@ HeteroBtb::beginAccess(Addr pc, PredictionBundle &b)
     b.tick_counter = &tick_;
     b.addSegment(pc, pc + (entry ? entry->end_bytes : reachBytes()));
     if (entry)
-        for (Slot &s : entry->slots)
+        for (BranchSlot &s : entry->slots)
             b.addSlot(0, pc + s.offset, s.type, s.target, level, &s.tick);
     return level; // BlockEntry slots are kept offset-sorted.
 }
 
 void
-HeteroBtb::normalizeCursor(Addr pc)
-{
-    if (!cur_valid_ || pc < cur_block_) {
-        cur_block_ = pc;
-        cur_valid_ = true;
-        return;
-    }
-    for (int guard = 0; guard < 4096; ++guard) {
-        const std::uint32_t end = blockEnd(cur_block_);
-        if (pc < cur_block_ + end)
-            return;
-        cur_block_ += end;
-    }
-    cur_block_ = pc;
-}
-
-void
 HeteroBtb::insertIntoBlock(Addr block, Addr pc, BranchClass type, Addr target)
 {
+    // Like BlockBtb::insertTaken, but over the single block level: a
+    // stale cursor is skipped without writing, and taken conditionals
+    // never end a block.
     for (int guard = 0; guard < 64; ++guard) {
         BlockEntry *e = touchingFind(l1_, block);
         BlockEntry canon;
-        if (e) {
+        if (e)
             canon = *e;
-        } else {
+        else
             canon.end_bytes = static_cast<std::uint32_t>(reachBytes());
-        }
         if (pc >= block + canon.end_bytes) {
             block += canon.end_bytes;
             continue;
         }
-        const auto offset = static_cast<std::uint32_t>(pc - block);
 
-        Slot *hit = nullptr;
-        for (Slot &s : canon.slots)
-            if (s.offset == offset)
-                hit = &s;
-        Addr spill_block = 0, spill_pc = 0;
-        BranchClass spill_type = BranchClass::kNone;
-        Addr spill_target = 0;
-
-        if (hit) {
-            hit->type = type;
-            hit->target = target;
-            hit->tick = ++tick_;
-        } else {
-            Slot s;
-            s.offset = offset;
-            s.type = type;
-            s.target = target;
-            s.tick = ++tick_;
-            if (canon.slots.size() < cfg_.branch_slots) {
-                canon.slots.insert(
-                    std::upper_bound(
-                        canon.slots.begin(), canon.slots.end(), s,
-                        [](const Slot &a, const Slot &b) {
-                            return a.offset < b.offset;
-                        }),
-                    s);
-            } else if (cfg_.split) {
-                std::vector<Slot> staged = canon.slots;
-                staged.insert(
-                    std::upper_bound(
-                        staged.begin(), staged.end(), s,
-                        [](const Slot &a, const Slot &b) {
-                            return a.offset < b.offset;
-                        }),
-                    s);
-                canon.slots.assign(staged.begin(),
-                                   staged.begin() + cfg_.branch_slots);
-                Slot spill = staged.back();
-                canon.end_bytes = canon.slots.back().offset +
-                    static_cast<std::uint32_t>(kInstBytes);
-                canon.split = true;
-                ++counters.splits;
-                spill_block = block + canon.end_bytes;
-                spill_pc = block + spill.offset;
-                spill_type = spill.type;
-                spill_target = spill.target;
-            } else {
-                Slot *victim = &*std::min_element(
-                    canon.slots.begin(), canon.slots.end(),
-                    [](const Slot &a, const Slot &b) {
-                        return a.tick < b.tick;
-                    });
-                *victim = s;
-                std::sort(canon.slots.begin(), canon.slots.end(),
-                          [](const Slot &a, const Slot &b) {
-                              return a.offset < b.offset;
-                          });
-                ++counters.slot_displacements;
-            }
-        }
-
-        if (isAlwaysTaken(type)) {
-            const std::uint32_t end =
-                offset + static_cast<std::uint32_t>(kInstBytes);
-            if (end < canon.end_bytes) {
-                canon.end_bytes = end;
-                std::erase_if(canon.slots, [&](const Slot &s2) {
-                    return s2.offset >= end;
-                });
-            }
-        }
-
+        const BlockSlotUpdate r = updateBlockSlot(
+            canon, static_cast<std::uint32_t>(pc - block), type, target,
+            tick_, cfg_.branch_slots, cfg_.split, /*cond_ends_block=*/false);
         if (e)
             *e = canon;
         else
             fillEntry(l1_, block) = canon;
-
-        if (spill_type != BranchClass::kNone) {
-            block = spill_block;
-            pc = spill_pc;
-            type = spill_type;
-            target = spill_target;
-            continue;
-        }
-        return;
+        if (r.displaced)
+            ++counters.slot_displacements;
+        if (!r.spill)
+            return;
+        ++counters.splits;
+        pc = block + r.spill->offset;
+        type = r.spill->type;
+        target = r.spill->target;
+        block += r.spill_block;
     }
 }
 
@@ -215,45 +131,27 @@ void
 HeteroBtb::insertIntoRegion(Addr pc, BranchClass type, Addr target)
 {
     const Addr region = regionBase(pc);
-    const auto offset = static_cast<std::uint32_t>(pc - region);
     RegionEntry *e = touchingFind(l2_, region);
     if (!e) {
         e = &fillEntry(l2_, region);
         ++counters.l2_allocs;
     }
-    Slot *hit = nullptr;
-    for (Slot &s : e->slots)
-        if (s.offset == offset)
-            hit = &s;
-    if (!hit) {
-        if (e->slots.size() < kRegionSlots) {
-            e->slots.emplace_back();
-            hit = &e->slots.back();
-        } else {
-            hit = &*std::min_element(
-                e->slots.begin(), e->slots.end(),
-                [](const Slot &a, const Slot &b) { return a.tick < b.tick; });
-            ++counters.l2_slot_displacements;
-        }
-        hit->offset = offset;
-    }
-    hit->type = type;
-    hit->target = target;
-    hit->tick = ++tick_;
+    if (updateRegionSlot(*e, static_cast<std::uint32_t>(pc - region), type,
+                         target, tick_, kRegionSlots)
+            .displaced)
+        ++counters.l2_slot_displacements;
 }
 
 void
 HeteroBtb::update(const Instruction &br, bool resteer)
 {
     if (br.taken) {
-        normalizeCursor(br.pc);
-        insertIntoBlock(cur_block_, br.pc, br.branch, br.takenTarget());
+        cursor_.normalize(br.pc, [this](Addr start) { return blockEnd(start); });
+        insertIntoBlock(cursor_.block, br.pc, br.branch, br.takenTarget());
         insertIntoRegion(br.pc, br.branch, br.takenTarget());
-        cur_block_ = br.next_pc;
-        cur_valid_ = true;
+        cursor_.restart(br.next_pc);
     } else if (resteer) {
-        cur_block_ = br.fallThrough();
-        cur_valid_ = true;
+        cursor_.restart(br.fallThrough());
     }
 }
 
@@ -263,14 +161,9 @@ HeteroBtb::prefill(const Instruction &br)
     // Region-organized L2 accepts decode-based prefill directly, but a
     // prefill never displaces demand-trained slots.
     const Addr region = regionBase(br.pc);
-    const auto offset = static_cast<std::uint32_t>(br.pc - region);
-    if (const RegionEntry *e = peekFind(l2_, region)) {
-        for (const Slot &s : e->slots)
-            if (s.offset == offset)
-                return;
-        if (e->slots.size() >= kRegionSlots)
-            return;
-    }
+    if (prefillSkips(peekFind(l2_, region),
+                     static_cast<std::uint32_t>(br.pc - region), kRegionSlots))
+        return;
     insertIntoRegion(br.pc, br.branch, br.takenTarget());
     ++counters.prefills;
 }
@@ -278,37 +171,7 @@ HeteroBtb::prefill(const Instruction &br)
 OccupancySample
 HeteroBtb::sampleOccupancy() const
 {
-    OccupancySample s;
-    {
-        std::uint64_t entries = 0, slots = 0;
-        std::unordered_map<Addr, std::uint32_t> track;
-        l1_.forEach([&](Addr key, const BlockEntry &e) {
-            ++entries;
-            slots += e.slots.size();
-            for (const Slot &sl : e.slots)
-                ++track[key + sl.offset];
-        });
-        s.l1_entries = entries;
-        s.l1_slot_occupancy =
-            entries ? static_cast<double>(slots) / entries : 0.0;
-        std::uint64_t total = 0;
-        for (const auto &[pc, c] : track)
-            total += c;
-        s.l1_redundancy = track.empty()
-            ? 1.0 : static_cast<double>(total) / track.size();
-    }
-    {
-        std::uint64_t entries = 0, slots = 0;
-        l2_.forEach([&](Addr, const RegionEntry &e) {
-            ++entries;
-            slots += e.slots.size();
-        });
-        s.l2_entries = entries;
-        s.l2_slot_occupancy =
-            entries ? static_cast<double>(slots) / entries : 0.0;
-        s.l2_redundancy = 1.0; // Region storage holds each branch once.
-    }
-    return s;
+    return occupancyOf(sampleLevel(l1_, blockSlotPc), sampleLevel(l2_));
 }
 
 } // namespace btbsim

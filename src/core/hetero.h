@@ -15,9 +15,7 @@
 #ifndef BTBSIM_CORE_HETERO_H
 #define BTBSIM_CORE_HETERO_H
 
-#include <vector>
-
-#include "core/btb_org.h"
+#include "core/btb_entry.h"
 
 namespace btbsim {
 
@@ -36,42 +34,16 @@ class HeteroBtb : public BtbOrg
     static constexpr unsigned kRegionSlots = 4;
 
   private:
-    struct Slot
-    {
-        std::uint32_t offset = 0;
-        BranchClass type = BranchClass::kNone;
-        Addr target = 0;
-        std::uint64_t tick = 0;
-    };
-
-    /** L1 payload: one dynamic block (B-BTB style). */
-    struct BlockEntry
-    {
-        std::vector<Slot> slots; ///< Sorted by offset.
-        std::uint32_t end_bytes = 0;
-        bool split = false;
-    };
-
-    /** L2 payload: one aligned region (R-BTB style, no redundancy). */
-    struct RegionEntry
-    {
-        std::vector<Slot> slots;
-    };
-
     BtbConfig cfg_;
     SoaSetTable<BlockEntry> l1_;
     SoaSetTable<RegionEntry> l2_;
     std::uint64_t tick_ = 0;
-
-    // Update-side cursor (start of the dynamic block being trained).
-    Addr cur_block_ = 0;
-    bool cur_valid_ = false;
+    BlockCursor cursor_;
 
     Addr reachBytes() const { return Addr{cfg_.reach_instrs} * kInstBytes; }
     Addr regionBase(Addr pc) const { return alignDown(pc, cfg_.region_bytes); }
 
     std::uint32_t blockEnd(Addr start) const;
-    void normalizeCursor(Addr pc);
     BlockEntry *synthesizeFromL2(Addr start);
     void insertIntoBlock(Addr block, Addr pc, BranchClass type, Addr target);
     void insertIntoRegion(Addr pc, BranchClass type, Addr target);

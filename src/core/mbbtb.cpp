@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "check/fault.h"
 #include "common/sat_counter.h"
+#include "core/btb_entry.h"
 
 namespace btbsim {
 
@@ -381,30 +381,14 @@ MultiBlockBtb::update(const Instruction &br, bool resteer)
 OccupancySample
 MultiBlockBtb::sampleOccupancy() const
 {
-    OccupancySample s;
-    auto probe = [](const SoaSetTable<Entry> &t, double &occ, double &red,
-                    std::uint64_t &n) {
-        std::uint64_t entries = 0, slots = 0;
-        std::unordered_map<Addr, std::uint32_t> track;
-        t.forEach([&](Addr, const Entry &e) {
-            ++entries;
-            slots += e.slots.size();
-            for (const Slot &sl : e.slots) {
-                if (sl.blk < e.blocks.size())
-                    ++track[e.blocks[sl.blk].start + sl.offset];
-            }
-        });
-        n = entries;
-        occ = entries ? static_cast<double>(slots) / entries : 0.0;
-        std::uint64_t total = 0;
-        for (const auto &[pc, c] : track)
-            total += c;
-        red = track.empty() ? 1.0
-                            : static_cast<double>(total) / track.size();
+    auto slot_pc = [](Addr, const Entry &e,
+                      const Slot &sl) -> std::optional<Addr> {
+        if (sl.blk < e.blocks.size())
+            return e.blocks[sl.blk].start + sl.offset;
+        return std::nullopt;
     };
-    probe(table_.l1(), s.l1_slot_occupancy, s.l1_redundancy, s.l1_entries);
-    probe(table_.l2(), s.l2_slot_occupancy, s.l2_redundancy, s.l2_entries);
-    return s;
+    return occupancyOf(sampleLevel(table_.l1(), slot_pc),
+                       sampleLevel(table_.l2(), slot_pc));
 }
 
 } // namespace btbsim

@@ -1,8 +1,5 @@
 #include "core/rbtb.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "check/fault.h"
 
 namespace btbsim {
@@ -12,9 +9,10 @@ RegionBtb::RegionBtb(const BtbConfig &cfg)
 {}
 
 void
-RegionBtb::bundleSlots(PredictionBundle &b, Entry &e, Addr base, int level)
+RegionBtb::bundleSlots(PredictionBundle &b, RegionEntry &e, Addr base,
+                       int level)
 {
-    for (Slot &s : e.slots)
+    for (BranchSlot &s : e.slots)
         if (s.type != BranchClass::kNone)
             b.addSlot(0, base + s.offset, s.type, s.target, level, &s.tick);
 }
@@ -28,12 +26,12 @@ RegionBtb::beginAccess(Addr pc, PredictionBundle &b)
 
     auto [e0, lvl0] = table_.lookup(region0);
 
-    Entry *entry1 = nullptr;
+    RegionEntry *entry1 = nullptr;
     if (cfg_.dual_region) {
         // The interleaved L1 can serve the next sequential region in the
         // same cycle, but only on an L1 hit (the L2 is not interleaved).
         const Addr region1 = region0 + cfg_.region_bytes;
-        if (Entry *e1 = touchingFind(table_.l1(), region1)) {
+        if (RegionEntry *e1 = touchingFind(table_.l1(), region1)) {
             entry1 = e1;
             window_end = region1 + cfg_.region_bytes;
         }
@@ -64,31 +62,14 @@ RegionBtb::applySlotUpdate(const Instruction &br)
     }
 
     bool displaced = false;
-    for (Entry *e : {l1, l2}) {
+    for (RegionEntry *e : {l1, l2}) {
         if (!e)
             continue;
-        Slot *hit = nullptr;
-        for (Slot &s : e->slots)
-            if (s.offset == offset)
-                hit = &s;
-        if (!hit) {
-            if (e->slots.size() < cfg_.branch_slots) {
-                e->slots.emplace_back();
-                hit = &e->slots.back();
-            } else {
-                // Slot contention: displace the least recently used slot.
-                hit = &*std::min_element(
-                    e->slots.begin(), e->slots.end(),
-                    [](const Slot &a, const Slot &b) { return a.tick < b.tick; });
-                displaced = true;
-            }
-            hit->offset = offset;
-        }
-        hit->type = br.branch;
-        hit->target = br.takenTarget();
-        hit->tick = ++tick_;
+        const RegionSlotUpdate r = updateRegionSlot(
+            *e, offset, br.branch, br.takenTarget(), tick_, cfg_.branch_slots);
+        displaced |= r.displaced;
         BTBSIM_FAULT_POINT("rbtb_update_target",
-                           hit->target = br.takenTarget() + kInstBytes);
+                           r.slot.target = br.takenTarget() + kInstBytes);
     }
     if (displaced)
         ++counters.slot_displacements;
@@ -110,13 +91,8 @@ RegionBtb::prefill(const Instruction &br)
     // skip branches already visible through their region entry.
     const Addr region = regionBase(br.pc);
     const auto offset = static_cast<std::uint32_t>(br.pc - region);
-    if (const Entry *e = table_.peek(region)) {
-        for (const Slot &s : e->slots)
-            if (s.offset == offset)
-                return;
-        if (e->slots.size() >= cfg_.branch_slots)
-            return; // Entry full: a prefill must not evict training.
-    }
+    if (prefillSkips(table_.peek(region), offset, cfg_.branch_slots))
+        return;
     applySlotUpdate(br);
     ++counters.prefills;
 }
@@ -124,22 +100,7 @@ RegionBtb::prefill(const Instruction &br)
 OccupancySample
 RegionBtb::sampleOccupancy() const
 {
-    OccupancySample s;
-    auto probe = [](const SoaSetTable<Entry> &t, double &occ,
-                    std::uint64_t &n) {
-        std::uint64_t entries = 0, slots = 0;
-        t.forEach([&](Addr, const Entry &e) {
-            ++entries;
-            slots += e.slots.size();
-        });
-        n = entries;
-        occ = entries ? static_cast<double>(slots) / entries : 0.0;
-    };
-    probe(table_.l1(), s.l1_slot_occupancy, s.l1_entries);
-    probe(table_.l2(), s.l2_slot_occupancy, s.l2_entries);
-    s.l1_redundancy = 1.0; // A branch lives in at most one region entry.
-    s.l2_redundancy = 1.0;
-    return s;
+    return occupancyOf(sampleLevel(table_.l1()), sampleLevel(table_.l2()));
 }
 
 } // namespace btbsim

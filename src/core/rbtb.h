@@ -11,9 +11,7 @@
 #ifndef BTBSIM_CORE_RBTB_H
 #define BTBSIM_CORE_RBTB_H
 
-#include <vector>
-
-#include "core/btb_org.h"
+#include "core/btb_entry.h"
 
 namespace btbsim {
 
@@ -40,26 +38,14 @@ class RegionBtb : public BtbOrg
     }
 
   private:
-    struct Slot
-    {
-        std::uint32_t offset = 0; ///< Byte offset within the region.
-        BranchClass type = BranchClass::kNone;
-        Addr target = 0;
-        std::uint64_t tick = 0; ///< Slot-LRU recency.
-    };
-
-    struct Entry
-    {
-        std::vector<Slot> slots;
-    };
-
     BtbConfig cfg_;
-    TwoLevelTable<Entry> table_;
+    TwoLevelTable<RegionEntry> table_;
     std::uint64_t tick_ = 0;
 
     Addr regionBase(Addr pc) const { return alignDown(pc, cfg_.region_bytes); }
 
-    void bundleSlots(PredictionBundle &b, Entry &e, Addr base, int level);
+    void bundleSlots(PredictionBundle &b, RegionEntry &e, Addr base,
+                     int level);
     void applySlotUpdate(const Instruction &br);
 };
 

@@ -185,13 +185,6 @@ class SoaSetTable
             return e;
         }
 
-        /** Drop way @p w (tag/stamp bytes are retained but dead). */
-        void
-        invalidate(unsigned w)
-        {
-            t_->valid_[set_] &= ~(std::uint32_t{1} << w);
-        }
-
       private:
         friend class SoaSetTable;
         friend class ConstSetView;
@@ -365,17 +358,6 @@ fillEntry(SoaSetTable<Entry> &t, Addr key)
     if (w < 0)
         w = set.victim();
     return set.fill(static_cast<unsigned>(w), key);
-}
-
-/** Drop @p key if resident (tag/stamp bytes are retained but dead). */
-template <typename Entry>
-void
-eraseKey(SoaSetTable<Entry> &t, Addr key)
-{
-    auto set = t.set(key);
-    const int w = set.probe(key);
-    if (w >= 0)
-        set.invalidate(static_cast<unsigned>(w));
 }
 
 } // namespace btbsim

@@ -1,6 +1,5 @@
 #include "exp/config_json.h"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace btbsim::exp {
@@ -25,12 +24,6 @@ u32At(const obs::JsonValue &v, std::string_view key)
     return static_cast<unsigned>(u64At(v, key));
 }
 
-double
-numAt(const obs::JsonValue &v, std::string_view key)
-{
-    return v.at(key).asNumber();
-}
-
 bool
 boolAt(const obs::JsonValue &v, std::string_view key)
 {
@@ -52,7 +45,7 @@ checkSchema(const obs::JsonValue &v, const char *what)
             std::to_string(kConfigSchemaVersion) + ")");
 }
 
-// ---- nested config writers/readers ------------------------------------
+// ---- nested config writers ------------------------------------------
 
 void
 writeLevelGeom(obs::JsonWriter &w, const BtbLevelGeom &g)
@@ -85,19 +78,6 @@ writeCacheConfig(obs::JsonWriter &w, const CacheConfig &c)
     w.endObject();
 }
 
-CacheConfig
-cacheConfigFromJson(const obs::JsonValue &v)
-{
-    CacheConfig c;
-    c.name = v.at("name").asString();
-    c.sets = u32At(v, "sets");
-    c.ways = u32At(v, "ways");
-    c.latency = u32At(v, "latency");
-    c.mshrs = u32At(v, "mshrs");
-    c.next_line_prefetch = boolAt(v, "next_line_prefetch");
-    return c;
-}
-
 void
 writeBPredConfig(obs::JsonWriter &w, const BPredConfig &c)
 {
@@ -111,19 +91,6 @@ writeBPredConfig(obs::JsonWriter &w, const BPredConfig &c)
     w.kv("ras_entries", c.ras_entries);
     w.kv("indirect_entries", c.indirect_entries);
     w.endObject();
-}
-
-BPredConfig
-bpredConfigFromJson(const obs::JsonValue &v)
-{
-    BPredConfig c;
-    const obs::JsonValue &p = v.at("perceptron");
-    c.perceptron.num_tables = u32At(p, "num_tables");
-    c.perceptron.entries_per_table = u32At(p, "entries_per_table");
-    c.perceptron.max_history = u32At(p, "max_history");
-    c.ras_entries = u32At(v, "ras_entries");
-    c.indirect_entries = u32At(v, "indirect_entries");
-    return c;
 }
 
 void
@@ -143,19 +110,6 @@ writeMemConfig(obs::JsonWriter &w, const MemConfig &c)
     w.endObject();
 }
 
-MemConfig
-memConfigFromJson(const obs::JsonValue &v)
-{
-    MemConfig c;
-    c.l1i = cacheConfigFromJson(v.at("l1i"));
-    c.l1d = cacheConfigFromJson(v.at("l1d"));
-    c.l2 = cacheConfigFromJson(v.at("l2"));
-    c.llc = cacheConfigFromJson(v.at("llc"));
-    c.dram_latency = u32At(v, "dram_latency");
-    c.icache_interleaves = u32At(v, "icache_interleaves");
-    return c;
-}
-
 void
 writeBackendConfig(obs::JsonWriter &w, const BackendConfig &c)
 {
@@ -172,24 +126,6 @@ writeBackendConfig(obs::JsonWriter &w, const BackendConfig &c)
     w.kv("store_ports", c.store_ports);
     w.kv("ideal", c.ideal);
     w.endObject();
-}
-
-BackendConfig
-backendConfigFromJson(const obs::JsonValue &v)
-{
-    BackendConfig c;
-    c.rob_size = u32At(v, "rob_size");
-    c.iq_size = u32At(v, "iq_size");
-    c.lq_size = u32At(v, "lq_size");
-    c.sq_size = u32At(v, "sq_size");
-    c.alloc_width = u32At(v, "alloc_width");
-    c.commit_width = u32At(v, "commit_width");
-    c.issue_width = u32At(v, "issue_width");
-    c.misc_ports = u32At(v, "misc_ports");
-    c.load_ports = u32At(v, "load_ports");
-    c.store_ports = u32At(v, "store_ports");
-    c.ideal = boolAt(v, "ideal");
-    return c;
 }
 
 void
@@ -220,36 +156,6 @@ writeGenParams(obs::JsonWriter &w, const GenParams &p)
     w.kv("frac_stream_stride", p.frac_stream_stride);
     w.kv("dep_locality", p.dep_locality);
     w.endObject();
-}
-
-GenParams
-genParamsFromJson(const obs::JsonValue &v)
-{
-    GenParams p;
-    p.seed = u64At(v, "seed");
-    p.target_static_insts = u32At(v, "target_static_insts");
-    p.num_handlers = u32At(v, "num_handlers");
-    p.mean_block_len = numAt(v, "mean_block_len");
-    p.w_check = numAt(v, "w_check");
-    p.w_always_if = numAt(v, "w_always_if");
-    p.w_mixed_if = numAt(v, "w_mixed_if");
-    p.w_loop = numAt(v, "w_loop");
-    p.w_call = numAt(v, "w_call");
-    p.w_icall = numAt(v, "w_icall");
-    p.w_switch = numAt(v, "w_switch");
-    p.w_jump = numAt(v, "w_jump");
-    p.monomorphic_frac = numAt(v, "monomorphic_frac");
-    p.pattern_frac = numAt(v, "pattern_frac");
-    p.min_trips = u32At(v, "min_trips");
-    p.max_trips = u32At(v, "max_trips");
-    p.fixed_trip_frac = numAt(v, "fixed_trip_frac");
-    p.data_footprint = u64At(v, "data_footprint");
-    p.frac_load = numAt(v, "frac_load");
-    p.frac_store = numAt(v, "frac_store");
-    p.frac_stream_stack = numAt(v, "frac_stream_stack");
-    p.frac_stream_stride = numAt(v, "frac_stream_stride");
-    p.dep_locality = numAt(v, "dep_locality");
-    return p;
 }
 
 } // namespace
@@ -389,52 +295,6 @@ writeCpuConfigJson(obs::JsonWriter &w, const CpuConfig &c)
     w.endObject();
 }
 
-CpuConfig
-cpuConfigFromJson(const obs::JsonValue &v)
-{
-    checkSchema(v, "CpuConfig");
-    CpuConfig c;
-    c.btb = btbConfigFromJson(v.at("btb"));
-    c.bpred = bpredConfigFromJson(v.at("bpred"));
-    c.mem = memConfigFromJson(v.at("mem"));
-    c.backend = backendConfigFromJson(v.at("backend"));
-    c.ftq_entries = u32At(v, "ftq_entries");
-    c.decode_queue = u32At(v, "decode_queue");
-    c.alloc_queue = u32At(v, "alloc_queue");
-    c.fetch_width = u32At(v, "fetch_width");
-    c.fetch_lines = u32At(v, "fetch_lines");
-    c.decode_width = u32At(v, "decode_width");
-    c.alloc_width = u32At(v, "alloc_width");
-    c.btb_predecode_fill = boolAt(v, "btb_predecode_fill");
-    return c;
-}
-
-// ---- RunOptions --------------------------------------------------------
-
-void
-writeRunOptionsJson(obs::JsonWriter &w, const RunOptions &o)
-{
-    w.beginObject();
-    w.kv("_schema", kConfigSchemaVersion);
-    w.kv("warmup", o.warmup);
-    w.kv("measure", o.measure);
-    w.kv("traces", static_cast<std::uint64_t>(o.traces));
-    w.kv("threads", o.threads);
-    w.endObject();
-}
-
-RunOptions
-runOptionsFromJson(const obs::JsonValue &v)
-{
-    checkSchema(v, "RunOptions");
-    RunOptions o;
-    o.warmup = u64At(v, "warmup");
-    o.measure = u64At(v, "measure");
-    o.traces = static_cast<std::size_t>(u64At(v, "traces"));
-    o.threads = u32At(v, "threads");
-    return o;
-}
-
 // ---- WorkloadSpec ------------------------------------------------------
 
 void
@@ -447,57 +307,6 @@ writeWorkloadSpecJson(obs::JsonWriter &w, const WorkloadSpec &s)
     writeGenParams(w, s.params);
     w.kv("trace_seed", s.trace_seed);
     w.endObject();
-}
-
-WorkloadSpec
-workloadSpecFromJson(const obs::JsonValue &v)
-{
-    checkSchema(v, "WorkloadSpec");
-    WorkloadSpec s;
-    s.name = v.at("name").asString();
-    s.params = genParamsFromJson(v.at("params"));
-    s.trace_seed = u64At(v, "trace_seed");
-    return s;
-}
-
-// ---- canonical strings -------------------------------------------------
-
-namespace {
-
-template <typename T, typename WriteFn>
-std::string
-canonical(const T &value, WriteFn write)
-{
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    write(w, value);
-    return os.str();
-}
-
-} // namespace
-
-std::string
-toCanonicalJson(const CpuConfig &c)
-{
-    return canonical(c, [](obs::JsonWriter &w, const CpuConfig &v) {
-        writeCpuConfigJson(w, v);
-    });
-}
-
-std::string
-toCanonicalJson(const RunOptions &o)
-{
-    return canonical(o, [](obs::JsonWriter &w, const RunOptions &v) {
-        writeRunOptionsJson(w, v);
-    });
-}
-
-std::string
-toCanonicalJson(const WorkloadSpec &s)
-{
-    return canonical(s, [](obs::JsonWriter &w, const WorkloadSpec &v) {
-        writeWorkloadSpecJson(w, v);
-    });
 }
 
 } // namespace btbsim::exp

@@ -7,10 +7,10 @@
  * writers here emit EVERY field, in declaration order, with doubles
  * printed at full round-trip precision (%.17g via obs::JsonWriter).
  *
- * The matching fromJson readers are strict: a missing key, a wrong type
- * or a mismatched "_schema" version throws std::runtime_error. Round
- * trips are exact (config_json_test proves value equality field by
- * field), which also makes exported configurations diffable.
+ * Only the BtbConfig has a reader (fuzz repro sidecars carry one, see
+ * check::loadRepro). It is strict: a missing key, a wrong type or a
+ * mismatched "_schema" version throws std::runtime_error, and its round
+ * trip is exact (config_json_test proves value equality field by field).
  *
  * Bump kConfigSchemaVersion whenever a field is added, removed or
  * reinterpreted — the version is hashed into every run-cache key, so a
@@ -24,7 +24,6 @@
 
 #include "obs/json.h"
 #include "sim/config.h"
-#include "sim/runner.h"
 #include "trace/suite.h"
 
 namespace btbsim::exp {
@@ -36,21 +35,11 @@ constexpr int kConfigSchemaVersion = 1;
 
 void writeBtbConfigJson(obs::JsonWriter &w, const BtbConfig &c);
 void writeCpuConfigJson(obs::JsonWriter &w, const CpuConfig &c);
-void writeRunOptionsJson(obs::JsonWriter &w, const RunOptions &o);
 void writeWorkloadSpecJson(obs::JsonWriter &w, const WorkloadSpec &s);
 
-// ---- strict readers (throw std::runtime_error on any mismatch) ---------
+// ---- strict reader (throws std::runtime_error on any mismatch) ----------
 
 BtbConfig btbConfigFromJson(const obs::JsonValue &v);
-CpuConfig cpuConfigFromJson(const obs::JsonValue &v);
-RunOptions runOptionsFromJson(const obs::JsonValue &v);
-WorkloadSpec workloadSpecFromJson(const obs::JsonValue &v);
-
-// ---- canonical strings (convenience for hashing / diffing) -------------
-
-std::string toCanonicalJson(const CpuConfig &c);
-std::string toCanonicalJson(const RunOptions &o);
-std::string toCanonicalJson(const WorkloadSpec &s);
 
 /** Stable names for the BTB organization enums ("instruction", ...). */
 const char *btbKindName(BtbKind k);

@@ -37,6 +37,7 @@
 #include <string>
 
 #include "exp/config_json.h"
+#include "sim/runner.h"
 #include "sim/sim_stats.h"
 
 namespace btbsim::exp {

@@ -185,16 +185,6 @@ SpanCollector::pathName(std::uint32_t id) const
     return out;
 }
 
-std::string
-SpanCollector::currentPath() const
-{
-    const detail::SpanThreadBuf *buf = t_buf;
-    if (!buf || buf->depth_ == 0 ||
-        buf->depth_ > detail::SpanThreadBuf::kMaxDepth)
-        return {};
-    return pathName(buf->stack_[buf->depth_ - 1].path);
-}
-
 SpanCollector::ThreadMark
 SpanCollector::mark()
 {

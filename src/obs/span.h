@@ -149,9 +149,6 @@ class SpanCollector
     /** '/'-joined path of interned id @p id ("sweep/point/execute"). */
     std::string pathName(std::uint32_t id) const;
 
-    /** Innermost open span path on the calling thread ("" when none). */
-    std::string currentPath() const;
-
     /**
      * Snapshot of the calling thread's aggregate table, for delta
      * captures around a region (see aggregateSince).

@@ -152,26 +152,6 @@ ResultSet::printDetailTable(std::ostream &os) const
 }
 
 void
-ResultSet::printPerWorkload(std::ostream &os, const std::string &config) const
-{
-    os << std::left << std::setw(12) << "workload" << std::right
-       << std::setw(8) << "IPC" << std::setw(8) << "MPKI" << std::setw(8)
-       << "MFPKI" << std::setw(8) << "L1hit%" << std::setw(8) << "I$MPKI"
-       << std::setw(8) << "BBsize" << "\n";
-    os << std::string(60, '-') << "\n";
-    os << std::fixed << std::setprecision(2);
-    for (const SimStats &s : results_) {
-        if (s.config != config)
-            continue;
-        os << std::left << std::setw(12) << s.workload << std::right
-           << std::setw(8) << s.ipc << std::setw(8) << s.branch_mpki
-           << std::setw(8) << s.misfetch_pki << std::setw(8)
-           << s.l1_btb_hitrate * 100.0 << std::setw(8) << s.icache_mpki
-           << std::setw(8) << s.avg_dyn_bb_size << "\n";
-    }
-}
-
-void
 ResultSet::writeJson(std::ostream &os, const std::string &bench,
                      const std::string &baseline,
                      const std::map<std::string, double> *experiment,
@@ -220,16 +200,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
 
     w.endObject();
     os << "\n";
-}
-
-std::map<std::string, double>
-aggregateCounters(const std::vector<SimStats> &all)
-{
-    std::map<std::string, double> out;
-    for (const SimStats &s : all)
-        for (const auto &[name, v] : s.counters)
-            out[name] += v;
-    return out;
 }
 
 } // namespace btbsim

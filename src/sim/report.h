@@ -56,9 +56,6 @@ class ResultSet
      */
     void printDetailTable(std::ostream &os) const;
 
-    /** Per-workload rows for a single config. */
-    void printPerWorkload(std::ostream &os, const std::string &config) const;
-
     /**
      * Emit the schema-versioned result JSON (obs/export.h documents the
      * schema). @p bench names the producing bench; @p baseline (may be
@@ -81,11 +78,6 @@ class ResultSet
 
 /** Geomean of absolute IPC for one config across workloads. */
 double geomeanIpc(const std::vector<SimStats> &all, const std::string &config);
-
-/** Merge the flattened per-run counters of @p all into one aggregate map
- *  (suite-level totals across a sweep's results). */
-std::map<std::string, double>
-aggregateCounters(const std::vector<SimStats> &all);
 
 } // namespace btbsim
 

@@ -31,7 +31,8 @@ class TraceSource
   public:
     virtual ~TraceSource() = default;
 
-    /** Produce the next dynamic instruction. */
+    /** Produce the next dynamic instruction. The reference is valid
+     *  until the next next() or reset() call; copy what must outlive it. */
     virtual const Instruction &next() = 0;
 
     /** Restart the stream from its initial state. */

@@ -94,10 +94,6 @@ readChunkDirectory(const std::string &path, const MappedFile &map,
 // TraceReplaySource.
 
 TraceReplaySource::TraceReplaySource(const std::string &path)
-    : TraceReplaySource(path, Options{})
-{}
-
-TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
     : path_(path), map_(path)
 {
     obs::ObsSpan span("replay_open");
@@ -118,28 +114,16 @@ TraceReplaySource::TraceReplaySource(const std::string &path, Options opt)
     crc_checked_.assign(chunks_.size(), false);
 
     // The wrap seam lives in the last non-empty chunk; its tail gets
-    // rewritten on install (installFront).
+    // rewritten on load.
     seam_chunk_ = chunks_.size() - 1;
     while (seam_chunk_ > 0 && chunks_[seam_chunk_].records == 0)
         --seam_chunk_;
-
-    // Decode-once cache: when the whole decoded trace fits the budget,
-    // every chunk is decoded at most once and wraps/resets are free.
-    // Otherwise chunks stream through stream_buf_.
-    cached_mode_ = opt.cache_budget_bytes > 0 &&
-                   header_.inst_count <=
-                       opt.cache_budget_bytes / sizeof(Instruction);
-    if (cached_mode_) {
-        cache_.resize(chunks_.size());
-        cache_valid_.assign(chunks_.size(), false);
-    }
 
     reset();
 }
 
 void
-TraceReplaySource::decodeChunk(std::size_t idx,
-                               std::vector<Instruction> &out)
+TraceReplaySource::load(std::size_t idx)
 {
     obs::ObsSpan span("replay_decode");
     const ChunkInfo &c = chunks_[idx];
@@ -152,48 +136,31 @@ TraceReplaySource::decodeChunk(std::size_t idx,
     }
     // Avoid resize()'s value-initialization when the buffer is reused at
     // the same size (every full chunk): decode overwrites each element.
-    if (out.size() != c.records) {
-        out.clear();
-        out.resize(c.records);
+    if (buf_.size() != c.records) {
+        buf_.clear();
+        buf_.resize(c.records);
     }
     try {
-        decodeChunkPayload(payload, c.payload_bytes, c.records, out.data());
+        decodeChunkPayload(payload, c.payload_bytes, c.records, buf_.data());
     } catch (const TraceError &e) {
         throw TraceError(path_ + ": " + e.what() + " (chunk " +
                          std::to_string(idx) + ")");
     }
-}
 
-const std::vector<Instruction> &
-TraceReplaySource::chunkBuffer(std::size_t idx)
-{
-    if (!cache_valid_[idx]) {
-        decodeChunk(idx, cache_[idx]);
-        cache_valid_[idx] = true;
-    }
-    return cache_[idx];
-}
-
-void
-TraceReplaySource::installFront(std::size_t idx)
-{
     cur_chunk_ = idx;
     pos_ = 0;
-    if (cur_->empty())
+    if (buf_.empty())
         return;
     if (!first_pc_set_) {
-        first_pc_ = cur_->front().pc;
+        first_pc_ = buf_.front().pc;
         first_pc_set_ = true;
     }
 
     // Control-flow-consistent wrap seam: the frontend asserts that each
     // instruction's next_pc matches the following pc, so the recorded
-    // tail is rewritten into a jump back to the recorded head. The
-    // rewrite is idempotent, so re-installing a cached chunk is fine.
+    // tail is rewritten into a jump back to the recorded head.
     if (idx == seam_chunk_) {
-        std::vector<Instruction> &buf =
-            cached_mode_ ? cache_[idx] : stream_buf_;
-        Instruction &tail = buf.back();
+        Instruction &tail = buf_.back();
         if (tail.next_pc != first_pc_) {
             tail.cls = InstClass::kBranch;
             tail.branch = BranchClass::kUncondDirect;
@@ -202,18 +169,6 @@ TraceReplaySource::installFront(std::size_t idx)
             tail.mem_addr = 0;
         }
     }
-}
-
-void
-TraceReplaySource::load(std::size_t idx)
-{
-    if (cached_mode_) {
-        cur_ = &chunkBuffer(idx);
-    } else {
-        decodeChunk(idx, stream_buf_);
-        cur_ = &stream_buf_;
-    }
-    installFront(idx);
 }
 
 void
@@ -228,7 +183,7 @@ TraceReplaySource::advance()
             ++wraps_;
         }
         load(idx);
-        if (!cur_->empty())
+        if (!buf_.empty())
             return;
     }
     throw TraceError(path_ + ": no decodable instructions");
@@ -237,9 +192,9 @@ TraceReplaySource::advance()
 const Instruction &
 TraceReplaySource::next()
 {
-    if (pos_ >= cur_->size())
+    if (pos_ >= buf_.size())
         advance();
-    return (*cur_)[pos_++];
+    return buf_[pos_++];
 }
 
 void
@@ -247,7 +202,7 @@ TraceReplaySource::reset()
 {
     wraps_ = 0;
     load(0);
-    while (cur_->empty())
+    while (buf_.empty())
         advance();
 }
 

@@ -54,13 +54,10 @@ struct ChunkInfo
 /**
  * Replays a recorded `.btbt` file as a TraceSource.
  *
- * The file is mmapped and decoded one chunk at a time. Traces whose
- * decoded form fits the cache budget (Options::cache_budget_bytes,
- * 256 MB) are decoded at most once per chunk and delivered straight
- * from the cached buffers afterwards — wraps and resets cost nothing
- * but a pointer move, which is what makes replay delivery much faster
- * than live generation. Larger traces stream through one buffer that
- * is re-decoded chunk by chunk. Delivery is identical in both modes.
+ * The file is mmapped and streamed through one reused chunk buffer: each
+ * chunk is decoded when the cursor enters it, so a wrap or reset decodes
+ * again. A run that must be bit-identical to the live source consumes
+ * less than the recording (see below), so it decodes every chunk once.
  *
  * When the consumer outruns the recording the stream wraps to the first
  * chunk; if the recorded tail does not already jump to the recorded
@@ -78,15 +75,8 @@ struct ChunkInfo
 class TraceReplaySource : public TraceSource
 {
   public:
-    struct Options
-    {
-        /** Decoded-chunk cache limit in bytes; 0 forces streaming. */
-        std::uint64_t cache_budget_bytes = 256ull << 20;
-    };
-
     /** Opens and validates @p path; throws TraceError on any problem. */
     explicit TraceReplaySource(const std::string &path);
-    TraceReplaySource(const std::string &path, Options opt);
 
     const Instruction &next() override;
     void reset() override;
@@ -111,32 +101,17 @@ class TraceReplaySource : public TraceSource
     /// on its first decode (wraps and resets then skip the scan).
     std::vector<bool> crc_checked_;
 
-    // Consumer-side cursor. cur_ points at the buffer being delivered:
-    // a cache_ slot in cached mode, stream_buf_ in streaming mode.
-    // Read-only: the only mutation (the wrap-seam rewrite) goes through
-    // the seam chunk's own buffer.
-    const std::vector<Instruction> *cur_ = nullptr;
+    // Consumer-side cursor over buf_, the decoded current chunk.
+    std::vector<Instruction> buf_;
     std::size_t pos_ = 0;
-    std::size_t cur_chunk_ = 0; ///< Chunk index cur_ holds.
+    std::size_t cur_chunk_ = 0; ///< Chunk index buf_ holds.
     std::size_t seam_chunk_ = 0; ///< Last non-empty chunk (wrap seam).
     Addr first_pc_ = 0;
     bool first_pc_set_ = false;
     std::uint64_t wraps_ = 0;
 
-    // Decode-once cache (cached mode).
-    bool cached_mode_ = false;
-    std::vector<std::vector<Instruction>> cache_;
-    std::vector<bool> cache_valid_;
-
-    // Streaming buffer (oversized traces).
-    std::vector<Instruction> stream_buf_;
-
-    void decodeChunk(std::size_t idx, std::vector<Instruction> &out);
-    const std::vector<Instruction> &chunkBuffer(std::size_t idx);
-    /** Decode (or fetch from the cache) chunk @p idx into cur_ and
-     *  install it. */
+    /** Decode chunk @p idx into buf_ and rewrite the wrap seam. */
     void load(std::size_t idx);
-    void installFront(std::size_t idx);
     void advance();
 };
 

@@ -58,7 +58,6 @@ class TraceWriter
      *  TraceError on I/O failure. Idempotent. */
     void finish();
 
-    std::uint64_t instructionsWritten() const { return inst_count_; }
     const std::string &path() const { return path_; }
 
   private:

@@ -2,157 +2,114 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <sstream>
 
 #include "exp/config_json.h"
+#include "exp/run_cache.h"
 #include "obs/json.h"
 
 using namespace btbsim;
 
 namespace {
 
-/** A CpuConfig with every field moved off its default. */
-CpuConfig
-fullyMutatedConfig()
+/** A BtbConfig with every field moved off its default. */
+BtbConfig
+fullyMutatedBtb()
 {
-    CpuConfig c;
-    c.btb = BtbConfig::mbbtb(3, PullPolicy::kAllBr, 32);
-    c.btb.skip_taken = true;
-    c.btb.region_bytes = 128;
-    c.btb.dual_region = true;
-    c.btb.split = true;
-    c.btb.cond_ends_block = true;
-    c.btb.stability_threshold = 7;
-    c.btb.allow_last_slot_pull = true;
-    c.btb.l1 = {64, 3};
-    c.btb.l2 = {2048, 5};
-    c.btb.ideal = true;
-    c.btb.l2_penalty = 9;
-
-    c.bpred.perceptron.num_tables = 5;
-    c.bpred.ras_entries = 32;
-    c.mem.l1i.sets = 128;
-    c.mem.l2.ways = 12;
-    c.mem.llc.next_line_prefetch = true;
-    c.mem.dram_latency = 150;
-    c.backend.rob_size = 777;
-    c.backend.ideal = true;
-
-    c.ftq_entries = 32;
-    c.decode_queue = 48;
-    c.alloc_queue = 40;
-    c.fetch_width = 8;
-    c.fetch_lines = 4;
-    c.decode_width = 8;
-    c.alloc_width = 8;
-    c.btb_predecode_fill = true;
+    BtbConfig c = BtbConfig::mbbtb(3, PullPolicy::kAllBr, 32);
+    c.skip_taken = true;
+    c.region_bytes = 128;
+    c.dual_region = true;
+    c.split = true;
+    c.cond_ends_block = true;
+    c.stability_threshold = 7;
+    c.allow_last_slot_pull = true;
+    c.l1 = {64, 3};
+    c.l2 = {2048, 5};
+    c.ideal = true;
+    c.l2_penalty = 9;
     return c;
 }
 
-WorkloadSpec
-fullyMutatedSpec()
+std::string
+btbJson(const BtbConfig &c)
 {
-    WorkloadSpec s;
-    s.name = "roundtrip-wl";
-    s.trace_seed = 0xABCDEF;
-    s.params.seed = 42;
-    s.params.target_static_insts = 12345;
-    s.params.num_handlers = 3;
-    s.params.mean_block_len = 7.25;
-    s.params.w_check = 0.31;
-    s.params.w_always_if = 0.11;
-    s.params.w_mixed_if = 0.08;
-    s.params.w_loop = 0.04;
-    s.params.w_call = 0.21;
-    s.params.w_icall = 0.06;
-    s.params.w_switch = 0.05;
-    s.params.w_jump = 0.041;
-    s.params.monomorphic_frac = 0.5;
-    s.params.pattern_frac = 0.123456789012345; // Exercises %.17g fidelity.
-    s.params.min_trips = 3;
-    s.params.max_trips = 17;
-    s.params.fixed_trip_frac = 0.91;
-    s.params.data_footprint = 3ull << 20;
-    s.params.frac_load = 0.19;
-    s.params.frac_store = 0.08;
-    s.params.frac_stream_stack = 0.59;
-    s.params.frac_stream_stride = 0.33;
-    s.params.dep_locality = 0.21;
-    return s;
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    exp::writeBtbConfigJson(w, c);
+    return os.str();
+}
+
+/** A run key with a non-default config and workload. */
+exp::RunKey
+mutatedKey()
+{
+    exp::RunKey k;
+    k.config.btb = fullyMutatedBtb();
+    k.config.backend.rob_size = 777;
+    k.config.fetch_width = 8;
+    k.workload.name = "canonical-wl";
+    k.workload.trace_seed = 0xABCDEF;
+    k.workload.params.pattern_frac = 0.123456789012345; // %.17g fidelity.
+    k.opt.warmup = 123;
+    k.opt.measure = 456;
+    k.sample_interval = 5000;
+    return k;
 }
 
 } // namespace
 
-TEST(ConfigJson, CpuConfigRoundTripsExactly)
+TEST(ConfigJson, BtbConfigRoundTripsExactly)
 {
-    for (const CpuConfig &c :
-         {CpuConfig{}, fullyMutatedConfig(), [] {
-              CpuConfig h;
-              h.btb = BtbConfig::hetero(2);
-              return h;
-          }()}) {
-        const std::string json = exp::toCanonicalJson(c);
-        const CpuConfig back =
-            exp::cpuConfigFromJson(obs::parseJson(json));
+    for (const BtbConfig &c :
+         {BtbConfig{}, fullyMutatedBtb(), BtbConfig::hetero(2),
+          BtbConfig::rbtb(3, 128, true), BtbConfig::ibtb(8, true)}) {
+        const std::string json = btbJson(c);
+        const BtbConfig back = exp::btbConfigFromJson(obs::parseJson(json));
         EXPECT_EQ(back, c);
         // Re-serializing the round-tripped value is byte-identical:
         // canonical form is a fixed point.
-        EXPECT_EQ(exp::toCanonicalJson(back), json);
+        EXPECT_EQ(btbJson(back), json);
     }
 }
 
-TEST(ConfigJson, RunOptionsRoundTripsExactly)
+TEST(ConfigJson, RunKeySerializationIsDeterministic)
 {
-    RunOptions o;
-    o.warmup = 123;
-    o.measure = 456;
-    o.traces = 7;
-    o.threads = 3;
-    const std::string json = exp::toCanonicalJson(o);
-    const RunOptions back = exp::runOptionsFromJson(obs::parseJson(json));
-    EXPECT_EQ(back, o);
-    EXPECT_EQ(exp::toCanonicalJson(back), json);
-}
-
-TEST(ConfigJson, WorkloadSpecRoundTripsExactly)
-{
-    const WorkloadSpec s = fullyMutatedSpec();
-    const std::string json = exp::toCanonicalJson(s);
-    const WorkloadSpec back =
-        exp::workloadSpecFromJson(obs::parseJson(json));
-    EXPECT_EQ(back, s);
-    EXPECT_EQ(exp::toCanonicalJson(back), json);
-}
-
-TEST(ConfigJson, SerializationIsDeterministic)
-{
-    const CpuConfig c = fullyMutatedConfig();
-    EXPECT_EQ(exp::toCanonicalJson(c), exp::toCanonicalJson(c));
+    EXPECT_EQ(exp::canonicalRunKeyJson(mutatedKey()),
+              exp::canonicalRunKeyJson(mutatedKey()));
 }
 
 TEST(ConfigJson, DifferentConfigsSerializeDifferently)
 {
-    CpuConfig a, b;
-    b.fetch_width = a.fetch_width + 1;
-    EXPECT_NE(exp::toCanonicalJson(a), exp::toCanonicalJson(b));
+    const exp::RunKey a = mutatedKey();
+    const std::string base = exp::canonicalRunKeyJson(a);
+    exp::RunKey b = a;
+    b.config.fetch_width += 1;
+    EXPECT_NE(exp::canonicalRunKeyJson(b), base);
+    b = a;
+    b.config.btb.cond_ends_block = false;
+    EXPECT_NE(exp::canonicalRunKeyJson(b), base);
+    b = a;
+    b.workload.params.pattern_frac += 1e-15;
+    EXPECT_NE(exp::canonicalRunKeyJson(b), base);
 }
 
 TEST(ConfigJson, SchemaMismatchThrows)
 {
-    std::string json = exp::toCanonicalJson(CpuConfig{});
+    std::string json = btbJson(BtbConfig{});
     const std::string needle =
         "\"_schema\": " + std::to_string(exp::kConfigSchemaVersion);
     const auto pos = json.find(needle);
     ASSERT_NE(pos, std::string::npos);
     json.replace(pos, needle.size(), "\"_schema\": 999");
-    EXPECT_THROW(exp::cpuConfigFromJson(obs::parseJson(json)),
+    EXPECT_THROW(exp::btbConfigFromJson(obs::parseJson(json)),
                  std::runtime_error);
 }
 
 TEST(ConfigJson, MissingKeyThrows)
 {
-    EXPECT_THROW(exp::runOptionsFromJson(obs::parseJson(
-                     "{\"_schema\": 1, \"warmup\": 1}")),
+    EXPECT_THROW(exp::btbConfigFromJson(obs::parseJson(
+                     "{\"_schema\": 1, \"kind\": \"block\"}")),
                  std::runtime_error);
 }
 

@@ -145,6 +145,16 @@ expectGoldenReplay(const BtbConfig &btb, const std::string &golden)
         << canon;
 }
 
+/** B-BTB 2BS with Yeh/Patt-style blocks: taken conditionals end the
+ *  block too (the CndEnd truncation). */
+BtbConfig
+condEndsBlock()
+{
+    BtbConfig c = BtbConfig::bbtb(2);
+    c.cond_ends_block = true;
+    return c;
+}
+
 } // namespace
 
 TEST(GoldenStats, InstructionBtb)
@@ -184,6 +194,11 @@ TEST(GoldenStats, BlockBtbSplit)
     expectGolden(BtbConfig::bbtb(1, /*split=*/true), "cfc4f36d6a5231c037ae13ffacd47e7d2facd179b927f34f68772dfe9619445e");
 }
 
+TEST(GoldenStats, BlockBtbCondEndsBlock)
+{
+    expectGolden(condEndsBlock(), "a64775d33cf981716841a35d391a8bb835812ab199dd807d1a3b40ba69185f27");
+}
+
 TEST(GoldenStats, MultiBlockBtbAllBr)
 {
     expectGolden(BtbConfig::mbbtb(3, PullPolicy::kAllBr), "30358f709265c666fa32e68014beb1f39faf5b7d26cc7ed6d51cf8d6148ccf78");
@@ -198,6 +213,11 @@ TEST(GoldenStats, MultiBlockBtbCallDir32)
 TEST(GoldenStats, HeteroBtb)
 {
     expectGolden(BtbConfig::hetero(2, /*split=*/true), "915e3f03dfbab451c1de96299165510e1e5469a52e65063bb986aae473e2c5b0");
+}
+
+TEST(GoldenStats, HeteroBtbNoSplit)
+{
+    expectGolden(BtbConfig::hetero(2, /*split=*/false), "ffaa51aa84c78c500ece0c88d6fe818fa5f4b8d49106ecfdd6d8afb12e60bf18");
 }
 
 // ---- replay path (TraceReplaySource must be stream-identical) -------------
@@ -247,10 +267,13 @@ TEST(GoldenStats, DISABLED_PrintDigests)
     std::printf("BBTB2           %s\n", runDigest(BtbConfig::bbtb(2)).c_str());
     std::printf("BBTB1SPLIT      %s\n",
                 runDigest(BtbConfig::bbtb(1, true)).c_str());
+    std::printf("BBTB2CNDEND     %s\n", runDigest(condEndsBlock()).c_str());
     std::printf("MBBTB3ALLBR     %s\n",
                 runDigest(BtbConfig::mbbtb(3, PullPolicy::kAllBr)).c_str());
     std::printf("MBBTB2CALLDIR32 %s\n",
                 runDigest(BtbConfig::mbbtb(2, PullPolicy::kCallDir, 32)).c_str());
     std::printf("HETERO2         %s\n",
                 runDigest(BtbConfig::hetero(2, true)).c_str());
+    std::printf("HETERO2NOSPLIT  %s\n",
+                runDigest(BtbConfig::hetero(2, false)).c_str());
 }

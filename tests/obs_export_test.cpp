@@ -150,11 +150,3 @@ TEST(ObsExport, Slugify)
     EXPECT_EQ(obs::slugify(""), "unnamed");
     EXPECT_EQ(obs::slugify("---"), "unnamed");
 }
-
-TEST(ObsExport, AggregateCountersSumsAcrossRuns)
-{
-    std::vector<SimStats> v{makeRun("a", "w1", 1.0), makeRun("a", "w2", 2.0)};
-    const auto agg = aggregateCounters(v);
-    EXPECT_DOUBLE_EQ(agg.at("pcgen.accesses"), 2 * 123456.0);
-    EXPECT_DOUBLE_EQ(agg.at("l1i.demand_misses"), 2 * 789.0);
-}

@@ -75,7 +75,6 @@ TEST(Report, TablesRenderWithoutCrashing)
     std::ostringstream os;
     rs.printNormalizedTable(os, "base");
     rs.printDetailTable(os);
-    rs.printPerWorkload(os, "test");
     EXPECT_NE(os.str().find("test"), std::string::npos);
     EXPECT_NE(os.str().find("geomean"), std::string::npos);
 }

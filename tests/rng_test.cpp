@@ -29,21 +29,6 @@ TEST(Rng, BoundedStaysInBounds)
         EXPECT_LT(r.nextBounded(17), 17u);
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng r(9);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; ++i) {
-        const auto v = r.nextRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= (v == -3);
-        saw_hi |= (v == 3);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng r(11);

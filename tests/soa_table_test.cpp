@@ -84,15 +84,13 @@ TEST(SoaTableTest, SetIndexingUsesShift)
     EXPECT_NE(touchingFind(tbl, 0x40), nullptr);
 }
 
-TEST(SoaTableTest, EraseAndClear)
+TEST(SoaTableTest, Clear)
 {
     SoaSetTable<Payload> tbl(4, 2, 0);
     fillEntry(tbl, 1).value = 1;
     fillEntry(tbl, 2).value = 2;
-    eraseKey(tbl, 1);
-    EXPECT_EQ(peekFind(tbl, 1), nullptr);
-    EXPECT_NE(peekFind(tbl, 2), nullptr);
     tbl.clear();
+    EXPECT_EQ(peekFind(tbl, 1), nullptr);
     EXPECT_EQ(peekFind(tbl, 2), nullptr);
 }
 
@@ -265,17 +263,6 @@ class RefTable
         return *victim;
     }
 
-    void
-    erase(Addr key)
-    {
-        Way *set = &arr_[setOf(key) * ways_];
-        for (unsigned i = 0; i < ways_; ++i)
-            if (set[i].valid && set[i].key == key) {
-                set[i].valid = false;
-                return;
-            }
-    }
-
     std::uint64_t evictions() const { return evictions_; }
 
   private:
@@ -299,7 +286,7 @@ TEST(SoaTableTest, ReplacementParityWithAosReference)
     std::mt19937_64 rng(99);
     for (int i = 0; i < 20000; ++i) {
         const Addr key = rng() % 48;
-        switch (rng() % 4) {
+        switch (rng() % 3) {
         case 0: { // find (touches on hit)
             Payload *a = touchingFind(soa, key);
             RefTable::Way *b = ref.find(key);
@@ -314,18 +301,12 @@ TEST(SoaTableTest, ReplacementParityWithAosReference)
                 << "op " << i;
             break;
         }
-        case 2: { // insert + payload write
+        default: { // insert + payload write
             const int v = static_cast<int>(rng() % 1000);
             fillEntry(soa, key).value = v;
             ref.insert(key).value = v;
             break;
         }
-        default: // occasional erase
-            if (rng() % 8 == 0) {
-                eraseKey(soa, key);
-                ref.erase(key);
-            }
-            break;
         }
         ASSERT_EQ(soa.evictions(), ref.evictions()) << "op " << i;
     }

@@ -382,31 +382,24 @@ TEST(TraceRoundTrip, WriterReaderAllFields)
     // Odd chunk size forces several chunks plus a short tail.
     const std::string path = writeSample("rt_fields.btbt", insts, 171);
 
-    // Cover the decode-once cache and the streaming path.
-    for (const std::uint64_t cache : {256ull << 20, 0ull}) {
-        {
-            TraceReplaySource::Options opt;
-            opt.cache_budget_bytes = cache;
-            TraceReplaySource src(path, opt);
-            EXPECT_EQ(src.instructionCount(), insts.size());
-            EXPECT_EQ(src.name(), "rt_fields.btbt");
-            EXPECT_EQ(src.codeImage(), nullptr);
-            // All but the final instruction round-trip exactly; the
-            // tail is pre-patched into the wrap-seam jump (pc and
-            // registers survive, control flow redirects to the head).
-            for (std::size_t i = 0; i + 1 < insts.size(); ++i)
-                expectSameInstruction(insts[i], src.next(), i);
-            const Instruction &tail = src.next();
-            EXPECT_EQ(tail.pc, insts.back().pc);
-            EXPECT_EQ(tail.dst, insts.back().dst);
-            EXPECT_EQ(tail.src1, insts.back().src1);
-            EXPECT_EQ(tail.src2, insts.back().src2);
-            EXPECT_EQ(tail.next_pc, insts.front().pc);
-            EXPECT_EQ(tail.branch, BranchClass::kUncondDirect);
-            EXPECT_TRUE(tail.taken);
-            EXPECT_EQ(src.wraps(), 0u);
-        }
-    }
+    TraceReplaySource src(path);
+    EXPECT_EQ(src.instructionCount(), insts.size());
+    EXPECT_EQ(src.name(), "rt_fields.btbt");
+    EXPECT_EQ(src.codeImage(), nullptr);
+    // All but the final instruction round-trip exactly; the tail is
+    // pre-patched into the wrap-seam jump (pc and registers survive,
+    // control flow redirects to the head).
+    for (std::size_t i = 0; i + 1 < insts.size(); ++i)
+        expectSameInstruction(insts[i], src.next(), i);
+    const Instruction &tail = src.next();
+    EXPECT_EQ(tail.pc, insts.back().pc);
+    EXPECT_EQ(tail.dst, insts.back().dst);
+    EXPECT_EQ(tail.src1, insts.back().src1);
+    EXPECT_EQ(tail.src2, insts.back().src2);
+    EXPECT_EQ(tail.next_pc, insts.front().pc);
+    EXPECT_EQ(tail.branch, BranchClass::kUncondDirect);
+    EXPECT_TRUE(tail.taken);
+    EXPECT_EQ(src.wraps(), 0u);
     std::remove(path.c_str());
 }
 
@@ -585,19 +578,14 @@ TEST(TraceNegative, ZeroLengthChunksAreSkipped)
     writeFile(path, f);
     EXPECT_TRUE(verifyTrace(path).empty());
 
-    for (const std::uint64_t cache : {256ull << 20, 0ull}) {
-        TraceReplaySource::Options opt;
-        opt.cache_budget_bytes = cache;
-        TraceReplaySource src(path, opt);
-        // Two full laps across the empty chunk.
-        for (int lap = 0; lap < 2; ++lap)
-            for (std::size_t i = 0; i < insts.size(); ++i) {
-                const Instruction &got = src.next();
-                EXPECT_EQ(got.pc, insts[i].pc)
-                    << "lap " << lap << " i " << i;
-            }
-        EXPECT_EQ(src.wraps(), 1u);
-    }
+    TraceReplaySource src(path);
+    // Two full laps across the empty chunk.
+    for (int lap = 0; lap < 2; ++lap)
+        for (std::size_t i = 0; i < insts.size(); ++i) {
+            const Instruction &got = src.next();
+            EXPECT_EQ(got.pc, insts[i].pc) << "lap " << lap << " i " << i;
+        }
+    EXPECT_EQ(src.wraps(), 1u);
     std::remove(path.c_str());
 }
 
