@@ -43,10 +43,10 @@ class HybridBtb : public BtbOrg
         cfg_.region_bytes = cfg.region_bytes;
     }
 
-    int
+    void
     beginAccess(Addr pc, PredictionBundle &b) override
     {
-        const int level = inner_.beginAccess(pc, b);
+        inner_.beginAccess(pc, b);
         // Any window PC the region entry does not track may still hit
         // the victim store.
         const auto window = b.segments[0];
@@ -60,7 +60,6 @@ class HybridBtb : public BtbOrg
                 b.addSlot(0, cur, o->type, o->target, 1);
         }
         b.sortSlots();
-        return level;
     }
 
     void

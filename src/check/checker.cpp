@@ -1,6 +1,5 @@
 #include "check/checker.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/env.h"
@@ -26,17 +25,17 @@ dumpBundle(std::ostream &os, const PredictionBundle &b)
         os << "    [" << i << "] " << hexAddr(b.segments[i].start) << " .. "
            << hexAddr(b.segments[i].end) << "\n";
     os << "  slots (" << b.n_slots << ", cursor=" << b.cursor
-       << ", committed=" << b.committed << ", probes=" << b.probes
-       << ", probed_mask=" << hexAddr(b.probed) << "):\n";
+       << ", probes=" << b.probes << "):\n";
     for (unsigned i = 0; i < b.n_slots && i < PredictionBundle::kMaxSlots;
          ++i) {
         const auto &s = b.slots[i];
         os << "    [" << i << "] seg=" << unsigned{s.seg} << " pc="
            << hexAddr(s.pc) << " type=" << branchClassName(s.type)
-           << " target=" << hexAddr(s.target) << " level="
-           << unsigned{s.level} << (s.follow ? " follow" : "")
-           << (s.end_on_not_taken ? " end_on_not_taken" : "")
-           << ((b.probed >> i & 1) ? " probed" : "") << "\n";
+           << " target=" << hexAddr(s.target);
+        if (!b.lookup_org) // Else each probe's lookup reports the level.
+            os << " level=" << unsigned{s.level};
+        os << (s.follow ? " follow" : "")
+           << (s.end_on_not_taken ? " end_on_not_taken" : "") << "\n";
     }
 }
 
@@ -92,15 +91,17 @@ CheckedBtb::trainTaken(const Instruction &br)
         ref_rbtb_->train(br.pc);
 }
 
-int
+void
 CheckedBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
     ++accesses_;
     access_pc_ = pc;
-    const int lvl = inner_.beginAccess(pc, b);
-    access_dirty_ = false;
+    bundle_ = &b;
+    inner_.beginAccess(pc, b);
+    // Stand in for the inner organization's probe-time lookups.
+    if (b.lookup_org == &inner_)
+        b.lookup_org = this;
     validateBundle(b, /*chained=*/false);
-    return lvl;
 }
 
 bool
@@ -109,10 +110,25 @@ CheckedBtb::chainAccess(Addr pc, Addr target, PredictionBundle &b)
     const bool ok = inner_.chainAccess(pc, target, b);
     if (ok) {
         access_pc_ = target;
-        access_dirty_ = false;
         validateBundle(b, /*chained=*/true);
     }
     return ok;
+}
+
+int
+CheckedBtb::lookupSlot(Addr pc)
+{
+    const int before = inner_.peekLevel(pc);
+    const int level = inner_.lookupSlot(pc);
+    if (level != before)
+        fail(bundle_, "probed slot at " + hexAddr(pc) + " looked up at level " +
+                          std::to_string(level) +
+                          " but the entry resided at level " +
+                          std::to_string(before));
+    if (level != 0 && inner_.peekLevel(pc) != 1)
+        fail(bundle_, "probed slot at " + hexAddr(pc) +
+                          " is not L1-resident after its lookup");
+    return level;
 }
 
 void
@@ -120,7 +136,6 @@ CheckedBtb::update(const Instruction &br, bool resteer)
 {
     if (br.taken)
         trainTaken(br);
-    access_dirty_ = true;
     inner_.update(br, resteer);
 }
 
@@ -134,70 +149,7 @@ CheckedBtb::prefill(const Instruction &br)
         ref_ibtb_->train(br.pc);
     if (ref_rbtb_)
         ref_rbtb_->prefill(br.pc);
-    access_dirty_ = true;
     inner_.prefill(br);
-}
-
-void
-CheckedBtb::endAccess(PredictionBundle &b)
-{
-    // ShadowL1 cross-check: the I-BTB records per-slot supply levels from
-    // side-effect-free peeks and replays the real lookups here. For any
-    // probed, not-yet-committed slot whose L1 set no other probed slot
-    // maps to (so commit order inside the set cannot matter) and with no
-    // interleaved table mutation, the peeked level must match the real
-    // hierarchy before the replay, and the replay must leave the entry
-    // L1-resident.
-    if (inner_.config().kind != BtbKind::kInstruction || access_dirty_) {
-        inner_.endAccess(b);
-        return;
-    }
-    const BtbConfig &cfg = inner_.config();
-    const unsigned sets = cfg.ideal ? 16384 : cfg.l1.sets;
-
-    unsigned idx[PredictionBundle::kMaxSlots];
-    std::size_t set_of[PredictionBundle::kMaxSlots];
-    unsigned n = 0;
-    for (unsigned i = b.committed; i < b.n_slots; ++i)
-        if (b.probed >> i & 1) {
-            idx[n] = i;
-            set_of[n] = static_cast<std::size_t>(
-                (b.slots[i].pc >> log2i(kInstBytes)) % sets);
-            ++n;
-        }
-    bool shared[PredictionBundle::kMaxSlots] = {};
-    for (unsigned a = 0; a < n; ++a)
-        for (unsigned c = a + 1; c < n; ++c)
-            if (set_of[a] == set_of[c])
-                shared[a] = shared[c] = true;
-
-    for (unsigned k = 0; k < n; ++k) {
-        if (shared[k])
-            continue;
-        const auto &s = b.slots[idx[k]];
-        const int lvl = inner_.peekLevel(s.pc);
-        if (lvl < 0) {
-            inner_.endAccess(b);
-            return; // Organization cannot answer residency queries.
-        }
-        if (lvl != int{s.level})
-            fail(&b, "probed slot at " + hexAddr(s.pc) + " recorded level " +
-                         std::to_string(unsigned{s.level}) +
-                         " but the entry resides at level " +
-                         std::to_string(lvl) + " before commit");
-    }
-
-    inner_.endAccess(b);
-
-    for (unsigned k = 0; k < n; ++k) {
-        if (shared[k])
-            continue;
-        const auto &s = b.slots[idx[k]];
-        if (inner_.peekLevel(s.pc) != 1)
-            fail(&b, "probed slot at " + hexAddr(s.pc) +
-                         " is not L1-resident after its deferred lookup "
-                         "committed");
-    }
 }
 
 void

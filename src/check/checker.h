@@ -16,12 +16,11 @@
  *    to every live copy); and in eviction-free regimes the I-BTB and
  *    R-BTB must expose everything they were trained with.
  *
- * For the I-BTB it additionally cross-checks the ShadowL1 deferred-fill
- * overlay: a probed slot's recorded supply level must match the real
- * hierarchy before endAccess() commits, and the entry must be
- * L1-resident afterwards (restricted to slots whose L1 set is not
- * shared with another probed slot, where the outcome is
- * order-independent, and to accesses with no interleaved prefill).
+ * For an organization that looks its slots up at probe time (the I-BTB,
+ * through bundle.lookup_org) the checker stands in as the lookup target
+ * and checks every probed slot exactly: the level the lookup reports must
+ * equal the residency peekLevel() read just before it, and a found entry
+ * must be L1-resident just after it.
  *
  * On divergence the checker throws CheckFailure carrying the full
  * context (organization, cycle, access pc, bundle contents). Under
@@ -71,9 +70,9 @@ class CheckedBtb final : public BtbOrg
     std::uint64_t accessesChecked() const { return accesses_; }
 
     // ---- BtbOrg (validating forwarders) -----------------------------------
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     bool chainAccess(Addr pc, Addr target, PredictionBundle &b) override;
-    void endAccess(PredictionBundle &b) override;
+    int lookupSlot(Addr pc) override;
     void update(const Instruction &br, bool resteer) override;
     void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override
@@ -96,9 +95,8 @@ class CheckedBtb final : public BtbOrg
     Cycle now_ = 0;
     std::uint64_t accesses_ = 0;
     Addr access_pc_ = 0;
-    /** Table mutated (update/prefill) since the last bundle fill: the
-     *  residency cross-check is only sound when this is false. */
-    bool access_dirty_ = false;
+    /** The bundle of the current access, for lookupSlot() failure reports. */
+    const PredictionBundle *bundle_ = nullptr;
 };
 
 } // namespace btbsim::check

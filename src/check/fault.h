@@ -3,7 +3,7 @@
  * Compile-time fault-injection points for checker validation.
  *
  * A fault point is a named statement compiled into an organization's
- * update path only when the build is configured with
+ * update or lookup path only when the build is configured with
  * -DBTBSIM_FAULT_POINTS=ON, and executed only when BTBSIM_FAULT names
  * it. The mutation-smoke CI job arms one point at a time and asserts
  * the differential checker catches the corruption with a shrunk repro;

@@ -126,15 +126,12 @@ runCase(const FuzzCase &c)
         bool open = false;
         Addr next_pc = 0;
         // Updates are deferred to the end of the access, as the pipeline
-        // delays them past the in-flight bundle (and the residency
-        // cross-check assumes mid-access probes see an unmutated table
-        // unless marked dirty).
+        // delays them past the in-flight bundle.
         std::vector<std::pair<Instruction, bool>> deferred;
 
         const auto closeAccess = [&] {
             if (!open)
                 return;
-            b.finish(checker);
             open = false;
             for (const auto &[br, resteer] : deferred)
                 checker.update(br, resteer);

@@ -16,7 +16,7 @@ BlockBtb::blockEnd(Addr start) const
     return static_cast<std::uint32_t>(reachBytes());
 }
 
-int
+void
 BlockBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
     ++counters.accesses;
@@ -26,7 +26,7 @@ BlockBtb::beginAccess(Addr pc, PredictionBundle &b)
     if (e)
         for (BranchSlot &s : e->slots)
             b.addSlot(0, pc + s.offset, s.type, s.target, lvl, &s.tick);
-    return lvl; // Entry slots are kept offset-sorted; no sortSlots needed.
+    // Entry slots are kept offset-sorted; no sortSlots needed.
 }
 
 void

@@ -26,7 +26,7 @@ class BlockBtb : public BtbOrg
   public:
     explicit BlockBtb(const BtbConfig &cfg);
 
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     void update(const Instruction &br, bool resteer) override;
     OccupancySample sampleOccupancy() const override;
     const BtbConfig &config() const override { return cfg_; }

@@ -27,6 +27,44 @@ checkLevelGeom(const BtbLevelGeom &g, const char *level)
                                     std::to_string(g.ways));
 }
 
+/** Reject a field value no organization can run with: out of its
+ *  counter's range, or a window that would overflow the PredictionBundle. */
+void
+checkField(bool ok, const char *field, const std::string &rule, unsigned got)
+{
+    if (!ok)
+        throw std::invalid_argument(std::string(field) + " must be " + rule +
+                                    ", got " + std::to_string(got));
+}
+
+void
+checkFields(const BtbConfig &cfg)
+{
+    const unsigned max_width = PredictionBundle::kMaxSlots;
+    checkField(cfg.width >= 1 && cfg.width <= max_width, "width",
+               "in 1.." + std::to_string(max_width), cfg.width);
+    // MB-BTB supplies up to branch_slots + 1 chained blocks; the dual
+    // R-BTB supplies two regions' slots.
+    unsigned max_slots = PredictionBundle::kMaxSlots;
+    if (cfg.kind == BtbKind::kMultiBlock)
+        max_slots = PredictionBundle::kMaxSegments - 1;
+    else if (cfg.kind == BtbKind::kRegion && cfg.dual_region)
+        max_slots = PredictionBundle::kMaxSlots / 2;
+    checkField(cfg.branch_slots >= 1 && cfg.branch_slots <= max_slots,
+               "branch_slots", "in 1.." + std::to_string(max_slots),
+               cfg.branch_slots);
+    checkField(cfg.region_bytes >= kInstBytes &&
+                   (cfg.region_bytes & (cfg.region_bytes - 1)) == 0,
+               "region_bytes",
+               "a power of two >= " + std::to_string(kInstBytes),
+               cfg.region_bytes);
+    checkField(cfg.reach_instrs >= 1, "reach_instrs", ">= 1",
+               cfg.reach_instrs);
+    checkField(cfg.stability_threshold <= 63, "stability_threshold",
+               "<= 63 (the 6-bit stability counter's maximum)",
+               cfg.stability_threshold);
+}
+
 } // namespace
 
 void
@@ -210,6 +248,7 @@ makeBtb(const BtbConfig &cfg)
         checkLevelGeom(cfg.l1, "l1");
         checkLevelGeom(cfg.l2, "l2");
     }
+    checkFields(cfg);
     switch (cfg.kind) {
       case BtbKind::kInstruction:
         return std::make_unique<InstructionBtb>(cfg);

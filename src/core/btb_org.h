@@ -80,8 +80,9 @@ struct BtbCounters
  * When a tracked branch with @c follow is predicted taken and verified
  * correct, the walker follows a recorded continuation segment (MB-BTB
  * multi-block supply) or calls chainAccess() to extend the window at the
- * dynamic target (I-BTB Skp). When the walk ends, endAccess() commits
- * any side effects the organization deferred (bundle.wants_end_access).
+ * dynamic target (I-BTB Skp). An organization that names itself in
+ * bundle.lookup_org (I-BTB) has each probed slot looked up through
+ * lookupSlot() at probe time.
  *
  * update() is called for every actual branch instruction in program order
  * (immediate update, per Section 4.1).
@@ -94,9 +95,8 @@ class BtbOrg
     /**
      * Start an access at @p pc, filling @p b (a fresh, default-constructed
      * bundle) with the window and its branch slots.
-     * @return hit level (0 = miss, 1, 2).
      */
-    virtual int beginAccess(Addr pc, PredictionBundle &b) = 0;
+    virtual void beginAccess(Addr pc, PredictionBundle &b) = 0;
 
     /**
      * Extend the current access across the correct-taken branch at @p pc
@@ -113,10 +113,18 @@ class BtbOrg
         return false;
     }
 
-    /** Commit side effects deferred during the walk (only called when the
-     *  bundle has @c wants_end_access set). Runs after the last probe and
-     *  before any update() of the access's branches. */
-    virtual void endAccess(PredictionBundle &b) { (void)b; }
+    /**
+     * Look up the slot at @p pc as the walk probes it (only called on the
+     * organization a bundle names in @c lookup_org), with the lookup's
+     * side effects (recency touch, L2-to-L1 fill).
+     * @return the level that supplied the entry (1, 2), 0 when absent.
+     */
+    virtual int
+    lookupSlot(Addr pc)
+    {
+        (void)pc;
+        return 0;
+    }
 
     /**
      * Train with the actual branch @p br. @p resteer is true when the
@@ -286,6 +294,38 @@ std::unique_ptr<BtbOrg> makeBtb(const BtbConfig &cfg);
 
 // ---- PredictionBundle walk hooks (need the complete BtbOrg) ---------------
 
+inline StepView
+PredictionBundle::probe(Addr pc)
+{
+    StepView v;
+    if (cur_seg >= n_segments)
+        return v; // kEndOfWindow
+    const Segment &sg = segments[cur_seg];
+    if (pc < sg.start || pc >= sg.end)
+        return v; // kEndOfWindow
+    ++probes;
+    while (cursor < n_slots &&
+           (slots[cursor].seg < cur_seg ||
+            (slots[cursor].seg == cur_seg && slots[cursor].pc < pc)))
+        ++cursor;
+    v.kind = StepView::Kind::kSequential;
+    if (cursor == n_slots || slots[cursor].seg != cur_seg ||
+        slots[cursor].pc != pc)
+        return v;
+    const Slot &s = slots[cursor];
+    if (s.tick)
+        *s.tick = ++*tick_counter;
+    v.level = lookup_org ? lookup_org->lookupSlot(pc) : s.level;
+    if (v.level == 0)
+        return v; // Evicted by an earlier lookup of this access.
+    v.kind = StepView::Kind::kBranch;
+    v.type = s.type;
+    v.target = s.target;
+    v.follow = s.follow;
+    v.end_on_not_taken = s.end_on_not_taken;
+    return v;
+}
+
 inline bool
 PredictionBundle::chain(BtbOrg &org, Addr pc, Addr target)
 {
@@ -298,13 +338,6 @@ PredictionBundle::chain(BtbOrg &org, Addr pc, Addr target)
     if (dynamic_chain)
         return org.chainAccess(pc, target, *this);
     return false;
-}
-
-inline void
-PredictionBundle::finish(BtbOrg &org)
-{
-    if (wants_end_access)
-        org.endAccess(*this);
 }
 
 } // namespace btbsim

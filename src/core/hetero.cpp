@@ -72,7 +72,7 @@ HeteroBtb::synthesizeFromL2(Addr start)
     return &filled;
 }
 
-int
+void
 HeteroBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
     ++counters.accesses;
@@ -87,7 +87,7 @@ HeteroBtb::beginAccess(Addr pc, PredictionBundle &b)
     if (entry)
         for (BranchSlot &s : entry->slots)
             b.addSlot(0, pc + s.offset, s.type, s.target, level, &s.tick);
-    return level; // BlockEntry slots are kept offset-sorted.
+    // BlockEntry slots are kept offset-sorted.
 }
 
 void

@@ -24,7 +24,7 @@ class HeteroBtb : public BtbOrg
   public:
     explicit HeteroBtb(const BtbConfig &cfg);
 
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     void update(const Instruction &br, bool resteer) override;
     void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override;

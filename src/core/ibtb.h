@@ -7,6 +7,12 @@
  * predicted-taken branch. With @c skip_taken (I-BTB 16 Skp, Fig. 4), the
  * access keeps supplying PCs across taken branches — an idealization used
  * to gauge sensitivity to fetch-PC throughput.
+ *
+ * Each PC a bank reads is one BTB lookup. The window is filled with
+ * side-effect-free peeks (presence, type, target); the walk then looks up
+ * each branch slot as it probes it (lookupSlot: recency touch, L2-to-L1
+ * fill), so the level it reports is the real one in probe order even
+ * when window PCs collide in an L1 set.
  */
 
 #ifndef BTBSIM_CORE_IBTB_H
@@ -21,9 +27,9 @@ class InstructionBtb : public BtbOrg
   public:
     explicit InstructionBtb(const BtbConfig &cfg);
 
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     bool chainAccess(Addr pc, Addr target, PredictionBundle &b) override;
-    void endAccess(PredictionBundle &b) override;
+    int lookupSlot(Addr pc) override;
     void update(const Instruction &br, bool resteer) override;
     void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override;
@@ -50,7 +56,6 @@ class InstructionBtb : public BtbOrg
     TwoLevelTable<Entry> table_;
 
     void fillWindow(Addr start, unsigned count, PredictionBundle &b);
-    void commitProbed(PredictionBundle &b);
 };
 
 } // namespace btbsim

@@ -50,7 +50,7 @@ MultiBlockBtb::sortSlots(Entry &e)
 
 // ---- access protocol -------------------------------------------------------
 
-int
+void
 MultiBlockBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
     ++counters.accesses;
@@ -58,7 +58,7 @@ MultiBlockBtb::beginAccess(Addr pc, PredictionBundle &b)
     b.tick_counter = &tick_;
     if (!e) {
         b.addSegment(pc, pc + reachBytes());
-        return lvl;
+        return;
     }
     // One segment per chained block: segments past the first are the
     // entry's continuation records, entered only through chain() on a
@@ -74,7 +74,7 @@ MultiBlockBtb::beginAccess(Addr pc, PredictionBundle &b)
         b.addSlot(s.blk, e->blocks[s.blk].start + s.offset, s.type,
                   s.target, lvl, &s.tick, s.follow, s.follow);
     }
-    return lvl; // Entry slots are kept (blk, offset)-sorted.
+    // Entry slots are kept (blk, offset)-sorted.
 }
 
 // ---- pull / downgrade machinery --------------------------------------------

@@ -30,7 +30,7 @@ class MultiBlockBtb : public BtbOrg
   public:
     explicit MultiBlockBtb(const BtbConfig &cfg);
 
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     void update(const Instruction &br, bool resteer) override;
     OccupancySample sampleOccupancy() const override;
     const BtbConfig &config() const override { return cfg_; }

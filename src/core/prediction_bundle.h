@@ -7,18 +7,20 @@
  * allocated PredictionBundle: the access window (one segment per supplied
  * block — MB-BTB continuation records are the segments past the first),
  * plus one slot per tracked branch inside the window. The frontend then
- * walks the bundle inline with probe(), one call per actual-path PC, with
- * zero virtual dispatch until the access ends. Two virtual hooks remain,
- * both per *access event*, never per instruction: chainAccess() for
- * organizations that can extend the window at a dynamic taken target
- * (I-BTB Skp), and endAccess() for organizations that defer lookup side
- * effects to the end of the walk (I-BTB recency/fill replay).
+ * walks the bundle inline with probe(), one call per actual-path PC.
+ * Two virtual hooks remain, neither per instruction: chainAccess(), per
+ * access event, for organizations that can extend the window at a
+ * dynamic taken target (I-BTB Skp); and lookupSlot(), per probed branch
+ * slot, for organizations that name themselves in @c lookup_org. The
+ * I-BTB does: each PC its banked access reads is one BTB lookup, so the
+ * walk looks a slot up (recency touch, L2-to-L1 fill) when it probes it,
+ * in probe order, and reports the level that lookup hit.
  *
  * Semantics the walker preserves exactly from the virtual step() protocol
  * it replaced:
- *  - Slot recency ticks happen at probe time, before the frontend decides
- *    whether the instruction is actually consumed (an FTQ-full retry
- *    ticks the slot twice, as the per-PC protocol did).
+ *  - Slot recency ticks and lookups happen at probe time, before the
+ *    frontend decides whether the instruction is actually consumed (an
+ *    FTQ-full retry ticks the slot twice, as the per-PC protocol did).
  *  - Slots below the walk's entry PC (an access starting mid-region) are
  *    skipped without ticking.
  *  - A probe outside the current segment reports kEndOfWindow; chained
@@ -26,10 +28,10 @@
  *    prediction with @c follow set.
  *
  * Capacity rules: a bundle holds at most kMaxSegments segments and
- * kMaxSlots slots. Organizations must guarantee their windows fit —
- * see the asserts in addSegment()/addSlot(); every stock configuration
- * is far below both limits (MB-BTB: branch_slots + 1 segments; I-BTB:
- * width slots; dual-region R-BTB: 2 x branch_slots slots).
+ * kMaxSlots slots. makeBtb() rejects every configuration whose windows
+ * could exceed them (width, and branch_slots per kind: MB-BTB supplies
+ * branch_slots + 1 segments, the dual-region R-BTB 2 x branch_slots
+ * slots); addSegment()/addSlot() assert it.
  */
 
 #ifndef BTBSIM_CORE_PREDICTION_BUNDLE_H
@@ -86,7 +88,9 @@ struct PredictionBundle
         std::uint64_t *tick; ///< Slot recency to stamp at probe time.
         BranchClass type;
         std::uint8_t seg;   ///< Owning segment index.
-        std::uint8_t level; ///< BTB level that supplied the slot (1/2).
+        /** BTB level that supplied the slot (1/2); with @c lookup_org set
+         *  the probe-time lookup reports it instead. */
+        std::uint8_t level;
         bool follow;
         bool end_on_not_taken;
     };
@@ -101,15 +105,14 @@ struct PredictionBundle
     /** Call BtbOrg::chainAccess() when an in-bundle continuation is not
      *  recorded (I-BTB Skp extends the window at dynamic targets). */
     bool dynamic_chain = false;
-    /** Call BtbOrg::endAccess() when the walk ends (deferred commits). */
-    bool wants_end_access = false;
+    /** Look each probed slot up through this organization's lookupSlot()
+     *  (I-BTB); null when the slots' fill-time levels stand. */
+    BtbOrg *lookup_org = nullptr;
 
     // ---- walk state (maintained by probe()/chain()) -----------------------
     unsigned cur_seg = 0;
     unsigned cursor = 0; ///< First slot not yet passed by the walk.
     unsigned probes = 0; ///< PCs supplied so far (across segments).
-    std::uint64_t probed = 0;  ///< Bitmask of slots the walk probed.
-    unsigned committed = 0;    ///< Slots below this index are committed.
 
     // ---- fill API (organizations) -----------------------------------------
 
@@ -163,48 +166,18 @@ struct PredictionBundle
         n_slots = 0;
         cur_seg = 0;
         cursor = 0;
-        probed = 0;
-        committed = 0;
     }
 
     // ---- walk API (PcGen, tests, examples) --------------------------------
 
     /**
      * The bundle's answer for @p pc — the inline replacement for the
-     * virtual per-PC step(). Probing a slot stamps its recency tick and
-     * records it for deferred commit (endAccess).
+     * virtual per-PC step(). Probing a slot stamps its recency tick; with
+     * @c lookup_org set it also looks the slot up, and a slot whose entry
+     * an earlier lookup of this access evicted reports kSequential.
+     * Defined in btb_org.h (needs BtbOrg).
      */
-    StepView
-    probe(Addr pc)
-    {
-        StepView v;
-        if (cur_seg >= n_segments)
-            return v; // kEndOfWindow
-        const Segment &sg = segments[cur_seg];
-        if (pc < sg.start || pc >= sg.end)
-            return v; // kEndOfWindow
-        ++probes;
-        while (cursor < n_slots &&
-               (slots[cursor].seg < cur_seg ||
-                (slots[cursor].seg == cur_seg && slots[cursor].pc < pc)))
-            ++cursor;
-        if (cursor < n_slots && slots[cursor].seg == cur_seg &&
-            slots[cursor].pc == pc) {
-            Slot &s = slots[cursor];
-            probed |= std::uint64_t{1} << cursor;
-            if (s.tick)
-                *s.tick = ++*tick_counter;
-            v.kind = StepView::Kind::kBranch;
-            v.type = s.type;
-            v.target = s.target;
-            v.follow = s.follow;
-            v.end_on_not_taken = s.end_on_not_taken;
-            v.level = s.level;
-            return v;
-        }
-        v.kind = StepView::Kind::kSequential;
-        return v;
-    }
+    inline StepView probe(Addr pc);
 
     /**
      * Continue the access across the correct-taken branch at @p pc toward
@@ -215,9 +188,9 @@ struct PredictionBundle
      */
     inline bool chain(BtbOrg &org, Addr pc, Addr target);
 
-    /** End the walk: runs the organization's deferred commits, if any.
-     *  Call exactly once per access. Defined in btb_org.h. */
-    inline void finish(BtbOrg &org);
+    /** No-op: a walk has nothing left to commit when it ends. Kept only
+     *  because btbbench/layers.cpp still calls it. */
+    void finish(BtbOrg &) {}
 };
 
 } // namespace btbsim

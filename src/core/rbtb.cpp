@@ -17,7 +17,7 @@ RegionBtb::bundleSlots(PredictionBundle &b, RegionEntry &e, Addr base,
             b.addSlot(0, base + s.offset, s.type, s.target, level, &s.tick);
 }
 
-int
+void
 RegionBtb::beginAccess(Addr pc, PredictionBundle &b)
 {
     ++counters.accesses;
@@ -44,7 +44,6 @@ RegionBtb::beginAccess(Addr pc, PredictionBundle &b)
     if (entry1)
         bundleSlots(b, *entry1, region0 + cfg_.region_bytes, 1);
     b.sortSlots(); // Entry slot vectors are not offset-sorted.
-    return lvl0;
 }
 
 void

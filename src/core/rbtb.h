@@ -20,22 +20,11 @@ class RegionBtb : public BtbOrg
   public:
     explicit RegionBtb(const BtbConfig &cfg);
 
-    int beginAccess(Addr pc, PredictionBundle &b) override;
+    void beginAccess(Addr pc, PredictionBundle &b) override;
     void update(const Instruction &br, bool resteer) override;
     void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override;
     const BtbConfig &config() const override { return cfg_; }
-
-    /** @p key is the region base address. */
-    int
-    peekLevel(Addr key) const override
-    {
-        if (table_.l1().set(key).probe(key) >= 0)
-            return 1;
-        if (!table_.ideal() && table_.l2().set(key).probe(key) >= 0)
-            return 2;
-        return 0;
-    }
 
   private:
     BtbConfig cfg_;

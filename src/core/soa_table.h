@@ -88,15 +88,13 @@ class SoaSetTable
         assert(sets >= 1 && ways >= 1 && ways <= 32);
     }
 
-    unsigned sets() const { return sets_; }
-    unsigned ways() const { return ways_; }
     std::size_t
     capacity() const
     {
         return static_cast<std::size_t>(sets_) * ways_;
     }
 
-    /** Set index @p key maps to (external residency modeling). */
+    /** Set index @p key maps to. */
     std::size_t
     setIndex(Addr key) const
     {
@@ -108,13 +106,10 @@ class SoaSetTable
     class ConstSetView;
 
     /** Mutable handle on one set; cheap to copy, never outlives the
-     *  table. Way indices are 0..ways()-1. */
+     *  table. Way indices are below the associativity. */
     class SetView
     {
       public:
-        unsigned ways() const { return t_->ways_; }
-        std::size_t index() const { return set_; }
-
         /** Way holding @p key, or -1. Never advances LRU. */
         int
         probe(Addr key) const
@@ -203,13 +198,10 @@ class SoaSetTable
         std::size_t set_;
     };
 
-    /** Read-only set handle (residency/occupancy modeling, shadows). */
+    /** Read-only set handle (peeks, residency queries). */
     class ConstSetView
     {
       public:
-        unsigned ways() const { return t_->ways_; }
-        std::size_t index() const { return set_; }
-
         /** Way holding @p key, or -1. Never advances LRU. */
         int
         probe(Addr key) const
@@ -217,21 +209,6 @@ class SoaSetTable
             return t_->probeSet(set_, key);
         }
 
-        bool
-        valid(unsigned w) const
-        {
-            return (t_->valid_[set_] >> w) & 1u;
-        }
-        Addr
-        key(unsigned w) const
-        {
-            return t_->tags_[set_ * t_->stride_ + w];
-        }
-        std::uint64_t
-        stamp(unsigned w) const
-        {
-            return t_->lru_[set_ * t_->stride_ + w];
-        }
         const Entry &
         entry(unsigned w) const
         {
@@ -254,11 +231,6 @@ class SoaSetTable
     set(Addr key) const
     {
         return ConstSetView(this, setIndex(key));
-    }
-    ConstSetView
-    setAt(std::size_t index) const
-    {
-        return ConstSetView(this, index);
     }
 
     /** Invalidate everything (tags/stamps retained but dead). */

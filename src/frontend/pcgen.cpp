@@ -223,10 +223,6 @@ PcGen::runCycle(Cycle now)
         }
     }
 
-    // End of walk: let the organization commit side effects it deferred
-    // during the access (must precede the updates below).
-    bundle.finish(*org_);
-
     stats.taken_bubbles += bubbles;
     ready_cycle_ = now + 1 + bubbles;
 

@@ -22,8 +22,7 @@ branchAt(Addr pc, BranchClass cls, Addr target, bool taken = true)
 }
 
 /** Walk an access from @p pc, returning the view at each probe until the
- *  window ends or @p max probes were made. Ends the access (finish) so
- *  deferred side effects commit, as the frontend walker would. */
+ *  window ends or @p max probes were made. */
 inline std::vector<StepView>
 walk(BtbOrg &org, Addr pc, unsigned max = 64)
 {
@@ -38,7 +37,6 @@ walk(BtbOrg &org, Addr pc, unsigned max = 64)
         views.push_back(v);
         cur += kInstBytes;
     }
-    b.finish(org);
     return views;
 }
 
@@ -54,7 +52,6 @@ viewAt(BtbOrg &org, Addr start, Addr pc)
         if (v.kind == StepView::Kind::kEndOfWindow)
             break;
     }
-    b.finish(org);
     return v;
 }
 

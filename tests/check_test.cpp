@@ -137,7 +137,6 @@ TEST(CheckedBtb, CleanOverStockOrganizations)
                 for (Addr p = pc; p < pc + 0x20; p += kInstBytes)
                     if (b.probe(p).kind == StepView::Kind::kEndOfWindow)
                         break;
-                b.finish(chk);
             }
         }
         EXPECT_GT(chk.accessesChecked(), 0u) << cfg.name();
@@ -166,16 +165,16 @@ class BogusOrg : public BtbOrg
         cfg_ = BtbConfig::ibtb(4);
     }
 
-    int
+    void
     beginAccess(Addr pc, PredictionBundle &b) override
     {
         switch (mode_) {
           case Mode::kInvertedSegment:
             b.addSegment(pc, pc);
-            return 0;
+            return;
           case Mode::kWrongWindow:
             b.addSegment(pc + kInstBytes, pc + 5 * kInstBytes);
-            return 0;
+            return;
           default:
             break;
         }
@@ -196,7 +195,6 @@ class BogusOrg : public BtbOrg
           default:
             break;
         }
-        return 0;
     }
 
     void

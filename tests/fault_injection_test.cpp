@@ -1,9 +1,9 @@
 /**
  * @file
  * Mutation smoke for the differential checker: each compiled-in fault
- * point (check/fault.h) corrupts one organization's update path; the
- * fuzzer must find the corruption, shrink it to a tiny repro, and the
- * repro must round-trip and stay failing. Meaningful only in builds
+ * point (check/fault.h) corrupts one organization's update or lookup
+ * path; the fuzzer must find the corruption, shrink it to a tiny repro,
+ * and the repro must round-trip and stay failing. Meaningful only in builds
  * configured with -DBTBSIM_FAULT_POINTS=ON (the CI fuzz-smoke job);
  * elsewhere every test skips.
  */
@@ -90,6 +90,11 @@ TEST(FaultInjection, ArmingIsPerPoint)
 TEST(FaultInjection, CatchesIbtbUpdateTarget)
 {
     mutationSmoke("ibtb_update_target");
+}
+
+TEST(FaultInjection, CatchesIbtbProbeLevel)
+{
+    mutationSmoke("ibtb_probe_level");
 }
 
 TEST(FaultInjection, CatchesRbtbUpdateTarget)

@@ -114,34 +114,55 @@ TEST(Fuzz, LoadReproRejectsMissingSidecar)
 }
 
 // A sidecar is outside input: a geometry SoaSetTable cannot hold (no
-// sets, or more ways than its 32-bit valid mask) must be rejected by
-// name when the repro's BTB is built, not crash or run on a bad table.
+// sets, or more ways than its 32-bit valid mask), a window that would
+// overflow the PredictionBundle, or a field out of its counter's range
+// must be rejected by name when the repro's BTB is built, not crash or
+// run on a bad table.
 TEST(Fuzz, ReproWithBadGeometryIsRejectedByName)
 {
     ScratchDir dir;
     const std::string path = (dir.path / "case.btbt").string();
+    using Set = void (*)(BtbConfig &);
     const struct
     {
-        BtbLevelGeom BtbConfig::*level;
-        unsigned BtbLevelGeom::*field;
-        unsigned value;
+        Set set;
         const char *name;
     } cases[] = {
-        {&BtbConfig::l1, &BtbLevelGeom::sets, 0, "l1.sets"},
-        {&BtbConfig::l1, &BtbLevelGeom::ways, 40, "l1.ways"},
-        {&BtbConfig::l2, &BtbLevelGeom::sets, 0, "l2.sets"},
-        {&BtbConfig::l2, &BtbLevelGeom::ways, 0, "l2.ways"},
+        {[](BtbConfig &b) { b.l1.sets = 0; }, "l1.sets"},
+        {[](BtbConfig &b) { b.l1.ways = 40; }, "l1.ways"},
+        {[](BtbConfig &b) { b.l2.sets = 0; }, "l2.sets"},
+        {[](BtbConfig &b) { b.l2.ways = 0; }, "l2.ways"},
+        {[](BtbConfig &b) { b.width = 0; }, "width"},
+        {[](BtbConfig &b) { b.width = 100; }, "width"},
+        {[](BtbConfig &b) { b.branch_slots = 0; }, "branch_slots"},
+        {[](BtbConfig &b) { b.branch_slots = 65; }, "branch_slots"},
+        {[](BtbConfig &b) {
+             b.kind = BtbKind::kMultiBlock;
+             b.branch_slots = 16;
+         },
+         "branch_slots"},
+        {[](BtbConfig &b) {
+             b.kind = BtbKind::kRegion;
+             b.dual_region = true;
+             b.branch_slots = 33;
+         },
+         "branch_slots"},
+        {[](BtbConfig &b) { b.region_bytes = 48; }, "region_bytes"},
+        {[](BtbConfig &b) { b.region_bytes = 2; }, "region_bytes"},
+        {[](BtbConfig &b) { b.reach_instrs = 0; }, "reach_instrs"},
+        {[](BtbConfig &b) { b.stability_threshold = 64; },
+         "stability_threshold"},
     };
     for (const auto &bad : cases) {
         check::FuzzCase c = check::randomCase(7, 100);
         c.btb.ideal = false; // An ideal BTB ignores l1/l2.
-        c.btb.*bad.level.*bad.field = bad.value;
+        bad.set(c.btb);
         check::writeRepro(c, path);
 
         const check::FuzzCase back = check::loadRepro(path);
         try {
             check::runCase(back);
-            ADD_FAILURE() << bad.name << " = " << bad.value << " accepted";
+            ADD_FAILURE() << "bad " << bad.name << " accepted";
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(bad.name),
                       std::string::npos)

@@ -155,6 +155,17 @@ condEndsBlock()
     return c;
 }
 
+/** I-BTB 16 whose L1 is a single 2-way set: every window PC collides in
+ *  it, so each probe-time lookup's L2-to-L1 fill can evict the entry a
+ *  later slot of the same window would have hit. */
+BtbConfig
+collidingIbtb()
+{
+    BtbConfig c = BtbConfig::ibtb(16);
+    c.l1 = {1, 2};
+    return c;
+}
+
 } // namespace
 
 TEST(GoldenStats, InstructionBtb)
@@ -172,6 +183,11 @@ TEST(GoldenStats, InstructionBtbIdeal)
     BtbConfig c = BtbConfig::ibtb(16);
     c.makeIdeal();
     expectGolden(c, "404410eee2c131060c7c17258eb9bd256cc0ab14406166d8f43c6b2e66c0f016");
+}
+
+TEST(GoldenStats, InstructionBtbCollidingL1)
+{
+    expectGolden(collidingIbtb(), "8e201cb65ee6fbf7d300f02d4a5641c26198a3b3bd2e66b51688f8d97e5a0a51");
 }
 
 TEST(GoldenStats, RegionBtb)
@@ -261,6 +277,7 @@ TEST(GoldenStats, DISABLED_PrintDigests)
     BtbConfig ideal = BtbConfig::ibtb(16);
     ideal.makeIdeal();
     std::printf("IBTB16IDEAL     %s\n", runDigest(ideal).c_str());
+    std::printf("IBTB16L1COLLIDE %s\n", runDigest(collidingIbtb()).c_str());
     std::printf("RBTB3           %s\n", runDigest(BtbConfig::rbtb(3)).c_str());
     std::printf("RBTB2DUAL       %s\n",
                 runDigest(BtbConfig::rbtb(2, 64, true)).c_str());

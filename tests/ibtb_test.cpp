@@ -73,7 +73,6 @@ TEST(Ibtb, SkipModeChainsAcrossTaken)
     EXPECT_TRUE(b.chain(*btb, 0x1000, 0x2000));
     // The access continues at the target.
     EXPECT_EQ(b.probe(0x2000).kind, StepView::Kind::kSequential);
-    b.finish(*btb);
 }
 
 TEST(Ibtb, NonSkipModeDoesNotChain)
@@ -85,7 +84,6 @@ TEST(Ibtb, NonSkipModeDoesNotChain)
     StepView v = b.probe(0x1000);
     EXPECT_FALSE(v.follow);
     EXPECT_FALSE(b.chain(*btb, 0x1000, 0x2000));
-    b.finish(*btb);
 }
 
 TEST(Ibtb, SkipModeStillBoundedByWidth)
@@ -124,10 +122,9 @@ TEST(Ibtb, L2HitReportedAndFillsL1)
 
 TEST(Ibtb, CollidingWindowReportsProbeTimeLevels)
 {
-    // 1-entry L1: the first slot's deferred L2->L1 fill evicts the second
-    // slot's entry, so both probes must report an L2 hit even though the
-    // second entry was still L1-resident when the access began (the
-    // ShadowL1 overlay mirrors the eviction at fill time).
+    // 1-entry L1: the first slot's probe-time L2->L1 fill evicts the
+    // second slot's entry, so both probes must report an L2 hit even
+    // though the second entry was still L1-resident when the access began.
     BtbConfig cfg = BtbConfig::ibtb(4);
     cfg.l1 = {1, 1};
     cfg.l2 = {16, 4};
@@ -140,13 +137,12 @@ TEST(Ibtb, CollidingWindowReportsProbeTimeLevels)
     StepView first = b.probe(0x1000);
     (void)b.probe(0x1004);
     StepView second = b.probe(0x1008);
-    b.finish(*btb);
     ASSERT_EQ(first.kind, StepView::Kind::kBranch);
     EXPECT_EQ(first.level, 2);
     ASSERT_EQ(second.kind, StepView::Kind::kBranch);
     EXPECT_EQ(second.level, 2);
 
-    // The replayed lookups really promoted both; the last fill won the
+    // The probe-time lookups really promoted both; the last fill won the
     // single L1 way, so the second branch now hits L1.
     StepView again = viewAt(*btb, 0x1008, 0x1008);
     EXPECT_EQ(again.level, 1);
