@@ -65,7 +65,7 @@ Backend::canAllocate() const
 }
 
 void
-Backend::allocate(DynInst &&inst, Cycle now)
+Backend::allocate(const DynInst &inst, Cycle now)
 {
     // The ROB ring finds every in-flight producer at its seq's slot; a
     // gap in the seqs or an overfull ring would break that silently.
@@ -77,57 +77,58 @@ Backend::allocate(DynInst &&inst, Cycle now)
             std::to_string(rob_.size()) +
             " ROB slots used; seqs must be contiguous and a slot free");
     last_allocated_seq_ = inst.seq;
-    inst.alloc_cycle = now;
+    const Instruction &in = inst.in;
 
     // Rename: resolve sources to producing sequence numbers.
-    inst.dep1 = inst.in.src1 ? last_writer_[inst.in.src1] : 0;
-    inst.dep2 = inst.in.src2 ? last_writer_[inst.in.src2] : 0;
-    if (inst.in.dst)
-        last_writer_[inst.in.dst] = inst.seq;
+    const std::uint64_t deps[2] = {in.src1 ? last_writer_[in.src1] : 0,
+                                   in.src2 ? last_writer_[in.src2] : 0};
+    if (in.dst)
+        last_writer_[in.dst] = inst.seq;
 
-    if (inst.in.isLoad())
+    if (in.isLoad())
         ++loads_in_flight_;
-    if (inst.in.isStore())
+    if (in.isStore())
         ++stores_in_flight_;
+
+    // Overwrite the reused slot field by field rather than assigning a
+    // fresh RobEntry; next_waiter and next_due are written when linked.
+    const std::size_t s = inst.seq & rob_mask_;
+    RobEntry &e = rob_[s];
+    e.pc = in.pc;
+    e.mem_addr = in.mem_addr;
+    e.cls = in.cls;
+    e.resteer = inst.resteer;
+    e.issued = cfg_.ideal;
 
     if (cfg_.ideal) {
         // Pure-dataflow scheduling: with unit latencies and unlimited
         // ports, completion is computable at allocation because all
         // producers allocated (and thus scheduled) earlier.
         Cycle c = now + 1;
-        for (const std::uint64_t dep : {inst.dep1, inst.dep2})
+        for (const std::uint64_t dep : deps)
             if (dep > last_committed_seq_)
-                c = std::max(c, slot(dep).inst.complete_cycle + 1);
-        inst.complete_cycle = c;
+                c = std::max(c, slot(dep).complete_cycle + 1);
+        e.complete_cycle = c;
         if (inst.resteer == Resteer::kExec) {
             has_pending_resteer_ = true;
             pending_resteer_complete_ = c;
         }
-    }
-
-    // Overwrite the reused slot field by field rather than assigning a
-    // fresh RobEntry; next_waiter and next_due are written when linked.
-    const std::size_t s = inst.seq & rob_mask_;
-    RobEntry &e = rob_[s];
-    e.inst = std::move(inst);
-    e.issued = cfg_.ideal;
-    if (cfg_.ideal)
         return;
+    }
 
     ++iq_occupancy_;
     // Wait on each producer that has not issued; an issued one already
     // pins its completion cycle. A committed one has completed.
-    const DynInst &d = e.inst;
     e.ready_at = now + 1;
     e.pending = 0;
     e.waiters = kNil;
     for (unsigned op = 0; op < 2; ++op) {
-        const std::uint64_t dep = op ? d.dep2 : d.dep1;
-        if (dep <= last_committed_seq_ || (op == 1 && dep == d.dep1))
+        const std::uint64_t dep = deps[op];
+        if (dep <= last_committed_seq_ || (op == 1 && dep == deps[0]))
             continue;
         RobEntry &p = rob_[dep & rob_mask_];
         if (p.issued) {
-            e.ready_at = std::max(e.ready_at, p.inst.complete_cycle);
+            e.ready_at = std::max(e.ready_at, p.complete_cycle);
             continue;
         }
         e.next_waiter[op] = p.waiters;
@@ -175,7 +176,7 @@ Backend::wake(const RobEntry &producer)
     for (Link l = producer.waiters; l != kNil;) {
         RobEntry &c = rob_[l >> 1];
         const Link next = c.next_waiter[l & 1];
-        c.ready_at = std::max(c.ready_at, producer.inst.complete_cycle);
+        c.ready_at = std::max(c.ready_at, producer.complete_cycle);
         if (--c.pending == 0)
             schedule(l >> 1);
         l = next;
@@ -183,9 +184,9 @@ Backend::wake(const RobEntry &producer)
 }
 
 unsigned
-Backend::execLatency(const DynInst &d, Cycle now)
+Backend::execLatency(const RobEntry &e, Cycle now)
 {
-    switch (d.in.cls) {
+    switch (e.cls) {
       case InstClass::kAlu:
       case InstClass::kBranch:
         return 1;
@@ -198,7 +199,7 @@ Backend::execLatency(const DynInst &d, Cycle now)
       case InstClass::kStore:
         return 1;
       case InstClass::kLoad: {
-        const Cycle done = mem_->load(d.in.pc, d.in.mem_addr, now);
+        const Cycle done = mem_->load(e.pc, e.mem_addr, now);
         return static_cast<unsigned>(done > now ? done - now : 1);
       }
     }
@@ -223,25 +224,24 @@ Backend::issue(Cycle now)
             bits &= bits - 1;
             --left;
             RobEntry &e = rob_[w * 64 + b];
-            DynInst &d = e.inst;
-            unsigned &used = d.in.isLoad()    ? loads
-                             : d.in.isStore() ? stores
-                                              : misc;
-            const unsigned cap = d.in.isLoad()    ? cfg_.load_ports
-                                 : d.in.isStore() ? cfg_.store_ports
-                                                  : cfg_.misc_ports;
+            unsigned &used = e.isLoad()    ? loads
+                             : e.isStore() ? stores
+                                           : misc;
+            const unsigned cap = e.isLoad()    ? cfg_.load_ports
+                                 : e.isStore() ? cfg_.store_ports
+                                               : cfg_.misc_ports;
             if (used >= cap)
                 continue; // Port-capped: stays ready for next cycle.
             ++used;
 
-            d.complete_cycle = now + execLatency(d, now);
+            e.complete_cycle = now + execLatency(e, now);
             e.issued = true;
             ready_[w] &= ~(std::uint64_t{1} << b);
             --ready_count_;
             --iq_occupancy_;
-            if (d.resteer == Resteer::kExec) {
+            if (e.resteer == Resteer::kExec) {
                 has_pending_resteer_ = true;
-                pending_resteer_complete_ = d.complete_cycle;
+                pending_resteer_complete_ = e.complete_cycle;
             }
             wake(e);
             if (++issued == cfg_.issue_width)
@@ -265,13 +265,13 @@ Backend::runCycle(Cycle now)
     unsigned commits = 0;
     while (robOccupancy() > 0 && commits < cfg_.commit_width) {
         const RobEntry &head = slot(last_committed_seq_ + 1);
-        if (!head.issued || head.inst.complete_cycle > now)
+        if (!head.issued || head.complete_cycle > now)
             break;
-        if (head.inst.in.isStore()) {
-            mem_->store(head.inst.in.mem_addr, now);
+        if (head.isStore()) {
+            mem_->store(head.mem_addr, now);
             --stores_in_flight_;
         }
-        if (head.inst.in.isLoad())
+        if (head.isLoad())
             --loads_in_flight_;
         ++last_committed_seq_;
         ++commits;

@@ -88,10 +88,11 @@ class Backend
     /** Space for one more instruction this cycle? */
     bool canAllocate() const;
 
-    /** Allocate @p inst into ROB/IQ (call only when canAllocate()).
+    /** Allocate @p inst into ROB/IQ (call only when canAllocate()); the
+     *  ROB keeps its own record, so @p inst may be reused at once.
      *  Throws std::logic_error unless @p inst.seq follows the previous
      *  allocation's and the ROB ring has a free slot. */
-    void allocate(DynInst &&inst, Cycle now);
+    void allocate(const DynInst &inst, Cycle now);
 
     /** Issue + complete + commit for cycle @p now. */
     void runCycle(Cycle now);
@@ -113,12 +114,18 @@ class Backend
     using Link = std::uint16_t;
     static constexpr Link kNil = 0xffff;
 
+    /** What the backend reads of an in-flight instruction. */
     struct RobEntry
     {
-        DynInst inst;
+        Addr pc = 0;
+        Addr mem_addr = 0;
+        /// Cycle the result is available (valid once issued).
+        Cycle complete_cycle = 0;
         /// Earliest cycle the operands can be ready: the latest
-        /// completion among the issued producers, and alloc_cycle + 1.
+        /// completion among the issued producers, and alloc cycle + 1.
         Cycle ready_at = 0;
+        InstClass cls = InstClass::kAlu;
+        Resteer resteer = Resteer::kNone;
         bool issued = false;
         /// Producers that have not issued yet.
         std::uint8_t pending = 0;
@@ -128,6 +135,9 @@ class Backend
         Link next_waiter[2] = {kNil, kNil};
         /// Next slot in the same wheel bucket.
         Link next_due = kNil;
+
+        bool isLoad() const { return cls == InstClass::kLoad; }
+        bool isStore() const { return cls == InstClass::kStore; }
     };
 
     BackendConfig cfg_;
@@ -171,7 +181,7 @@ class Backend
     void drainWheel(Cycle now);
     void issue(Cycle now);
     void wake(const RobEntry &producer);
-    unsigned execLatency(const DynInst &d, Cycle now);
+    unsigned execLatency(const RobEntry &e, Cycle now);
 };
 
 } // namespace btbsim

@@ -3,7 +3,8 @@
 namespace btbsim {
 
 IndirectPredictor::IndirectPredictor(unsigned entries)
-    : table_(entries, 0), index_bits_(log2i(entries))
+    : table_(entries, 0), index_bits_(log2i(entries)),
+      fold_plan_({4}, index_bits_)
 {}
 
 Addr
@@ -11,8 +12,9 @@ IndirectPredictor::predictAndTrain(Addr pc, const GlobalHistory &history,
                                    Addr actual)
 {
     const std::uint64_t mask = (1ull << index_bits_) - 1;
-    const std::uint64_t idx =
-        ((pc >> 2) ^ history.fold(4, index_bits_)) & mask;
+    std::uint64_t folded;
+    history.fold(fold_plan_, &folded);
+    const std::uint64_t idx = ((pc >> 2) ^ folded) & mask;
 
     const Addr predicted = table_[idx];
     ++lookups_;

@@ -37,6 +37,7 @@ class IndirectPredictor
   private:
     std::vector<Addr> table_;
     unsigned index_bits_;
+    FoldPlan fold_plan_; ///< The 4 most recent outcomes, index_bits_ wide.
     std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;
 };

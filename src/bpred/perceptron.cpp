@@ -27,22 +27,24 @@ HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
 
     // Geometric history lengths from 0 to max_history: table 0 is the
     // PC-indexed bias table, the rest follow a geometric progression.
-    hist_lengths_.resize(cfg_.num_tables);
-    hist_lengths_[0] = 0;
+    std::vector<unsigned> hist_lengths(cfg_.num_tables);
+    hist_lengths[0] = 0;
     const double ratio = std::pow(
         static_cast<double>(cfg_.max_history) / 3.0,
         1.0 / static_cast<double>(cfg_.num_tables - 2));
     double len = 3.0;
     for (unsigned t = 1; t < cfg_.num_tables; ++t) {
-        hist_lengths_[t] = static_cast<unsigned>(len + 0.5);
+        hist_lengths[t] = static_cast<unsigned>(len + 0.5);
         len *= ratio;
     }
-    hist_lengths_.back() = cfg_.max_history;
+    hist_lengths.back() = cfg_.max_history;
 
     weights_.assign(std::size_t{cfg_.num_tables} * cfg_.entries_per_table,
                     SignedSatCounter<8>{});
 
     index_bits_ = log2i(cfg_.entries_per_table);
+    // The lengths never decrease, as a fold plan requires.
+    fold_plan_ = FoldPlan(hist_lengths, index_bits_);
     index_mask_ = (1ull << index_bits_) - 1;
     table_hash_.resize(cfg_.num_tables);
     for (unsigned t = 0; t < cfg_.num_tables; ++t)
@@ -54,11 +56,9 @@ HashedPerceptron::HashedPerceptron(const PerceptronConfig &config)
 int
 HashedPerceptron::sum(Addr pc, std::vector<std::uint64_t> &indices) const
 {
-    // One history walk folds every table's length; the lengths never
-    // decrease, as foldPrefixes requires.
+    // One history walk folds every table's length.
     indices.resize(cfg_.num_tables);
-    history_.foldPrefixes(hist_lengths_.data(), cfg_.num_tables, index_bits_,
-                          indices.data());
+    history_.fold(fold_plan_, indices.data());
     const std::uint64_t pc_hash = (pc >> 2) ^ ((pc >> 2) >> index_bits_);
     int s = 0;
     const SignedSatCounter<8> *w = weights_.data();

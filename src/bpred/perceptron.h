@@ -73,7 +73,9 @@ class HashedPerceptron
 
   private:
     PerceptronConfig cfg_;
-    std::vector<unsigned> hist_lengths_;
+    /// Every table's history fold (geometric lengths, index_bits_ wide),
+    /// walked once per lookup.
+    FoldPlan fold_plan_;
     /// Flattened weights: table t entry i lives at t * entries_per_table
     /// + i (one allocation, one indirection on the sum path).
     std::vector<SignedSatCounter<8>> weights_;

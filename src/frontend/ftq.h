@@ -45,26 +45,34 @@ class Ftq
     std::size_t capacity() const { return capacity_; }
 
     /**
-     * Append @p inst, opening a new entry when the line changes (or when
-     * the stream was redirected). @return false if a new entry was needed
-     * but the queue is full.
+     * Append @p in as instruction @p seq, opening a new entry when the
+     * line changes (or when the stream was redirected).
      *
      * @param new_entry Force a fresh entry even within the same line
      *                  (redirect targets start a new fetch block).
+     * @return the stored instruction, built in its slot with no resteer
+     *         and no decode cycle yet; valid until the next push() (the
+     *         store may grow). Null if a new entry was needed but the
+     *         queue is full.
      */
-    bool
-    push(const DynInst &inst, Cycle now, bool bypass, bool new_entry)
+    DynInst *
+    push(const Instruction &in, std::uint64_t seq, Cycle now, bool bypass,
+         bool new_entry)
     {
-        const Addr line = alignDown(inst.in.pc, kLineBytes);
+        const Addr line = alignDown(in.pc, kLineBytes);
         if (!appends(line, new_entry)) {
             if (full())
-                return false;
+                return nullptr;
             slots_[(head_ + size_++) & slot_mask_] =
                 FtqEntry{line, 0, bypass ? now : now + 1};
         }
-        store(inst);
-        entry(size_ - 1).end_seq = inst.seq;
-        return true;
+        entry(size_ - 1).end_seq = seq;
+        DynInst &d = store(seq);
+        d.in = in;
+        d.seq = seq;
+        d.resteer = Resteer::kNone;
+        d.decode_cycle = 0;
+        return &d;
     }
 
     /** Can a new entry be opened for @p pc without allocating? */
@@ -142,12 +150,13 @@ class Ftq
         return !tail.issued && tail.line == line;
     }
 
-    void
-    store(const DynInst &d)
+    /** The slot for @p seq, the next seq of the stream. */
+    DynInst &
+    store(std::uint64_t seq)
     {
         if (head_seq_ == tail_seq_)
-            head_seq_ = tail_seq_ = d.seq;
-        assert(d.seq == tail_seq_ && "FTQ stream seqs must be contiguous");
+            head_seq_ = tail_seq_ = seq;
+        assert(seq == tail_seq_ && "FTQ stream seqs must be contiguous");
         if (tail_seq_ - head_seq_ == ring_.size()) {
             std::vector<DynInst> bigger(ring_.size() * 2);
             for (std::uint64_t s = head_seq_; s < tail_seq_; ++s)
@@ -155,7 +164,7 @@ class Ftq
             ring_.swap(bigger);
             ring_mask_ = ring_.size() - 1;
         }
-        inst(tail_seq_++) = d;
+        return inst(tail_seq_++);
     }
 };
 

@@ -8,7 +8,7 @@ PcGen::PcGen(BtbOrg &org, BPredUnit &bpred, TraceSource &trace, Ftq &ftq)
     : org_(&org), bpred_(&bpred), trace_(&trace), ftq_(&ftq)
 {
     advance();
-    next_fetch_pc_ = pending_.pc;
+    next_fetch_pc_ = pending_->pc;
 }
 
 void
@@ -30,21 +30,32 @@ PcGen::runCycle(Cycle now)
     redirect_pending_ = false;
 
     for (int guard = 0; guard < 256; ++guard) {
-        assert(pending_.pc == next_fetch_pc_ &&
+        assert(pending_->pc == next_fetch_pc_ &&
                "frontend cursor diverged from trace");
 
-        const StepView v = bundle.probe(pending_.pc);
+        const StepView v = bundle.probe(pending_->pc);
         if (v.kind == StepView::Kind::kEndOfWindow)
             break; // Next access continues sequentially, no bubble.
 
-        if (!ftq_->canAccept(pending_.pc, force_new_entry))
+        if (!ftq_->canAccept(pending_->pc, force_new_entry))
             break; // FTQ filled mid-bundle; resume here next cycle.
 
-        // This instruction is consumed into the bundle.
-        const Instruction in = pending_;
-        DynInst d;
-        d.in = in;
-        d.seq = ++seq_;
+        // This instruction is consumed into the bundle: its FTQ slot is
+        // its one stored copy, and the trace cursor moves on.
+        DynInst &d = *ftq_->push(*pending_, ++seq_, now, bypass,
+                                 force_new_entry);
+        const Instruction &in = d.in;
+        force_new_entry = false;
+        ++stats.fetch_pcs;
+        advance();
+        next_fetch_pc_ = in.next_pc;
+        // A resteer also stalls PC generation until the pipeline
+        // resolves the flagged branch.
+        auto resteer = [&](Resteer r) {
+            d.resteer = r;
+            waiting_resteer_ = true;
+            redirect_pending_ = true;
+        };
 
         const bool tracked = v.kind == StepView::Kind::kBranch;
         const bool is_branch = in.isBranch();
@@ -113,28 +124,13 @@ PcGen::runCycle(Cycle now)
         const bool ends_access_nt =
             tracked && v.end_on_not_taken && !predicted_taken && !in.taken;
 
-        // Consume the instruction into the FTQ. A resteer also stalls PC
-        // generation until the pipeline resolves the flagged branch.
-        auto consume = [&](bool resteer) {
-            ftq_->push(d, now, bypass, force_new_entry);
-            force_new_entry = false;
-            ++stats.fetch_pcs;
-            advance();
-            next_fetch_pc_ = in.next_pc;
-            if (!resteer)
-                return;
-            waiting_resteer_ = true;
-            redirect_pending_ = true;
-        };
-
         if (tracked && !is_branch) {
             // Stale entry over a non-branch: the decoder flags a misfetch
             // if the stale slot would have redirected fetch.
             if (isAlwaysTaken(v.type)) {
-                d.resteer = Resteer::kDecode;
                 ++stats.misfetches;
-                consume(true);
                 deferred_updates_.emplace_back(in, true);
+                resteer(Resteer::kDecode);
                 break;
             }
             // Stale conditional slot: treated as not taken; harmless.
@@ -188,7 +184,6 @@ PcGen::runCycle(Cycle now)
                 // misprediction resolved at Execute.
                 r = Resteer::kExec;
             }
-            d.resteer = r;
             if (r == Resteer::kDecode) {
                 ++stats.misfetches;
             } else {
@@ -206,11 +201,9 @@ PcGen::runCycle(Cycle now)
                     ++stats.misp_indirect;
                 }
             }
-            consume(true);
+            resteer(r);
             break;
         }
-
-        consume(false);
 
         if (chained) {
             force_new_entry = true; // New fetch block at the taken target.

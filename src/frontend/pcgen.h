@@ -93,7 +93,8 @@ class PcGen
     TraceSource *trace_;
     Ftq *ftq_;
 
-    Instruction pending_;
+    /// The trace's next instruction; valid until the next advance().
+    const Instruction *pending_ = nullptr;
     Addr next_fetch_pc_ = 0;
     Cycle ready_cycle_ = 0;
     bool waiting_resteer_ = false;
@@ -102,7 +103,7 @@ class PcGen
 
     std::vector<std::pair<Instruction, bool>> deferred_updates_;
 
-    void advance() { pending_ = trace_->next(); }
+    void advance() { pending_ = &trace_->next(); }
 };
 
 } // namespace btbsim

@@ -132,10 +132,10 @@ Cpu::allocate()
     for (unsigned n = 0; allocated_ < decoded_ && n < cfg_.alloc_width &&
                          backend_.canAllocate();
          ++n) {
-        DynInst &d = ftq_.inst(allocated_ + 1);
+        const DynInst &d = ftq_.inst(allocated_ + 1);
         if (d.decode_cycle >= now_)
             break; // Decoded this cycle; allocate next cycle.
-        backend_.allocate(std::move(d), now_);
+        backend_.allocate(d, now_);
         ftq_.release(++allocated_);
     }
 }

@@ -20,7 +20,8 @@ enum class Resteer : std::uint8_t {
     kExec,   ///< Misprediction: resolved when the branch executes.
 };
 
-/** One in-flight instruction with its timing record. */
+/** One instruction between PC generation and allocation: what the
+ *  frontend stores in its FTQ slot. The backend keeps its own record. */
 struct DynInst
 {
     Instruction in;
@@ -29,14 +30,8 @@ struct DynInst
     /// Frontend event this instruction resolves.
     Resteer resteer = Resteer::kNone;
 
-    /// Producer sequence numbers (0 = no dependency).
-    std::uint64_t dep1 = 0;
-    std::uint64_t dep2 = 0;
-
-    // Timing (absolute cycles, 0 = not reached).
+    /// Cycle the instruction was decoded (0 = not yet).
     Cycle decode_cycle = 0;
-    Cycle alloc_cycle = 0;
-    Cycle complete_cycle = 0;
 };
 
 } // namespace btbsim

@@ -131,7 +131,7 @@ TEST(Backend, ExecResteerFiresAtCompletion)
     br.in.cls = InstClass::kBranch;
     br.in.branch = BranchClass::kCondDirect;
     br.resteer = Resteer::kExec;
-    f.be->allocate(std::move(br), now);
+    f.be->allocate(br, now);
     EXPECT_EQ(f.be->takeExecResteer(now), 0u); // not yet issued
     f.be->runCycle(++now);
     const Cycle fired = f.be->takeExecResteer(now + 1);
@@ -188,7 +188,7 @@ TEST(Backend, StoresRetireThroughSq)
         st.in.cls = InstClass::kStore;
         st.in.mem_addr = 0x400000;
         ASSERT_TRUE(f.be->canAllocate());
-        f.be->allocate(std::move(st), now);
+        f.be->allocate(st, now);
     }
     EXPECT_FALSE(f.be->canAllocate()); // SQ full
     f.drain(now, 2);
@@ -229,7 +229,7 @@ TEST(Backend, AllocateChecksRingInvariants)
     f.be->allocate(f.alu(), 1);
     DynInst gap = f.alu();
     ++gap.seq; // Seq 3 after seq 1.
-    EXPECT_THROW(f.be->allocate(std::move(gap), 1), std::logic_error);
+    EXPECT_THROW(f.be->allocate(gap, 1), std::logic_error);
 
     // Past canAllocate(): the 8-slot ring of a 5-entry ROB fills up.
     BackendConfig cfg;
@@ -309,17 +309,18 @@ class RefBackend
     }
 
     void
-    allocate(DynInst d, Cycle now)
+    allocate(const DynInst &d, Cycle now)
     {
-        d.alloc_cycle = now;
-        d.dep1 = d.in.src1 ? last_writer_[d.in.src1] : 0;
-        d.dep2 = d.in.src2 ? last_writer_[d.in.src2] : 0;
+        Entry e{d};
+        e.alloc_cycle = now;
+        e.dep1 = d.in.src1 ? last_writer_[d.in.src1] : 0;
+        e.dep2 = d.in.src2 ? last_writer_[d.in.src2] : 0;
         if (d.in.dst)
             last_writer_[d.in.dst] = d.seq;
         loads_ += d.in.isLoad();
         stores_ += d.in.isStore();
         ++unissued_;
-        rob_.push_back({d, false});
+        rob_.push_back(e);
     }
 
     void
@@ -329,9 +330,9 @@ class RefBackend
         for (Entry &e : rob_) {
             if (issued == cfg_.issue_width)
                 break;
-            DynInst &d = e.d;
-            if (e.issued || d.alloc_cycle >= now || !done(d.dep1, now) ||
-                !done(d.dep2, now))
+            const DynInst &d = e.d;
+            if (e.issued || e.alloc_cycle >= now || !done(e.dep1, now) ||
+                !done(e.dep2, now))
                 continue;
             unsigned &used = d.in.isLoad()    ? loads
                              : d.in.isStore() ? stores
@@ -362,13 +363,13 @@ class RefBackend
                 break;
             }
             max_latency = std::max(max_latency, lat);
-            d.complete_cycle = now + lat;
+            e.complete_cycle = now + lat;
             if (d.resteer == Resteer::kExec)
-                resteer_ = d.complete_cycle;
+                resteer_ = e.complete_cycle;
         }
         for (unsigned n = 0; n < cfg_.commit_width && !rob_.empty(); ++n) {
             const DynInst &d = rob_.front().d;
-            if (!rob_.front().issued || d.complete_cycle > now)
+            if (!rob_.front().issued || rob_.front().complete_cycle > now)
                 break;
             if (d.in.isStore()) {
                 mem_.store(d.in.mem_addr, now);
@@ -397,7 +398,10 @@ class RefBackend
     struct Entry
     {
         DynInst d;
-        bool issued;
+        std::uint64_t dep1 = 0, dep2 = 0; ///< Producer seqs (0 = none).
+        Cycle alloc_cycle = 0;
+        Cycle complete_cycle = 0;
+        bool issued = false;
     };
 
     bool
@@ -406,7 +410,7 @@ class RefBackend
         if (dep <= committed_)
             return true;
         const Entry &p = rob_[dep - committed_ - 1];
-        return p.issued && p.d.complete_cycle <= now;
+        return p.issued && p.complete_cycle <= now;
     }
 
     BackendConfig cfg_;
@@ -499,7 +503,7 @@ runDifferential(const StreamSpec &spec, std::uint64_t seed)
                 break;
             const DynInst d = randomInst(rng, spec, ++seq);
             ref.allocate(d, now);
-            be.allocate(DynInst(d), now);
+            be.allocate(d, now);
         }
     };
     // Stop at the first divergence: later cycles only echo it.
@@ -567,7 +571,7 @@ TEST(Backend, AllocatedThisCycleIssuesNextCycle)
     br.in.cls = InstClass::kBranch;
     br.in.branch = BranchClass::kCondDirect;
     br.resteer = Resteer::kExec;
-    f.be->allocate(std::move(br), 5);
+    f.be->allocate(br, 5);
     f.be->runCycle(5); // Same cycle as the allocation: must not issue.
     EXPECT_EQ(f.be->takeExecResteer(100), 0u);
     f.be->runCycle(6);

@@ -11,13 +11,12 @@ using namespace btbsim;
 
 namespace {
 
-DynInst
-instAt(Addr pc, std::uint64_t seq)
+Instruction
+at(Addr pc)
 {
-    DynInst d;
-    d.in.pc = pc;
-    d.seq = seq;
-    return d;
+    Instruction in;
+    in.pc = pc;
+    return in;
 }
 
 } // namespace
@@ -25,9 +24,9 @@ instAt(Addr pc, std::uint64_t seq)
 TEST(Ftq, SameLineSharesEntry)
 {
     Ftq q(4);
-    EXPECT_TRUE(q.push(instAt(0x1000, 1), 1, false, true));
-    EXPECT_TRUE(q.push(instAt(0x1004, 2), 1, false, false));
-    EXPECT_TRUE(q.push(instAt(0x103C, 3), 1, false, false));
+    EXPECT_TRUE(q.push(at(0x1000), 1, 1, false, true));
+    EXPECT_TRUE(q.push(at(0x1004), 2, 1, false, false));
+    EXPECT_TRUE(q.push(at(0x103C), 3, 1, false, false));
     EXPECT_EQ(q.size(), 1u);
     EXPECT_EQ(q.front().end_seq, 3u); // Seqs 1..3.
 }
@@ -35,8 +34,8 @@ TEST(Ftq, SameLineSharesEntry)
 TEST(Ftq, LineCrossOpensEntry)
 {
     Ftq q(4);
-    q.push(instAt(0x103C, 1), 1, false, true);
-    q.push(instAt(0x1040, 2), 1, false, false);
+    q.push(at(0x103C), 1, 1, false, true);
+    q.push(at(0x1040), 2, 1, false, false);
     ASSERT_EQ(q.size(), 2u);
     EXPECT_EQ(q.entry(0).end_seq, 1u);
     EXPECT_EQ(q.entry(1).end_seq, 2u);
@@ -45,55 +44,74 @@ TEST(Ftq, LineCrossOpensEntry)
 TEST(Ftq, ForcedNewEntryAfterRedirect)
 {
     Ftq q(4);
-    q.push(instAt(0x1000, 1), 1, false, true);
+    q.push(at(0x1000), 1, 1, false, true);
     // Taken-branch target in the same line still opens a fresh entry.
-    q.push(instAt(0x1020, 2), 1, false, true);
+    q.push(at(0x1020), 2, 1, false, true);
     EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(Ftq, CapacityEnforced)
 {
     Ftq q(2);
-    EXPECT_TRUE(q.push(instAt(0x1000, 1), 1, false, true));
-    EXPECT_TRUE(q.push(instAt(0x2000, 2), 1, false, true));
-    EXPECT_FALSE(q.push(instAt(0x3000, 3), 1, false, true));
+    EXPECT_TRUE(q.push(at(0x1000), 1, 1, false, true));
+    EXPECT_TRUE(q.push(at(0x2000), 2, 1, false, true));
+    EXPECT_FALSE(q.push(at(0x3000), 3, 1, false, true));
     EXPECT_TRUE(q.full());
     // But appending to the open tail entry still works.
     EXPECT_TRUE(q.canAccept(0x2004, false));
-    EXPECT_TRUE(q.push(instAt(0x2004, 3), 1, false, false));
+    EXPECT_TRUE(q.push(at(0x2004), 3, 1, false, false));
     EXPECT_EQ(q.entry(1).end_seq, 3u); // Seqs 2..3.
 }
 
 TEST(Ftq, BypassSetsImmediateIssue)
 {
     Ftq q(4);
-    q.push(instAt(0x1000, 1), 5, true, true);
+    q.push(at(0x1000), 1, 5, true, true);
     EXPECT_EQ(q.front().min_issue_cycle, 5u);
-    q.push(instAt(0x2000, 2), 5, false, true);
+    q.push(at(0x2000), 2, 5, false, true);
     EXPECT_EQ(q.entry(1).min_issue_cycle, 6u);
 }
 
 TEST(Ftq, NoAppendToIssuedEntry)
 {
     Ftq q(4);
-    q.push(instAt(0x1000, 1), 1, false, true);
+    q.push(at(0x1000), 1, 1, false, true);
     q.front().issued = true;
-    q.push(instAt(0x1004, 2), 2, false, false);
+    q.push(at(0x1004), 2, 2, false, false);
     EXPECT_EQ(q.size(), 2u); // had to open a new entry
 }
 
 TEST(Ftq, PopAndClear)
 {
     Ftq q(4);
-    q.push(instAt(0x1000, 1), 1, false, true);
-    q.push(instAt(0x2000, 2), 1, false, true);
+    q.push(at(0x1000), 1, 1, false, true);
+    q.push(at(0x2000), 2, 1, false, true);
     q.popFront();
     EXPECT_EQ(q.size(), 1u);
     q.clear();
     EXPECT_TRUE(q.empty());
     // A cleared queue accepts a stream restarting at any seq.
-    EXPECT_TRUE(q.push(instAt(0x3000, 1), 2, false, true));
+    EXPECT_TRUE(q.push(at(0x3000), 1, 2, false, true));
     EXPECT_EQ(q.inst(1).in.pc, 0x3000u);
+}
+
+TEST(Ftq, PushBuildsAFreshSlot)
+{
+    // Slots are reused once released: a push must not inherit the
+    // previous occupant's resteer or decode cycle.
+    Ftq q(64);
+    for (std::uint64_t seq = 1; seq <= 1000; ++seq) {
+        DynInst *d = q.push(at(0x1000 + 4 * seq), seq, 1, false, false);
+        ASSERT_NE(d, nullptr);
+        ASSERT_EQ(d, &q.inst(seq));
+        ASSERT_EQ(d->seq, seq);
+        ASSERT_EQ(d->in.pc, 0x1000 + 4 * seq);
+        ASSERT_EQ(d->resteer, Resteer::kNone);
+        ASSERT_EQ(d->decode_cycle, 0u);
+        d->resteer = Resteer::kExec;
+        d->decode_cycle = seq;
+        q.release(seq);
+    }
 }
 
 TEST(Ftq, StoreHoldsUnboundedEntry)
@@ -103,8 +121,8 @@ TEST(Ftq, StoreHoldsUnboundedEntry)
     Ftq q(2);
     constexpr std::uint64_t kReps = 3000;
     for (std::uint64_t s = 1; s <= kReps; ++s)
-        ASSERT_TRUE(q.push(instAt(0x1000, s), 1, false, s == 1));
-    q.push(instAt(0x1040, kReps + 1), 1, false, false);
+        ASSERT_TRUE(q.push(at(0x1000), s, 1, false, s == 1));
+    q.push(at(0x1040), kReps + 1, 1, false, false);
     ASSERT_EQ(q.size(), 2u);
     EXPECT_EQ(q.entry(0).end_seq, kReps);
     EXPECT_EQ(q.entry(1).end_seq, kReps + 1);
@@ -118,11 +136,11 @@ TEST(Ftq, ReleaseKeepsYoungerInstructions)
     Ftq q(64);
     std::uint64_t seq = 0;
     for (; seq < 200; ++seq)
-        q.push(instAt(0x1000 + 4 * seq, seq + 1), 1, false, false);
+        q.push(at(0x1000 + 4 * seq), seq + 1, 1, false, false);
     q.release(150);
     // Growing past the first ring size must keep seqs 151.. intact.
     for (; seq < 600; ++seq)
-        q.push(instAt(0x1000 + 4 * seq, seq + 1), 1, false, false);
+        q.push(at(0x1000 + 4 * seq), seq + 1, 1, false, false);
     for (std::uint64_t s = 151; s <= 600; ++s)
         ASSERT_EQ(q.inst(s).in.pc, 0x1000 + 4 * (s - 1));
 }
@@ -140,11 +158,11 @@ TEST(Ftq, RingWrapsWithNonPowerOfTwoCapacity)
         // Fill to capacity: one line per entry.
         while (!q.full()) {
             ++seq;
-            ASSERT_TRUE(q.push(instAt(0x1000 + 64 * seq, seq), 1, false, false));
+            ASSERT_TRUE(q.push(at(0x1000 + 64 * seq), seq, 1, false, false));
             model.push_back(seq);
         }
         ASSERT_EQ(q.size(), 24u);
-        EXPECT_FALSE(q.push(instAt(0x1000 + 64 * (seq + 1), seq + 1), 1,
+        EXPECT_FALSE(q.push(at(0x1000 + 64 * (seq + 1)), seq + 1, 1,
                             false, false));
 
         // Issue a few more entries in order, then pop some.

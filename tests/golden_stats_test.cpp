@@ -74,31 +74,73 @@ canonicalCounters(const SimStats &s)
     return out;
 }
 
+/**
+ * A denser program than goldenProgram(): short straight-line runs and
+ * more always-taken ifs and jumps put a second branch in many blocks, so
+ * one-slot block entries displace often. Blocks still end at their first
+ * always-taken branch, so two-slot entries here rarely fill.
+ */
+const Program &
+denseProgram()
+{
+    static const Program prog = [] {
+        GenParams p;
+        p.seed = 0xD3B5EED;
+        p.target_static_insts = 96 * 1024;
+        p.num_handlers = 12;
+        p.mean_block_len = 4.0;
+        p.w_always_if = 0.25;
+        p.w_jump = 0.12;
+        return generateProgram(p);
+    }();
+    return prog;
+}
+
+/** The integral counters of @p cfg run over @p prog (trace seed 7). */
 std::string
-runDigest(const BtbConfig &btb)
+runCanon(const CpuConfig &cfg, const Program &prog = goldenProgram())
+{
+    SyntheticTrace trace(prog, 7);
+    Cpu cpu(cfg, trace);
+    cpu.run(kWarmup, kMeasure);
+    return canonicalCounters(cpu.stats());
+}
+
+CpuConfig
+withBtb(const BtbConfig &btb)
 {
     CpuConfig cfg;
     cfg.btb = btb;
-    SyntheticTrace trace(goldenProgram(), 7);
-    Cpu cpu(cfg, trace);
-    cpu.run(kWarmup, kMeasure);
-    return exp::Sha256::hexDigest(canonicalCounters(cpu.stats()));
+    return cfg;
+}
+
+std::string
+runDigest(const CpuConfig &cfg, const Program &prog = goldenProgram())
+{
+    return exp::Sha256::hexDigest(runCanon(cfg, prog));
+}
+
+std::string
+runDigest(const BtbConfig &btb)
+{
+    return runDigest(withBtb(btb));
+}
+
+void
+expectGolden(const CpuConfig &cfg, const std::string &golden,
+             const Program &prog = goldenProgram())
+{
+    const std::string canon = runCanon(cfg, prog);
+    EXPECT_EQ(exp::Sha256::hexDigest(canon), golden)
+        << "SimStats diverged for " << cfg.btb.name() << "\n"
+        << "counter dump:\n"
+        << canon;
 }
 
 void
 expectGolden(const BtbConfig &btb, const std::string &golden)
 {
-    CpuConfig cfg;
-    cfg.btb = btb;
-    SyntheticTrace trace(goldenProgram(), 7);
-    Cpu cpu(cfg, trace);
-    cpu.run(kWarmup, kMeasure);
-    const std::string canon = canonicalCounters(cpu.stats());
-    const std::string digest = exp::Sha256::hexDigest(canon);
-    EXPECT_EQ(digest, golden)
-        << "SimStats diverged for " << btb.name() << "\n"
-        << "counter dump:\n"
-        << canon;
+    expectGolden(withBtb(btb), golden);
 }
 
 /**
@@ -164,6 +206,22 @@ collidingIbtb()
     BtbConfig c = BtbConfig::ibtb(16);
     c.l1 = {1, 2};
     return c;
+}
+
+/** Fig. 11a's pair: idealistic 512K-entry BTBs on the ideal backend. */
+CpuConfig
+idealBackendIbtb()
+{
+    BtbConfig btb = BtbConfig::ibtb(16);
+    btb.makeIdeal();
+    return withBtb(btb).withIdealBackend();
+}
+
+CpuConfig
+idealBackendMbbtb()
+{
+    return withBtb(BtbConfig::mbbtb(3, PullPolicy::kAllBr, 64).makeIdeal())
+        .withIdealBackend();
 }
 
 } // namespace
@@ -236,6 +294,32 @@ TEST(GoldenStats, HeteroBtbNoSplit)
     expectGolden(BtbConfig::hetero(2, /*split=*/false), "ffaa51aa84c78c500ece0c88d6fe818fa5f4b8d49106ecfdd6d8afb12e60bf18");
 }
 
+TEST(GoldenStats, IdealBackendInstructionBtb)
+{
+    expectGolden(idealBackendIbtb(), "d7667370273dd1cb1cd8c13db7e81f63c053677e1fa5fe0f7dbb513b202b6792");
+}
+
+TEST(GoldenStats, IdealBackendMultiBlockBtb)
+{
+    expectGolden(idealBackendMbbtb(), "6acc1b50cc5493e3c77cd4ee8224818a06363e09c3eb0138a50f52f6103d79b7");
+}
+
+// ---- dense program (several taken branches per block) ---------------------
+
+TEST(GoldenStats, DenseHeteroBtbNoSplit)
+{
+    expectGolden(withBtb(BtbConfig::hetero(1, /*split=*/false)),
+                 "1b8494914204d51c0ee966345d070f0f78c88971849505d05439f88deba2f4a1",
+                 denseProgram());
+}
+
+TEST(GoldenStats, DenseBlockBtb)
+{
+    expectGolden(withBtb(BtbConfig::bbtb(1)),
+                 "a50ce9b32e242e79fe0b45ce99439061345e42fd8b649ffecb59a1f26b407277",
+                 denseProgram());
+}
+
 // ---- replay path (TraceReplaySource must be stream-identical) -------------
 // One test per organization kind, against the same golden constants as
 // the live-source tests above.
@@ -293,4 +377,11 @@ TEST(GoldenStats, DISABLED_PrintDigests)
                 runDigest(BtbConfig::hetero(2, true)).c_str());
     std::printf("HETERO2NOSPLIT  %s\n",
                 runDigest(BtbConfig::hetero(2, false)).c_str());
+    std::printf("IBTB16IDEALBE   %s\n", runDigest(idealBackendIbtb()).c_str());
+    std::printf("MBBTB64IDEALBE  %s\n", runDigest(idealBackendMbbtb()).c_str());
+    std::printf("DENSEHETERO1    %s\n",
+                runDigest(withBtb(BtbConfig::hetero(1, false)), denseProgram())
+                    .c_str());
+    std::printf("DENSEBBTB1      %s\n",
+                runDigest(withBtb(BtbConfig::bbtb(1)), denseProgram()).c_str());
 }

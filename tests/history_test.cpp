@@ -128,10 +128,9 @@ TEST(GlobalHistory, FoldPrefixesMatchesPerLengthFold)
         lengths.push_back(lengths[rng.nextBounded(lengths.size())]);
         std::sort(lengths.begin(), lengths.end());
 
-        for (const unsigned out_bits : {1u, 7u, 12u, 13u, 64u}) {
+        for (const unsigned out_bits : {0u, 1u, 7u, 12u, 13u, 64u}) {
             std::vector<std::uint64_t> out(lengths.size(), ~0ull);
-            h.foldPrefixes(lengths.data(), lengths.size(), out_bits,
-                           out.data());
+            h.fold(FoldPlan(lengths, out_bits), out.data());
             for (std::size_t i = 0; i < lengths.size(); ++i) {
                 const std::uint64_t want =
                     referenceFold(outcomes, lengths[i], out_bits);
