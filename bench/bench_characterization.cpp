@@ -2,9 +2,12 @@
  * @file
  * Workload characterization table: the trace statistics the paper cites in
  * its background/methodology sections (dynamic basic-block size, branch
- * class mix, code footprints), measured on the synthetic server suite.
+ * class mix, code footprints), measured on the synthetic server suite,
+ * plus the taken distance, the rest of the branch mix and the static
+ * branch sites (the BTB working set) behind them.
  */
 
+#include <array>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -19,35 +22,52 @@ main()
     Context ctx = setup("Workload characterization",
                         "Sections 1, 2 and 4 statistics");
 
-    std::printf("%-10s %8s %7s %7s %7s %7s %7s %8s %8s\n", "workload",
-                "codeKB", "BBsize", "nvrT%", "alwT%", "1tgtI%", "ret%",
-                "90%KB", "100%KB");
-    std::printf("%s\n", std::string(76, '-').c_str());
+    std::printf("%-10s %7s %6s %6s %6s %6s %6s %6s %6s %6s %6s %7s %8s "
+                "%6s %6s\n",
+                "workload", "codeKB", "BBsize", "tkdist", "nvrT%", "alwT%",
+                "mixC%", "1tgtI%", "ret%", "call%", "uncD%", "sites",
+                "tknSites", "90%KB", "100%KB");
+    std::printf("%s\n", std::string(118, '-').c_str());
 
-    double bb = 0, nt = 0, at = 0, sti = 0, c90 = 0, c100 = 0;
+    // One row of the table: every column after the workload name.
+    using Row = std::array<double, 14>;
+    const auto print = [](const char *name, const Row &r) {
+        std::printf("%-10s %7.0f %6.2f %6.2f %6.1f %6.1f %6.1f %6.1f %6.1f "
+                    "%6.1f %6.1f %7.0f %8.0f %6.0f %6.0f\n",
+                    name, r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7],
+                    r[8], r[9], r[10], r[11], r[12], r[13]);
+    };
+
+    Row sum{};
     for (const WorkloadSpec &spec : ctx.suite) {
         auto w = makeWorkload(spec);
         const TraceProperties p =
             analyzeTrace(*w, ctx.opt.warmup + ctx.opt.measure);
-        std::printf("%-10s %8.0f %7.2f %7.1f %7.1f %7.1f %7.1f %8.0f %8.0f\n",
-                    spec.name.c_str(),
-                    w->program().footprintBytes() / 1024.0, p.avg_bb_size,
-                    100.0 * p.frac_never_taken_cond,
-                    100.0 * p.frac_always_taken_cond,
-                    100.0 * p.frac_single_target_indirect,
-                    100.0 * p.frac_returns, p.bytes_for_90pct / 1024.0,
-                    p.bytes_for_100pct / 1024.0);
-        bb += p.avg_bb_size;
-        nt += p.frac_never_taken_cond;
-        at += p.frac_always_taken_cond;
-        sti += p.frac_single_target_indirect;
-        c90 += static_cast<double>(p.bytes_for_90pct) / 1024.0;
-        c100 += static_cast<double>(p.bytes_for_100pct) / 1024.0;
+        const Row row = {
+            w->program().footprintBytes() / 1024.0,
+            p.avg_bb_size,
+            p.avg_taken_distance,
+            100.0 * p.frac_never_taken_cond,
+            100.0 * p.frac_always_taken_cond,
+            100.0 * p.frac_mixed_cond,
+            100.0 * p.frac_single_target_indirect,
+            100.0 * p.frac_returns,
+            100.0 * p.frac_calls,
+            100.0 * p.frac_uncond_direct,
+            static_cast<double>(p.static_branch_sites),
+            static_cast<double>(p.static_taken_sites),
+            p.bytes_for_90pct / 1024.0,
+            p.bytes_for_100pct / 1024.0,
+        };
+        print(spec.name.c_str(), row);
+        for (std::size_t i = 0; i < row.size(); ++i)
+            sum[i] += row[i];
     }
     const double n = static_cast<double>(ctx.suite.size());
-    std::printf("%-10s %8s %7.2f %7.1f %7.1f %7.1f %7s %8.0f %8.0f\n\n",
-                "mean", "", bb / n, 100.0 * nt / n, 100.0 * at / n,
-                100.0 * sti / n, "", c90 / n, c100 / n);
+    for (double &v : sum)
+        v /= n;
+    print("mean", sum);
+    std::printf("\n");
 
     expectation(
         "Paper (CVP-1 server traces): avg dynamic basic block 9.4 "

@@ -206,76 +206,4 @@ TraceReplaySource::reset()
         advance();
 }
 
-// ---------------------------------------------------------------------
-// Inspection / verification.
-
-TraceFileInfo
-inspectTrace(const std::string &path, bool check_crc)
-{
-    MappedFile map(path);
-    TraceFileInfo info;
-    info.file_bytes = map.size();
-    info.header = parseHeader(map.data(), map.size());
-
-    if (check_crc && info.header.hasProgram()) {
-        const std::uint8_t *blob = map.data() + info.header.program_offset;
-        info.program_crc_ok =
-            crc32(blob, static_cast<std::size_t>(info.header.program_bytes)) ==
-            info.header.program_crc;
-    }
-
-    info.chunks = readChunkDirectory(path, map, info.header);
-    if (check_crc)
-        for (ChunkInfo &c : info.chunks)
-            c.crc_ok = crc32(map.data() + c.payloadOffset(),
-                             c.payload_bytes) == c.crc;
-    return info;
-}
-
-std::vector<std::string>
-verifyTrace(const std::string &path)
-{
-    std::vector<std::string> problems;
-
-    TraceFileInfo info;
-    try {
-        info = inspectTrace(path, true);
-    } catch (const TraceError &e) {
-        problems.push_back(e.what());
-        return problems;
-    }
-
-    if (!info.program_crc_ok)
-        problems.push_back(path + ": Program image CRC mismatch");
-
-    MappedFile map(path);
-    if (info.header.hasProgram() && info.program_crc_ok) {
-        try {
-            deserializeProgram(
-                map.data() + info.header.program_offset,
-                static_cast<std::size_t>(info.header.program_bytes));
-        } catch (const TraceError &e) {
-            problems.push_back(e.what());
-        }
-    }
-
-    for (std::size_t i = 0; i < info.chunks.size(); ++i) {
-        const ChunkInfo &c = info.chunks[i];
-        if (!c.crc_ok) {
-            problems.push_back(path + ": payload CRC mismatch (chunk " +
-                               std::to_string(i) + ")");
-            continue;
-        }
-        try {
-            std::vector<Instruction> scratch(c.records);
-            decodeChunkPayload(map.data() + c.payloadOffset(), c.payload_bytes,
-                               c.records, scratch.data());
-        } catch (const TraceError &e) {
-            problems.push_back(std::string(e.what()) + " (chunk " +
-                               std::to_string(i) + ")");
-        }
-    }
-    return problems;
-}
-
 } // namespace btbsim::traceio

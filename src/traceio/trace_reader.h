@@ -1,7 +1,6 @@
 /**
  * @file
- * Reading `.btbt` traces: the mmap-backed TraceReplaySource plus the
- * inspection/verification helpers behind `btbsim-trace info|verify`.
+ * Reading `.btbt` traces: the mmap-backed TraceReplaySource.
  */
 
 #ifndef BTBSIM_TRACEIO_TRACE_READER_H
@@ -45,8 +44,7 @@ struct ChunkInfo
     std::uint64_t offset = 0; ///< File offset of the chunk header.
     std::uint32_t records = 0;
     std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;  ///< Stored payload CRC.
-    bool crc_ok = true;     ///< Payload CRC verdict (inspectTrace only).
+    std::uint32_t crc = 0; ///< Stored payload CRC.
 
     std::uint64_t payloadOffset() const { return offset + 16; }
 };
@@ -86,7 +84,6 @@ class TraceReplaySource : public TraceSource
         return program_ ? program_.get() : nullptr;
     }
 
-    const TraceHeader &header() const { return header_; }
     std::uint64_t instructionCount() const { return header_.inst_count; }
     /** Times the stream wrapped back to the first chunk. */
     std::uint64_t wraps() const { return wraps_; }
@@ -114,30 +111,6 @@ class TraceReplaySource : public TraceSource
     void load(std::size_t idx);
     void advance();
 };
-
-/** Everything `btbsim-trace info` prints about a file. */
-struct TraceFileInfo
-{
-    TraceHeader header;
-    std::uint64_t file_bytes = 0;
-    bool program_crc_ok = true;
-    std::vector<ChunkInfo> chunks;
-};
-
-/**
- * Walk the container structure of @p path; with @p check_crc also
- * verify the Program image and every chunk payload CRC. Structural
- * damage (bad magic, truncation, bad chunk framing) throws TraceError;
- * CRC mismatches are reported per chunk instead.
- */
-TraceFileInfo inspectTrace(const std::string &path, bool check_crc);
-
-/**
- * Full verification: container walk, all CRCs, and a complete decode
- * of every chunk. Returns a human-readable problem list (empty = ok);
- * never throws for file-content problems.
- */
-std::vector<std::string> verifyTrace(const std::string &path);
 
 } // namespace btbsim::traceio
 

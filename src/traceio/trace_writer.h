@@ -1,8 +1,7 @@
 /**
  * @file
  * Writing `.btbt` traces: TraceWriter appends instructions chunk by
- * chunk; RecordingSource captures any live TraceSource to disk while
- * passing it through unchanged.
+ * chunk. To record a live TraceSource, append each next() it delivers.
  */
 
 #ifndef BTBSIM_TRACEIO_TRACE_WRITER_H
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace_source.h"
 #include "traceio/format.h"
 
 namespace btbsim::traceio {
@@ -74,35 +72,6 @@ class TraceWriter
     bool finished_ = false;
 
     void flushChunk();
-};
-
-/**
- * Pass-through TraceSource that appends every delivered instruction to
- * a TraceWriter. The captured file is the concatenation of everything
- * the consumer pulled, including any stream restarts via reset().
- */
-class RecordingSource : public TraceSource
-{
-  public:
-    RecordingSource(TraceSource &inner, TraceWriter &writer)
-        : inner_(&inner), writer_(&writer)
-    {}
-
-    const Instruction &
-    next() override
-    {
-        const Instruction &in = inner_->next();
-        writer_->append(in);
-        return in;
-    }
-
-    void reset() override { inner_->reset(); }
-    std::string name() const override { return inner_->name(); }
-    const Program *codeImage() const override { return inner_->codeImage(); }
-
-  private:
-    TraceSource *inner_;
-    TraceWriter *writer_;
 };
 
 } // namespace btbsim::traceio

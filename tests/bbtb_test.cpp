@@ -92,6 +92,21 @@ TEST(Bbtb, DisplacementWithoutSplit)
     EXPECT_EQ(btb->counters.slot_displacements, 1u);
 }
 
+TEST(Bbtb, SlotLruDisplacement)
+{
+    auto btb = makeBbtb(2, false);
+    trainBlock(*btb, 0x1000, 0x1008, BranchClass::kCondDirect, 0x3000);
+    trainBlock(*btb, 0x1000, 0x1010, BranchClass::kCondDirect, 0x4000);
+    // Refresh the older slot, 0x1008, so 0x1010 is the LRU slot.
+    trainBlock(*btb, 0x1000, 0x1008, BranchClass::kCondDirect, 0x3000);
+    trainBlock(*btb, 0x1000, 0x1018, BranchClass::kCondDirect, 0x5000);
+    EXPECT_EQ(btb->counters.slot_displacements, 1u);
+    EXPECT_EQ(viewAt(*btb, 0x1000, 0x1008).kind, StepView::Kind::kBranch);
+    EXPECT_EQ(viewAt(*btb, 0x1000, 0x1010).kind,
+              StepView::Kind::kSequential);
+    EXPECT_EQ(viewAt(*btb, 0x1000, 0x1018).kind, StepView::Kind::kBranch);
+}
+
 TEST(Bbtb, SplitPreservesBothBranches)
 {
     auto btb = makeBbtb(1, true);

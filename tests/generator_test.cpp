@@ -62,8 +62,9 @@ TEST(Generator, DirectTargetsInRange)
 {
     const Program prog = generateProgram(smallParams());
     for (const StaticInst &si : prog.insts) {
-        if (isDirect(si.branch))
+        if (isDirect(si.branch)) {
             EXPECT_LT(si.target, prog.insts.size());
+        }
     }
 }
 

@@ -133,10 +133,12 @@ TEST_P(PerceptronSizeTest, HandlesManyBranches)
     // 64KB predictor must be near the noise floor.
     const double rate = static_cast<double>(wrong) / n;
     EXPECT_LT(rate, 0.40);
-    if (GetParam() >= 16)
+    if (GetParam() >= 16) {
         EXPECT_LT(rate, 0.20);
-    if (GetParam() >= 64)
+    }
+    if (GetParam() >= 64) {
         EXPECT_LT(rate, 0.12);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PerceptronSizeTest,

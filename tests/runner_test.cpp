@@ -135,10 +135,9 @@ TEST(Runner, ReplayAcrossThreadsIsBitIdentical)
     {
         auto wl = makeWorkload(spec);
         traceio::TraceWriter writer(path, spec.name, &wl->program());
-        traceio::RecordingSource rec(*wl, writer);
         const std::uint64_t insts = opt.warmup + opt.measure + (64u << 10);
         for (std::uint64_t i = 0; i < insts; ++i)
-            rec.next();
+            writer.append(wl->next());
         writer.finish();
     }
 

@@ -291,8 +291,9 @@ TEST(SoaTableTest, ReplacementParityWithAosReference)
             Payload *a = touchingFind(soa, key);
             RefTable::Way *b = ref.find(key);
             ASSERT_EQ(a != nullptr, b != nullptr) << "op " << i;
-            if (a)
+            if (a) {
                 ASSERT_EQ(a->value, b->value) << "op " << i;
+            }
             break;
         }
         case 1: { // peek (no LRU effect)

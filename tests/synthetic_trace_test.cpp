@@ -31,11 +31,13 @@ TEST(SyntheticTrace, ControlFlowIsConsistent)
     Addr expected = 0;
     for (int i = 0; i < 200000; ++i) {
         const Instruction &in = t.next();
-        if (expected != 0)
+        if (expected != 0) {
             ASSERT_EQ(in.pc, expected) << "discontinuity at step " << i;
+        }
         // next_pc must be the fall-through unless taken.
-        if (!in.taken)
+        if (!in.taken) {
             ASSERT_EQ(in.next_pc, in.pc + kInstBytes);
+        }
         expected = in.next_pc;
     }
 }
@@ -99,9 +101,10 @@ TEST(SyntheticTrace, DirectBranchTargetsAreStable)
         const Instruction &in = t.next();
         if (isDirect(in.branch) && in.taken) {
             auto [it, fresh] = seen.emplace(in.pc, in.next_pc);
-            if (!fresh)
+            if (!fresh) {
                 ASSERT_EQ(it->second, in.next_pc)
                     << "direct branch changed target";
+            }
         }
     }
 }
@@ -112,8 +115,9 @@ TEST(SyntheticTrace, UnconditionalsAlwaysTaken)
     SyntheticTrace t(prog, 5);
     for (int i = 0; i < 300000; ++i) {
         const Instruction &in = t.next();
-        if (isBranch(in.branch) && in.branch != BranchClass::kCondDirect)
+        if (isBranch(in.branch) && in.branch != BranchClass::kCondDirect) {
             ASSERT_TRUE(in.taken);
+        }
     }
 }
 

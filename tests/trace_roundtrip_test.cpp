@@ -24,9 +24,8 @@ recordWorkload(const std::string &dir, const WorkloadSpec &spec,
     const std::string path = dir + "/" + spec.name + traceio::kTraceExt;
     auto wl = makeWorkload(spec);
     traceio::TraceWriter writer(path, spec.name, &wl->program());
-    traceio::RecordingSource rec(*wl, writer);
     for (std::uint64_t i = 0; i < insts; ++i)
-        rec.next();
+        writer.append(wl->next());
     writer.finish();
     return path;
 }

@@ -1,5 +1,4 @@
-/** @file Tests for the .btbt trace format, writer, replay source and
- *  ChampSim importer. */
+/** @file Tests for the .btbt trace format, writer and replay source. */
 
 #include <gtest/gtest.h>
 
@@ -7,11 +6,11 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "trace/generator.h"
 #include "trace/program.h"
-#include "traceio/champsim.h"
 #include "traceio/format.h"
 #include "traceio/trace_reader.h"
 #include "traceio/trace_writer.h"
@@ -465,18 +464,59 @@ TEST(TraceRoundTrip, ProgramImageTravelsWithTrace)
 // ---------------------------------------------------------------------
 // Negative paths: every corruption fails with a clean diagnostic.
 
+namespace {
+
+/** File offset of every chunk header of the trace in @p bytes: a walk
+ *  over the framing format.h documents, trusting the header's counts. */
+std::vector<std::size_t>
+chunkOffsets(const std::vector<std::uint8_t> &bytes)
+{
+    const TraceHeader h = parseHeader(bytes.data(), bytes.size());
+    std::vector<std::size_t> offsets;
+    std::size_t off = h.data_offset;
+    for (std::uint32_t i = 0; i < h.chunk_count; ++i) {
+        offsets.push_back(off);
+        off += 16 + readLeU32(bytes.data() + off + 8);
+    }
+    return offsets;
+}
+
+/**
+ * Open @p path and read @p reads instructions through it. Expects a
+ * TraceError whose message contains @p what; @p on_open says whether it
+ * must come from the constructor or only while reading.
+ */
+void
+expectReplayError(const std::string &path, std::size_t reads,
+                  const std::string &what, bool on_open)
+{
+    std::unique_ptr<TraceReplaySource> src;
+    try {
+        src = std::make_unique<TraceReplaySource>(path);
+        for (std::size_t i = 0; i < reads; ++i)
+            src->next();
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+        EXPECT_EQ(src == nullptr, on_open) << e.what();
+        return;
+    }
+    ADD_FAILURE() << path << ": expected a TraceError naming '" << what
+                  << "'";
+}
+
+} // namespace
+
 TEST(TraceNegative, MissingFile)
 {
-    EXPECT_THROW(TraceReplaySource("/nonexistent/nope.btbt"), TraceError);
+    expectReplayError("/nonexistent/nope.btbt", 0, "cannot open", true);
 }
 
 TEST(TraceNegative, TruncatedHeader)
 {
     const std::string path = tmpPath("neg_short.btbt");
     writeFile(path, std::vector<std::uint8_t>(17, 0x42));
-    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
-    EXPECT_THROW(inspectTrace(path, true), TraceError);
-    EXPECT_FALSE(verifyTrace(path).empty());
+    expectReplayError(path, 0, "shorter than the 64-byte header", true);
     std::remove(path.c_str());
 }
 
@@ -487,12 +527,7 @@ TEST(TraceNegative, BadMagic)
     auto bytes = readFile(path);
     bytes[0] ^= 0xff;
     writeFile(path, bytes);
-    try {
-        TraceReplaySource src(path);
-        FAIL() << "bad magic must throw";
-    } catch (const TraceError &e) {
-        EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
-    }
+    expectReplayError(path, 0, "bad magic", true);
     std::remove(path.c_str());
 }
 
@@ -503,12 +538,7 @@ TEST(TraceNegative, VersionFromTheFuture)
     auto bytes = readFile(path);
     bytes[8] = 0x63; // version = 99
     writeFile(path, bytes);
-    try {
-        TraceReplaySource src(path);
-        FAIL() << "future version must throw";
-    } catch (const TraceError &e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-    }
+    expectReplayError(path, 0, "unsupported .btbt format version 99", true);
     std::remove(path.c_str());
 }
 
@@ -516,25 +546,29 @@ TEST(TraceNegative, CorruptChunkPayload)
 {
     const auto insts = sampleStream(200);
     const std::string path = writeSample("neg_crc.btbt", insts, 64);
-    // Flip one byte inside chunk 2's payload (not chunk 0 — the replay
+    // Flip one byte inside chunk 2's payload (not chunk 0: the replay
     // constructor decodes that one eagerly and would throw up front).
-    const TraceFileInfo pre = inspectTrace(path, false);
-    ASSERT_GE(pre.chunks.size(), 3u);
     auto bytes = readFile(path);
-    bytes[pre.chunks[2].offset + 16 + 5] ^= 0x5a;
+    const auto chunks = chunkOffsets(bytes);
+    ASSERT_GE(chunks.size(), 3u);
+    bytes[chunks[2] + 16 + 5] ^= 0x5a;
     writeFile(path, bytes);
+    // The directory walk alone is fine; decoding the bad chunk is not.
+    expectReplayError(path, insts.size(), "payload CRC mismatch (chunk 2)",
+                      false);
+    std::remove(path.c_str());
+}
 
-    const auto problems = verifyTrace(path);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("CRC"), std::string::npos);
-
-    TraceReplaySource src(path); // Directory scan alone is fine...
-    EXPECT_THROW(
-        {
-            for (std::size_t i = 0; i < insts.size(); ++i)
-                src.next(); // ...decoding the bad chunk is not.
-        },
-        TraceError);
+TEST(TraceNegative, BadChunkMagic)
+{
+    const auto insts = sampleStream(200);
+    const std::string path = writeSample("neg_chunk_magic.btbt", insts, 64);
+    auto bytes = readFile(path);
+    const auto chunks = chunkOffsets(bytes);
+    ASSERT_GE(chunks.size(), 2u);
+    bytes[chunks[1]] ^= 0xff;
+    writeFile(path, bytes);
+    expectReplayError(path, 0, "bad chunk magic (chunk 1)", true);
     std::remove(path.c_str());
 }
 
@@ -545,23 +579,81 @@ TEST(TraceNegative, TruncatedChunkPayload)
     auto bytes = readFile(path);
     bytes.resize(bytes.size() - 10);
     writeFile(path, bytes);
-    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
-    EXPECT_FALSE(verifyTrace(path).empty());
+    expectReplayError(path, 0, "truncated chunk payload", true);
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, TrailingPayloadBytes)
+{
+    // A chunk whose payload encodes two records but whose header (and
+    // the file header) claim one: the decode must not stop silently.
+    const auto insts = sampleStream(2);
+    const auto f = handBuiltTrace(1, {{1, insts}});
+    const std::string path = tmpPath("trailing.btbt");
+    writeFile(path, f);
+    expectReplayError(path, 0, "trailing bytes after the last record",
+                      true);
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, ChunkCountsDisagreeWithHeader)
+{
+    const auto insts = sampleStream(3);
+    const auto f = handBuiltTrace(insts.size() + 2, {{3, insts}});
+    const std::string path = tmpPath("count_mismatch.btbt");
+    writeFile(path, f);
+    expectReplayError(path, 0, "disagree with the header instruction count",
+                      true);
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, CorruptProgramImage)
+{
+    GenParams params;
+    params.seed = 0x9a;
+    params.target_static_insts = 4 * 1024;
+    const Program prog = generateProgram(params);
+    const auto insts = sampleStream(64);
+    const std::string path =
+        writeSample("neg_prog.btbt", insts, kDefaultChunkInsts, &prog);
+    const auto bytes = readFile(path);
+    const TraceHeader h = parseHeader(bytes.data(), bytes.size());
+    ASSERT_TRUE(h.hasProgram());
+
+    // A flipped image byte fails the image CRC.
+    auto flipped = bytes;
+    flipped[h.program_offset + h.program_bytes / 2] ^= 0x5a;
+    writeFile(path, flipped);
+    expectReplayError(path, 0, "Program image CRC mismatch", true);
+
+    // An image with a valid CRC must still deserialize: one byte
+    // appended to it (size and CRC patched to match) is left over.
+    auto grown = bytes;
+    grown.insert(grown.begin() + static_cast<std::ptrdiff_t>(h.data_offset),
+                 0);
+    const std::uint64_t image_bytes = h.program_bytes + 1;
+    const std::uint32_t crc =
+        crc32(grown.data() + h.program_offset, image_bytes);
+    for (int i = 0; i < 8; ++i)
+        grown[40 + i] = static_cast<std::uint8_t>(image_bytes >> (8 * i));
+    for (int i = 0; i < 4; ++i)
+        grown[48 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    writeFile(path, grown);
+    expectReplayError(path, 0, "corrupt Program image (trailing bytes)",
+                      true);
     std::remove(path.c_str());
 }
 
 TEST(TraceNegative, EmptyTraceRejected)
 {
     const std::string path = writeSample("neg_empty.btbt", {}, 16);
-    try {
-        TraceReplaySource src(path);
-        FAIL() << "empty trace must throw";
-    } catch (const TraceError &e) {
-        EXPECT_NE(std::string(e.what()).find("no instructions"),
-                  std::string::npos);
-    }
-    // But the container itself is well-formed.
-    EXPECT_TRUE(verifyTrace(path).empty());
+    expectReplayError(path, 0, "no instructions", true);
+    // The container itself is well-formed: a header and no chunks.
+    const auto bytes = readFile(path);
+    const TraceHeader h = parseHeader(bytes.data(), bytes.size());
+    EXPECT_EQ(h.inst_count, 0u);
+    EXPECT_EQ(h.chunk_count, 0u);
+    EXPECT_EQ(h.data_offset, bytes.size());
     std::remove(path.c_str());
 }
 
@@ -576,7 +668,6 @@ TEST(TraceNegative, ZeroLengthChunksAreSkipped)
 
     const std::string path = tmpPath("zero_chunk.btbt");
     writeFile(path, f);
-    EXPECT_TRUE(verifyTrace(path).empty());
 
     TraceReplaySource src(path);
     // Two full laps across the empty chunk.
@@ -608,13 +699,8 @@ TEST(TraceNegative, RecordCountBeyondPayloadRejected)
     ASSERT_EQ(f.size(), kHeaderBytes + 16 + kMinRecordBytes);
     const std::string path = tmpPath("huge_count.btbt");
     writeFile(path, f);
-
-    const auto problems = verifyTrace(path);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("record count"), std::string::npos)
-        << problems[0];
-    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
-    EXPECT_THROW(inspectTrace(path, false), TraceError);
+    expectReplayError(path, 0,
+                      "record count exceeds what the payload can hold", true);
     std::remove(path.c_str());
 }
 
@@ -629,157 +715,6 @@ TEST(TraceNegative, ChunkCountBeyondFileRejected)
         f[i] = 0xff; // Header chunk count (bytes [24, 28)).
     const std::string path = tmpPath("huge_chunk_count.btbt");
     writeFile(path, f);
-
-    EXPECT_THROW({ TraceReplaySource src(path); }, TraceError);
-    const auto problems = verifyTrace(path);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("truncated chunk header"), std::string::npos)
-        << problems[0];
+    expectReplayError(path, 0, "truncated chunk header (chunk 1)", true);
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// ChampSim importer.
-
-namespace {
-
-ChampSimRecord
-csRecord(std::uint64_t ip)
-{
-    ChampSimRecord r{};
-    r.ip = ip;
-    return r;
-}
-
-} // namespace
-
-TEST(ChampSim, BranchClassification)
-{
-    // Conditional: reads flags, writes IP.
-    ChampSimRecord cond = csRecord(0x1000);
-    cond.is_branch = 1;
-    cond.branch_taken = 1;
-    cond.source_registers[0] = kChampSimRegFlags;
-    cond.destination_registers[0] = kChampSimRegIp;
-    EXPECT_EQ(champsimToInstruction(cond, 0x2000).branch,
-              BranchClass::kCondDirect);
-    EXPECT_TRUE(champsimToInstruction(cond, 0x2000).taken);
-
-    // Direct jump: writes IP only.
-    ChampSimRecord jmp = csRecord(0x1000);
-    jmp.is_branch = 1;
-    jmp.branch_taken = 1;
-    jmp.destination_registers[0] = kChampSimRegIp;
-    EXPECT_EQ(champsimToInstruction(jmp, 0x2000).branch,
-              BranchClass::kUncondDirect);
-
-    // Indirect jump: writes IP, reads a general register.
-    ChampSimRecord ind = jmp;
-    ind.source_registers[0] = 11;
-    EXPECT_EQ(champsimToInstruction(ind, 0x2000).branch,
-              BranchClass::kIndirectJump);
-
-    // Direct call: reads+writes SP, reads IP, writes IP.
-    ChampSimRecord call = csRecord(0x1000);
-    call.is_branch = 1;
-    call.branch_taken = 1;
-    call.source_registers[0] = kChampSimRegSp;
-    call.source_registers[1] = kChampSimRegIp;
-    call.destination_registers[0] = kChampSimRegIp;
-    call.destination_registers[1] = kChampSimRegSp;
-    EXPECT_EQ(champsimToInstruction(call, 0x2000).branch,
-              BranchClass::kDirectCall);
-
-    // Indirect call: like a call but also reads a general register.
-    ChampSimRecord icall = call;
-    icall.source_registers[2] = 9;
-    EXPECT_EQ(champsimToInstruction(icall, 0x2000).branch,
-              BranchClass::kIndirectCall);
-
-    // Return: reads SP (not IP), writes SP and IP.
-    ChampSimRecord ret = csRecord(0x1000);
-    ret.is_branch = 1;
-    ret.branch_taken = 1;
-    ret.source_registers[0] = kChampSimRegSp;
-    ret.destination_registers[0] = kChampSimRegIp;
-    ret.destination_registers[1] = kChampSimRegSp;
-    EXPECT_EQ(champsimToInstruction(ret, 0x2000).branch,
-              BranchClass::kReturn);
-
-    // Unconditional classes are taken even if the tracer said 0.
-    jmp.branch_taken = 0;
-    EXPECT_TRUE(champsimToInstruction(jmp, 0x2000).taken);
-}
-
-TEST(ChampSim, MemoryAndAluMapping)
-{
-    ChampSimRecord load = csRecord(0x1000);
-    load.source_memory[0] = 0xbeef00;
-    load.destination_registers[0] = 4;
-    const Instruction li = champsimToInstruction(load, 0x1004);
-    EXPECT_EQ(li.cls, InstClass::kLoad);
-    EXPECT_EQ(li.mem_addr, 0xbeef00u);
-    EXPECT_EQ(li.dst, 4);
-
-    ChampSimRecord store = csRecord(0x1004);
-    store.destination_memory[0] = 0xdead00;
-    EXPECT_EQ(champsimToInstruction(store, 0x1008).cls, InstClass::kStore);
-
-    ChampSimRecord alu = csRecord(0x1008);
-    alu.source_registers[0] = 3;
-    alu.source_registers[1] = 5;
-    alu.destination_registers[0] = 7;
-    const Instruction ai = champsimToInstruction(alu, 0x100c);
-    EXPECT_EQ(ai.cls, InstClass::kAlu);
-    EXPECT_EQ(ai.src1, 3);
-    EXPECT_EQ(ai.src2, 5);
-    EXPECT_EQ(ai.dst, 7);
-}
-
-TEST(ChampSim, ConvertStitchesNextPc)
-{
-    // x86-style variable-length stream: ips are NOT 4 apart, so next_pc
-    // must come from the following record, not pc + 4.
-    const std::uint64_t ips[] = {0x1000, 0x1003, 0x1009, 0x100a, 0x4000};
-    std::vector<ChampSimRecord> recs;
-    for (std::uint64_t ip : ips)
-        recs.push_back(csRecord(ip));
-    recs[3].is_branch = 1; // 0x100a jumps to 0x4000.
-    recs[3].branch_taken = 1;
-    recs[3].destination_registers[0] = kChampSimRegIp;
-
-    const std::string in = tmpPath("champ.raw");
-    {
-        std::ofstream os(in, std::ios::binary | std::ios::trunc);
-        os.write(reinterpret_cast<const char *>(recs.data()),
-                 static_cast<std::streamsize>(recs.size() * sizeof(recs[0])));
-    }
-    const std::string out = tmpPath("champ.btbt");
-    const ConvertStats cs = convertChampSim(in, out, "champ-test");
-    EXPECT_EQ(cs.records, 5u);
-    EXPECT_EQ(cs.branches, 1u);
-    EXPECT_EQ(cs.taken_branches, 1u);
-
-    TraceReplaySource src(out);
-    EXPECT_EQ(src.name(), "champ-test");
-    EXPECT_EQ(src.codeImage(), nullptr);
-    for (std::size_t i = 0; i < 5; ++i) {
-        const Instruction &got = src.next();
-        EXPECT_EQ(got.pc, ips[i]) << i;
-        if (i + 1 < 5) {
-            EXPECT_EQ(got.next_pc, ips[i + 1]) << i;
-        }
-    }
-    std::remove(in.c_str());
-    std::remove(out.c_str());
-}
-
-TEST(ChampSim, RejectsEmptyAndPartialFiles)
-{
-    const std::string in = tmpPath("champ_bad.raw");
-    writeFile(in, {});
-    EXPECT_THROW(convertChampSim(in, tmpPath("o1.btbt"), "x"), TraceError);
-    writeFile(in, std::vector<std::uint8_t>(100, 0x11)); // not 64-aligned
-    EXPECT_THROW(convertChampSim(in, tmpPath("o2.btbt"), "x"), TraceError);
-    std::remove(in.c_str());
 }
