@@ -2,9 +2,6 @@
 # Regenerate every paper figure/table. Scale via BTBSIM_WARMUP /
 # BTBSIM_MEASURE / BTBSIM_TRACES.
 #
-# bench_simspeed is left out: it measures the host's simulation speed,
-# not a paper result. Run build/bench/bench_simspeed on its own.
-#
 # Each sim bench also writes machine-readable results to
 # results/<bench>.json (schema documented in src/obs/export.h); inspect or
 # regression-compare them with build/src/tools/btbsim-stats.
@@ -53,7 +50,6 @@ declare -A json_path_for
 for b in build/bench/bench_*; do
     [[ -f "$b" && -x "$b" ]] || continue
     name=$(basename "$b")
-    [[ $name == bench_simspeed ]] && continue
     # Basename-uniqueness guard: two benches mapping onto the same
     # <json_dir>/<name>.json would have the later one silently
     # overwrite the earlier one's results.

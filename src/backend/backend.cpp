@@ -23,8 +23,7 @@ validated(const BackendConfig &cfg)
     const std::pair<const char *, unsigned> sizes[] = {
         {"rob_size", cfg.rob_size},         {"iq_size", cfg.iq_size},
         {"lq_size", cfg.lq_size},           {"sq_size", cfg.sq_size},
-        {"alloc_width", cfg.alloc_width},   {"commit_width", cfg.commit_width},
-        {"issue_width", cfg.issue_width},
+        {"commit_width", cfg.commit_width}, {"issue_width", cfg.issue_width},
     };
     for (const auto &[field, v] : sizes)
         if (v == 0)

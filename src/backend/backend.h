@@ -3,7 +3,8 @@
  * Out-of-order backend: rename, issue queue, functional units, ROB.
  *
  * Table 1: 352-entry ROB, 128-entry IQ, 128-entry LQ, 72-entry SQ,
- * 16-wide allocate/execute/commit with 11 misc + 3 load + 2 store ports.
+ * 16-wide execute/commit with 11 misc + 3 load + 2 store ports. The
+ * 16-wide allocate is the Cpu's (CpuConfig::alloc_width).
  * Memory dependence prediction is oracle (as in ChampSim), so loads never
  * stall on unrelated stores.
  *
@@ -31,7 +32,6 @@ struct BackendConfig
     unsigned iq_size = 128;
     unsigned lq_size = 128;
     unsigned sq_size = 72;
-    unsigned alloc_width = 16;
     unsigned commit_width = 16;
     unsigned issue_width = 16;
     unsigned misc_ports = 11;
@@ -48,7 +48,6 @@ struct BackendConfig
         c.iq_size = 8192;
         c.lq_size = 8192;
         c.sq_size = 8192;
-        c.alloc_width = 8192;
         c.commit_width = 8192;
         c.issue_width = 8192;
         return c;

@@ -118,7 +118,6 @@ writeBackendConfig(obs::JsonWriter &w, const BackendConfig &c)
     w.kv("iq_size", c.iq_size);
     w.kv("lq_size", c.lq_size);
     w.kv("sq_size", c.sq_size);
-    w.kv("alloc_width", c.alloc_width);
     w.kv("commit_width", c.commit_width);
     w.kv("issue_width", c.issue_width);
     w.kv("misc_ports", c.misc_ports);

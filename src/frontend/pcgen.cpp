@@ -189,12 +189,7 @@ PcGen::runCycle(Cycle now)
             } else {
                 ++stats.mispredicts;
                 if (in.branch == BranchClass::kCondDirect) {
-                    if (tracked && dir_pred != in.taken)
-                        ++stats.misp_cond;
-                    else if (!tracked)
-                        ++stats.misp_btbmiss;
-                    else
-                        ++stats.misp_cond;
+                    ++(tracked ? stats.misp_cond : stats.misp_btbmiss);
                 } else if (in.branch == BranchClass::kReturn) {
                     ++stats.misp_return;
                 } else {

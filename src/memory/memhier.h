@@ -43,7 +43,10 @@ class MemHier
         : cfg_(cfg), dram_(4, cfg.dram_latency),
           llc_(cfg.llc, nullptr, &dram_), l2_(cfg.l2, &llc_, nullptr),
           l1i_(cfg.l1i, &l2_, nullptr), l1d_(cfg.l1d, &l2_, nullptr),
-          itlb_(l2tlb_), dtlb_(l2tlb_)
+          // Table 1 TLBs: 32-set 4-way L1s (1 cycle) over a shared
+          // 128-set 12-way L2 (8 cycles, 40-cycle page walk).
+          l2tlb_(128, 12, 8, nullptr, 40), itlb_(32, 4, 1, &l2tlb_),
+          dtlb_(32, 4, 1, &l2tlb_)
     {
         if (cfg.icache_interleaves < 1 || cfg.icache_interleaves > 32)
             throw std::invalid_argument(
@@ -102,7 +105,7 @@ class MemHier
     Cache l2_;
     Cache l1i_;
     Cache l1d_;
-    L2Tlb l2tlb_;
+    Tlb l2tlb_;
     Tlb itlb_;
     Tlb dtlb_;
     IpStridePrefetcher stride_pf_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Two-level TLB model (ITLB / DTLB backed by a shared L2 TLB).
+ * TLB model: one level of page-translation cache. The Table 1 hierarchy
+ * (ITLB / DTLB backed by a shared L2 TLB) is wired up in MemHier.
  */
 
 #ifndef BTBSIM_MEMORY_TLB_H
@@ -13,52 +14,15 @@ namespace btbsim {
 
 inline constexpr Addr kPageBytes = 4096;
 
-/** Shared second-level TLB; misses cost a fixed page-walk latency. */
-class L2Tlb
-{
-  public:
-    L2Tlb(unsigned sets = 128, unsigned ways = 12, unsigned latency = 8,
-          unsigned walk_latency = 40)
-        : tags_(sets, ways, log2i(kPageBytes)), latency_(latency),
-          walk_latency_(walk_latency)
-    {}
-
-    /** @return extra cycles beyond the L1 TLB latency. */
-    unsigned
-    access(Addr addr)
-    {
-        const Addr page = alignDown(addr, kPageBytes);
-        ++accesses_;
-        auto set = tags_.set(page);
-        const int w = set.probe(page);
-        if (w >= 0) {
-            set.touch(static_cast<unsigned>(w));
-            return latency_;
-        }
-        ++misses_;
-        set.fill(static_cast<unsigned>(set.victim()), page);
-        return latency_ + walk_latency_;
-    }
-
-    std::uint64_t accesses() const { return accesses_; }
-    std::uint64_t misses() const { return misses_; }
-
-  private:
-    struct Empty {};
-    SoaSetTable<Empty> tags_;
-    unsigned latency_;
-    unsigned walk_latency_;
-    std::uint64_t accesses_ = 0;
-    std::uint64_t misses_ = 0;
-};
-
-/** First-level TLB (ITLB or DTLB). */
+/** One TLB level. A miss costs the next level's access(), or a fixed
+ *  page-walk latency at the last level (@p next null). */
 class Tlb
 {
   public:
-    Tlb(L2Tlb &l2, unsigned sets = 32, unsigned ways = 4,
-        unsigned latency = 1)
-        : l2_(&l2), tags_(sets, ways, log2i(kPageBytes)), latency_(latency)
+    Tlb(unsigned sets, unsigned ways, unsigned latency, Tlb *next,
+        unsigned walk_latency = 0)
+        : tags_(sets, ways, log2i(kPageBytes)), next_(next),
+          latency_(latency), walk_latency_(walk_latency)
     {}
 
     /** @return translation latency in cycles (hit: @c latency). */
@@ -74,7 +38,7 @@ class Tlb
             return latency_;
         }
         ++misses_;
-        const unsigned extra = l2_->access(addr);
+        const unsigned extra = next_ ? next_->access(addr) : walk_latency_;
         set.fill(static_cast<unsigned>(set.victim()), page);
         return latency_ + extra;
     }
@@ -84,9 +48,10 @@ class Tlb
 
   private:
     struct Empty {};
-    L2Tlb *l2_;
     SoaSetTable<Empty> tags_;
+    Tlb *next_;
     unsigned latency_;
+    unsigned walk_latency_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -31,7 +31,6 @@
  * Exit codes: 0 ok, 1 regression found, 2 usage or parse error.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -39,28 +38,17 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/stats.h"
 #include "obs/json.h"
 #include "obs/result_doc.h"
 
 namespace {
 
+using btbsim::geomean;
 using btbsim::SimStats;
 using btbsim::obs::ResultDoc;
 using btbsim::obs::SpanAgg;
 using btbsim::obs::SpanProfile;
-
-double
-geomean(const std::vector<double> &v)
-{
-    double log_sum = 0.0;
-    std::size_t n = 0;
-    for (double x : v)
-        if (x > 0) {
-            log_sum += std::log(x);
-            ++n;
-        }
-    return n ? std::exp(log_sum / static_cast<double>(n)) : 0.0;
-}
 
 std::map<std::string, std::vector<double>>
 ipcByConfig(const ResultDoc &doc)

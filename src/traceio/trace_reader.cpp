@@ -12,7 +12,7 @@ namespace btbsim::traceio {
 // ---------------------------------------------------------------------
 // MappedFile.
 
-MappedFile::MappedFile(const std::string &path)
+TraceReplaySource::MappedFile::MappedFile(const std::string &path)
 {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -33,7 +33,7 @@ MappedFile::MappedFile(const std::string &path)
         throw TraceError("cannot map trace file " + path);
 }
 
-MappedFile::~MappedFile()
+TraceReplaySource::MappedFile::~MappedFile()
 {
     if (data_)
         ::munmap(const_cast<std::uint8_t *>(data_), size_);
@@ -48,6 +48,8 @@ chunkError(const std::string &path, const char *what, std::uint32_t i)
                       ")");
 }
 
+} // namespace
+
 /**
  * Walk the chunk directory with pure bounds checks. Throws TraceError
  * on bad framing, on a record count the payload cannot hold (every
@@ -55,9 +57,10 @@ chunkError(const std::string &path, const char *what, std::uint32_t i)
  * disagree with the header. Nothing is sized from a header count before
  * the file has been seen to hold it.
  */
-std::vector<ChunkInfo>
-readChunkDirectory(const std::string &path, const MappedFile &map,
-                   const TraceHeader &header)
+std::vector<TraceReplaySource::ChunkInfo>
+TraceReplaySource::readChunkDirectory(const std::string &path,
+                                      const MappedFile &map,
+                                      const TraceHeader &header)
 {
     std::vector<ChunkInfo> chunks;
     std::uint64_t off = header.data_offset;
@@ -87,11 +90,6 @@ readChunkDirectory(const std::string &path, const MappedFile &map,
                          "header instruction count");
     return chunks;
 }
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// TraceReplaySource.
 
 TraceReplaySource::TraceReplaySource(const std::string &path)
     : path_(path), map_(path)

@@ -17,38 +17,6 @@
 
 namespace btbsim::traceio {
 
-/** Read-only mmap of a whole file (an empty file maps to an empty
- *  view). Unmaps on destruction. */
-class MappedFile
-{
-  public:
-    /** Throws TraceError naming @p path when it cannot be opened or
-     *  mapped. */
-    explicit MappedFile(const std::string &path);
-    ~MappedFile();
-
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-
-    const std::uint8_t *data() const { return data_; }
-    std::size_t size() const { return size_; }
-
-  private:
-    const std::uint8_t *data_ = nullptr;
-    std::size_t size_ = 0;
-};
-
-/** Framing of one chunk, as read from its 16-byte header. */
-struct ChunkInfo
-{
-    std::uint64_t offset = 0; ///< File offset of the chunk header.
-    std::uint32_t records = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0; ///< Stored payload CRC.
-
-    std::uint64_t payloadOffset() const { return offset + 16; }
-};
-
 /**
  * Replays a recorded `.btbt` file as a TraceSource.
  *
@@ -89,6 +57,38 @@ class TraceReplaySource : public TraceSource
     std::uint64_t wraps() const { return wraps_; }
 
   private:
+    /** Read-only mmap of a whole file (an empty file maps to an empty
+     *  view). Unmaps on destruction. */
+    class MappedFile
+    {
+      public:
+        /** Throws TraceError naming @p path when it cannot be opened or
+         *  mapped. */
+        explicit MappedFile(const std::string &path);
+        ~MappedFile();
+
+        MappedFile(const MappedFile &) = delete;
+        MappedFile &operator=(const MappedFile &) = delete;
+
+        const std::uint8_t *data() const { return data_; }
+        std::size_t size() const { return size_; }
+
+      private:
+        const std::uint8_t *data_ = nullptr;
+        std::size_t size_ = 0;
+    };
+
+    /** Framing of one chunk, as read from its 16-byte header. */
+    struct ChunkInfo
+    {
+        std::uint64_t offset = 0; ///< File offset of the chunk header.
+        std::uint32_t records = 0;
+        std::uint32_t payload_bytes = 0;
+        std::uint32_t crc = 0; ///< Stored payload CRC.
+
+        std::uint64_t payloadOffset() const { return offset + 16; }
+    };
+
     std::string path_;
     MappedFile map_;
     TraceHeader header_;
@@ -107,6 +107,9 @@ class TraceReplaySource : public TraceSource
     bool first_pc_set_ = false;
     std::uint64_t wraps_ = 0;
 
+    static std::vector<ChunkInfo>
+    readChunkDirectory(const std::string &path, const MappedFile &map,
+                       const TraceHeader &header);
     /** Decode chunk @p idx into buf_ and rewrite the wrap seam. */
     void load(std::size_t idx);
     void advance();

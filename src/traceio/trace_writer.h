@@ -56,8 +56,6 @@ class TraceWriter
      *  TraceError on I/O failure. Idempotent. */
     void finish();
 
-    const std::string &path() const { return path_; }
-
   private:
     std::string path_;
     std::ofstream os_;

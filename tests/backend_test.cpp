@@ -254,7 +254,6 @@ TEST(Backend, RejectsImpossibleConfigsByName)
         {"backend.iq_size", [](BackendConfig &c) { c.iq_size = 0; }},
         {"backend.lq_size", [](BackendConfig &c) { c.lq_size = 0; }},
         {"backend.sq_size", [](BackendConfig &c) { c.sq_size = 0; }},
-        {"backend.alloc_width", [](BackendConfig &c) { c.alloc_width = 0; }},
         {"backend.commit_width",
          [](BackendConfig &c) { c.commit_width = 0; }},
         {"backend.issue_width", [](BackendConfig &c) { c.issue_width = 0; }},
@@ -427,6 +426,7 @@ struct StreamSpec
 {
     BackendConfig backend;
     MemConfig mem;
+    unsigned alloc_width = 16;   ///< Largest allocation burst.
     std::uint64_t insts = 4000;
     unsigned regs = 16;          ///< Registers drawn from 0..regs-1.
     unsigned cold_lines = 4096;  ///< Distinct load/store lines.
@@ -495,7 +495,7 @@ runDifferential(const StreamSpec &spec, std::uint64_t seed)
         const unsigned pick = static_cast<unsigned>(rng() % 4);
         const unsigned burst = pick == 0   ? 0
                                : pick == 1 ? 1 + rng() % 3
-                                           : spec.backend.alloc_width;
+                                           : spec.alloc_width;
         for (unsigned n = 0; n < burst && seq < spec.insts; ++n) {
             EXPECT_EQ(be.canAllocate(), ref.canAllocate())
                 << "seed " << seed << " cycle " << now;
@@ -537,7 +537,7 @@ TEST(Backend, MatchesBruteForceSchedulerOnRandomStreams)
     small.backend.iq_size = 9;
     small.backend.lq_size = 5;
     small.backend.sq_size = 3;
-    small.backend.alloc_width = small.backend.issue_width = 4;
+    small.alloc_width = small.backend.issue_width = 4;
     small.backend.commit_width = 3;
     small.backend.misc_ports = 2;
     small.backend.load_ports = small.backend.store_ports = 1;

@@ -96,6 +96,22 @@ TEST(Cpu, IdealVsRealisticBtbOrdering)
     EXPECT_GE(b.stats().ipc, a.stats().ipc * 0.999);
 }
 
+TEST(Cpu, FrontendAllocWidthBoundsTheIdealBackend)
+{
+    // The ideal backend has no allocate width of its own: the Cpu's
+    // alloc_width is the only bound on what enters it each cycle.
+    auto ipcAt = [](unsigned alloc_width) {
+        VectorTrace trace(jumpLoop(0x1000, 15));
+        CpuConfig cfg = CpuConfig{}.withIdealBackend();
+        cfg.alloc_width = alloc_width;
+        Cpu cpu(cfg, trace);
+        cpu.run(2000, 8000);
+        return cpu.stats().ipc;
+    };
+    EXPECT_LE(ipcAt(1), 1.0);
+    EXPECT_GT(ipcAt(16), 1.0);
+}
+
 TEST(Cpu, MispredictsDepressIpc)
 {
     // Loop body with an unpredictable conditional: alternate targets via

@@ -69,8 +69,9 @@ TEST(Report, TablesRenderWithoutCrashing)
 {
     ResultSet rs;
     for (int w = 0; w < 5; ++w) {
-        rs.add(stat("base", "w" + std::to_string(w), 1.0 + w * 0.1));
-        rs.add(stat("test", "w" + std::to_string(w), 1.2 + w * 0.1));
+        const std::string name = std::string("w").append(std::to_string(w));
+        rs.add(stat("base", name, 1.0 + w * 0.1));
+        rs.add(stat("test", name, 1.2 + w * 0.1));
     }
     std::ostringstream os;
     rs.printNormalizedTable(os, "base");
@@ -84,8 +85,9 @@ TEST(Report, QuartilesAreOrdered)
     ResultSet rs;
     const double vals[] = {0.8, 0.9, 1.0, 1.1, 1.4};
     for (int w = 0; w < 5; ++w) {
-        rs.add(stat("base", "w" + std::to_string(w), 1.0));
-        rs.add(stat("test", "w" + std::to_string(w), vals[w]));
+        const std::string name = std::string("w").append(std::to_string(w));
+        rs.add(stat("base", name, 1.0));
+        rs.add(stat("test", name, vals[w]));
     }
     std::ostringstream os;
     rs.printNormalizedTable(os, "base");

@@ -1,4 +1,4 @@
-/** @file Tests for the TLB models. */
+/** @file Tests for the TLB model. */
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,8 @@ using namespace btbsim;
 
 TEST(Tlb, ColdMissWalksThenHits)
 {
-    L2Tlb l2;
-    Tlb tlb(l2);
+    Tlb l2(128, 12, 8, nullptr, 40); // Table 1: 40-cycle walk
+    Tlb tlb(32, 4, 1, &l2);
     const unsigned first = tlb.access(0x400000);
     EXPECT_EQ(first, 1u + 8u + 40u); // L1 + L2 + walk
     const unsigned second = tlb.access(0x400000);
@@ -19,8 +19,8 @@ TEST(Tlb, ColdMissWalksThenHits)
 
 TEST(Tlb, SamePageSharesTranslation)
 {
-    L2Tlb l2;
-    Tlb tlb(l2);
+    Tlb l2(128, 12, 8, nullptr, 40);
+    Tlb tlb(32, 4, 1, &l2);
     tlb.access(0x400000);
     EXPECT_EQ(tlb.access(0x400FF8), 1u); // same 4KB page
     EXPECT_EQ(tlb.misses(), 1u);
@@ -28,8 +28,8 @@ TEST(Tlb, SamePageSharesTranslation)
 
 TEST(Tlb, L2TlbCoversL1Evictions)
 {
-    L2Tlb l2;
-    Tlb tlb(l2, 1, 2, 1); // tiny 2-entry L1 TLB
+    Tlb l2(128, 12, 8, nullptr, 40);
+    Tlb tlb(1, 2, 1, &l2); // tiny 2-entry L1 TLB
     tlb.access(0x1000000);
     tlb.access(0x2000000);
     tlb.access(0x3000000); // evicts 0x1000000 from L1 TLB
@@ -39,8 +39,8 @@ TEST(Tlb, L2TlbCoversL1Evictions)
 
 TEST(Tlb, SeparateL1TlbsShareL2)
 {
-    L2Tlb l2;
-    Tlb itlb(l2), dtlb(l2);
+    Tlb l2(128, 12, 8, nullptr, 40);
+    Tlb itlb(32, 4, 1, &l2), dtlb(32, 4, 1, &l2);
     itlb.access(0x5000000);
     // The data TLB misses its L1 but hits the shared L2 TLB.
     EXPECT_EQ(dtlb.access(0x5000000), 1u + 8u);
@@ -48,8 +48,8 @@ TEST(Tlb, SeparateL1TlbsShareL2)
 
 TEST(Tlb, CounterTracking)
 {
-    L2Tlb l2;
-    Tlb tlb(l2);
+    Tlb l2(128, 12, 8, nullptr, 40);
+    Tlb tlb(32, 4, 1, &l2);
     tlb.access(0x1000);
     tlb.access(0x1000);
     tlb.access(0x2000000);

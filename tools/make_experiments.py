@@ -216,11 +216,11 @@ matching the paper's remark that decode-based prefetching cannot chain
 blocks. Prefill is non-destructive (it never displaces demand-trained
 slots).
 
-## Simulator throughput (bench_simspeed)
+## Simulator throughput (btbbench)
 
-google-benchmark microbenchmarks of program generation, trace
-interpretation and full-pipeline simulation per organization; see
-`results/bench_simspeed.txt`.
+Host speed is not a paper result. btbbench's `realistic` workload
+measures it (`sim_mips`: the five canonical organizations on the Table 1
+core); see `btbbench/README.md` and the record in `BENCH_btbbench.json`.
 
 ## Reading the deltas
 
