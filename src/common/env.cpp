@@ -21,9 +21,6 @@ knobs()
         // exp/experiment
         {"BTBSIM_RUN_CACHE", "results/cache",
          "Content-addressed run-result store; a path, or 0 to disable."},
-        // obs/sampler
-        {"BTBSIM_SAMPLE_INTERVAL", "100000",
-         "Cycles per time-series sample; 0 disables sampling."},
         // obs/span
         {"BTBSIM_SPANS", "1",
          "0 disables the host-time span profiler (on by default; span "

@@ -5,7 +5,6 @@
 
 #include "check/fault.h"
 #include "common/sat_counter.h"
-#include "core/btb_entry.h"
 
 namespace btbsim {
 
@@ -13,39 +12,16 @@ MultiBlockBtb::MultiBlockBtb(const BtbConfig &cfg)
     : cfg_(cfg), table_(cfg, log2i(kInstBytes))
 {}
 
-MultiBlockBtb::Entry
-MultiBlockBtb::freshEntry(Addr key) const
+std::pair<std::size_t, bool>
+MultiBlockBtb::slotPos(const Entry &e, unsigned blk, std::uint32_t offset)
 {
-    Entry e;
-    e.blocks.push_back({key, reachBytes()});
-    return e;
-}
-
-std::uint32_t
-MultiBlockBtb::usedBytes(const Entry &e, std::size_t upto)
-{
-    std::uint32_t sum = 0;
-    for (std::size_t i = 0; i < upto && i < e.blocks.size(); ++i)
-        sum += e.blocks[i].len;
-    return sum;
-}
-
-MultiBlockBtb::Slot *
-MultiBlockBtb::findSlot(Entry &e, unsigned blk, std::uint32_t offset)
-{
-    for (Slot &s : e.slots)
-        if (s.blk == blk && s.offset == offset)
-            return &s;
-    return nullptr;
-}
-
-void
-MultiBlockBtb::sortSlots(Entry &e)
-{
-    std::sort(e.slots.begin(), e.slots.end(),
-              [](const Slot &a, const Slot &b) {
-                  return a.blk != b.blk ? a.blk < b.blk : a.offset < b.offset;
-              });
+    std::size_t i = 0;
+    while (i < e.slots.size() &&
+           (e.slots[i].blk < blk ||
+            (e.slots[i].blk == blk && e.slots[i].offset < offset)))
+        ++i;
+    return {i, i < e.slots.size() && e.slots[i].blk == blk &&
+                   e.slots[i].offset == offset};
 }
 
 // ---- access protocol -------------------------------------------------------
@@ -74,33 +50,26 @@ MultiBlockBtb::beginAccess(Addr pc, PredictionBundle &b)
         b.addSlot(s.blk, e->blocks[s.blk].start + s.offset, s.type,
                   s.target, lvl, &s.tick, s.follow, s.follow);
     }
-    // Entry slots are kept (blk, offset)-sorted.
 }
 
 // ---- pull / downgrade machinery --------------------------------------------
 
 bool
-MultiBlockBtb::eligibleToPull(const Entry &e, const Slot &slot,
-                              std::size_t slot_index) const
+MultiBlockBtb::eligibleToPull(const Entry &e, std::size_t slot_index) const
 {
+    const Slot &slot = e.slots[slot_index];
     if (cfg_.pull == PullPolicy::kNone)
         return false;
     // The last branch slot of an entry never pulls (Section 6.4.2),
     // unless the ablation flag re-enables it.
     if (!cfg_.allow_last_slot_pull && slot_index + 1 >= cfg_.branch_slots)
         return false;
-    // Pulls only extend the chain at the end of the entry.
-    if (slot.blk + 1u != e.blocks.size())
-        return false;
-    // The slot must be the deepest in the entry (nothing beyond it).
-    for (const Slot &o : e.slots)
-        if (o.blk > slot.blk || (o.blk == slot.blk && o.offset > slot.offset))
-            return false;
-    if (e.blocks.size() >= cfg_.branch_slots + 1)
-        return false;
-    // Remaining reach budget for the pulled block.
-    const std::uint32_t prefix = usedBytes(e, slot.blk);
-    if (prefix + slot.offset + kInstBytes >= reachBytes())
+    // Pulls only extend the chain at its end: the slot must be the
+    // deepest of the last block, with reach left over for the target.
+    if (slot.blk + 1u != e.blocks.size() ||
+        slot_index + 1 != e.slots.size() ||
+        e.blocks.size() >= cfg_.branch_slots + 1 ||
+        slot.offset + kInstBytes >= e.blocks.back().len)
         return false;
 
     switch (slot.type) {
@@ -109,26 +78,23 @@ MultiBlockBtb::eligibleToPull(const Entry &e, const Slot &slot,
       case BranchClass::kDirectCall:
         return cfg_.pull >= PullPolicy::kCallDir;
       case BranchClass::kCondDirect:
-        return cfg_.pull == PullPolicy::kAllBr &&
-               slot.stabl >= cfg_.stability_threshold;
       case BranchClass::kIndirectJump:
       case BranchClass::kIndirectCall:
         return cfg_.pull == PullPolicy::kAllBr &&
                slot.stabl >= cfg_.stability_threshold;
-      case BranchClass::kReturn:
-      case BranchClass::kNone:
+      default:
         return false;
     }
-    return false;
 }
 
 void
 MultiBlockBtb::doPull(Entry &e, Slot &slot)
 {
-    const std::uint32_t prefix = usedBytes(e, slot.blk);
+    // The slot's block now ends at the branch; the rest of its reach
+    // goes to the target block.
     const std::uint32_t term = slot.offset + kInstBytes;
+    const std::uint32_t remaining = e.blocks[slot.blk].len - term;
     e.blocks[slot.blk].len = term;
-    const std::uint32_t remaining = reachBytes() - (prefix + term);
     e.blocks.push_back({slot.target, remaining});
     BTBSIM_FAULT_POINT("mbbtb_pull_seam",
                        e.blocks.back().start = slot.target + kInstBytes);
@@ -143,13 +109,13 @@ MultiBlockBtb::removePulled(Entry &e, std::size_t slot_index)
     const unsigned keep_blk = slot.blk;
     slot.follow = false;
     slot.stabl = 0;
-    if (e.blocks.size() > keep_blk + 1)
-        e.blocks.resize(keep_blk + 1);
+    // The slot's block takes back the reach of the blocks it chained,
+    // restoring its fall-through coverage.
+    for (std::size_t i = keep_blk + 1; i < e.blocks.size(); ++i)
+        e.blocks[keep_blk].len += e.blocks[i].len;
+    e.blocks.resize(keep_blk + 1);
     std::erase_if(e.slots,
                   [&](const Slot &s) { return s.blk > keep_blk; });
-    // Restore the fall-through coverage of the (now last) block.
-    const std::uint32_t prefix = usedBytes(e, keep_blk);
-    e.blocks[keep_blk].len = reachBytes() - prefix;
     ++counters.downgrades;
 }
 
@@ -164,36 +130,53 @@ MultiBlockBtb::resetCursor(Addr pc)
     cur_start_ = pc;
 }
 
+const MultiBlockBtb::Entry *
+MultiBlockBtb::cursorEntry() const
+{
+    if (!cur_valid_)
+        return nullptr;
+    const Entry *e = table_.peekAuthoritative(cur_key_);
+    if (e && cur_blk_ < e->blocks.size() &&
+        e->blocks[cur_blk_].start == cur_start_)
+        return e;
+    return nullptr;
+}
+
 void
 MultiBlockBtb::normalizeCursor(Addr pc)
 {
-    if (!cur_valid_ || pc < cur_start_) {
-        resetCursor(pc);
-        return;
-    }
-    for (int guard = 0; guard < 4096; ++guard) {
-        const Entry *e = table_.peekAuthoritative(cur_key_);
-        std::uint32_t len = reachBytes();
-        if (e && cur_blk_ < e->blocks.size() &&
-            e->blocks[cur_blk_].start == cur_start_) {
-            len = e->blocks[cur_blk_].len;
-        } else if (cur_blk_ != 0) {
-            // Entry changed underneath the cursor; restart at cur_start_.
+    bool covered = false;
+    for (int guard = 0; cur_valid_ && pc >= cur_start_ && guard < 4096;
+         ++guard) {
+        const Entry *e = cursorEntry();
+        if (!e && cur_blk_ != 0) {
+            // The entry lost the cursor's block; restart at its start.
             cur_key_ = cur_start_;
             cur_blk_ = 0;
             continue;
-        } else if (e) {
-            len = e->blocks[0].len;
         }
-        if (pc < cur_start_ + len)
-            return;
+        const std::uint32_t len = e ? e->blocks[cur_blk_].len : reachBytes();
+        if (pc < cur_start_ + len) {
+            covered = true;
+            break;
+        }
         // Sequential flow ran off the end of this block: the fall-through
         // begins a new entry.
         cur_start_ += len;
         cur_key_ = cur_start_;
         cur_blk_ = 0;
     }
-    resetCursor(pc);
+    if (!covered)
+        resetCursor(pc);
+
+    // The cursor invariant: a block-0 cursor is keyed at its own start,
+    // and an entry at cur_key_ (first block at the key) holds the
+    // cursor's block, which covers pc.
+    [[maybe_unused]] const Entry *e = table_.peekAuthoritative(cur_key_);
+    assert(cur_blk_ != 0 || cur_key_ == cur_start_);
+    assert(!e || e->blocks[0].start == cur_key_);
+    assert(e ? e == cursorEntry() && pc - cur_start_ < e->blocks[cur_blk_].len
+             : cur_blk_ == 0 && pc - cur_start_ < reachBytes());
 }
 
 // ---- updates ----------------------------------------------------------------
@@ -202,167 +185,97 @@ void
 MultiBlockBtb::updateTaken(const Instruction &br)
 {
     normalizeCursor(br.pc);
-
-    Entry canon;
-    bool fresh = false;
-    if (const Entry *e = table_.peekAuthoritative(cur_key_)) {
-        canon = *e;
-        if (cur_blk_ >= canon.blocks.size() ||
-            canon.blocks[cur_blk_].start != cur_start_) {
-            // Inconsistent cursor (entry mutated): restart as a new entry
-            // keyed at the current block start.
-            cur_key_ = cur_start_;
-            cur_blk_ = 0;
-            if (const Entry *e2 = table_.peekAuthoritative(cur_key_)) {
-                canon = *e2;
-            } else {
-                canon = freshEntry(cur_key_);
-                fresh = true;
-            }
-        }
-    } else {
-        if (cur_blk_ != 0) {
-            cur_key_ = cur_start_;
-            cur_blk_ = 0;
-        }
-        canon = freshEntry(cur_key_);
-        fresh = true;
-    }
-    if (fresh)
+    const Entry *e = table_.peekAuthoritative(cur_key_);
+    Entry canon = e ? *e : Entry{{Block{cur_key_, reachBytes()}}, {}};
+    if (!e)
         ++counters.allocs;
 
-    auto offset = static_cast<std::uint32_t>(br.pc - cur_start_);
-    if (offset >= canon.blocks[cur_blk_].len) {
-        // Shrunk block (entry mutated since normalization): restart with
-        // the branch opening a new block.
-        resetCursor(br.pc);
-        if (const Entry *e2 = table_.peekAuthoritative(cur_key_)) {
-            canon = *e2;
-        } else {
-            canon = freshEntry(cur_key_);
-            ++counters.allocs;
-        }
-        offset = 0;
-    }
-
-    Slot *slot = findSlot(canon, cur_blk_, offset);
-    const bool is_ind = isIndirect(br.branch) &&
-                        br.branch != BranchClass::kReturn;
-
-    if (slot) {
-        if (is_ind) {
-            if (slot->target == br.takenTarget()) {
-                if (slot->stabl < SatCounter<6>::max())
-                    ++slot->stabl;
+    const auto offset = static_cast<std::uint32_t>(br.pc - cur_start_);
+    const Addr target = br.takenTarget();
+    auto [i, hit] = slotPos(canon, cur_blk_, offset);
+    if (hit) {
+        // removePulled erases only slots after this one.
+        Slot &slot = canon.slots[i];
+        if (isIndirect(br.branch) && br.branch != BranchClass::kReturn) {
+            if (slot.target == target) {
+                if (slot.stabl < SatCounter<6>::max())
+                    ++slot.stabl;
             } else {
-                slot->stabl = 0;
-                if (slot->follow) {
-                    const auto idx = static_cast<std::size_t>(
-                        slot - canon.slots.data());
-                    removePulled(canon, idx);
-                    slot = findSlot(canon, cur_blk_, offset);
-                }
-                slot->target = br.takenTarget();
+                slot.stabl = 0;
+                if (slot.follow)
+                    removePulled(canon, i);
             }
-        } else {
-            slot->target = br.takenTarget();
         }
-        slot->type = br.branch;
-        slot->tick = ++tick_;
+        slot.type = br.branch;
+        slot.target = target;
+        slot.tick = ++tick_;
     } else {
-        // Insert a new slot, making room if necessary.
         if (canon.slots.size() >= cfg_.branch_slots) {
-            // Displace the least recently used slot (tearing down its
-            // pulled chain first if it had one).
-            std::size_t victim = 0;
-            for (std::size_t i = 1; i < canon.slots.size(); ++i)
-                if (canon.slots[i].tick < canon.slots[victim].tick)
-                    victim = i;
+            // Displace the least recently used slot, tearing down its
+            // pulled chain first; the teardown may free a slot itself.
+            const auto victim = static_cast<std::size_t>(
+                std::min_element(canon.slots.begin(), canon.slots.end(),
+                                 [](const Slot &a, const Slot &b) {
+                                     return a.tick < b.tick;
+                                 }) -
+                canon.slots.begin());
             if (canon.slots[victim].follow)
                 removePulled(canon, victim);
-            // removePulled may have erased slots; re-pick the LRU victim.
-            if (canon.slots.size() >= cfg_.branch_slots) {
-                victim = 0;
-                for (std::size_t i = 1; i < canon.slots.size(); ++i)
-                    if (canon.slots[i].tick < canon.slots[victim].tick)
-                        victim = i;
+            if (canon.slots.size() >= cfg_.branch_slots)
                 canon.slots.erase(canon.slots.begin() +
                                   static_cast<std::ptrdiff_t>(victim));
-            }
             ++counters.slot_displacements;
+            i = slotPos(canon, cur_blk_, offset).first;
         }
-        Slot s;
-        s.blk = static_cast<std::uint8_t>(cur_blk_);
-        s.offset = offset;
-        s.type = br.branch;
-        s.target = br.takenTarget();
-        s.tick = ++tick_;
-        // Conditionals taken at allocation are treated as always-taken
-        // until proven otherwise; direct unconditional classes are pinned.
-        if (br.branch == BranchClass::kCondDirect ||
-            br.branch == BranchClass::kUncondDirect ||
-            br.branch == BranchClass::kDirectCall) {
-            s.stabl = SatCounter<6>::max();
-        } else if (is_ind) {
-            s.stabl = 0;
-        }
-        canon.slots.push_back(s);
-        sortSlots(canon);
-        slot = findSlot(canon, cur_blk_, offset);
+        // Conditionals taken at allocation count as always taken until
+        // seen not taken; direct unconditional classes are pinned.
+        const bool pinned = br.branch == BranchClass::kCondDirect ||
+                            br.branch == BranchClass::kUncondDirect ||
+                            br.branch == BranchClass::kDirectCall;
+        canon.slots.insert(
+            canon.slots.begin() + static_cast<std::ptrdiff_t>(i),
+            Slot{{offset, br.branch, target, ++tick_},
+                 static_cast<std::uint8_t>(cur_blk_), false,
+                 static_cast<std::uint8_t>(pinned ? SatCounter<6>::max()
+                                                  : 0)});
     }
 
     // Pull the target block in when eligible and not already pulled.
-    bool pulled = slot->follow;
-    if (!pulled) {
-        const auto idx =
-            static_cast<std::size_t>(slot - canon.slots.data());
-        if (eligibleToPull(canon, *slot, idx)) {
-            doPull(canon, *slot);
-            pulled = true;
-        }
-    }
+    Slot &slot = canon.slots[i];
+    if (!slot.follow && eligibleToPull(canon, i))
+        doPull(canon, slot);
+    const bool pulled = slot.follow;
 
     table_.upsert(cur_key_, canon);
 
     if (pulled) {
         ++cur_blk_;
-        cur_start_ = br.takenTarget();
+        cur_start_ = target;
     } else {
-        cur_key_ = br.takenTarget();
-        cur_blk_ = 0;
-        cur_start_ = cur_key_;
+        resetCursor(target);
     }
-    cur_valid_ = true;
 }
 
 void
 MultiBlockBtb::updateNotTaken(const Instruction &br, bool resteer)
 {
     // A pulled conditional observed not taken is immediately downgraded
-    // (Section 6.4.3).
-    if (cur_valid_) {
-        if (const Entry *e = table_.peekAuthoritative(cur_key_)) {
-            if (cur_blk_ < e->blocks.size() &&
-                e->blocks[cur_blk_].start == cur_start_ &&
-                br.pc >= cur_start_ &&
-                br.pc < cur_start_ + e->blocks[cur_blk_].len) {
-                Entry canon = *e;
-                const auto offset =
-                    static_cast<std::uint32_t>(br.pc - cur_start_);
-                if (Slot *s = findSlot(canon, cur_blk_, offset)) {
-                    if (s->follow) {
-                        const auto idx = static_cast<std::size_t>(
-                            s - canon.slots.data());
-                        removePulled(canon, idx);
-                        table_.upsert(cur_key_, canon);
-                    } else if (s->type == BranchClass::kCondDirect &&
-                               s->stabl > 0) {
-                        // No longer always-taken: block future pulls.
-                        s->stabl = 0;
-                        table_.upsert(cur_key_, canon);
-                    }
-                }
-            }
+    // (Section 6.4.3); an unpulled one stops counting as always taken.
+    const Entry *e = cursorEntry();
+    if (e && br.pc >= cur_start_ &&
+        br.pc - cur_start_ < e->blocks[cur_blk_].len) {
+        const auto offset = static_cast<std::uint32_t>(br.pc - cur_start_);
+        const auto [i, hit] = slotPos(*e, cur_blk_, offset);
+        if (hit &&
+            (e->slots[i].follow ||
+             (e->slots[i].type == BranchClass::kCondDirect &&
+              e->slots[i].stabl > 0))) {
+            Entry canon = *e;
+            if (canon.slots[i].follow)
+                removePulled(canon, i);
+            else
+                canon.slots[i].stabl = 0;
+            table_.upsert(cur_key_, canon);
         }
     }
     if (resteer)

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "exp/sha256.h"
-#include "obs/sampler.h"
 #include "obs/span.h"
 
 namespace btbsim::exp {
@@ -134,9 +133,7 @@ Experiment::run()
     result.name = name_;
     result.points.resize(configs_.size() * workloads_.size());
 
-    // Pre-compute every point's identity. The effective sample interval
-    // is part of the key: it changes the resulting SimStats.
-    const std::uint64_t sample_interval = obs::Sampler::intervalFromEnv();
+    // Pre-compute every point's identity.
     std::vector<std::string> key_jsons(result.points.size());
     for (std::size_t c = 0; c < configs_.size(); ++c) {
         for (std::size_t w = 0; w < workloads_.size(); ++w) {
@@ -151,7 +148,6 @@ Experiment::run()
             key.config = configs_[c];
             key.workload = workloads_[w];
             key.opt = opt_.run;
-            key.sample_interval = sample_interval;
             key_jsons[i] = canonicalRunKeyJson(key);
             p.digest = Sha256::hexDigest(key_jsons[i]);
         }

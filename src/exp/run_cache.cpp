@@ -43,7 +43,6 @@ canonicalRunKeyJson(const RunKey &key, int key_schema)
     // which points a sweep contains, not what each point computes.
     w.kv("warmup", key.opt.warmup);
     w.kv("measure", key.opt.measure);
-    w.kv("sample_interval", key.sample_interval);
     w.endObject();
     return os.str();
 }

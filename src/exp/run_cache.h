@@ -5,7 +5,7 @@
  * A run point is identified by the SHA-256 digest of its canonical run
  * key: the canonical JSON (exp/config_json.h) of the CpuConfig, the
  * WorkloadSpec and the result-affecting RunOptions fields, plus the
- * effective sample interval and the key/result schema versions. Anything
+ * key/result schema versions. Anything
  * that can change the resulting SimStats is in the key; anything that
  * cannot (thread count, suite size, output knobs) deliberately is not,
  * so re-sharding a sweep never invalidates its cache.
@@ -44,8 +44,9 @@ namespace btbsim::exp {
 
 /** Bump on any change that alters simulation results or the canonical
  *  key/stats serialization (see file comment).
- *  v2: SimStats gained span_profile. */
-constexpr int kRunKeySchemaVersion = 2;
+ *  v2: SimStats gained span_profile.
+ *  v3: the key dropped the sample interval (fixed at 100k cycles). */
+constexpr int kRunKeySchemaVersion = 3;
 
 /** Version of the on-disk cache-entry envelope.
  *  v3: the payload is the result-JSON run object. */
@@ -57,7 +58,6 @@ struct RunKey
     CpuConfig config;
     WorkloadSpec workload;
     RunOptions opt; ///< Only warmup/measure are hashed (see file comment).
-    std::uint64_t sample_interval = 0; ///< Effective time-series interval.
 };
 
 /**

@@ -134,8 +134,9 @@ class Ftq
 
     /// Instruction store: a power-of-two ring holding seqs
     /// [head_seq_, tail_seq_). It doubles when full rather than assume a
-    /// per-entry bound: a ChampSim `rep` stream repeats one IP, so one
-    /// entry can hold any number of instructions.
+    /// per-entry bound: a TraceSource may repeat one IP (as the stream of
+    /// Cpu.RepStreamGolden does), so one entry can hold any number of
+    /// instructions.
     std::vector<DynInst> ring_ = std::vector<DynInst>(256);
     std::uint64_t ring_mask_ = 255; ///< ring_.size() - 1.
     std::uint64_t head_seq_ = 0;

@@ -25,9 +25,7 @@
  *         }
  *       }, ...
  *     ],
- *     "aggregates": {
- *       "<config>": { "geomean_ipc": g, "normalized_ipc_geomean": n }
- *     },
+ *     "experiment": { "<exp.metric>": v, ... },   // sweeps only
  *     "profile": {                              // v2: whole process
  *       "total_spans": n, "dropped": d, "threads": t,
  *       "spans": { "<path>": { count, wall_ns } }

@@ -1,14 +1,6 @@
 #include "obs/sampler.h"
 
-#include "common/env.h"
-
 namespace btbsim::obs {
-
-std::uint64_t
-Sampler::intervalFromEnv()
-{
-    return env::u64("BTBSIM_SAMPLE_INTERVAL", kDefaultIntervalCycles);
-}
 
 void
 Sampler::sample(const SampleSnapshot &cum)

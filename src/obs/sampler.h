@@ -2,8 +2,8 @@
  * @file
  * Interval time-series sampler. Cpu::run() feeds the sampler a cumulative
  * snapshot of its headline counters every time the measurement-relative
- * cycle count crosses an interval boundary (default every 100k cycles,
- * overridable via BTBSIM_SAMPLE_INTERVAL; 0 disables sampling). The
+ * cycle count crosses an interval boundary (every 100k cycles; a Cpu can
+ * set another interval, and 0 disables sampling). The
  * sampler differences consecutive snapshots into per-interval rates —
  * IPC, BTB hit rates, misfetch PKI, FTQ occupancy, I$ MPKI — giving each
  * run a within-run time series that the JSON/CSV exporters emit, so phase
@@ -59,9 +59,6 @@ class Sampler
     explicit Sampler(std::uint64_t interval_cycles = kDefaultIntervalCycles)
         : interval_(interval_cycles), next_(interval_cycles)
     {}
-
-    /** BTBSIM_SAMPLE_INTERVAL, or the default when unset/empty. */
-    static std::uint64_t intervalFromEnv();
 
     bool enabled() const { return interval_ > 0; }
     std::uint64_t interval() const { return interval_; }

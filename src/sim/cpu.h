@@ -71,8 +71,7 @@ class Cpu
     const PcGenStats &pcgenStats() const { return pcgen_.stats; }
 
     /** Interval (cycles) of the time-series sampler; 0 disables it.
-     *  Defaults to BTBSIM_SAMPLE_INTERVAL / 100k. Takes effect at the
-     *  next run(). */
+     *  Defaults to 100k. Takes effect at the next run(). */
     void setSampleInterval(std::uint64_t cycles)
     {
         sample_interval_ = cycles;
@@ -108,7 +107,7 @@ class Cpu
     OccupancySample occ_accum_;
 
     // Observability.
-    std::uint64_t sample_interval_ = obs::Sampler::intervalFromEnv();
+    std::uint64_t sample_interval_ = obs::Sampler::kDefaultIntervalCycles;
     double ftq_occ_sum_ = 0.0; ///< Per-cycle FTQ size, measurement only.
 
     void fetchIssue();

@@ -170,21 +170,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
         obs::writeSimStatsJson(w, s);
     w.endArray();
 
-    w.key("aggregates");
-    w.beginObject();
-    for (const std::string &cfg : configs()) {
-        w.key(cfg);
-        w.beginObject();
-        w.kv("geomean_ipc", geomeanIpc(results_, cfg));
-        if (!baseline.empty()) {
-            const std::vector<double> norm = normalizedIpc(cfg, baseline);
-            if (!norm.empty())
-                w.kv("normalized_ipc_geomean", geomean(norm));
-        }
-        w.endObject();
-    }
-    w.endObject();
-
     if (experiment) {
         w.key("experiment");
         w.beginObject();

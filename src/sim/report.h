@@ -59,7 +59,7 @@ class ResultSet
     /**
      * Emit the schema-versioned result JSON (obs/export.h documents the
      * schema). @p bench names the producing bench; @p baseline (may be
-     * empty) selects the config used for normalized-IPC aggregates.
+     * empty) names the config its tables normalize to.
      * @p experiment, when non-null, is emitted as a top-level
      * "experiment" object (the engine's exp.* progress/cache metrics);
      * the "runs" array is unaffected, so cached and cold sweeps stay

@@ -53,7 +53,6 @@ mutatedKey()
     k.workload.params.pattern_frac = 0.123456789012345; // %.17g fidelity.
     k.opt.warmup = 123;
     k.opt.measure = 456;
-    k.sample_interval = 5000;
     return k;
 }
 

@@ -40,9 +40,9 @@ TEST(Env, EveryDocumentedKnobIsRegistered)
     // The knobs the rest of the library reads through the facade.
     for (const char *name :
          {"BTBSIM_WARMUP", "BTBSIM_MEASURE", "BTBSIM_TRACES",
-          "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SAMPLE_INTERVAL",
-          "BTBSIM_SPANS", "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT",
-          "BTBSIM_JSON_OUT", "BTBSIM_CHECK", "BTBSIM_FAULT"})
+          "BTBSIM_THREADS", "BTBSIM_RUN_CACHE", "BTBSIM_SPANS",
+          "BTBSIM_SPAN_CAP", "BTBSIM_SPAN_OUT", "BTBSIM_JSON_OUT",
+          "BTBSIM_CHECK", "BTBSIM_FAULT"})
         EXPECT_TRUE(env::isKnown(name)) << name;
 }
 

@@ -320,6 +320,13 @@ TEST(GoldenStats, DenseBlockBtb)
                  denseProgram());
 }
 
+TEST(GoldenStats, DenseMultiBlockBtbAllBr)
+{
+    expectGolden(withBtb(BtbConfig::mbbtb(3, PullPolicy::kAllBr)),
+                 "fd3602a444829b50c8df9befbafb461ffa38444c32903203dfcf5b97cc49e5c7",
+                 denseProgram());
+}
+
 // ---- replay path (TraceReplaySource must be stream-identical) -------------
 // One test per organization kind, against the same golden constants as
 // the live-source tests above.
@@ -384,4 +391,8 @@ TEST(GoldenStats, DISABLED_PrintDigests)
                     .c_str());
     std::printf("DENSEBBTB1      %s\n",
                 runDigest(withBtb(BtbConfig::bbtb(1)), denseProgram()).c_str());
+    std::printf("DENSEMBBTB3     %s\n",
+                runDigest(withBtb(BtbConfig::mbbtb(3, PullPolicy::kAllBr)),
+                          denseProgram())
+                    .c_str());
 }

@@ -223,3 +223,37 @@ TEST(Mbbtb, MissWindowIsReach)
     auto views = walk(*btb, 0x1000, 128);
     EXPECT_EQ(views.size(), 64u);
 }
+
+TEST(Mbbtb, DisplacingAPulledSlotTearsDownItsChain)
+{
+    auto btb = makeMb(2, PullPolicy::kUncondDir);
+    // Slot 0x1008 pulls 0x2000; the slot at 0x2004 fills the entry.
+    redirectTo(*btb, 0x1000);
+    btb->update(branchAt(0x1008, BranchClass::kUncondDirect, 0x2000), false);
+    btb->update(branchAt(0x2004, BranchClass::kUncondDirect, 0x3000), false);
+    ASSERT_EQ(btb->counters.pulls, 1u);
+    ASSERT_EQ(btb->counters.downgrades, 0u);
+    ASSERT_EQ(btb->counters.slot_displacements, 0u);
+
+    // A new branch in block 0 finds the entry full; its LRU slot is the
+    // pulled 0x1008, whose chain (block 1 and the 0x2004 slot) goes.
+    redirectTo(*btb, 0x1000);
+    btb->update(branchAt(0x1004, BranchClass::kCondDirect, 0x5000), false);
+    EXPECT_EQ(btb->counters.downgrades, 1u);
+    EXPECT_EQ(btb->counters.slot_displacements, 1u);
+    EXPECT_EQ(btb->counters.pulls, 1u);
+
+    // The new slot sits before 0x1008 in the walk, 0x1008 no longer
+    // chains, and block 0 covers the full reach again.
+    PredictionBundle b;
+    btb->beginAccess(0x1000, b);
+    EXPECT_EQ(b.probe(0x1000).kind, StepView::Kind::kSequential);
+    StepView v = b.probe(0x1004);
+    ASSERT_EQ(v.kind, StepView::Kind::kBranch);
+    EXPECT_FALSE(v.follow);
+    v = b.probe(0x1008);
+    ASSERT_EQ(v.kind, StepView::Kind::kBranch);
+    EXPECT_FALSE(v.follow);
+    EXPECT_EQ(b.probe(0x100C).kind, StepView::Kind::kSequential);
+    EXPECT_EQ(b.probe(0x103C).kind, StepView::Kind::kSequential);
+}

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,17 +89,6 @@ TEST(ObsExport, JsonRoundTrip)
     ASSERT_EQ(pts.array.size(), 3u);
     EXPECT_DOUBLE_EQ(pts.array[0].at("cycle").asNumber(), 100'000.0);
     EXPECT_DOUBLE_EQ(pts.array[2].at("ftq_occupancy").asNumber(), 15.0);
-
-    // Aggregates: per-config geomean IPC, plus normalized when a baseline
-    // is given.
-    const JsonValue &agg = root.at("aggregates");
-    const JsonValue &ibtb = agg.at("I-BTB 16");
-    EXPECT_NEAR(ibtb.at("geomean_ipc").asNumber(), std::sqrt(2.0), 1e-9);
-    EXPECT_DOUBLE_EQ(ibtb.at("normalized_ipc_geomean").asNumber(), 1.0);
-    const JsonValue &bbtb = agg.at("B-BTB 16");
-    EXPECT_DOUBLE_EQ(bbtb.at("geomean_ipc").asNumber(), 1.5);
-    // B-BTB only has wl-a in common with the baseline: 1.5 / 2.0.
-    EXPECT_DOUBLE_EQ(bbtb.at("normalized_ipc_geomean").asNumber(), 0.75);
 }
 
 TEST(ObsExport, RunObjectKeysAreTheSchema)

@@ -30,7 +30,6 @@ baseKey()
     k.workload.params.seed = 7;
     k.opt.warmup = 1000;
     k.opt.measure = 2000;
-    k.sample_interval = 50'000;
     return k;
 }
 
@@ -186,8 +185,6 @@ TEST(RunCache, EverySingleFieldChangeInvalidatesTheDigest)
         [](exp::RunKey &k) { ++k.workload.params.seed; },
         [](exp::RunKey &k) { k.workload.params.mean_block_len += 0.5; },
         [](exp::RunKey &k) { k.workload.params.w_loop += 0.001; },
-        // Engine-level key components.
-        [](exp::RunKey &k) { k.sample_interval += 1; },
     };
 
     std::set<std::string> digests{base};

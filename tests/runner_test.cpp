@@ -75,10 +75,10 @@ TEST(Runner, SweepOrderingAndDeterminism)
 {
     // Live-generated workloads: every worker interprets the one shared
     // Program of its spec, so concurrent interpreters must not interfere.
-    test::ScopedEnv interval("BTBSIM_SAMPLE_INTERVAL", "20000");
+    // The measured window outlasts one 100k-cycle sample interval.
     RunOptions opt;
     opt.warmup = 60'000;
-    opt.measure = 120'000;
+    opt.measure = 400'000;
 
     std::vector<WorkloadSpec> specs(2);
     for (std::size_t i = 0; i < specs.size(); ++i) {
