@@ -173,27 +173,6 @@ finish()
     return 1;
 }
 
-bool
-writeJsonTo(const ResultSet &results, const std::string &bench_name,
-            const std::string &baseline, const std::string &path)
-{
-    const std::filesystem::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream os(p);
-    if (!os)
-        return false;
-    // The whole-process host span profile rides along in every result
-    // document, so `btbsim-stats prof` works on any bench JSON.
-    const obs::ProfileBlock profile =
-        obs::SpanCollector::instance().profile();
-    results.writeJson(os, bench_name, baseline,
-                      g_have_experiment ? &g_exp_counters : nullptr,
-                      &profile);
-    return static_cast<bool>(os);
-}
-
 void
 printFigure(const ResultSet &results, const std::string &baseline)
 {
@@ -208,22 +187,33 @@ printFigure(const ResultSet &results, const std::string &baseline)
     std::printf("\nPer-configuration detail (suite means):\n");
     results.printDetailTable(std::cout);
     std::printf("\n");
-    exportResults(results, baseline);
+    exportResults(results);
 }
 
 void
-exportResults(const ResultSet &results, const std::string &baseline)
+exportResults(const ResultSet &results)
 {
     obs::ObsSpan span("export");
     const std::string json_path = env::outPath(
         "BTBSIM_JSON_OUT", "results/" + g_bench_slug + ".json");
-    if (!json_path.empty()) {
-        if (writeJsonTo(results, g_bench_slug, baseline, json_path))
-            std::printf("wrote %s\n\n", json_path.c_str());
-        else
-            std::fprintf(stderr, "btbsim: failed to write %s\n",
-                         json_path.c_str());
-    }
+    if (json_path.empty())
+        return;
+    const std::filesystem::path p(json_path);
+    std::error_code ec;
+    if (p.has_parent_path())
+        std::filesystem::create_directories(p.parent_path(), ec);
+    std::ofstream os(p);
+    // The whole-process host span profile rides along in every result
+    // document, so `btbsim-stats prof` works on any bench JSON. A stream
+    // that failed to open ignores the write and reports below.
+    const obs::ProfileBlock profile = obs::SpanCollector::instance().profile();
+    results.writeJson(os, g_bench_slug,
+                      g_have_experiment ? &g_exp_counters : nullptr, &profile);
+    if (os)
+        std::printf("wrote %s\n\n", json_path.c_str());
+    else
+        std::fprintf(stderr, "btbsim: failed to write %s\n",
+                     json_path.c_str());
 }
 
 void

@@ -49,7 +49,7 @@ CpuConfig realIbtb16();
  *
  * @p suffixes (empty, or one per config) is appended to the results'
  * SimStats::config so configs sharing a BtbConfig::name() stay distinct
- * in the tables and the exported runs, e.g. " bp8KB" or " +pf".
+ * in the tables and the exported runs, e.g. " bp8KB" or " 1c-taken".
  */
 ResultSet runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
                  const std::vector<std::string> &suffixes = {});
@@ -71,18 +71,11 @@ int finish();
 void printFigure(const ResultSet &results, const std::string &baseline);
 
 /**
- * Write @p results as result JSON for bench @p bench_name to @p path
- * (parent directories are created). @return false on I/O failure.
+ * Honour BTBSIM_JSON_OUT for @p results (see printFigure), creating the
+ * output's parent directories. Benches with custom table printing call
+ * this directly so every bench produces machine-readable output.
  */
-bool writeJsonTo(const ResultSet &results, const std::string &bench_name,
-                 const std::string &baseline, const std::string &path);
-
-/**
- * Honour BTBSIM_JSON_OUT for @p results (see
- * printFigure). Benches with custom table printing call this directly so
- * every bench produces machine-readable output.
- */
-void exportResults(const ResultSet &results, const std::string &baseline);
+void exportResults(const ResultSet &results);
 
 /** Note the paper's expected qualitative result under the tables. */
 void expectation(const std::string &text);

@@ -57,7 +57,7 @@ main()
     }
     std::printf("\n");
 
-    exportResults(rs, "I-BTB 16");
+    exportResults(rs);
 
     expectation(
         "MB-BTB raises fetch PCs per access well above plain B-BTB at the "

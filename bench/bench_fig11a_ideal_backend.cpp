@@ -56,7 +56,7 @@ main()
     std::printf("%-12s %10s %14.3f  (min %.3f, max %.3f)\n\n", "geomean", "",
                 geomean(speedups), vecMin(speedups), vecMax(speedups));
 
-    exportResults(rs, "I-BTB 16 (ideal)");
+    exportResults(rs);
 
     expectation(
         "With a dataflow-limited backend, MB-BTB 64 AllBr beats I-BTB 16 "

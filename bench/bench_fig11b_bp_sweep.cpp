@@ -55,7 +55,7 @@ main()
     }
     std::printf("\n");
 
-    exportResults(rs, "");
+    exportResults(rs);
 
     expectation(
         "Geomean MPKI rises as the predictor shrinks, and the MB-BTB "

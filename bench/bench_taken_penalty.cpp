@@ -51,7 +51,7 @@ main()
                 100.0 * (1.0 - geomean(ratios)),
                 100.0 * (1.0 - vecMin(ratios)));
 
-    exportResults(rs, zero.btb.name());
+    exportResults(rs);
 
     expectation(
         "A 1-cycle taken-branch penalty costs around 1% geomean IPC (paper: "

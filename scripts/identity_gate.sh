@@ -3,7 +3,7 @@
 #
 #   scripts/identity_gate.sh <parent-build> <change-build> [out-dir]
 #
-# Runs the 13 result-JSON benches in both build trees at pinned knobs and
+# Runs the 12 result-JSON benches in both build trees at pinned knobs and
 # compares each pair with the change build's exact diff
 # (`btbsim-stats diff --threshold 0`: same runs, equal stats, counters
 # and samples). Prints OK/DIFF per bench; exits 1 on any difference.
@@ -17,10 +17,10 @@ CHANGE=$2
 OUT=${3:-$(mktemp -d)}
 mkdir -p "$OUT/parent" "$OUT/change"
 export BTBSIM_WARMUP=20000 BTBSIM_MEASURE=50000 BTBSIM_TRACES=2 BTBSIM_RUN_CACHE=0
-BENCHES="bench_ablation_blockend bench_ablation_mbbtb bench_btb_prefetch
-bench_fig10_fetchpcs bench_fig11a_ideal_backend bench_fig11b_bp_sweep
-bench_fig4_ideal_orgs bench_fig5_realistic bench_fig7_rbtb
-bench_fig8_bbtb_mbbtb bench_fig9_blocksize bench_hetero bench_taken_penalty"
+BENCHES="bench_ablation_blockend bench_ablation_mbbtb bench_fig10_fetchpcs
+bench_fig11a_ideal_backend bench_fig11b_bp_sweep bench_fig4_ideal_orgs
+bench_fig5_realistic bench_fig7_rbtb bench_fig8_bbtb_mbbtb
+bench_fig9_blocksize bench_hetero bench_taken_penalty"
 fail=0
 for b in $BENCHES; do
     for side in parent change; do

@@ -3,12 +3,11 @@
  * Organization-independent training oracle for the differential checker.
  *
  * Every (type, target) pair an organization was ever asked to store for
- * a branch PC — demand updates of taken branches plus decode-based
- * prefills — is recorded here in an unbounded map. Whatever slots an
- * organization later exposes must come from this set: a value outside
- * it was fabricated (corrupted offset arithmetic, a wrong-key write, a
- * stale pointer), which no amount of legitimate capacity pressure can
- * produce.
+ * a branch PC — each demand update of a taken branch — is recorded here
+ * in an unbounded map. Whatever slots an organization later exposes
+ * must come from this set: a value outside it was fabricated (corrupted
+ * offset arithmetic, a wrong-key write, a stale pointer), which no
+ * amount of legitimate capacity pressure can produce.
  *
  * Two strengths of value check exist:
  *  - contains(): the exposed pair matches SOME recorded pair. Valid for
@@ -38,7 +37,7 @@ class BranchHistory
   public:
     using Value = std::pair<BranchClass, Addr>;
 
-    /** Record that @p pc was trained (or prefilled) with @p type/@p target. */
+    /** Record that @p pc was trained with @p type/@p target. */
     void
     train(Addr pc, BranchClass type, Addr target)
     {

@@ -140,19 +140,6 @@ CheckedBtb::update(const Instruction &br, bool resteer)
 }
 
 void
-CheckedBtb::prefill(const Instruction &br)
-{
-    // Prefilled targets of direct branches are static, so recording them
-    // as training is exact even when the organization declines the fill.
-    history_.train(br.pc, br.branch, br.takenTarget());
-    if (ref_ibtb_)
-        ref_ibtb_->train(br.pc);
-    if (ref_rbtb_)
-        ref_rbtb_->prefill(br.pc);
-    inner_.prefill(br);
-}
-
-void
 CheckedBtb::validateBundle(const PredictionBundle &b, bool chained)
 {
     const BtbConfig &cfg = inner_.config();

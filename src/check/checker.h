@@ -74,7 +74,6 @@ class CheckedBtb final : public BtbOrg
     bool chainAccess(Addr pc, Addr target, PredictionBundle &b) override;
     int lookupSlot(Addr pc) override;
     void update(const Instruction &br, bool resteer) override;
-    void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override
     {
         return inner_.sampleOccupancy();

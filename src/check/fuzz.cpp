@@ -104,13 +104,12 @@ randomCase(std::uint64_t seed, std::uint64_t trace_insts)
     gp.target_static_insts = 1024u << rng.below(3);
     gp.num_handlers = 2 + static_cast<std::uint32_t>(rng.below(5));
     // Fresh params every case: sharedProgram() would only grow its memo.
-    auto prog = std::make_shared<Program>(generateProgram(gp));
+    const Program prog = generateProgram(gp);
 
-    SyntheticTrace trace(*prog, rng.next() | 1, c.name);
+    SyntheticTrace trace(prog, rng.next() | 1, c.name);
     c.insts.reserve(trace_insts);
     for (std::uint64_t i = 0; i < trace_insts; ++i)
         c.insts.push_back(trace.next());
-    c.program = std::move(prog);
     return c;
 }
 
@@ -320,7 +319,7 @@ void
 writeRepro(const FuzzCase &c, const std::string &trace_path)
 {
     {
-        traceio::TraceWriter w(trace_path, c.name, c.program.get());
+        traceio::TraceWriter w(trace_path, c.name, nullptr);
         for (const Instruction &in : c.insts)
             w.append(in);
         // TraceReplaySource rewrites the recording's final instruction
@@ -370,8 +369,6 @@ loadRepro(const std::string &trace_path)
     for (std::uint64_t i = 0; i < n; ++i)
         c.insts.push_back(src.next());
     c.insts.pop_back(); // The writeRepro() wrap-seam sentinel.
-    if (const Program *p = src.codeImage())
-        c.program = std::make_shared<Program>(*p);
     c.name = src.name();
     return c;
 }

@@ -23,14 +23,12 @@
 #define BTBSIM_CHECK_FUZZ_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/btb_config.h"
 #include "trace/instruction.h"
-#include "trace/program.h"
 
 namespace btbsim::check {
 
@@ -40,8 +38,6 @@ struct FuzzCase
     std::uint64_t seed = 0;
     BtbConfig btb;
     std::vector<Instruction> insts;
-    /** Code image for the `.btbt` repro (may be null). */
-    std::shared_ptr<const Program> program;
     std::string name = "fuzz";
 };
 

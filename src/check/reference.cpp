@@ -84,19 +84,6 @@ RefRbtb::train(Addr pc)
 }
 
 bool
-RefRbtb::prefill(Addr pc)
-{
-    // The real organization refuses a prefill only when the entry
-    // already holds branch_slots slots and none matches this offset —
-    // in which case the region holds > branch_slots distinct trained
-    // offsets and train() drops it from completeness tracking anyway.
-    // Prefill values are static (direct branches), so recording a
-    // refused one in BranchHistory is harmless. Mirror it as training.
-    train(pc);
-    return !slot_overflowed_.contains(regionBase(pc));
-}
-
-bool
 RefRbtb::mustHoldAll(Addr region) const
 {
     const auto it = regions_.find(region);

@@ -115,9 +115,6 @@ class RefRbtb
     explicit RefRbtb(const BtbConfig &cfg);
 
     void train(Addr pc);
-    /** Mirror a decode-based prefill; returns true when the real
-     *  organization must have accepted it (entry not provably full). */
-    bool prefill(Addr pc);
 
     /** Must the region entry for @p pc's region exist and expose every
      *  trained branch of the region? True only when the region's sets

@@ -154,18 +154,6 @@ updateRegionSlot(RegionEntry &e, std::uint32_t offset, BranchClass type,
     return {*hit, displaced};
 }
 
-/** A decode-based prefill never displaces demand-trained slots: it skips
- *  a region entry that already tracks @p offset or is full. */
-inline bool
-prefillSkips(const RegionEntry *e, std::uint32_t offset, unsigned max_slots)
-{
-    if (!e)
-        return false;
-    return e->slots.size() >= max_slots ||
-           std::any_of(e->slots.begin(), e->slots.end(),
-                       [&](const BranchSlot &s) { return s.offset == offset; });
-}
-
 /** Update-side cursor of a block organization: the start of the dynamic
  *  block being trained. */
 struct BlockCursor

@@ -45,7 +45,6 @@ struct BtbCounters
 {
     std::uint64_t accesses = 0;
     std::uint64_t allocs = 0;
-    std::uint64_t prefills = 0;
     std::uint64_t pulls = 0;      ///< MB-BTB: blocks pulled into an entry.
     std::uint64_t downgrades = 0; ///< MB-BTB: pulled blocks removed again.
     std::uint64_t splits = 0;     ///< Splt: blocks split on slot overflow.
@@ -59,7 +58,6 @@ struct BtbCounters
     static constexpr CounterName<BtbCounters> kNames[] = {
         {"accesses", &BtbCounters::accesses},
         {"allocs", &BtbCounters::allocs},
-        {"prefills", &BtbCounters::prefills},
         {"pulls", &BtbCounters::pulls},
         {"downgrades", &BtbCounters::downgrades},
         {"splits", &BtbCounters::splits},
@@ -131,16 +129,6 @@ class BtbOrg
      * frontend was redirected at this branch (any misfetch/mispredict).
      */
     virtual void update(const Instruction &br, bool resteer) = 0;
-
-    /**
-     * Decode-based prefill (Boomerang-style, Section 7.3): insert a
-     * branch discovered by predecoding a fetched I-cache line. Only
-     * meaningful for organizations whose entries are not tied to the
-     * dynamic block structure (I-BTB, R-BTB); the default ignores it —
-     * matching the paper's observation that decode-based prefetching
-     * "may not always be able to chain blocks".
-     */
-    virtual void prefill(const Instruction &br) { (void)br; }
 
     /** Sample slot occupancy and redundancy across the structure. */
     virtual OccupancySample sampleOccupancy() const = 0;

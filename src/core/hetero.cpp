@@ -155,19 +155,6 @@ HeteroBtb::update(const Instruction &br, bool resteer)
     }
 }
 
-void
-HeteroBtb::prefill(const Instruction &br)
-{
-    // Region-organized L2 accepts decode-based prefill directly, but a
-    // prefill never displaces demand-trained slots.
-    const Addr region = regionBase(br.pc);
-    if (prefillSkips(peekFind(l2_, region),
-                     static_cast<std::uint32_t>(br.pc - region), kRegionSlots))
-        return;
-    insertIntoRegion(br.pc, br.branch, br.takenTarget());
-    ++counters.prefills;
-}
-
 OccupancySample
 HeteroBtb::sampleOccupancy() const
 {

@@ -26,7 +26,6 @@ class HeteroBtb : public BtbOrg
 
     void beginAccess(Addr pc, PredictionBundle &b) override;
     void update(const Instruction &br, bool resteer) override;
-    void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override;
     const BtbConfig &config() const override { return cfg_; }
 

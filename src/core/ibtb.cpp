@@ -88,15 +88,6 @@ InstructionBtb::update(const Instruction &br, bool resteer)
     }
 }
 
-void
-InstructionBtb::prefill(const Instruction &br)
-{
-    if (table_.peek(br.pc))
-        return; // Already tracked; do not disturb LRU.
-    update(br, false);
-    ++counters.prefills;
-}
-
 OccupancySample
 InstructionBtb::sampleOccupancy() const
 {

@@ -31,7 +31,6 @@ class InstructionBtb : public BtbOrg
     bool chainAccess(Addr pc, Addr target, PredictionBundle &b) override;
     int lookupSlot(Addr pc) override;
     void update(const Instruction &br, bool resteer) override;
-    void prefill(const Instruction &br) override;
     OccupancySample sampleOccupancy() const override;
     const BtbConfig &config() const override { return cfg_; }
 

@@ -83,19 +83,6 @@ RegionBtb::update(const Instruction &br, bool resteer)
     applySlotUpdate(br);
 }
 
-void
-RegionBtb::prefill(const Instruction &br)
-{
-    // Non-destructive prefill: never displace demand-trained slots, and
-    // skip branches already visible through their region entry.
-    const Addr region = regionBase(br.pc);
-    const auto offset = static_cast<std::uint32_t>(br.pc - region);
-    if (prefillSkips(table_.peek(region), offset, cfg_.branch_slots))
-        return;
-    applySlotUpdate(br);
-    ++counters.prefills;
-}
-
 OccupancySample
 RegionBtb::sampleOccupancy() const
 {

@@ -290,7 +290,6 @@ writeCpuConfigJson(obs::JsonWriter &w, const CpuConfig &c)
     w.kv("fetch_lines", c.fetch_lines);
     w.kv("decode_width", c.decode_width);
     w.kv("alloc_width", c.alloc_width);
-    w.kv("btb_predecode_fill", c.btb_predecode_fill);
     w.endObject();
 }
 

@@ -29,7 +29,7 @@
 namespace btbsim::exp {
 
 /** Version of the configuration-JSON schema (see file comment). */
-constexpr int kConfigSchemaVersion = 2;
+constexpr int kConfigSchemaVersion = 3;
 
 // ---- writers (canonical: full field set, declaration order) ------------
 

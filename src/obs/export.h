@@ -10,7 +10,6 @@
  *     "schema_version": 2,
  *     "generator": "btbsim",
  *     "bench": "<bench slug>",
- *     "baseline": "<config name or "">,
  *     "runs": [
  *       {
  *         "config": "...", "workload": "...",
@@ -34,9 +33,9 @@
  *
  * Only v2 loads: obs/result_doc.h rejects every other schema_version.
  * Keys a reader does not know are ignored, so v2 documents from builds
- * that also wrote the workload source, a host perf-counter flag,
- * per-span counter columns or a per-run "host.spans" copy of the
- * profile still load.
+ * that also wrote the workload source, a top-level "baseline" name, a
+ * host perf-counter flag, per-span counter columns or a per-run
+ * "host.spans" copy of the profile still load.
  *
  * A run object is the one JSON form of a SimStats: the result document
  * lists them under "runs", and the run cache (exp/run_cache.h) stores

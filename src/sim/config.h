@@ -29,12 +29,6 @@ struct CpuConfig
     unsigned decode_width = 16;
     unsigned alloc_width = 16;
 
-    /** Decode-based BTB prefill (Boomerang-style, Section 7.3): on an
-     *  L1I miss, predecode the incoming line and insert its direct
-     *  unconditional branches/calls into the BTB. Effective only for
-     *  organizations that implement BtbOrg::prefill. */
-    bool btb_predecode_fill = false;
-
     /** Ideal-backend variant of this configuration (Fig. 11a). */
     CpuConfig
     withIdealBackend() const

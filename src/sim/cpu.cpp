@@ -7,7 +7,6 @@
 
 #include "check/checker.h"
 #include "obs/span.h"
-#include "trace/program.h"
 
 namespace btbsim {
 
@@ -39,13 +38,15 @@ Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace)
 
 Cpu::Cpu(const CpuConfig &cfg, TraceSource &trace,
          std::unique_ptr<BtbOrg> org)
-    : cfg_(validated(cfg)), trace_(&trace), mem_(cfg.mem),
-      bpred_(cfg.bpred), org_(std::move(org)),
+    : cfg_(validated(cfg)), mem_(cfg.mem), bpred_(cfg.bpred),
+      org_(std::move(org)),
       checked_(check::CheckedBtb::wrapFromEnv(*org_)),
-      btb_front_(checked_ ? static_cast<BtbOrg *>(checked_.get())
-                          : org_.get()),
       ftq_(cfg.ftq_entries),
-      pcgen_(*btb_front_, bpred_, trace, ftq_), backend_(cfg.backend, mem_)
+      // The frontend drives the checker when enabled, else the
+      // organization itself.
+      pcgen_(checked_ ? static_cast<BtbOrg &>(*checked_) : *org_, bpred_,
+             trace, ftq_),
+      backend_(cfg.backend, mem_)
 {
     stats_.config = org_->config().name();
     stats_.workload = trace.name();
@@ -63,15 +64,10 @@ Cpu::fetchIssue()
         FtqEntry &e = ftq_.entry(i);
         if (e.min_issue_cycle > now_)
             break; // Younger entries cannot be earlier.
-        // Only predecode needs to know whether the line missed.
-        const bool predecode =
-            cfg_.btb_predecode_fill && !mem_.l1i().contains(e.line);
         e.data_ready = mem_.fetchLine(e.line, now_);
         e.issued = true;
         ftq_.noteIssued();
         ++issues;
-        if (predecode)
-            predecodeLine(e.line);
     }
 }
 
@@ -172,34 +168,6 @@ Cpu::guardedStep(Cycle guard)
         std::to_string(backend_.robOccupancy()) + ", PcGen " +
         (pcgen_.waitingResteer() ? "waiting on" : "not waiting on") +
         " a resteer");
-}
-
-void
-Cpu::predecodeLine(Addr line)
-{
-    const Program *prog = trace_->codeImage();
-    if (!prog)
-        return;
-    for (Addr pc = line; pc < line + kLineBytes; pc += kInstBytes) {
-        if (pc < prog->code_base ||
-            pc >= prog->code_base + prog->footprintBytes())
-            continue;
-        const StaticInst &si = prog->insts[prog->indexOf(pc)];
-        // Only architecturally-taken direct branches have targets that
-        // predecode can compute from the instruction bytes.
-        if (si.branch != BranchClass::kUncondDirect &&
-            si.branch != BranchClass::kDirectCall)
-            continue;
-        Instruction br;
-        br.pc = pc;
-        br.cls = InstClass::kBranch;
-        br.branch = si.branch;
-        br.taken = true;
-        br.next_pc = prog->pcOf(si.target);
-        // Through the front pointer: the checker's training oracle must
-        // observe prefills or it would flag their values as untrained.
-        btb_front_->prefill(br);
-    }
 }
 
 void

@@ -79,16 +79,12 @@ class Cpu
 
   private:
     CpuConfig cfg_;
-    TraceSource *trace_;
 
     MemHier mem_;
     BPredUnit bpred_;
     std::unique_ptr<BtbOrg> org_;
     /** Differential-checking wrapper, non-null only with BTBSIM_CHECK. */
     std::unique_ptr<check::CheckedBtb> checked_;
-    /** What the frontend actually drives: the checker when enabled,
-     *  else the organization itself. */
-    BtbOrg *btb_front_;
     Ftq ftq_;
     PcGen pcgen_;
     Backend backend_;
@@ -111,7 +107,6 @@ class Cpu
     double ftq_occ_sum_ = 0.0; ///< Per-cycle FTQ size, measurement only.
 
     void fetchIssue();
-    void predecodeLine(Addr line);
     void deliver();
     void decode();
     void allocate();

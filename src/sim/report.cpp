@@ -153,7 +153,6 @@ ResultSet::printDetailTable(std::ostream &os) const
 
 void
 ResultSet::writeJson(std::ostream &os, const std::string &bench,
-                     const std::string &baseline,
                      const std::map<std::string, double> *experiment,
                      const obs::ProfileBlock *profile) const
 {
@@ -162,7 +161,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
     w.kv("schema_version", obs::kSchemaVersion);
     w.kv("generator", "btbsim");
     w.kv("bench", bench);
-    w.kv("baseline", baseline);
 
     w.key("runs");
     w.beginArray();

@@ -58,8 +58,7 @@ class ResultSet
 
     /**
      * Emit the schema-versioned result JSON (obs/export.h documents the
-     * schema). @p bench names the producing bench; @p baseline (may be
-     * empty) names the config its tables normalize to.
+     * schema). @p bench names the producing bench.
      * @p experiment, when non-null, is emitted as a top-level
      * "experiment" object (the engine's exp.* progress/cache metrics);
      * the "runs" array is unaffected, so cached and cold sweeps stay
@@ -68,7 +67,6 @@ class ResultSet
      * aggregate from obs::SpanCollector::profile()).
      */
     void writeJson(std::ostream &os, const std::string &bench,
-                   const std::string &baseline,
                    const std::map<std::string, double> *experiment = nullptr,
                    const obs::ProfileBlock *profile = nullptr) const;
 

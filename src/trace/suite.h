@@ -53,7 +53,6 @@ class Workload : public TraceSource
     std::string name() const override { return trace_.name(); }
 
     const Program &program() const { return *program_; }
-    const Program *codeImage() const override { return program_.get(); }
 
   private:
     std::shared_ptr<const Program> program_;

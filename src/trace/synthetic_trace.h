@@ -33,7 +33,6 @@ class SyntheticTrace : public TraceSource
     std::string name() const override { return name_; }
 
     const Program &program() const { return *prog_; }
-    const Program *codeImage() const override { return prog_; }
 
   private:
     const Program *prog_;

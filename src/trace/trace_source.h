@@ -12,8 +12,6 @@
 
 namespace btbsim {
 
-struct Program;
-
 /**
  * An infinite, restartable stream of dynamic instructions. The simulator
  * pulls instructions one at a time; a source must be deterministic so the
@@ -40,13 +38,6 @@ class TraceSource
 
     /** Human-readable identifier used in reports. */
     virtual std::string name() const = 0;
-
-    /**
-     * The static code image behind this stream, when one exists. Used by
-     * decode-based BTB prefill (predecoding fetched I-cache lines); a
-     * null return disables that feature.
-     */
-    virtual const Program *codeImage() const { return nullptr; }
 };
 
 } // namespace btbsim

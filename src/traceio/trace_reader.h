@@ -47,10 +47,9 @@ class TraceReplaySource : public TraceSource
     const Instruction &next() override;
     void reset() override;
     std::string name() const override { return header_.name; }
-    const Program *codeImage() const override
-    {
-        return program_ ? program_.get() : nullptr;
-    }
+    /** The recording's decoded, validated Program image; null when the
+     *  trace was written without one. */
+    const Program *program() const { return program_.get(); }
 
     std::uint64_t instructionCount() const { return header_.inst_count; }
     /** Times the stream wrapped back to the first chunk. */

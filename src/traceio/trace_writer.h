@@ -33,8 +33,8 @@ class TraceWriter
     /**
      * Open @p path for writing and emit the header. @p stream_name is
      * the workload name replay will report; @p program (may be null) is
-     * serialized so decode-based prefill works on replay. Throws
-     * TraceError when the file cannot be created.
+     * serialized into the header, and replay validates it against its
+     * CRC. Throws TraceError when the file cannot be created.
      */
     TraceWriter(const std::string &path, const std::string &stream_name,
                 const Program *program, Options opt);

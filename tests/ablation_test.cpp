@@ -1,13 +1,11 @@
 /** @file Tests for the ablation features: block-termination policy,
- *  last-slot pulling, stability thresholds, and decode-based prefill. */
+ *  last-slot pulling and stability thresholds. */
 
 #include <gtest/gtest.h>
 
 #include "btb_test_util.h"
 #include "core/bbtb.h"
 #include "core/mbbtb.h"
-#include "sim/cpu.h"
-#include "trace/suite.h"
 
 using namespace btbsim;
 using namespace btbsim::test;
@@ -98,62 +96,4 @@ TEST(StabilityThreshold, LowerThresholdPullsSooner)
     redirectTo(*btb, 0x1000);
     btb->update(branchAt(0x1008, BranchClass::kIndirectJump, 0x2000), false);
     EXPECT_EQ(btb->counters.pulls, 1u);
-}
-
-// ---- Section 7.3 decode-based prefill ---------------------------------------
-
-TEST(PredecodeFill, ReducesMisfetchesOnColdCode)
-{
-    WorkloadSpec spec;
-    spec.name = "predecode-itest";
-    spec.params.seed = 0xFED;
-    spec.params.target_static_insts = 48 * 1024;
-    spec.params.num_handlers = 8;
-    spec.trace_seed = 0x777;
-
-    auto run = [&](bool prefill) {
-        auto w = makeWorkload(spec);
-        CpuConfig cfg;
-        cfg.btb = BtbConfig::ibtb(16);
-        cfg.btb_predecode_fill = prefill;
-        Cpu cpu(cfg, *w);
-        cpu.run(0, 300'000); // no warmup: cold BTB and I$
-        return cpu.stats();
-    };
-
-    const SimStats off = run(false);
-    const SimStats on = run(true);
-    EXPECT_LT(on.misfetch_pki, off.misfetch_pki);
-    EXPECT_GE(on.ipc, off.ipc * 0.98);
-}
-
-TEST(PredecodeFill, PrefillCountersAdvance)
-{
-    WorkloadSpec spec;
-    spec.params.seed = 0xFED;
-    spec.params.target_static_insts = 16 * 1024;
-    spec.params.num_handlers = 4;
-    auto w = makeWorkload(spec);
-    CpuConfig cfg;
-    cfg.btb = BtbConfig::rbtb(3);
-    cfg.btb_predecode_fill = true;
-    Cpu cpu(cfg, *w);
-    cpu.run(0, 100'000);
-    EXPECT_GT(cpu.btb().counters.prefills, 0u);
-}
-
-TEST(PredecodeFill, BlockOrgsIgnorePrefillSafely)
-{
-    WorkloadSpec spec;
-    spec.params.seed = 0xFED;
-    spec.params.target_static_insts = 16 * 1024;
-    spec.params.num_handlers = 4;
-    auto w = makeWorkload(spec);
-    CpuConfig cfg;
-    cfg.btb = BtbConfig::bbtb(1, true);
-    cfg.btb_predecode_fill = true; // no-op for block organizations
-    Cpu cpu(cfg, *w);
-    cpu.run(0, 100'000);
-    EXPECT_EQ(cpu.btb().counters.prefills, 0u);
-    EXPECT_GT(cpu.stats().ipc, 0.2);
 }

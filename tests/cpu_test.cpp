@@ -217,8 +217,7 @@ TEST(Cpu, ObservabilityHarvest)
             << name;
     }
     EXPECT_EQ(s.counters.at("pcgen.misp_return"), 0.0);
-    EXPECT_EQ(s.counters.count("btb.prefills"), 0u); // I-BTB, no prefill
-    EXPECT_EQ(s.counters.count("btb.pulls"), 0u);    // MB-BTB only
+    EXPECT_EQ(s.counters.count("btb.pulls"), 0u); // MB-BTB only
     EXPECT_EQ(s.counters.count("btb.accesses"), 1u);
     for (const auto &[key, value] : s.counters) {
         if (key.rfind("btb.", 0) == 0) {

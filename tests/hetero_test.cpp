@@ -109,18 +109,6 @@ TEST(Hetero, SplitPreservesBranches)
     EXPECT_EQ(viewAt(*btb, 0x1008, 0x1008).kind, StepView::Kind::kBranch);
 }
 
-TEST(Hetero, PrefillLandsInRegionL2)
-{
-    auto btb = makeHetero(1);
-    Instruction br = branchAt(0x5008, BranchClass::kDirectCall, 0x9000);
-    btb->prefill(br);
-    EXPECT_EQ(btb->counters.prefills, 1u);
-    // Visible through L2 synthesis on first access.
-    StepView v = viewAt(*btb, 0x5000, 0x5008);
-    ASSERT_EQ(v.kind, StepView::Kind::kBranch);
-    EXPECT_EQ(v.level, 2);
-}
-
 TEST(Hetero, EndToEndRunsAndIsCompetitive)
 {
     WorkloadSpec spec;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,14 +58,13 @@ TEST(ObsExport, JsonRoundTrip)
     rs.add(makeRun("B-BTB 16", "wl-a", 1.5));
 
     std::ostringstream os;
-    rs.writeJson(os, "unit-test", "I-BTB 16");
+    rs.writeJson(os, "unit-test");
 
     const JsonValue root = obs::parseJson(os.str());
     EXPECT_DOUBLE_EQ(root.at("schema_version").asNumber(),
                      obs::kSchemaVersion);
     EXPECT_EQ(root.at("generator").asString(), "btbsim");
     EXPECT_EQ(root.at("bench").asString(), "unit-test");
-    EXPECT_EQ(root.at("baseline").asString(), "I-BTB 16");
 
     const JsonValue &runs = root.at("runs");
     ASSERT_EQ(runs.array.size(), 3u);
@@ -128,6 +128,32 @@ TEST(ObsExport, RunObjectKeysAreTheSchema)
                   "cycle", "instructions", "ipc", "l1_btb_hitrate",
                   "btb_hitrate", "branch_mpki", "misfetch_pki",
                   "ftq_occupancy", "icache_mpki"}));
+}
+
+TEST(ObsExport, DocumentKeysAreTheSchema)
+{
+    // The top-level keys of a result document, literally: a key no
+    // reader uses must not creep back in.
+    ResultSet rs;
+    rs.add(makeRun("c", "w", 1.0));
+    const auto keys = [&](const std::map<std::string, double> *experiment,
+                          const obs::ProfileBlock *profile) {
+        std::ostringstream os;
+        rs.writeJson(os, "unit-test", experiment, profile);
+        std::vector<std::string> out;
+        for (const auto &[k, v] : obs::parseJson(os.str()).object)
+            out.push_back(k);
+        return out;
+    };
+    EXPECT_EQ(keys(nullptr, nullptr),
+              (std::vector<std::string>{"schema_version", "generator",
+                                        "bench", "runs"}));
+    const std::map<std::string, double> experiment{{"exp.points", 1.0}};
+    const obs::ProfileBlock profile;
+    EXPECT_EQ(keys(&experiment, &profile),
+              (std::vector<std::string>{"schema_version", "generator",
+                                        "bench", "runs", "experiment",
+                                        "profile"}));
 }
 
 TEST(ObsExport, Slugify)

@@ -62,7 +62,7 @@ docText(const std::vector<SimStats> &runs,
     ResultSet rs;
     rs.add(runs);
     std::ostringstream os;
-    rs.writeJson(os, "fig10_fetchpcs", "I-BTB 16", nullptr, profile);
+    rs.writeJson(os, "fig10_fetchpcs", nullptr, profile);
     return os.str();
 }
 
@@ -105,10 +105,11 @@ TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
 
 TEST(ResultDoc, ParsesV2SpansAndProfile)
 {
-    // Earlier v2 writers also emitted the workload source, a host
-    // perf-counter flag, per-span counter columns and a per-run
-    // host.spans copy of the profile. Those keys are retired; documents
-    // that still carry them must load unchanged.
+    // Earlier v2 writers also emitted a top-level baseline name (btbbench
+    // still does), the workload source, a host perf-counter flag,
+    // per-span counter columns and a per-run host.spans copy of the
+    // profile. Those keys are retired; documents that still carry them
+    // must load unchanged.
     const std::vector<SimStats> runs = fixtureRuns();
     obs::ProfileBlock profile;
     profile.total_spans = 7;
@@ -118,6 +119,8 @@ TEST(ResultDoc, ParsesV2SpansAndProfile)
                      {"run/measure", {1, 800}},
                      {"setup", {1, 50}}};
     std::string text = docText(runs, &profile);
+    text = replaced(text, "\"bench\": \"fig10_fetchpcs\"",
+                    "\"bench\": \"fig10_fetchpcs\", \"baseline\": \"\"");
     text = replaced(text, "\"host\": {",
                     "\"host\": {\"source\": \"replay\", "
                     "\"counters_available\": 1, \"spans\": {\"run\": "

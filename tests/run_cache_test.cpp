@@ -164,7 +164,6 @@ TEST(RunCache, EverySingleFieldChangeInvalidatesTheDigest)
         // CpuConfig scalars.
         [](exp::RunKey &k) { ++k.config.fetch_width; },
         [](exp::RunKey &k) { ++k.config.ftq_entries; },
-        [](exp::RunKey &k) { k.config.btb_predecode_fill = true; },
         // Nested BTB geometry and policy.
         [](exp::RunKey &k) { k.config.btb = BtbConfig::bbtb(2, true); },
         [](exp::RunKey &k) { ++k.config.btb.l1.sets; },

@@ -384,7 +384,7 @@ TEST(TraceRoundTrip, WriterReaderAllFields)
     TraceReplaySource src(path);
     EXPECT_EQ(src.instructionCount(), insts.size());
     EXPECT_EQ(src.name(), "rt_fields.btbt");
-    EXPECT_EQ(src.codeImage(), nullptr);
+    EXPECT_EQ(src.program(), nullptr);
     // All but the final instruction round-trip exactly; the tail is
     // pre-patched into the wrap-seam jump (pc and registers survive,
     // control flow redirects to the head).
@@ -455,9 +455,9 @@ TEST(TraceRoundTrip, ProgramImageTravelsWithTrace)
         writeSample("rt_prog.btbt", insts, kDefaultChunkInsts, &prog);
 
     TraceReplaySource src(path);
-    ASSERT_NE(src.codeImage(), nullptr);
-    EXPECT_EQ(src.codeImage()->insts.size(), prog.insts.size());
-    EXPECT_EQ(src.codeImage()->name, prog.name);
+    ASSERT_NE(src.program(), nullptr);
+    EXPECT_EQ(src.program()->insts.size(), prog.insts.size());
+    EXPECT_EQ(src.program()->name, prog.name);
     std::remove(path.c_str());
 }
 

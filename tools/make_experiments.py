@@ -204,18 +204,6 @@ FIGURES = [
 ]
 
 TAIL = """
-## Extension — decode-based BTB prefill (§7.3)
-
-```
-""" + section("bench_btb_prefetch", "config", "Paper-shape") + """```
-
-Boomerang-style predecode prefill on L1I misses cuts misfetch PKI for the
-I-BTB (direct unconditional branches and calls get their targets before
-first execution) and is deliberately unavailable to block organizations,
-matching the paper's remark that decode-based prefetching cannot chain
-blocks. Prefill is non-destructive (it never displaces demand-trained
-slots).
-
 ## Simulator throughput (btbbench)
 
 Host speed is not a paper result. btbbench's `realistic` workload
