@@ -10,7 +10,6 @@
 #include "common/env.h"
 #include "exp/experiment.h"
 #include "obs/export.h"
-#include "obs/span.h"
 
 namespace btbsim::bench {
 
@@ -39,7 +38,6 @@ hasRuns(const ResultSet &results, const std::string &config)
 Context
 setup(const std::string &title, const std::string &paper_ref)
 {
-    obs::ObsSpan span("setup");
     Context ctx;
     ctx.opt = RunOptions::fromEnv();
     ctx.suite = serverSuite(ctx.opt.traces);
@@ -159,13 +157,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
 int
 finish()
 {
-    // Perfetto span dump on bench exit (BTBSIM_SPAN_OUT; off by default).
-    const std::string trace_path =
-        obs::SpanCollector::instance().writeChromeTraceFromEnv(
-            "results/spans/" + g_bench_slug + ".trace.json");
-    if (!trace_path.empty())
-        std::printf("wrote %s (host span trace)\n", trace_path.c_str());
-
     if (g_failed_points == 0)
         return 0;
     std::fprintf(stderr, "btbsim: %zu sweep point(s) failed (reported above)\n",
@@ -193,7 +184,6 @@ printFigure(const ResultSet &results, const std::string &baseline)
 void
 exportResults(const ResultSet &results)
 {
-    obs::ObsSpan span("export");
     const std::string json_path = env::outPath(
         "BTBSIM_JSON_OUT", "results/" + g_bench_slug + ".json");
     if (json_path.empty())
@@ -203,12 +193,9 @@ exportResults(const ResultSet &results)
     if (p.has_parent_path())
         std::filesystem::create_directories(p.parent_path(), ec);
     std::ofstream os(p);
-    // The whole-process host span profile rides along in every result
-    // document, so `btbsim-stats prof` works on any bench JSON. A stream
-    // that failed to open ignores the write and reports below.
-    const obs::ProfileBlock profile = obs::SpanCollector::instance().profile();
+    // A stream that failed to open ignores the write and reports below.
     results.writeJson(os, g_bench_slug,
-                      g_have_experiment ? &g_exp_counters : nullptr, &profile);
+                      g_have_experiment ? &g_exp_counters : nullptr);
     if (os)
         std::printf("wrote %s\n\n", json_path.c_str());
     else

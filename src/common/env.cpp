@@ -21,17 +21,6 @@ knobs()
         // exp/experiment
         {"BTBSIM_RUN_CACHE", "results/cache",
          "Content-addressed run-result store; a path, or 0 to disable."},
-        // obs/span
-        {"BTBSIM_SPANS", "1",
-         "0 disables the host-time span profiler (on by default; span "
-         "sites are phase-grained, not per-instruction)."},
-        {"BTBSIM_SPAN_CAP", "65536",
-         "Per-thread span-record ring capacity for the Chrome trace "
-         "(aggregates are exact regardless)."},
-        {"BTBSIM_SPAN_OUT", "",
-         "Chrome-trace span dump (Perfetto-loadable): 1/true = "
-         "results/spans/<bench>.trace.json, else a path; 0/empty "
-         "disables."},
         // bench output
         {"BTBSIM_JSON_OUT", "",
          "Result JSON: 1/true = results/<bench>.json, else a path; "

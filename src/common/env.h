@@ -50,7 +50,7 @@ bool flag(const char *name);
 bool disabled(const char *name);
 
 /**
- * Output-path semantics of BTBSIM_JSON_OUT and BTBSIM_SPAN_OUT:
+ * Output-path semantics of BTBSIM_JSON_OUT:
  * unset/empty/"0" -> "" (off), "1"/"true" -> @p default_path, anything
  * else is the path itself.
  */

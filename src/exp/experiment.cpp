@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "exp/sha256.h"
-#include "obs/span.h"
 
 namespace btbsim::exp {
 
@@ -127,7 +126,6 @@ ExperimentResult
 Experiment::run()
 {
     const auto t0 = std::chrono::steady_clock::now();
-    obs::ObsSpan sweep_span("sweep");
 
     ExperimentResult result;
     result.name = name_;
@@ -179,7 +177,6 @@ Experiment::run()
                 return;
             const auto point_t0 = std::chrono::steady_clock::now();
             PointResult &p = result.points[i];
-            obs::ObsSpan point_span("point");
             auto account = [&] {
                 ++util.points;
                 util.busy_seconds +=
@@ -189,7 +186,6 @@ Experiment::run()
             };
 
             if (cache.enabled()) {
-                obs::ObsSpan probe_span("cache_probe");
                 if (auto hit = cache.load(p.digest)) {
                     p.status = PointStatus::kCached;
                     p.stats = std::move(*hit);
@@ -201,7 +197,6 @@ Experiment::run()
 
             const WorkloadSpec &spec = workloads_[p.workload_index];
             try {
-                obs::ObsSpan exec_span("execute");
                 p.stats = opt_.simulate(configs_[p.config_index], spec,
                                         opt_.run);
                 p.status = PointStatus::kOk;
@@ -212,10 +207,8 @@ Experiment::run()
             }
 
             if (p.status == PointStatus::kOk) {
-                if (cache.enabled()) {
-                    obs::ObsSpan store_span("cache_store");
+                if (cache.enabled())
                     cache.store(p.digest, key_jsons[i], p.stats);
-                }
             } else {
                 // Deterministic simulation: the point fails the same way
                 // again, so name everything needed to reproduce it.

@@ -203,44 +203,6 @@ simStatsFromJson(const JsonValue &run)
     return s;
 }
 
-void
-writeSpanProfileJson(JsonWriter &w, const SpanProfile &p)
-{
-    w.beginObject();
-    for (const auto &[path, a] : p) {
-        w.key(path);
-        w.beginObject();
-        w.kv("count", a.count);
-        w.kv("wall_ns", a.wall_ns);
-        w.endObject();
-    }
-    w.endObject();
-}
-
-SpanProfile
-spanProfileFromJson(const JsonValue &spans)
-{
-    SpanProfile out;
-    for (const auto &[path, agg] : spans.object) {
-        SpanAgg &a = out[path];
-        a.count = count(agg.find("count"), "spans", "count");
-        a.wall_ns = count(agg.find("wall_ns"), "spans", "wall_ns");
-    }
-    return out;
-}
-
-void
-writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p)
-{
-    w.beginObject();
-    w.kv("total_spans", p.total_spans);
-    w.kv("dropped", p.dropped);
-    w.kv("threads", p.threads);
-    w.key("spans");
-    writeSpanProfileJson(w, p.spans);
-    w.endObject();
-}
-
 std::string
 slugify(std::string_view s)
 {

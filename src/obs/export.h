@@ -24,18 +24,14 @@
  *         }
  *       }, ...
  *     ],
- *     "experiment": { "<exp.metric>": v, ... },   // sweeps only
- *     "profile": {                              // v2: whole process
- *       "total_spans": n, "dropped": d, "threads": t,
- *       "spans": { "<path>": { count, wall_ns } }
- *     }
+ *     "experiment": { "<exp.metric>": v, ... }    // sweeps only
  *   }
  *
  * Only v2 loads: obs/result_doc.h rejects every other schema_version.
  * Keys a reader does not know are ignored, so v2 documents from builds
- * that also wrote the workload source, a top-level "baseline" name, a
- * host perf-counter flag, per-span counter columns or a per-run
- * "host.spans" copy of the profile still load.
+ * that also wrote the workload source, a top-level "baseline" name or
+ * "profile" block (the retired host span profile), a host perf-counter
+ * flag or a per-run "host.spans" copy of that profile still load.
  *
  * A run object is the one JSON form of a SimStats: the result document
  * lists them under "runs", and the run cache (exp/run_cache.h) stores
@@ -50,7 +46,6 @@
 #include <string_view>
 
 #include "obs/json.h"
-#include "obs/span.h"
 
 namespace btbsim {
 struct SimStats;
@@ -71,16 +66,6 @@ void writeSimStatsJson(JsonWriter &w, const SimStats &s);
  * mistyped key ("stats.ipc"); keys it does not know are ignored.
  */
 SimStats simStatsFromJson(const JsonValue &run);
-
-/** Emit a path-keyed span-aggregate table as a JSON object (the value
- *  of "profile.spans"). */
-void writeSpanProfileJson(JsonWriter &w, const SpanProfile &p);
-
-/** Inverse of writeSpanProfileJson (throws std::runtime_error). */
-SpanProfile spanProfileFromJson(const JsonValue &spans);
-
-/** Emit a whole-process profile as the top-level "profile" value. */
-void writeProfileBlockJson(JsonWriter &w, const ProfileBlock &p);
 
 /** Filesystem-safe slug: lowercase alnum, everything else collapsed
  *  to single underscores ("I-BTB 16" -> "i_btb_16"). */

@@ -27,16 +27,6 @@ parseResultDoc(const JsonValue &root, const std::string &origin)
 
     for (const JsonValue &r : root.at("runs").array)
         doc.runs.push_back(simStatsFromJson(r));
-
-    if (const JsonValue *p = root.find("profile")) {
-        doc.profile.total_spans =
-            static_cast<std::uint64_t>(p->at("total_spans").asNumber());
-        doc.profile.dropped =
-            static_cast<std::uint64_t>(p->at("dropped").asNumber());
-        doc.profile.threads =
-            static_cast<std::uint32_t>(p->at("threads").asNumber());
-        doc.profile.spans = spanProfileFromJson(p->at("spans"));
-    }
     return doc;
 }
 

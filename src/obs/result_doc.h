@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.h"
 #include "sim/sim_stats.h"
 
 namespace btbsim::obs {
@@ -26,10 +25,6 @@ struct ResultDoc
     int schema_version = 0;
     std::string bench;
     std::vector<SimStats> runs;
-
-    /** Top-level "profile" block (empty when absent): the process's
-     *  host span profile, which `btbsim-stats prof` renders. */
-    ProfileBlock profile;
 };
 
 /** Parse @p root; @p origin names the source in error messages. Throws

@@ -6,7 +6,7 @@
  * set another interval, and 0 disables sampling). The
  * sampler differences consecutive snapshots into per-interval rates —
  * IPC, BTB hit rates, misfetch PKI, FTQ occupancy, I$ MPKI — giving each
- * run a within-run time series that the JSON/CSV exporters emit, so phase
+ * run a within-run time series that the result JSON carries, so phase
  * behaviour (the thing FDIP-style frontends are sensitive to) is visible
  * instead of averaged away.
  */

@@ -1,11 +1,8 @@
 #include "obs/span.h"
 
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 
-#include "common/env.h"
 #include "obs/json.h"
 
 namespace btbsim::obs {
@@ -51,10 +48,9 @@ SpanAgg::minus(const SpanAgg &o) const
 
 namespace detail {
 
-SpanThreadBuf::SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity)
-    : tid_(tid)
+SpanThreadBuf::SpanThreadBuf(std::uint32_t tid)
+    : tid_(tid), ring_(kSpanRingCapacity)
 {
-    ring_.resize(ring_capacity == 0 ? 1 : ring_capacity);
 }
 
 } // namespace detail
@@ -70,12 +66,6 @@ SpanCollector::instance()
 
 SpanCollector::SpanCollector()
 {
-    enabled_.store(!env::disabled("BTBSIM_SPANS"),
-                   std::memory_order_relaxed);
-    ring_capacity_ = static_cast<std::size_t>(
-        env::u64("BTBSIM_SPAN_CAP", 1 << 16));
-    if (ring_capacity_ == 0)
-        ring_capacity_ = 1;
     epoch_ns_ = steadyNs();
     paths_.push_back({0, ""}); // Root sentinel (id 0).
 }
@@ -87,7 +77,7 @@ SpanCollector::threadBuf()
         return t_buf;
     std::lock_guard<std::mutex> lk(mu_);
     threads_.push_back(std::make_unique<detail::SpanThreadBuf>(
-        static_cast<std::uint32_t>(threads_.size()), ring_capacity_));
+        static_cast<std::uint32_t>(threads_.size())));
     t_buf = threads_.back().get();
     return t_buf;
 }
@@ -163,7 +153,6 @@ SpanCollector::end(detail::SpanThreadBuf *buf)
         buf->head_ = (buf->head_ + 1) % buf->ring_.size();
         ++buf->dropped_;
     }
-    ++buf->completed_;
 }
 
 std::string
@@ -212,44 +201,6 @@ SpanCollector::aggregateSince(const ThreadMark &m) const
     return out;
 }
 
-ProfileBlock
-SpanCollector::profile() const
-{
-    ProfileBlock p;
-    // pathName locks mu_ too; gather ids under the lock, resolve after.
-    std::vector<std::pair<std::uint32_t, SpanAgg>> rows;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        p.threads = static_cast<std::uint32_t>(threads_.size());
-        for (const auto &t : threads_) {
-            p.total_spans += t->completed();
-            p.dropped += t->dropped() + t->deep_skips_;
-            for (const auto &[id, agg] : t->agg_)
-                rows.emplace_back(id, agg);
-        }
-    }
-    for (const auto &[id, agg] : rows)
-        p.spans[pathName(id)] += agg;
-    return p;
-}
-
-std::uint64_t
-SpanCollector::dropped() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::uint64_t n = 0;
-    for (const auto &t : threads_)
-        n += t->dropped() + t->deep_skips_;
-    return n;
-}
-
-std::size_t
-SpanCollector::threadCount() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return threads_.size();
-}
-
 void
 SpanCollector::writeChromeTrace(std::ostream &os) const
 {
@@ -261,7 +212,7 @@ SpanCollector::writeChromeTrace(std::ostream &os) const
         std::lock_guard<std::mutex> lk(mu_);
         n_threads = threads_.size();
         for (const auto &t : threads_) {
-            dropped += t->dropped() + t->deep_skips_;
+            dropped += t->dropped_ + t->deep_skips_;
             for (std::size_t i = 0; i < t->count_; ++i)
                 rows.emplace_back(
                     t->ring_[(t->head_ + i) % t->ring_.size()], t->tid());
@@ -305,23 +256,6 @@ SpanCollector::writeChromeTrace(std::ostream &os) const
     w.endArray();
     w.endObject();
     os << "\n";
-}
-
-std::string
-SpanCollector::writeChromeTraceFromEnv(const std::string &default_path)
-{
-    const std::string path = env::outPath("BTBSIM_SPAN_OUT", default_path);
-    if (path.empty())
-        return {};
-    const std::filesystem::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream os(p);
-    if (!os)
-        return {};
-    writeChromeTrace(os);
-    return os ? path : std::string();
 }
 
 void

@@ -3,30 +3,25 @@
  * Hierarchical host-time span tracer: where do the *simulator's* cycles
  * go? ObsSpan is an RAII region marker (steady-clock nanoseconds); spans
  * nest through a thread-local stack, so a span's path is the '/'-joined
- * chain of its ancestors ("point/execute/measure"). Every thread owns its
- * own buffer — engine workers record concurrently without locks on the
- * hot path.
+ * chain of its ancestors ("point/sim.run"). Every thread owns its own
+ * buffer — engine workers record concurrently without locks on the hot
+ * path.
  *
- * Two products come out of a run:
+ * The recorder serves btbbench's per-layer ledger (`--trace 1`), its one
+ * client. Two products come out of a traced region:
  *
- *  - A complete per-path aggregate (SpanProfile: count and wall time).
- *    Aggregation is incremental at span end, so it never loses data to
- *    ring overflow. The whole-process table is the bench JSON's
- *    top-level "profile" block (schema v2), rendered by
- *    `btbsim-stats prof`; mark()/aggregateSince() take the slice of one
- *    thread's spans around a region.
+ *  - A complete per-path aggregate (count and wall time). Aggregation is
+ *    incremental at span end, so it never loses data to ring overflow;
+ *    mark()/aggregateSince() take the slice of one thread's spans
+ *    around a region.
  *
- *  - A bounded ring of individual span records per thread (most recent
- *    window; overflow increments a dropped counter)
- *    exported as Chrome trace-event JSON (writeChromeTrace) that loads
- *    directly in Perfetto / chrome://tracing. BTBSIM_SPAN_OUT selects
- *    the output file; benches write it on exit.
+ *  - A bounded ring of the most recent kSpanRingCapacity records per
+ *    thread (overflow increments a dropped counter), exported as Chrome
+ *    trace-event JSON (writeChromeTrace) that loads directly in
+ *    Perfetto / chrome://tracing.
  *
- * Recording is on by default and costs one relaxed atomic load plus two
- * steady-clock reads per span — span sites are phase-grained (per
- * run, per sweep point, per decoded chunk), never per simulated
- * instruction. BTBSIM_SPANS=0 disables recording entirely;
- * BTBSIM_SPAN_CAP resizes the per-thread ring.
+ * Recording starts off; setEnabled(true) turns it on. Off, a span costs
+ * one relaxed atomic load; on, it adds two steady-clock reads.
  */
 
 #ifndef BTBSIM_OBS_SPAN_H
@@ -61,15 +56,8 @@ struct SpanAgg
 /** Per-path aggregate table keyed by the '/'-joined span path. */
 using SpanProfile = std::map<std::string, SpanAgg>;
 
-/** Whole-process profile: the aggregate table plus recorder health.
- *  Emitted as the bench JSON's top-level "profile" object. */
-struct ProfileBlock
-{
-    SpanProfile spans;
-    std::uint64_t total_spans = 0; ///< Spans ever completed.
-    std::uint64_t dropped = 0;     ///< Span records lost to ring overflow.
-    std::uint32_t threads = 0;     ///< Threads that recorded spans.
-};
+/** Span records each thread's ring keeps for the Chrome trace. */
+constexpr std::size_t kSpanRingCapacity = 4096;
 
 /** One retained span record (Chrome-trace export granularity). */
 struct SpanRecord
@@ -88,11 +76,9 @@ namespace detail {
 class SpanThreadBuf
 {
   public:
-    SpanThreadBuf(std::uint32_t tid, std::size_t ring_capacity);
+    explicit SpanThreadBuf(std::uint32_t tid);
 
     std::uint32_t tid() const { return tid_; }
-    std::uint64_t completed() const { return completed_; }
-    std::uint64_t dropped() const { return dropped_; }
 
   private:
     friend class btbsim::obs::SpanCollector;
@@ -115,8 +101,7 @@ class SpanThreadBuf
     std::vector<SpanRecord> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    std::uint64_t completed_ = 0; ///< Spans ended on this thread, ever.
-    std::uint64_t dropped_ = 0;   ///< completed_ records evicted/lost.
+    std::uint64_t dropped_ = 0; ///< Records evicted from the ring.
 
     // Complete per-path aggregation (never drops).
     std::map<std::uint32_t, SpanAgg> agg_;
@@ -131,8 +116,8 @@ class SpanThreadBuf
 
 /**
  * Process-wide span registry: thread buffers, the interned path table,
- * aggregation and export. All reads (profile/aggregate/trace export)
- * are intended for quiescent points — after worker threads joined —
+ * aggregation and export. All reads (aggregate/trace export) are
+ * intended for quiescent points — after worker threads joined —
  * and take the registration lock; recording itself is lock-free once a
  * thread's buffer and path memo are warm.
  */
@@ -141,12 +126,12 @@ class SpanCollector
   public:
     static SpanCollector &instance();
 
-    /** Recording gate; initialized from BTBSIM_SPANS (default on). */
+    /** Recording gate; off until setEnabled(true). */
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-    /** Override the gate (tests); affects spans opened afterwards. */
+    /** Open or close the gate; affects spans opened afterwards. */
     void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
-    /** '/'-joined path of interned id @p id ("sweep/point/execute"). */
+    /** '/'-joined path of interned id @p id ("point/sim.run"). */
     std::string pathName(std::uint32_t id) const;
 
     /**
@@ -168,27 +153,18 @@ class SpanCollector
      */
     SpanProfile aggregateSince(const ThreadMark &m) const;
 
-    /** Whole-process profile across every registered thread. */
-    ProfileBlock profile() const;
-
     /**
      * Retained span records of every thread as Chrome trace-event JSON
      * ("traceEvents" array of "ph":"X" complete events plus thread-name
      * metadata). Loads in Perfetto / chrome://tracing.
+     * "otherData.dropped_spans" counts the records evicted from the rings
+     * (and spans nested too deep to time).
      */
     void writeChromeTrace(std::ostream &os) const;
-
-    /** Chrome-trace dump honouring BTBSIM_SPAN_OUT (see env table):
-     *  returns the path written, or "" when the knob is off or the file
-     *  cannot be written. @p default_path is used for "1"/"true". */
-    std::string writeChromeTraceFromEnv(const std::string &default_path);
 
     /** Drop all recorded data and thread buffers (tests only; callers
      *  must guarantee no span is open on any thread). */
     void reset();
-
-    std::uint64_t dropped() const;
-    std::size_t threadCount() const;
 
     // ---- recording (ObsSpan only) -------------------------------------
     detail::SpanThreadBuf *threadBuf();
@@ -206,8 +182,7 @@ class SpanCollector
 
     std::uint32_t intern(std::uint32_t parent, const char *name);
 
-    std::atomic<bool> enabled_{true};
-    std::size_t ring_capacity_;
+    std::atomic<bool> enabled_{false};
     std::uint64_t epoch_ns_ = 0; ///< steady_clock origin of start_ns.
 
     mutable std::mutex mu_; ///< Guards threads_ and paths_.

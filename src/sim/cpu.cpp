@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "check/checker.h"
-#include "obs/span.h"
 
 namespace btbsim {
 
@@ -187,11 +186,8 @@ Cpu::run(std::uint64_t warmup, std::uint64_t measure)
     // ---- warmup ----------------------------------------------------------
     // Deadlock guard: no run legitimately averages 400 cycles per inst.
     const Cycle guard = (warmup + measure) * 400 + 1'000'000;
-    {
-        obs::ObsSpan span("warmup");
-        while (backend_.committed() < warmup)
-            guardedStep(guard);
-    }
+    while (backend_.committed() < warmup)
+        guardedStep(guard);
 
     // ---- snapshot --------------------------------------------------------
     const Cycle cycles0 = now_;
@@ -200,31 +196,27 @@ Cpu::run(std::uint64_t warmup, std::uint64_t measure)
     const std::uint64_t i_miss0 = mem_.l1i().demandMisses();
 
     // ---- measure ---------------------------------------------------------
-    {
-        obs::ObsSpan span("measure");
-        const std::uint64_t sample_period = 1'000'000;
-        std::uint64_t next_sample = insts0 + sample_period;
-        const std::uint64_t end = insts0 + measure;
-        obs::Sampler sampler(sample_interval_);
-        ftq_occ_sum_ = 0.0;
-        while (backend_.committed() < end) {
-            guardedStep(guard);
-            ftq_occ_sum_ += static_cast<double>(ftq_.size());
-            if (backend_.committed() >= next_sample) {
-                sampleStructures();
-                next_sample += sample_period;
-            }
-            if (sampler.due(now_ - cycles0))
-                sampler.sample(sampleSnapshot(cycles0, insts0, pg0, i_miss0));
-        }
-        if (occ_samples_ == 0.0)
+    const std::uint64_t sample_period = 1'000'000;
+    std::uint64_t next_sample = insts0 + sample_period;
+    const std::uint64_t end = insts0 + measure;
+    obs::Sampler sampler(sample_interval_);
+    ftq_occ_sum_ = 0.0;
+    while (backend_.committed() < end) {
+        guardedStep(guard);
+        ftq_occ_sum_ += static_cast<double>(ftq_.size());
+        if (backend_.committed() >= next_sample) {
             sampleStructures();
-        stats_.sample_interval = sampler.interval();
-        stats_.samples = sampler.take();
+            next_sample += sample_period;
+        }
+        if (sampler.due(now_ - cycles0))
+            sampler.sample(sampleSnapshot(cycles0, insts0, pg0, i_miss0));
     }
+    if (occ_samples_ == 0.0)
+        sampleStructures();
+    stats_.sample_interval = sampler.interval();
+    stats_.samples = sampler.take();
 
     // ---- reduce ----------------------------------------------------------
-    obs::ObsSpan reduce_span("reduce");
     const PcGenStats &pg = pcgen_.stats;
     const double insts =
         static_cast<double>(backend_.committed() - insts0);

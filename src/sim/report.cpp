@@ -153,8 +153,7 @@ ResultSet::printDetailTable(std::ostream &os) const
 
 void
 ResultSet::writeJson(std::ostream &os, const std::string &bench,
-                     const std::map<std::string, double> *experiment,
-                     const obs::ProfileBlock *profile) const
+                     const std::map<std::string, double> *experiment) const
 {
     obs::JsonWriter w(os);
     w.beginObject();
@@ -174,11 +173,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
         for (const auto &[name, v] : *experiment)
             w.kv(name, v);
         w.endObject();
-    }
-
-    if (profile) {
-        w.key("profile");
-        obs::writeProfileBlockJson(w, *profile);
     }
 
     w.endObject();

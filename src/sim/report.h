@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.h"
 #include "sim/sim_stats.h"
 
 namespace btbsim {
@@ -62,13 +61,11 @@ class ResultSet
      * @p experiment, when non-null, is emitted as a top-level
      * "experiment" object (the engine's exp.* progress/cache metrics);
      * the "runs" array is unaffected, so cached and cold sweeps stay
-     * comparable byte for byte. @p profile, when non-null, is emitted as
-     * the top-level "profile" object (the whole-process host span
-     * aggregate from obs::SpanCollector::profile()).
+     * comparable byte for byte.
      */
-    void writeJson(std::ostream &os, const std::string &bench,
-                   const std::map<std::string, double> *experiment = nullptr,
-                   const obs::ProfileBlock *profile = nullptr) const;
+    void writeJson(
+        std::ostream &os, const std::string &bench,
+        const std::map<std::string, double> *experiment = nullptr) const;
 
   private:
     std::vector<SimStats> results_;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/env.h"
-#include "obs/span.h"
 #include "sim/cpu.h"
 
 namespace btbsim {
@@ -49,18 +48,11 @@ RunOptions::fromEnv()
 SimStats
 runOne(const CpuConfig &cfg, const WorkloadSpec &spec, const RunOptions &opt)
 {
-    obs::ObsSpan run_span("run");
-
     // A fresh live-generated source per run keeps concurrent engine
     // workers isolated (TraceSource instances are not shareable across
     // threads); only the read-only Program image is shared.
-    std::unique_ptr<Workload> source;
-    std::unique_ptr<Cpu> cpu;
-    {
-        obs::ObsSpan init_span("init");
-        source = makeWorkload(spec);
-        cpu = std::make_unique<Cpu>(cfg, *source);
-    }
+    const std::unique_ptr<Workload> source = makeWorkload(spec);
+    const auto cpu = std::make_unique<Cpu>(cfg, *source);
 
     const auto t0 = std::chrono::steady_clock::now();
     cpu->run(opt.warmup, opt.measure);

@@ -10,18 +10,12 @@
  *   btbsim-stats diff <old.json> <new.json> [--threshold FRAC]
  *       Match runs by (config, workload), compare per-config geomean IPC
  *       and exit 1 when any config regresses by more than FRAC (default
- *       0.02 = 2%). Used by CI as a regression gate. At FRAC 0 the gate
- *       is exact instead: both files must hold the same runs, with equal
- *       "stats", "counters" and "samples" (keys present in both); the
- *       first differing field is named.
- *
- *   btbsim-stats prof <file.json>
- *       Render the host span profile as an indented tree: where the
- *       simulator itself spent its wall time (warmup vs measure vs
- *       export, experiment-engine stages).
- *
- *   btbsim-stats prof --compare <a.json> <b.json>
- *       Side-by-side wall-time comparison of two profiles by span path.
+ *       0.02 = 2%). FRAC is a plain non-negative decimal ("0.05"); a
+ *       sign, exponent, percent sign or missing value is a usage error.
+ *       Used by CI as a regression gate. At FRAC 0 the gate is exact
+ *       instead: both files must hold the same runs, with equal "stats",
+ *       "counters" and "samples" (keys present in both); the first
+ *       differing field is named.
  *
  *   btbsim-stats env [--markdown]
  *       Dump every BTBSIM_* knob the simulator honours (common/env.h
@@ -31,9 +25,12 @@
  * Exit codes: 0 ok, 1 regression found, 2 usage or parse error.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,8 +44,6 @@ namespace {
 using btbsim::geomean;
 using btbsim::SimStats;
 using btbsim::obs::ResultDoc;
-using btbsim::obs::SpanAgg;
-using btbsim::obs::SpanProfile;
 
 std::map<std::string, std::vector<double>>
 ipcByConfig(const ResultDoc &doc)
@@ -154,127 +149,6 @@ cmdDiff(const std::string &old_path, const std::string &new_path,
     return 0;
 }
 
-// ---- prof ---------------------------------------------------------------
-
-std::uint16_t
-pathDepth(const std::string &path)
-{
-    std::uint16_t d = 0;
-    for (char c : path)
-        if (c == '/')
-            ++d;
-    return d;
-}
-
-std::string
-pathLeaf(const std::string &path)
-{
-    const std::size_t pos = path.rfind('/');
-    return pos == std::string::npos ? path : path.substr(pos + 1);
-}
-
-/** Wall time summed over root-level paths — the denominator of "%". */
-std::uint64_t
-rootWallNs(const SpanProfile &spans)
-{
-    std::uint64_t total = 0;
-    for (const auto &[path, a] : spans)
-        if (pathDepth(path) == 0)
-            total += a.wall_ns;
-    return total;
-}
-
-int
-cmdProf(const std::string &path)
-{
-    const ResultDoc doc = btbsim::obs::loadResultDoc(path);
-    const SpanProfile &spans = doc.profile.spans;
-
-    std::printf("%s: schema v%d, bench \"%s\", %zu runs\n", path.c_str(),
-                doc.schema_version, doc.bench.c_str(), doc.runs.size());
-    if (spans.empty()) {
-        std::printf("no host span profile in this document "
-                    "(BTBSIM_SPANS=0 when it was produced?)\n");
-        return 0;
-    }
-    std::printf("profile: %llu spans on %u thread(s), %llu trace "
-                "record(s) dropped\n",
-                static_cast<unsigned long long>(doc.profile.total_spans),
-                doc.profile.threads,
-                static_cast<unsigned long long>(doc.profile.dropped));
-
-    std::printf("\n%-36s %8s %10s %6s %9s\n", "span", "count", "wall(s)",
-                "%", "avg(ms)");
-    std::printf("%s\n", std::string(78, '-').c_str());
-
-    // std::map iterates paths lexicographically, so every span follows
-    // its ancestors; indentation by depth renders the tree.
-    const double total_ns = static_cast<double>(rootWallNs(spans));
-    for (const auto &[span_path, a] : spans) {
-        const std::uint16_t depth = pathDepth(span_path);
-        const std::string label =
-            std::string(2 * depth, ' ') + pathLeaf(span_path);
-        const double wall_s = static_cast<double>(a.wall_ns) / 1e9;
-        const double pct =
-            total_ns > 0
-                ? static_cast<double>(a.wall_ns) / total_ns * 100.0
-                : 0.0;
-        const double avg_ms =
-            a.count > 0
-                ? static_cast<double>(a.wall_ns) / 1e6 /
-                      static_cast<double>(a.count)
-                : 0.0;
-        std::printf("%-36s %8llu %10.3f %5.1f%% %9.3f\n", label.c_str(),
-                    static_cast<unsigned long long>(a.count), wall_s, pct,
-                    avg_ms);
-    }
-    return 0;
-}
-
-int
-cmdProfCompare(const std::string &a_path, const std::string &b_path)
-{
-    const ResultDoc a = btbsim::obs::loadResultDoc(a_path);
-    const ResultDoc b = btbsim::obs::loadResultDoc(b_path);
-    const SpanProfile &sa = a.profile.spans;
-    const SpanProfile &sb = b.profile.spans;
-
-    // Union of paths, lexicographic (tree order).
-    std::map<std::string, std::pair<const SpanAgg *, const SpanAgg *>> all;
-    for (const auto &[p, agg] : sa)
-        all[p].first = &agg;
-    for (const auto &[p, agg] : sb)
-        all[p].second = &agg;
-
-    if (all.empty()) {
-        std::fprintf(stderr, "neither %s nor %s holds a span profile\n",
-                     a_path.c_str(), b_path.c_str());
-        return 2;
-    }
-
-    std::printf("span wall-time comparison: A=%s  B=%s\n\n", a_path.c_str(),
-                b_path.c_str());
-    std::printf("%-36s %10s %10s %9s\n", "span", "A wall(s)", "B wall(s)",
-                "delta");
-    std::printf("%s\n", std::string(70, '-').c_str());
-    for (const auto &[span_path, pair] : all) {
-        const std::string label =
-            std::string(2 * pathDepth(span_path), ' ') + pathLeaf(span_path);
-        const double wa =
-            pair.first ? static_cast<double>(pair.first->wall_ns) / 1e9 : 0.0;
-        const double wb =
-            pair.second ? static_cast<double>(pair.second->wall_ns) / 1e9
-                        : 0.0;
-        if (wa > 0 && wb > 0)
-            std::printf("%-36s %10.3f %10.3f %+8.1f%%\n", label.c_str(), wa,
-                        wb, (wb - wa) / wa * 100.0);
-        else
-            std::printf("%-36s %10.3f %10.3f %9s\n", label.c_str(), wa, wb,
-                        pair.first ? "A only" : "B only");
-    }
-    return 0;
-}
-
 int
 cmdEnv(bool markdown)
 {
@@ -300,6 +174,23 @@ cmdEnv(bool markdown)
     return 0;
 }
 
+/** @p s as a plain non-negative decimal ("0", "0.05", ".5"): the whole
+ *  string, no sign, exponent, "inf"/"nan" or suffix; nullopt otherwise,
+ *  and for a missing (null) value. */
+std::optional<double>
+parseThreshold(const char *s)
+{
+    if (!s || *s == '-')
+        return std::nullopt;
+    const char *end = s + std::strlen(s);
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(s, end, v, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
 void
 usage()
 {
@@ -307,8 +198,6 @@ usage()
         stderr,
         "usage: btbsim-stats show <file.json>\n"
         "       btbsim-stats diff <old.json> <new.json> [--threshold F]\n"
-        "       btbsim-stats prof <file.json>\n"
-        "       btbsim-stats prof --compare <a.json> <b.json>\n"
         "       btbsim-stats env [--markdown]\n");
 }
 
@@ -323,21 +212,26 @@ main(int argc, char **argv)
         if (argc >= 2 && std::strcmp(argv[1], "env") == 0)
             return cmdEnv(argc >= 3 &&
                           std::strcmp(argv[2], "--markdown") == 0);
-        if (argc >= 3 && std::strcmp(argv[1], "prof") == 0) {
-            if (std::strcmp(argv[2], "--compare") == 0) {
-                if (argc < 5) {
-                    usage();
-                    return 2;
-                }
-                return cmdProfCompare(argv[3], argv[4]);
-            }
-            return cmdProf(argv[2]);
-        }
         if (argc >= 4 && std::strcmp(argv[1], "diff") == 0) {
             double threshold = 0.02;
-            for (int i = 4; i + 1 < argc; ++i)
-                if (std::strcmp(argv[i], "--threshold") == 0)
-                    threshold = std::atof(argv[i + 1]);
+            for (int i = 4; i < argc; i += 2) {
+                if (std::strcmp(argv[i], "--threshold") != 0) {
+                    std::fprintf(stderr, "btbsim-stats: unknown diff "
+                                         "argument \"%s\"\n", argv[i]);
+                    return 2;
+                }
+                const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
+                const std::optional<double> t = parseThreshold(value);
+                if (!t) {
+                    std::fprintf(stderr,
+                                 "btbsim-stats: --threshold needs a "
+                                 "non-negative decimal fraction (0.02 = "
+                                 "2%%), got %s\n",
+                                 value ? value : "nothing");
+                    return 2;
+                }
+                threshold = *t;
+            }
             return cmdDiff(argv[2], argv[3], threshold);
         }
         usage();

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "obs/span.h"
 
 namespace btbsim::traceio {
 
@@ -94,7 +93,6 @@ TraceReplaySource::readChunkDirectory(const std::string &path,
 TraceReplaySource::TraceReplaySource(const std::string &path)
     : path_(path), map_(path)
 {
-    obs::ObsSpan span("replay_open");
     header_ = parseHeader(map_.data(), map_.size());
 
     if (header_.hasProgram()) {
@@ -123,7 +121,6 @@ TraceReplaySource::TraceReplaySource(const std::string &path)
 void
 TraceReplaySource::load(std::size_t idx)
 {
-    obs::ObsSpan span("replay_decode");
     const ChunkInfo &c = chunks_[idx];
     const std::uint8_t *payload = map_.data() + c.payloadOffset();
     if (!crc_checked_[idx]) {

@@ -1,4 +1,5 @@
-/** @file JSON/CSV round-trip tests for the result exporters. */
+/** @file Tests for the result-JSON exporter (obs/export.h) and the
+ *  document ResultSet::writeJson makes. */
 
 #include <gtest/gtest.h>
 
@@ -136,24 +137,21 @@ TEST(ObsExport, DocumentKeysAreTheSchema)
     // reader uses must not creep back in.
     ResultSet rs;
     rs.add(makeRun("c", "w", 1.0));
-    const auto keys = [&](const std::map<std::string, double> *experiment,
-                          const obs::ProfileBlock *profile) {
+    const auto keys = [&](const std::map<std::string, double> *experiment) {
         std::ostringstream os;
-        rs.writeJson(os, "unit-test", experiment, profile);
+        rs.writeJson(os, "unit-test", experiment);
         std::vector<std::string> out;
         for (const auto &[k, v] : obs::parseJson(os.str()).object)
             out.push_back(k);
         return out;
     };
-    EXPECT_EQ(keys(nullptr, nullptr),
+    EXPECT_EQ(keys(nullptr),
               (std::vector<std::string>{"schema_version", "generator",
                                         "bench", "runs"}));
     const std::map<std::string, double> experiment{{"exp.points", 1.0}};
-    const obs::ProfileBlock profile;
-    EXPECT_EQ(keys(&experiment, &profile),
+    EXPECT_EQ(keys(&experiment),
               (std::vector<std::string>{"schema_version", "generator",
-                                        "bench", "runs", "experiment",
-                                        "profile"}));
+                                        "bench", "runs", "experiment"}));
 }
 
 TEST(ObsExport, Slugify)

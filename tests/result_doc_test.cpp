@@ -1,6 +1,6 @@
 /** @file Tests for the result-JSON loader (obs/result_doc.h): runs read
- *  back as SimStats, span parsing, version rejection, the exact diff
- *  and the sparkline renderer. */
+ *  back as SimStats, retired keys ignored, version rejection, the exact
+ *  diff and the sparkline renderer. */
 
 #include <gtest/gtest.h>
 
@@ -56,13 +56,12 @@ fixtureRuns()
 
 /** The result document ResultSet::writeJson makes of @p runs. */
 std::string
-docText(const std::vector<SimStats> &runs,
-        const obs::ProfileBlock *profile = nullptr)
+docText(const std::vector<SimStats> &runs)
 {
     ResultSet rs;
     rs.add(runs);
     std::ostringstream os;
-    rs.writeJson(os, "fig10_fetchpcs", nullptr, profile);
+    rs.writeJson(os, "fig10_fetchpcs");
     return os.str();
 }
 
@@ -89,6 +88,20 @@ replaced(std::string text, const std::string &from, const std::string &to)
     return text;
 }
 
+/** @p text (a docText document) with the top-level host span "profile"
+ *  block that writers emitted before it was retired. */
+std::string
+withRetiredProfile(const std::string &text)
+{
+    return replaced(
+        text, "\"bench\": \"fig10_fetchpcs\"",
+        "\"bench\": \"fig10_fetchpcs\", \"profile\": {\"total_spans\": 7, "
+        "\"dropped\": 2, \"threads\": 3, \"counters_available\": 1, "
+        "\"spans\": {\"run\": {\"count\": 1, \"wall_ns\": 1000, "
+        "\"tsc\": 3000}, \"run/measure\": {\"count\": 1, "
+        "\"wall_ns\": 800}}}");
+}
+
 } // namespace
 
 TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
@@ -100,44 +113,28 @@ TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
     EXPECT_EQ(doc.schema_version, obs::kSchemaVersion);
     EXPECT_EQ(doc.bench, "fig10_fetchpcs");
     EXPECT_EQ(doc.runs, runs);
-    EXPECT_TRUE(doc.profile.spans.empty());
 }
 
-TEST(ResultDoc, ParsesV2SpansAndProfile)
+TEST(ResultDoc, IgnoresRetiredV2Keys)
 {
-    // Earlier v2 writers also emitted a top-level baseline name (btbbench
-    // still does), the workload source, a host perf-counter flag,
-    // per-span counter columns and a per-run host.spans copy of the
-    // profile. Those keys are retired; documents that still carry them
-    // must load unchanged.
+    // Earlier v2 writers also emitted a top-level host span profile and
+    // baseline name (btbbench still writes the latter), the workload
+    // source, a host perf-counter flag and a per-run host.spans copy of
+    // the profile. Those keys are retired; documents that still carry
+    // them must load unchanged.
     const std::vector<SimStats> runs = fixtureRuns();
-    obs::ProfileBlock profile;
-    profile.total_spans = 7;
-    profile.dropped = 2;
-    profile.threads = 3;
-    profile.spans = {{"run", {1, 1000}},
-                     {"run/measure", {1, 800}},
-                     {"setup", {1, 50}}};
-    std::string text = docText(runs, &profile);
+    std::string text = withRetiredProfile(docText(runs));
     text = replaced(text, "\"bench\": \"fig10_fetchpcs\"",
                     "\"bench\": \"fig10_fetchpcs\", \"baseline\": \"\"");
     text = replaced(text, "\"host\": {",
                     "\"host\": {\"source\": \"replay\", "
                     "\"counters_available\": 1, \"spans\": {\"run\": "
                     "{\"count\": 1, \"wall_ns\": 900}},");
-    text = replaced(text, "\"wall_ns\": 1000",
-                    "\"wall_ns\": 1000, \"tsc\": 3000, \"cycles\": 500, "
-                    "\"branch_misses\": 4, \"task_clock_ns\": 990");
-    text = replaced(text, "\"threads\": 3",
-                    "\"threads\": 3, \"counters_available\": 1");
     const obs::ResultDoc doc =
         obs::parseResultDoc(obs::parseJson(text), "inline");
 
+    EXPECT_EQ(doc.bench, "fig10_fetchpcs");
     EXPECT_EQ(doc.runs, runs);
-    EXPECT_EQ(doc.profile.total_spans, 7u);
-    EXPECT_EQ(doc.profile.dropped, 2u);
-    EXPECT_EQ(doc.profile.threads, 3u);
-    EXPECT_EQ(doc.profile.spans, profile.spans);
 }
 
 TEST(ResultDoc, RejectsUnsupportedVersions)
@@ -165,22 +162,6 @@ TEST(ResultDoc, RejectsUnsupportedVersions)
               std::string::npos);
     EXPECT_NE(rejected(0).find("unsupported schema_version 0"),
               std::string::npos);
-}
-
-TEST(ResultDoc, SpanProfileJsonRoundTrips)
-{
-    obs::SpanProfile in;
-    in["a"].count = 3;
-    in["a"].wall_ns = 1234;
-    in["a/b"].count = 1;
-    in["a/b"].wall_ns = 55;
-
-    std::ostringstream os;
-    {
-        obs::JsonWriter w(os);
-        obs::writeSpanProfileJson(w, in);
-    }
-    EXPECT_EQ(obs::spanProfileFromJson(obs::parseJson(os.str())), in);
 }
 
 TEST(Sparkline, RendersScaledBlocks)
@@ -226,6 +207,19 @@ TEST(ExactDiff, IdenticalDocumentsMatch)
                       r[0].counters["btb.new"] = 1.0;
                   })),
               "");
+}
+
+TEST(ExactDiff, RetiredProfileIsNotADifference)
+{
+    // The identity gate diffs a parent document against a change's: a
+    // parent written before the "profile" block was retired still
+    // carries it, and only the runs are compared.
+    const std::string text = docText(fixtureRuns());
+    const obs::JsonValue with = obs::parseJson(withRetiredProfile(text));
+    ASSERT_NE(with.find("profile"), nullptr);
+    const obs::JsonValue without = obs::parseJson(text);
+    EXPECT_EQ(obs::firstRunDifference(with, without), "");
+    EXPECT_EQ(obs::firstRunDifference(without, with), "");
 }
 
 TEST(ExactDiff, MutatedCounterIsNamed)

@@ -1,12 +1,11 @@
-/** @file Tests for the host span profiler (obs/span.h) and its
- *  Chrome-trace export. */
+/** @file Tests for the host span recorder (obs/span.h): per-thread
+ *  aggregates and its Chrome-trace export. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "exp/experiment.h"
@@ -17,30 +16,40 @@ using namespace btbsim;
 
 namespace {
 
-// The collector singleton reads its knobs once, at first use — pin them
-// before any test touches it: a tiny ring so overflow is cheap to
-// trigger.
-const bool g_env_init = [] {
-    ::setenv("BTBSIM_SPAN_CAP", "64", 1);
-    ::setenv("BTBSIM_SPANS", "1", 1);
-    return true;
-}();
+// The gate as the process starts, read before any test opens it.
+const bool g_enabled_at_start = obs::SpanCollector::instance().enabled();
 
 obs::SpanCollector &
 collector()
 {
-    (void)g_env_init;
     obs::SpanCollector &c = obs::SpanCollector::instance();
     c.reset();
     c.setEnabled(true);
     return c;
 }
 
+/** The parsed Chrome trace of everything @p c retains. */
+obs::JsonValue
+chromeTrace(const obs::SpanCollector &c)
+{
+    std::ostringstream os;
+    c.writeChromeTrace(os);
+    return obs::parseJson(os.str());
+}
+
 } // namespace
+
+TEST(Span, RecordingStartsOff)
+{
+    // A fresh process records nothing until a client opens the gate;
+    // only btbbench's traced passes (and these tests) do.
+    EXPECT_FALSE(g_enabled_at_start);
+}
 
 TEST(Span, NestingBuildsSlashJoinedPaths)
 {
     obs::SpanCollector &c = collector();
+    const obs::SpanCollector::ThreadMark m = c.mark();
     {
         obs::ObsSpan a("alpha");
         {
@@ -51,18 +60,20 @@ TEST(Span, NestingBuildsSlashJoinedPaths)
         }
     }
 
-    const obs::ProfileBlock p = c.profile();
-    ASSERT_EQ(p.spans.count("alpha"), 1u);
-    ASSERT_EQ(p.spans.count("alpha/beta"), 1u);
-    ASSERT_EQ(p.spans.count("alpha/gamma"), 1u);
-    EXPECT_EQ(p.spans.at("alpha").count, 1u);
-    EXPECT_EQ(p.total_spans, 3u);
-    EXPECT_EQ(p.dropped, 0u);
+    const obs::SpanProfile p = c.aggregateSince(m);
+    EXPECT_EQ(p.size(), 3u);
+    ASSERT_EQ(p.count("alpha"), 1u);
+    ASSERT_EQ(p.count("alpha/beta"), 1u);
+    ASSERT_EQ(p.count("alpha/gamma"), 1u);
+    EXPECT_EQ(p.at("alpha").count, 1u);
+    EXPECT_EQ(chromeTrace(c).at("otherData").at("dropped_spans").asNumber(),
+              0.0);
 }
 
 TEST(Span, UnwindsOnException)
 {
     obs::SpanCollector &c = collector();
+    const obs::SpanCollector::ThreadMark m = c.mark();
     try {
         obs::ObsSpan outer("throwing_region");
         obs::ObsSpan inner("inner");
@@ -75,36 +86,43 @@ TEST(Span, UnwindsOnException)
     {
         obs::ObsSpan after("after_throw");
     }
-    const obs::ProfileBlock p = c.profile();
-    EXPECT_EQ(p.spans.count("after_throw"), 1u);
-    EXPECT_EQ(p.spans.at("throwing_region").count, 1u);
-    EXPECT_EQ(p.spans.at("throwing_region/inner").count, 1u);
+    const obs::SpanProfile p = c.aggregateSince(m);
+    EXPECT_EQ(p.count("after_throw"), 1u);
+    EXPECT_EQ(p.at("throwing_region").count, 1u);
+    EXPECT_EQ(p.at("throwing_region/inner").count, 1u);
 }
 
 TEST(Span, RingOverflowCountsDroppedButAggregatesEverything)
 {
     obs::SpanCollector &c = collector();
-    constexpr std::uint64_t kSpans = 100; // Ring capacity pinned to 64.
+    const obs::SpanCollector::ThreadMark m = c.mark();
+    constexpr std::uint64_t kSpans = obs::kSpanRingCapacity + 100;
     for (std::uint64_t i = 0; i < kSpans; ++i)
         obs::ObsSpan span("overflow_probe");
 
-    EXPECT_EQ(c.dropped(), kSpans - 64);
-    const obs::ProfileBlock p = c.profile();
-    EXPECT_EQ(p.dropped, kSpans - 64);
-    // The aggregate table never loses spans to ring eviction.
-    EXPECT_EQ(p.spans.at("overflow_probe").count, kSpans);
-    EXPECT_EQ(p.total_spans, kSpans);
+    // The ring keeps the most recent kSpanRingCapacity records and the
+    // dump counts the rest as dropped ...
+    const obs::JsonValue trace = chromeTrace(c);
+    EXPECT_EQ(trace.at("otherData").at("dropped_spans").asNumber(),
+              static_cast<double>(kSpans - obs::kSpanRingCapacity));
+    std::size_t kept = 0;
+    for (const obs::JsonValue &e : trace.at("traceEvents").array)
+        kept += e.at("ph").asString() == "X";
+    EXPECT_EQ(kept, obs::kSpanRingCapacity);
+    // ... while the aggregate never loses a span to ring eviction.
+    EXPECT_EQ(c.aggregateSince(m).at("overflow_probe").count, kSpans);
 }
 
 TEST(Span, DisabledRecordsNothing)
 {
     obs::SpanCollector &c = collector();
+    const obs::SpanCollector::ThreadMark m = c.mark();
     c.setEnabled(false);
     {
         obs::ObsSpan span("invisible");
     }
     c.setEnabled(true);
-    EXPECT_EQ(c.profile().total_spans, 0u);
+    EXPECT_TRUE(c.aggregateSince(m).empty());
 }
 
 TEST(Span, MarkAggregateSinceYieldsOnlyTheDelta)
@@ -126,9 +144,11 @@ TEST(Span, MarkAggregateSinceYieldsOnlyTheDelta)
 TEST(Span, WorkerThreadsRecordIndependently)
 {
     obs::SpanCollector &c = collector();
+    // The main thread registers first (tid 0) and records nothing more.
+    const obs::SpanCollector::ThreadMark m = c.mark();
     // The experiment engine's worker pool is the real multi-thread
-    // client: a stub simulate keeps it hermetic while the engine's own
-    // point/execute spans record on each worker thread.
+    // client (btbbench's sweep); a stub simulate keeps it hermetic and
+    // opens the only span, on whichever worker runs the point.
     std::vector<CpuConfig> configs(2);
     configs[0].btb = BtbConfig::ibtb(16);
     configs[1].btb = BtbConfig::ibtb(14);
@@ -152,34 +172,19 @@ TEST(Span, WorkerThreadsRecordIndependently)
         "span_test_sweep", configs, workloads, std::move(opt));
     ASSERT_TRUE(res.allOk());
 
-    const obs::ProfileBlock p = c.profile();
-    EXPECT_EQ(p.spans.at("sweep").count, 1u);
-    EXPECT_EQ(p.spans.at("point").count, 4u);
-    EXPECT_EQ(p.spans.at("point/execute").count, 4u);
-    EXPECT_EQ(p.spans.at("point/execute/stub_sim").count, 4u);
-    EXPECT_GE(p.threads, 2u); // Main (sweep) plus at least one worker.
-}
-
-TEST(Span, RunOneRecordsItsPhases)
-{
-    obs::SpanCollector &c = collector();
-    CpuConfig cfg;
-    WorkloadSpec spec;
-    spec.name = "span_phases_wl";
-
-    RunOptions opt;
-    opt.warmup = 1000;
-    opt.measure = 2000;
-
-    (void)runOne(cfg, spec, opt);
-
-    // The process profile (the result JSON's "profile" block) holds the
-    // run and each of its phases exactly once.
-    const obs::SpanProfile spans = c.profile().spans;
-    for (const char *path : {"run", "run/init", "run/warmup", "run/measure"})
-        ASSERT_EQ(spans.count(path), 1u) << path;
-    EXPECT_EQ(spans.at("run/measure").count, 1u);
-    EXPECT_GT(spans.at("run/measure").wall_ns, 0u);
+    // Every point's span is in the dump as a top-level path, on a worker
+    // thread; the main thread's own aggregate stays empty.
+    const obs::JsonValue trace = chromeTrace(c);
+    std::size_t stub_spans = 0;
+    for (const obs::JsonValue &e : trace.at("traceEvents").array) {
+        if (e.at("ph").asString() != "X")
+            continue;
+        EXPECT_EQ(e.at("name").asString(), "stub_sim");
+        EXPECT_NE(e.at("tid").asNumber(), 0.0);
+        ++stub_spans;
+    }
+    EXPECT_EQ(stub_spans, 4u);
+    EXPECT_TRUE(c.aggregateSince(m).empty());
 }
 
 TEST(Span, ChromeTraceIsStructurallyValidJson)
@@ -189,13 +194,10 @@ TEST(Span, ChromeTraceIsStructurallyValidJson)
         obs::ObsSpan outer("trace_outer");
         obs::ObsSpan inner("trace_inner");
     }
-    std::ostringstream os;
-    c.writeChromeTrace(os);
-
     // The dump must parse as JSON and carry the Chrome trace-event
     // structure Perfetto expects: complete ("X") events with
     // microsecond ts/dur plus thread-name metadata ("M").
-    const obs::JsonValue root = obs::parseJson(os.str());
+    const obs::JsonValue root = chromeTrace(c);
     EXPECT_EQ(root.at("displayTimeUnit").asString(), "ns");
     EXPECT_EQ(root.at("otherData").at("generator").asString(), "btbsim");
 
