@@ -18,10 +18,6 @@ namespace {
 /// Slug of the running bench's title, for default output file names.
 std::string g_bench_slug = "bench";
 
-/// Experiment metrics of the last runAll (embedded in the result JSON).
-std::map<std::string, double> g_exp_counters;
-bool g_have_experiment = false;
-
 /// Failed points so far (runAll reports each one), for finish().
 std::size_t g_failed_points = 0;
 
@@ -140,8 +136,6 @@ runAll(const Context &ctx, const std::vector<CpuConfig> &configs,
                 sum.total, sum.ok, sum.cached, sum.cacheHitRate() * 100.0,
                 sum.failed, sum.wall_seconds);
 
-    g_exp_counters = res.counters();
-    g_have_experiment = true;
     for (const exp::PointResult *p : res.failures()) {
         // The engine's error opens with "config <name>, "; tag the name.
         std::string error = p->error;
@@ -194,8 +188,7 @@ exportResults(const ResultSet &results)
         std::filesystem::create_directories(p.parent_path(), ec);
     std::ofstream os(p);
     // A stream that failed to open ignores the write and reports below.
-    results.writeJson(os, g_bench_slug,
-                      g_have_experiment ? &g_exp_counters : nullptr);
+    results.writeJson(os, g_bench_slug);
     if (os)
         std::printf("wrote %s\n\n", json_path.c_str());
     else

@@ -24,46 +24,6 @@ pointStatusName(PointStatus s)
     return "unknown";
 }
 
-std::map<std::string, double>
-ExperimentResult::counters() const
-{
-    std::map<std::string, double> out;
-    out["exp.points"] = static_cast<double>(summary.total);
-    out["exp.ok"] = static_cast<double>(summary.ok);
-    out["exp.cached"] = static_cast<double>(summary.cached);
-    out["exp.failed"] = static_cast<double>(summary.failed);
-    out["exp.cache_hit_rate"] = summary.cacheHitRate();
-    out["exp.wall_seconds"] = summary.wall_seconds;
-    if (!shards.empty()) {
-        out["exp.shards"] = static_cast<double>(shards.size());
-        double busy_min = -1.0, busy_max = 0.0, busy_sum = 0.0;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            const ShardUtil &u = shards[i];
-            const std::string prefix =
-                "exp.shard" + std::to_string(i) + ".";
-            out[prefix + "points"] = static_cast<double>(u.points);
-            out[prefix + "busy_seconds"] = u.busy_seconds;
-            out[prefix + "util"] =
-                summary.wall_seconds > 0.0
-                    ? u.busy_seconds / summary.wall_seconds
-                    : 0.0;
-            busy_sum += u.busy_seconds;
-            busy_max = std::max(busy_max, u.busy_seconds);
-            busy_min = busy_min < 0.0 ? u.busy_seconds
-                                      : std::min(busy_min, u.busy_seconds);
-        }
-        if (summary.wall_seconds > 0.0) {
-            out["exp.shard_util_min"] =
-                std::max(busy_min, 0.0) / summary.wall_seconds;
-            out["exp.shard_util_max"] = busy_max / summary.wall_seconds;
-            out["exp.shard_util_mean"] =
-                busy_sum /
-                (summary.wall_seconds * static_cast<double>(shards.size()));
-        }
-    }
-    return out;
-}
-
 std::vector<const PointResult *>
 ExperimentResult::failures() const
 {

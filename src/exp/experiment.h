@@ -12,8 +12,9 @@
  *    worker threads, giving each point exactly one attempt (the
  *    simulator is deterministic, so a failing point would fail again)
  *    and isolating a worker exception to its point;
- *  - reports progress and cache-hit-rate as "exp.*" counters surfaced
- *    in the ExperimentResult and in the bench JSON "experiment" block.
+ *  - accounts the sweep in the ExperimentResult: per-status point
+ *    counts, cache hit rate and wall time (ExperimentSummary), and each
+ *    worker thread's points and busy time (ShardUtil).
  *
  * Per-point status: ok (simulated this run), cached (served from the
  * store), failed (the simulation raised; error names the reproducer).
@@ -24,7 +25,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -71,7 +71,7 @@ struct ShardUtil
     double busy_seconds = 0.0;   ///< Host time spent handling them.
 };
 
-/** Sweep-level accounting (also exported as "exp.*" counters). */
+/** Sweep-level accounting. */
 struct ExperimentSummary
 {
     std::size_t total = 0;
@@ -99,11 +99,6 @@ struct ExperimentResult
 
     /** One entry per worker thread the sweep ran on. */
     std::vector<ShardUtil> shards;
-
-    /** Flattened "exp.*" metrics (points, ok, cached, failed,
-     *  cache_hit_rate, wall_seconds, shards and per-thread
-     *  shard<i>.points / busy_seconds / util) for the JSON exporter. */
-    std::map<std::string, double> counters() const;
 
     bool allOk() const { return summary.failed == 0; }
 

@@ -23,15 +23,15 @@
  *                         ftq_occupancy, icache_mpki }, ... ]
  *         }
  *       }, ...
- *     ],
- *     "experiment": { "<exp.metric>": v, ... }    // sweeps only
+ *     ]
  *   }
  *
  * Only v2 loads: obs/result_doc.h rejects every other schema_version.
  * Keys a reader does not know are ignored, so v2 documents from builds
- * that also wrote the workload source, a top-level "baseline" name or
- * "profile" block (the retired host span profile), a host perf-counter
- * flag or a per-run "host.spans" copy of that profile still load.
+ * that also wrote the workload source, a top-level "baseline" name,
+ * "profile" block (the retired host span profile) or "experiment" block
+ * (the sweep engine's exp.* metrics), a host perf-counter flag or a
+ * per-run "host.spans" copy of that profile still load.
  *
  * A run object is the one JSON form of a SimStats: the result document
  * lists them under "runs", and the run cache (exp/run_cache.h) stores

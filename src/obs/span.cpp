@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <ostream>
+#include <thread>
 
 #include "obs/json.h"
 
@@ -19,6 +20,9 @@ steadyNs()
 }
 
 thread_local detail::SpanThreadBuf *t_buf = nullptr;
+
+// The thread that runs main(): static initialization runs on it.
+const std::thread::id g_main_thread = std::this_thread::get_id();
 
 } // namespace
 
@@ -48,8 +52,8 @@ SpanAgg::minus(const SpanAgg &o) const
 
 namespace detail {
 
-SpanThreadBuf::SpanThreadBuf(std::uint32_t tid)
-    : tid_(tid), ring_(kSpanRingCapacity)
+SpanThreadBuf::SpanThreadBuf(std::uint32_t tid, bool main)
+    : tid_(tid), main_(main), ring_(kSpanRingCapacity)
 {
 }
 
@@ -77,7 +81,8 @@ SpanCollector::threadBuf()
         return t_buf;
     std::lock_guard<std::mutex> lk(mu_);
     threads_.push_back(std::make_unique<detail::SpanThreadBuf>(
-        static_cast<std::uint32_t>(threads_.size())));
+        static_cast<std::uint32_t>(threads_.size()),
+        std::this_thread::get_id() == g_main_thread));
     t_buf = threads_.back().get();
     return t_buf;
 }
@@ -204,14 +209,17 @@ SpanCollector::aggregateSince(const ThreadMark &m) const
 void
 SpanCollector::writeChromeTrace(std::ostream &os) const
 {
-    // Collect (record, tid) rows under the lock, resolve names after.
+    // Collect (record, tid) rows and thread labels under the lock,
+    // resolve names after.
     std::vector<std::pair<SpanRecord, std::uint32_t>> rows;
+    std::vector<std::string> labels;
     std::uint64_t dropped = 0;
-    std::size_t n_threads = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        n_threads = threads_.size();
         for (const auto &t : threads_) {
+            labels.push_back(t->main_
+                                 ? "main"
+                                 : "worker-" + std::to_string(t->tid()));
             dropped += t->dropped_ + t->deep_skips_;
             for (std::size_t i = 0; i < t->count_; ++i)
                 rows.emplace_back(
@@ -229,7 +237,7 @@ SpanCollector::writeChromeTrace(std::ostream &os) const
     w.endObject();
     w.key("traceEvents");
     w.beginArray();
-    for (std::size_t tid = 0; tid < n_threads; ++tid) {
+    for (std::size_t tid = 0; tid < labels.size(); ++tid) {
         w.beginObject();
         w.kv("name", "thread_name");
         w.kv("ph", "M");
@@ -237,7 +245,7 @@ SpanCollector::writeChromeTrace(std::ostream &os) const
         w.kv("tid", static_cast<std::uint64_t>(tid));
         w.key("args");
         w.beginObject();
-        w.kv("name", tid == 0 ? "main" : ("worker-" + std::to_string(tid)));
+        w.kv("name", labels[tid]);
         w.endObject();
         w.endObject();
     }

@@ -76,7 +76,8 @@ namespace detail {
 class SpanThreadBuf
 {
   public:
-    explicit SpanThreadBuf(std::uint32_t tid);
+    /** @p main: the owning thread is the one that runs main(). */
+    SpanThreadBuf(std::uint32_t tid, bool main);
 
     std::uint32_t tid() const { return tid_; }
 
@@ -92,6 +93,7 @@ class SpanThreadBuf
     };
 
     std::uint32_t tid_;
+    bool main_; ///< Owned by the thread that runs main().
 
     Frame stack_[kMaxDepth];
     std::size_t depth_ = 0;
@@ -156,7 +158,8 @@ class SpanCollector
     /**
      * Retained span records of every thread as Chrome trace-event JSON
      * ("traceEvents" array of "ph":"X" complete events plus thread-name
-     * metadata). Loads in Perfetto / chrome://tracing.
+     * metadata: "main" for the thread that runs main(), "worker-<tid>"
+     * for every other). Loads in Perfetto / chrome://tracing.
      * "otherData.dropped_spans" counts the records evicted from the rings
      * (and spans nested too deep to time).
      */

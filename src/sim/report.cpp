@@ -152,8 +152,7 @@ ResultSet::printDetailTable(std::ostream &os) const
 }
 
 void
-ResultSet::writeJson(std::ostream &os, const std::string &bench,
-                     const std::map<std::string, double> *experiment) const
+ResultSet::writeJson(std::ostream &os, const std::string &bench) const
 {
     obs::JsonWriter w(os);
     w.beginObject();
@@ -166,14 +165,6 @@ ResultSet::writeJson(std::ostream &os, const std::string &bench,
     for (const SimStats &s : results_)
         obs::writeSimStatsJson(w, s);
     w.endArray();
-
-    if (experiment) {
-        w.key("experiment");
-        w.beginObject();
-        for (const auto &[name, v] : *experiment)
-            w.kv(name, v);
-        w.endObject();
-    }
 
     w.endObject();
     os << "\n";

@@ -7,7 +7,6 @@
 #define BTBSIM_SIM_REPORT_H
 
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,14 +57,8 @@ class ResultSet
     /**
      * Emit the schema-versioned result JSON (obs/export.h documents the
      * schema). @p bench names the producing bench.
-     * @p experiment, when non-null, is emitted as a top-level
-     * "experiment" object (the engine's exp.* progress/cache metrics);
-     * the "runs" array is unaffected, so cached and cold sweeps stay
-     * comparable byte for byte.
      */
-    void writeJson(
-        std::ostream &os, const std::string &bench,
-        const std::map<std::string, double> *experiment = nullptr) const;
+    void writeJson(std::ostream &os, const std::string &bench) const;
 
   private:
     std::vector<SimStats> results_;

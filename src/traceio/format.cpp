@@ -1,5 +1,6 @@
 #include "traceio/format.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -61,42 +62,6 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void
-ByteReader::failTruncated()
-{
-    throw TraceError("trace data truncated (byte read past end)");
-}
-
-std::uint64_t
-ByteReader::varintSlow()
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const std::uint8_t b = u8();
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-    }
-    throw TraceError("trace data corrupt (varint longer than 10 bytes)");
-}
-
-double
-ByteReader::f64()
-{
-    const std::uint8_t *p = bytes(8);
-    return std::bit_cast<double>(readLeU64(p));
-}
-
-const std::uint8_t *
-ByteReader::bytes(std::size_t n)
-{
-    if (remaining() < n)
-        throw TraceError("trace data truncated (raw read past end)");
-    const std::uint8_t *p = p_;
-    p_ += n;
-    return p;
 }
 
 TraceHeader
@@ -168,33 +133,6 @@ encodeRecord(std::vector<std::uint8_t> &out, CodecState &st,
     st.expected_pc = in.next_pc;
 }
 
-void
-decodeRecord(ByteReader &r, CodecState &st, Instruction &out)
-{
-    const std::uint8_t flags = r.u8();
-    const std::uint8_t cls = flags & 0x7;
-    const std::uint8_t branch = (flags >> 3) & 0x7;
-    if (cls > static_cast<std::uint8_t>(InstClass::kBranch) ||
-        branch > static_cast<std::uint8_t>(BranchClass::kIndirectCall))
-        throw TraceError("trace data corrupt (invalid instruction class)");
-    out.cls = static_cast<InstClass>(cls);
-    out.branch = static_cast<BranchClass>(branch);
-    out.taken = flags & 0x40;
-
-    out.pc = st.expected_pc + static_cast<Addr>(r.zigzagVarint());
-    out.next_pc = out.pc + kInstBytes + static_cast<Addr>(r.zigzagVarint());
-    out.dst = r.u8();
-    out.src1 = r.u8();
-    out.src2 = r.u8();
-    if (flags & 0x80) {
-        out.mem_addr = st.prev_mem + static_cast<Addr>(r.zigzagVarint());
-        st.prev_mem = out.mem_addr;
-    } else {
-        out.mem_addr = 0;
-    }
-    st.expected_pc = out.next_pc;
-}
-
 namespace {
 
 /** Byte-at-a-time continuation of varintUnchecked() for the rare 9- and
@@ -253,6 +191,38 @@ zigzagUnchecked(const std::uint8_t *&p)
     return unzigzag(varintUnchecked(p));
 }
 
+/**
+ * The record decoder: decode the record at @p p into @p o and advance
+ * @p p past it. Loads are unchecked; the caller guarantees
+ * kMaxRecordBytes readable bytes at @p p, which no record can overrun,
+ * even on garbage input.
+ */
+inline void
+readRecord(const std::uint8_t *&p, CodecState &st, Instruction &o)
+{
+    const std::uint8_t flags = *p++;
+    const std::uint8_t cls = flags & 0x7;
+    const std::uint8_t branch = (flags >> 3) & 0x7;
+    if (cls > static_cast<std::uint8_t>(InstClass::kBranch) ||
+        branch > static_cast<std::uint8_t>(BranchClass::kIndirectCall))
+        throw TraceError("trace data corrupt (invalid instruction class)");
+    o.cls = static_cast<InstClass>(cls);
+    o.branch = static_cast<BranchClass>(branch);
+    o.taken = flags & 0x40;
+    o.pc = st.expected_pc + static_cast<Addr>(zigzagUnchecked(p));
+    o.next_pc = o.pc + kInstBytes + static_cast<Addr>(zigzagUnchecked(p));
+    o.dst = *p++;
+    o.src1 = *p++;
+    o.src2 = *p++;
+    if (flags & 0x80) {
+        o.mem_addr = st.prev_mem + static_cast<Addr>(zigzagUnchecked(p));
+        st.prev_mem = o.mem_addr;
+    } else {
+        o.mem_addr = 0;
+    }
+    st.expected_pc = o.next_pc;
+}
+
 } // namespace
 
 void
@@ -265,37 +235,24 @@ decodeChunkPayload(const std::uint8_t *data, std::size_t size,
 
     std::uint32_t i = 0;
     for (; i < count && static_cast<std::size_t>(end - p) >= kMaxRecordBytes;
-         ++i) {
-        Instruction &o = out[i];
-        const std::uint8_t flags = *p++;
-        const std::uint8_t cls = flags & 0x7;
-        const std::uint8_t branch = (flags >> 3) & 0x7;
-        if (cls > static_cast<std::uint8_t>(InstClass::kBranch) ||
-            branch > static_cast<std::uint8_t>(BranchClass::kIndirectCall))
-            throw TraceError("trace data corrupt (invalid instruction "
-                             "class)");
-        o.cls = static_cast<InstClass>(cls);
-        o.branch = static_cast<BranchClass>(branch);
-        o.taken = flags & 0x40;
-        o.pc = st.expected_pc + static_cast<Addr>(zigzagUnchecked(p));
-        o.next_pc = o.pc + kInstBytes + static_cast<Addr>(zigzagUnchecked(p));
-        o.dst = *p++;
-        o.src1 = *p++;
-        o.src2 = *p++;
-        if (flags & 0x80) {
-            o.mem_addr = st.prev_mem + static_cast<Addr>(zigzagUnchecked(p));
-            st.prev_mem = o.mem_addr;
-        } else {
-            o.mem_addr = 0;
-        }
-        st.expected_pc = o.next_pc;
-    }
+         ++i)
+        readRecord(p, st, out[i]);
 
-    // Checked tail: fewer than kMaxRecordBytes left.
-    ByteReader r(p, static_cast<std::size_t>(end - p));
-    for (; i < count; ++i)
-        decodeRecord(r, st, out[i]);
-    if (!r.done())
+    // Tail: fewer than kMaxRecordBytes left. Decode a zero-padded copy:
+    // a record starting inside the real bytes reads at most
+    // kMaxRecordBytes, all within the copy. One that ends past the real
+    // bytes was cut short.
+    const auto left = static_cast<std::size_t>(end - p);
+    std::uint8_t tail[2 * kMaxRecordBytes] = {};
+    std::copy(p, end, tail);
+    const std::uint8_t *q = tail;
+    for (; i < count; ++i) {
+        readRecord(q, st, out[i]);
+        if (q > tail + left)
+            throw TraceError("trace data truncated (record ends past the "
+                             "chunk payload)");
+    }
+    if (q != tail + left)
         throw TraceError("trace data corrupt (trailing bytes after the "
                          "last record)");
 }
@@ -320,28 +277,6 @@ putString(std::vector<std::uint8_t> &out, const std::string &s)
 {
     putVarint(out, s.size());
     out.insert(out.end(), s.begin(), s.end());
-}
-
-template <typename T>
-T
-checkedEnum(std::uint8_t raw, T max, const char *what)
-{
-    if (raw > static_cast<std::uint8_t>(max))
-        throw TraceError(std::string("corrupt Program image (invalid ") +
-                         what + ")");
-    return static_cast<T>(raw);
-}
-
-std::size_t
-checkedCount(ByteReader &r, const char *what)
-{
-    const std::uint64_t n = r.varint();
-    // Every element is at least one byte, so a count larger than the
-    // remaining payload is corruption, not a huge-but-valid table.
-    if (n > r.remaining())
-        throw TraceError(std::string("corrupt Program image (") + what +
-                         " count exceeds image size)");
-    return static_cast<std::size_t>(n);
 }
 
 } // namespace
@@ -401,78 +336,6 @@ serializeProgram(const Program &prog, std::vector<std::uint8_t> &out)
     putVarint(out, prog.entry_weights.size());
     for (double w : prog.entry_weights)
         putF64(out, w);
-}
-
-Program
-deserializeProgram(const std::uint8_t *data, std::size_t size)
-{
-    ByteReader r(data, size);
-    Program prog;
-
-    const std::size_t name_len = checkedCount(r, "name");
-    const std::uint8_t *name = r.bytes(name_len);
-    prog.name.assign(reinterpret_cast<const char *>(name), name_len);
-    prog.code_base = r.varint();
-
-    prog.insts.resize(checkedCount(r, "instruction"));
-    for (StaticInst &si : prog.insts) {
-        si.cls = checkedEnum(r.u8(), InstClass::kBranch, "InstClass");
-        si.branch =
-            checkedEnum(r.u8(), BranchClass::kIndirectCall, "BranchClass");
-        si.dst = r.u8();
-        si.src1 = r.u8();
-        si.src2 = r.u8();
-        si.target = static_cast<std::uint32_t>(r.varint());
-        si.behavior = static_cast<std::int32_t>(r.zigzagVarint());
-        si.stream = static_cast<std::int32_t>(r.zigzagVarint());
-    }
-
-    prog.conds.resize(checkedCount(r, "conditional-behaviour"));
-    for (CondBehavior &c : prog.conds) {
-        c.kind = checkedEnum(r.u8(), CondBehavior::Kind::kPattern,
-                             "CondBehavior kind");
-        c.bias = r.f64();
-        c.min_trips = static_cast<std::uint32_t>(r.varint());
-        c.max_trips = static_cast<std::uint32_t>(r.varint());
-        c.pattern = r.varint();
-        c.pattern_len = r.u8();
-    }
-
-    prog.indirects.resize(checkedCount(r, "indirect-behaviour"));
-    for (IndirectBehavior &ib : prog.indirects) {
-        ib.kind = checkedEnum(r.u8(), IndirectBehavior::Kind::kBursty,
-                              "IndirectBehavior kind");
-        ib.skew = r.f64();
-        ib.burst = static_cast<std::uint32_t>(r.varint());
-        ib.targets.resize(checkedCount(r, "indirect-target"));
-        for (std::uint32_t &t : ib.targets)
-            t = static_cast<std::uint32_t>(r.varint());
-        ib.weights.resize(checkedCount(r, "indirect-weight"));
-        for (double &w : ib.weights)
-            w = r.f64();
-    }
-
-    prog.streams.resize(checkedCount(r, "memory-stream"));
-    for (MemStream &ms : prog.streams) {
-        ms.kind =
-            checkedEnum(r.u8(), MemStream::Kind::kRandom, "MemStream kind");
-        ms.base = r.varint();
-        ms.footprint = r.varint();
-        ms.stride = r.zigzagVarint();
-    }
-
-    prog.entries.resize(checkedCount(r, "entry"));
-    for (std::uint32_t &e : prog.entries)
-        e = static_cast<std::uint32_t>(r.varint());
-    prog.entry_weights.resize(checkedCount(r, "entry-weight"));
-    for (double &w : prog.entry_weights)
-        w = r.f64();
-
-    if (!r.done())
-        throw TraceError("corrupt Program image (trailing bytes)");
-    if (const std::string err = prog.validate(); !err.empty())
-        throw TraceError("corrupt Program image (" + err + ")");
-    return prog;
 }
 
 } // namespace btbsim::traceio

@@ -1,7 +1,7 @@
 /**
  * @file
  * The `.btbt` binary trace format — constants, header, varint/delta codec
- * and static-Program serialization.
+ * and static-Program serialization (written, never decoded).
  *
  * On-disk layout (all integers little-endian; multi-byte fields use
  * LEB128 varints inside variable-length sections):
@@ -17,8 +17,9 @@
  *   [40,48)   u64 Program-image bytes (0 when absent)
  *   [48,52)   u32 Program-image CRC32
  *   [52,64)   reserved (zero)
- *   [64, ..)  stream name, then the serialized Program image,
- *             then chunk_count chunks.
+ *   [64, ..)  stream name, then the serialized Program image
+ *             (replay checks its CRC and skips it), then chunk_count
+ *             chunks.
  *
  * Each chunk is independently decodable (the delta codec restarts per
  * chunk, so chunks can be skipped or used as seek points):
@@ -123,51 +124,6 @@ putZigzag(std::vector<std::uint8_t> &out, std::int64_t v)
     putVarint(out, zigzag(v));
 }
 
-/**
- * Bounds-checked cursor over a byte range. Every read throws TraceError
- * instead of walking off the end, so truncated files fail cleanly.
- */
-class ByteReader
-{
-  public:
-    ByteReader(const std::uint8_t *data, std::size_t size)
-        : p_(data), end_(data + size)
-    {}
-
-    bool done() const { return p_ == end_; }
-    std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
-
-    std::uint8_t
-    u8()
-    {
-        if (p_ == end_)
-            failTruncated();
-        return *p_++;
-    }
-
-    std::uint64_t
-    varint()
-    {
-        // Fast path: most deltas are sequential fall-throughs that fit
-        // a single byte.
-        if (p_ != end_ && *p_ < 0x80)
-            return *p_++;
-        return varintSlow();
-    }
-
-    std::int64_t zigzagVarint() { return unzigzag(varint()); }
-    double f64();
-    /** Raw byte view of length @p n (advances the cursor). */
-    const std::uint8_t *bytes(std::size_t n);
-
-  private:
-    const std::uint8_t *p_;
-    const std::uint8_t *end_;
-
-    std::uint64_t varintSlow();
-    [[noreturn]] static void failTruncated();
-};
-
 // ---------------------------------------------------------------------
 // Fixed header.
 
@@ -194,8 +150,9 @@ struct TraceHeader
 
 /**
  * Parse and validate the fixed header + name of a mapped trace file.
- * Throws TraceError on bad magic, truncation or a version newer than
- * kFormatVersion.
+ * Throws TraceError on bad magic, a version newer than kFormatVersion,
+ * a name or Program image extending past the end of the file, or a
+ * Program flag that disagrees with the image size.
  */
 TraceHeader parseHeader(const std::uint8_t *data, std::size_t size);
 
@@ -213,10 +170,6 @@ struct CodecState
 void encodeRecord(std::vector<std::uint8_t> &out, CodecState &st,
                   const Instruction &in);
 
-/** Decode one instruction; throws TraceError on truncation or invalid
- *  enum values. */
-void decodeRecord(ByteReader &r, CodecState &st, Instruction &out);
-
 /** Worst-case encoded size of one record: flags + two 10-byte varints
  *  + three register bytes + one 10-byte mem varint. */
 inline constexpr std::size_t kMaxRecordBytes = 34;
@@ -227,11 +180,13 @@ inline constexpr std::size_t kMinRecordBytes = 6;
 
 /**
  * Decode a whole chunk payload (@p count records in @p size bytes) into
- * @p out. This is the replay hot path: records are read with unchecked
- * loads while at least kMaxRecordBytes remain (a record can never
- * consume more, even on garbage input), the tail with bounds-checked
- * reads. Throws TraceError on truncation, invalid enum values, or
- * payload bytes left over after the last record.
+ * @p out. This is the one record decoder and the replay hot path: every
+ * record is read with unchecked loads, in place while at least
+ * kMaxRecordBytes remain (a record can never consume more, even on
+ * garbage input) and from a zero-padded copy of the shorter tail.
+ * Throws TraceError on a record cut short by the payload end
+ * ("truncated"), an overlong varint, invalid enum values, or payload
+ * bytes left over after the last record.
  */
 void decodeChunkPayload(const std::uint8_t *data, std::size_t size,
                         std::uint32_t count, Instruction *out);
@@ -239,14 +194,12 @@ void decodeChunkPayload(const std::uint8_t *data, std::size_t size,
 // ---------------------------------------------------------------------
 // Static Program image.
 
-/** Serialize @p prog (all fields, bit-exact doubles) into @p out. */
-void serializeProgram(const Program &prog, std::vector<std::uint8_t> &out);
-
 /**
- * Inverse of serializeProgram(). Throws TraceError on truncation,
- * invalid enum values, or a Program failing Program::validate().
+ * Serialize @p prog (all fields, bit-exact doubles) into @p out, for the
+ * optional image after a trace's name. Replay checks the image's extent
+ * and CRC, then skips it: nothing decodes it.
  */
-Program deserializeProgram(const std::uint8_t *data, std::size_t size);
+void serializeProgram(const Program &prog, std::vector<std::uint8_t> &out);
 
 } // namespace btbsim::traceio
 

@@ -95,13 +95,13 @@ TraceReplaySource::TraceReplaySource(const std::string &path)
 {
     header_ = parseHeader(map_.data(), map_.size());
 
-    if (header_.hasProgram()) {
-        const std::uint8_t *blob = map_.data() + header_.program_offset;
-        const auto n = static_cast<std::size_t>(header_.program_bytes);
-        if (crc32(blob, n) != header_.program_crc)
-            throw TraceError(path + ": Program image CRC mismatch");
-        program_ = std::make_unique<Program>(deserializeProgram(blob, n));
-    }
+    // The Program image is only CRC-checked (parseHeader bounded it);
+    // replay reads the instruction stream alone and skips the image.
+    if (header_.hasProgram() &&
+        crc32(map_.data() + header_.program_offset,
+              static_cast<std::size_t>(header_.program_bytes)) !=
+            header_.program_crc)
+        throw TraceError(path + ": Program image CRC mismatch");
 
     // Payload CRCs are verified lazily as chunks are decoded.
     chunks_ = readChunkDirectory(path, map_, header_);

@@ -7,11 +7,9 @@
 #define BTBSIM_TRACEIO_TRACE_READER_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "trace/program.h"
 #include "trace/trace_source.h"
 #include "traceio/format.h"
 
@@ -19,6 +17,9 @@ namespace btbsim::traceio {
 
 /**
  * Replays a recorded `.btbt` file as a TraceSource.
+ *
+ * Only the instruction stream is decoded. A Program image in the file
+ * is bounded and CRC-checked on open, then skipped.
  *
  * The file is mmapped and streamed through one reused chunk buffer: each
  * chunk is decoded when the cursor enters it, so a wrap or reset decodes
@@ -47,9 +48,6 @@ class TraceReplaySource : public TraceSource
     const Instruction &next() override;
     void reset() override;
     std::string name() const override { return header_.name; }
-    /** The recording's decoded, validated Program image; null when the
-     *  trace was written without one. */
-    const Program *program() const { return program_.get(); }
 
     std::uint64_t instructionCount() const { return header_.inst_count; }
     /** Times the stream wrapped back to the first chunk. */
@@ -92,7 +90,6 @@ class TraceReplaySource : public TraceSource
     MappedFile map_;
     TraceHeader header_;
     std::vector<ChunkInfo> chunks_;
-    std::unique_ptr<Program> program_;
     /// The mapping is immutable, so each chunk's CRC is verified only
     /// on its first decode (wraps and resets then skip the scan).
     std::vector<bool> crc_checked_;

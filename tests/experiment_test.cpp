@@ -90,11 +90,6 @@ TEST(Experiment, AllPointsRunAndAreOrdered)
         EXPECT_EQ(p.status, exp::PointStatus::kOk);
         EXPECT_EQ(p.digest.size(), 64u);
     }
-    // exp.* counters for the observability block.
-    const auto c = r.counters();
-    EXPECT_EQ(c.at("exp.points"), 6.0);
-    EXPECT_EQ(c.at("exp.ok"), 6.0);
-    EXPECT_EQ(c.at("exp.cache_hit_rate"), 0.0);
 }
 
 TEST(Experiment, SecondRunIsServedEntirelyFromCache)

@@ -117,15 +117,17 @@ TEST(ResultDoc, RunsLoadAsTheSimStatsWritten)
 
 TEST(ResultDoc, IgnoresRetiredV2Keys)
 {
-    // Earlier v2 writers also emitted a top-level host span profile and
-    // baseline name (btbbench still writes the latter), the workload
-    // source, a host perf-counter flag and a per-run host.spans copy of
-    // the profile. Those keys are retired; documents that still carry
-    // them must load unchanged.
+    // Earlier v2 writers also emitted a top-level host span profile,
+    // baseline name (btbbench still writes the latter) and sweep
+    // "experiment" block, the workload source, a host perf-counter flag
+    // and a per-run host.spans copy of the profile. Those keys are
+    // retired; documents that still carry them must load unchanged.
     const std::vector<SimStats> runs = fixtureRuns();
     std::string text = withRetiredProfile(docText(runs));
     text = replaced(text, "\"bench\": \"fig10_fetchpcs\"",
-                    "\"bench\": \"fig10_fetchpcs\", \"baseline\": \"\"");
+                    "\"bench\": \"fig10_fetchpcs\", \"baseline\": \"\", "
+                    "\"experiment\": {\"exp.points\": 6, "
+                    "\"exp.shard0.busy_seconds\": 0.5}");
     text = replaced(text, "\"host\": {",
                     "\"host\": {\"source\": \"replay\", "
                     "\"counters_available\": 1, \"spans\": {\"run\": "

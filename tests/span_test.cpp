@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/experiment.h"
@@ -224,4 +226,30 @@ TEST(Span, ChromeTraceIsStructurallyValidJson)
     EXPECT_GE(meta, 1u);
     EXPECT_EQ(complete, 2u);
     EXPECT_TRUE(saw_inner);
+}
+
+TEST(Span, MainLabelFollowsTheMainThreadNotRegistrationOrder)
+{
+    obs::SpanCollector &c = collector();
+    // A worker records first, so it registers before the main thread.
+    std::thread([] { obs::ObsSpan span("on_worker"); }).join();
+    {
+        obs::ObsSpan span("on_main");
+    }
+
+    const obs::JsonValue trace = chromeTrace(c);
+    std::map<std::string, double> span_tid;   // Span name -> tid.
+    std::map<std::string, double> label_tid;  // Thread label -> tid.
+    for (const obs::JsonValue &e : trace.at("traceEvents").array) {
+        if (e.at("ph").asString() == "X")
+            span_tid[e.at("name").asString()] = e.at("tid").asNumber();
+        else
+            label_tid[e.at("args").at("name").asString()] =
+                e.at("tid").asNumber();
+    }
+    ASSERT_EQ(span_tid.size(), 2u);
+    ASSERT_EQ(label_tid.size(), 2u);
+    ASSERT_EQ(label_tid.count("main"), 1u);
+    EXPECT_EQ(label_tid.at("main"), span_tid.at("on_main"));
+    EXPECT_EQ(label_tid.at("worker-0"), span_tid.at("on_worker"));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -107,6 +108,46 @@ expectSameInstruction(const Instruction &a, const Instruction &b,
     EXPECT_EQ(a.mem_addr, b.mem_addr) << "inst " << i;
 }
 
+/** The chunk payload encoding @p insts. */
+std::vector<std::uint8_t>
+encodePayload(const std::vector<Instruction> &insts)
+{
+    std::vector<std::uint8_t> payload;
+    CodecState st;
+    for (const Instruction &in : insts)
+        encodeRecord(payload, st, in);
+    return payload;
+}
+
+/**
+ * Decode @p count records from a copy of @p payload in a heap block of
+ * exactly its size, so a sanitizer build reports any read past its end.
+ */
+std::vector<Instruction>
+decodePayload(const std::vector<std::uint8_t> &payload, std::size_t count)
+{
+    const std::unique_ptr<std::uint8_t[]> block(
+        new std::uint8_t[payload.size()]);
+    std::copy(payload.begin(), payload.end(), block.get());
+    std::vector<Instruction> out(count);
+    decodeChunkPayload(block.get(), payload.size(),
+                       static_cast<std::uint32_t>(count), out.data());
+    return out;
+}
+
+/** The TraceError message decoding @p payload raises; empty when the
+ *  payload decodes. */
+std::string
+decodeError(const std::vector<std::uint8_t> &payload, std::size_t count)
+{
+    try {
+        decodePayload(payload, count);
+    } catch (const TraceError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 std::string
 writeSample(const std::string &name, const std::vector<Instruction> &insts,
             std::uint32_t chunk_insts, const Program *prog = nullptr)
@@ -161,10 +202,7 @@ handBuiltTrace(std::uint64_t inst_count, const std::vector<RawChunk> &chunks)
         f.push_back(0);
 
     for (const RawChunk &c : chunks) {
-        std::vector<std::uint8_t> payload;
-        CodecState st;
-        for (const Instruction &in : c.insts)
-            encodeRecord(payload, st, in);
+        const std::vector<std::uint8_t> payload = encodePayload(c.insts);
         putU32(kChunkMagic);
         putU32(c.claimed_records);
         putU32(static_cast<std::uint32_t>(payload.size()));
@@ -181,6 +219,8 @@ handBuiltTrace(std::uint64_t inst_count, const std::vector<RawChunk> &chunks)
 
 TEST(TraceFormat, VarintRoundTrip)
 {
+    // Each value is one record's zigzag pc delta; together their varints
+    // span 1 to 10 bytes.
     const std::uint64_t cases[] = {0,
                                    1,
                                    127,
@@ -191,13 +231,22 @@ TEST(TraceFormat, VarintRoundTrip)
                                    0x7fffffffffffffffull,
                                    0x8000000000000000ull,
                                    0xffffffffffffffffull};
-    std::vector<std::uint8_t> buf;
-    for (std::uint64_t v : cases)
-        putVarint(buf, v);
-    ByteReader r(buf.data(), buf.size());
-    for (std::uint64_t v : cases)
-        EXPECT_EQ(r.varint(), v);
-    EXPECT_TRUE(r.done());
+    std::vector<Instruction> insts;
+    Addr expected = 0;
+    for (std::uint64_t v : cases) {
+        Instruction in;
+        in.pc = expected + static_cast<Addr>(unzigzag(v));
+        in.next_pc = in.pc + kInstBytes;
+        expected = in.next_pc;
+        insts.push_back(in);
+    }
+    const auto out = decodePayload(encodePayload(insts), insts.size());
+    expected = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(zigzag(static_cast<std::int64_t>(out[i].pc - expected)),
+                  cases[i]);
+        expected = out[i].next_pc;
+    }
 }
 
 TEST(TraceFormat, ZigzagRoundTrip)
@@ -218,18 +267,28 @@ TEST(TraceFormat, ZigzagRoundTrip)
 
 TEST(TraceFormat, TruncatedVarintThrows)
 {
-    const std::uint8_t bytes[] = {0x80, 0x80};
-    ByteReader r(bytes, sizeof(bytes));
-    EXPECT_THROW(r.varint(), TraceError);
+    // A record's flags byte, then a pc varint cut after two continuation
+    // bytes.
+    const std::vector<std::uint8_t> bytes = {0x00, 0x80, 0x80};
+    EXPECT_NE(decodeError(bytes, 1).find("truncated"), std::string::npos);
 }
 
 TEST(TraceFormat, OverlongVarintThrows)
 {
     // 11 continuation bytes can never be a valid u64 varint.
-    std::vector<std::uint8_t> bytes(11, 0x80);
+    std::vector<std::uint8_t> bytes = {0x00};
+    bytes.insert(bytes.end(), 11, 0x80);
     bytes.push_back(0x01);
-    ByteReader r(bytes.data(), bytes.size());
-    EXPECT_THROW(r.varint(), TraceError);
+    EXPECT_NE(decodeError(bytes, 1).find("varint longer than 10 bytes"),
+              std::string::npos);
+}
+
+TEST(TraceFormat, InvalidInstructionClassThrows)
+{
+    // Flags naming InstClass 7, then an otherwise well-formed record.
+    const std::vector<std::uint8_t> bytes = {0x07, 0, 0, 0, 0, 0};
+    EXPECT_NE(decodeError(bytes, 1).find("invalid instruction class"),
+              std::string::npos);
 }
 
 TEST(TraceFormat, RecordPcWraparound)
@@ -253,19 +312,9 @@ TEST(TraceFormat, RecordPcWraparound)
     c.next_pc = 0xfffffffffffffff8ull; // Maximal backward displacement.
     insts.push_back(c);
 
-    std::vector<std::uint8_t> buf;
-    CodecState enc;
-    for (const Instruction &in : insts)
-        encodeRecord(buf, enc, in);
-
-    ByteReader r(buf.data(), buf.size());
-    CodecState dec;
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        Instruction out;
-        decodeRecord(r, dec, out);
-        expectSameInstruction(insts[i], out, i);
-    }
-    EXPECT_TRUE(r.done());
+    const auto out = decodePayload(encodePayload(insts), insts.size());
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        expectSameInstruction(insts[i], out[i], i);
 }
 
 TEST(TraceFormat, RecordMaxMemDelta)
@@ -288,88 +337,64 @@ TEST(TraceFormat, RecordMaxMemDelta)
     c.mem_addr = 2;
     insts.push_back(c);
 
-    std::vector<std::uint8_t> buf;
-    CodecState enc;
-    for (const Instruction &in : insts)
-        encodeRecord(buf, enc, in);
-    ByteReader r(buf.data(), buf.size());
-    CodecState dec;
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        Instruction out;
-        decodeRecord(r, dec, out);
-        expectSameInstruction(insts[i], out, i);
-    }
+    const auto out = decodePayload(encodePayload(insts), insts.size());
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        expectSameInstruction(insts[i], out[i], i);
 }
 
-// ---------------------------------------------------------------------
-// Program image.
-
-TEST(TraceFormat, ProgramImageRoundTrip)
+TEST(TraceFormat, EveryPayloadPrefixThrows)
 {
-    GenParams params;
-    params.seed = 0x77;
-    params.target_static_insts = 8 * 1024;
-    params.num_handlers = 4;
-    const Program prog = generateProgram(params);
+    // Ten records whose pc varints take 1 to 10 bytes, and whose next_pc
+    // (branches) and mem (loads) varints take 10 down to 1, so the cut
+    // falls inside varints of every length, in the records decoded in
+    // place and in the padded tail alike.
+    std::vector<Instruction> insts;
+    Addr expected = 0;
+    Addr prev_mem = 0;
+    for (unsigned k = 0; k < 10; ++k) {
+        const std::uint64_t zz = std::uint64_t{1} << (7 * k);
+        const std::uint64_t rev = std::uint64_t{1} << (7 * (9 - k));
+        std::vector<std::uint8_t> varint;
+        putVarint(varint, zz);
+        ASSERT_EQ(varint.size(), k + 1);
 
-    std::vector<std::uint8_t> blob;
-    serializeProgram(prog, blob);
-    const Program back = deserializeProgram(blob.data(), blob.size());
+        Instruction in;
+        in.pc = expected + static_cast<Addr>(unzigzag(zz));
+        if (k % 2 == 0) {
+            in.cls = InstClass::kLoad;
+            in.mem_addr = prev_mem + static_cast<Addr>(unzigzag(rev));
+            ASSERT_NE(in.mem_addr, 0u);
+            prev_mem = in.mem_addr;
+            in.next_pc = in.pc + kInstBytes;
+        } else {
+            in.cls = InstClass::kBranch;
+            in.branch = BranchClass::kUncondDirect;
+            in.taken = true;
+            in.next_pc = in.pc + kInstBytes + static_cast<Addr>(unzigzag(rev));
+        }
+        in.dst = static_cast<std::uint8_t>(k);
+        expected = in.next_pc;
+        insts.push_back(in);
+    }
+    const std::vector<std::uint8_t> payload = encodePayload(insts);
+    ASSERT_GT(payload.size(), 2 * kMaxRecordBytes);
 
-    EXPECT_EQ(back.name, prog.name);
-    EXPECT_EQ(back.code_base, prog.code_base);
-    ASSERT_EQ(back.insts.size(), prog.insts.size());
-    for (std::size_t i = 0; i < prog.insts.size(); ++i) {
-        EXPECT_EQ(back.insts[i].cls, prog.insts[i].cls) << i;
-        EXPECT_EQ(back.insts[i].branch, prog.insts[i].branch) << i;
-        EXPECT_EQ(back.insts[i].target, prog.insts[i].target) << i;
-        EXPECT_EQ(back.insts[i].behavior, prog.insts[i].behavior) << i;
-        EXPECT_EQ(back.insts[i].stream, prog.insts[i].stream) << i;
-        EXPECT_EQ(back.insts[i].dst, prog.insts[i].dst) << i;
-        EXPECT_EQ(back.insts[i].src1, prog.insts[i].src1) << i;
-        EXPECT_EQ(back.insts[i].src2, prog.insts[i].src2) << i;
-    }
-    ASSERT_EQ(back.conds.size(), prog.conds.size());
-    for (std::size_t i = 0; i < prog.conds.size(); ++i) {
-        EXPECT_EQ(back.conds[i].kind, prog.conds[i].kind) << i;
-        EXPECT_EQ(back.conds[i].bias, prog.conds[i].bias) << i;
-        EXPECT_EQ(back.conds[i].min_trips, prog.conds[i].min_trips) << i;
-        EXPECT_EQ(back.conds[i].max_trips, prog.conds[i].max_trips) << i;
-        EXPECT_EQ(back.conds[i].pattern, prog.conds[i].pattern) << i;
-        EXPECT_EQ(back.conds[i].pattern_len, prog.conds[i].pattern_len) << i;
-    }
-    ASSERT_EQ(back.indirects.size(), prog.indirects.size());
-    for (std::size_t i = 0; i < prog.indirects.size(); ++i) {
-        EXPECT_EQ(back.indirects[i].kind, prog.indirects[i].kind) << i;
-        EXPECT_EQ(back.indirects[i].skew, prog.indirects[i].skew) << i;
-        EXPECT_EQ(back.indirects[i].burst, prog.indirects[i].burst) << i;
-        EXPECT_EQ(back.indirects[i].targets, prog.indirects[i].targets) << i;
-        EXPECT_EQ(back.indirects[i].weights, prog.indirects[i].weights) << i;
-    }
-    ASSERT_EQ(back.streams.size(), prog.streams.size());
-    for (std::size_t i = 0; i < prog.streams.size(); ++i) {
-        EXPECT_EQ(back.streams[i].kind, prog.streams[i].kind) << i;
-        EXPECT_EQ(back.streams[i].base, prog.streams[i].base) << i;
-        EXPECT_EQ(back.streams[i].footprint, prog.streams[i].footprint) << i;
-        EXPECT_EQ(back.streams[i].stride, prog.streams[i].stride) << i;
-    }
-    EXPECT_EQ(back.entries, prog.entries);
-    EXPECT_EQ(back.entry_weights, prog.entry_weights);
-    EXPECT_TRUE(back.validate().empty());
-}
+    const auto out = decodePayload(payload, insts.size());
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        expectSameInstruction(insts[i], out[i], i);
 
-TEST(TraceFormat, TruncatedProgramImageThrows)
-{
-    GenParams params;
-    params.seed = 0x78;
-    params.target_static_insts = 4 * 1024;
-    const Program prog = generateProgram(params);
-    std::vector<std::uint8_t> blob;
-    serializeProgram(prog, blob);
-    EXPECT_THROW(deserializeProgram(blob.data(), blob.size() / 2), TraceError);
-    // Trailing garbage must be rejected too.
-    blob.push_back(0);
-    EXPECT_THROW(deserializeProgram(blob.data(), blob.size()), TraceError);
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+        const std::vector<std::uint8_t> prefix(
+            payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(n));
+        const std::string err = decodeError(prefix, insts.size());
+        EXPECT_NE(err.find("truncated"), std::string::npos)
+            << "prefix of " << n << " bytes: '" << err << "'";
+    }
+
+    std::vector<std::uint8_t> longer = payload;
+    longer.push_back(0);
+    const std::string err = decodeError(longer, insts.size());
+    EXPECT_NE(err.find("trailing bytes"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------
@@ -384,7 +409,6 @@ TEST(TraceRoundTrip, WriterReaderAllFields)
     TraceReplaySource src(path);
     EXPECT_EQ(src.instructionCount(), insts.size());
     EXPECT_EQ(src.name(), "rt_fields.btbt");
-    EXPECT_EQ(src.program(), nullptr);
     // All but the final instruction round-trip exactly; the tail is
     // pre-patched into the wrap-seam jump (pc and registers survive,
     // control flow redirects to the head).
@@ -444,21 +468,28 @@ TEST(TraceRoundTrip, WrapInsertsConsistentSeam)
     std::remove(path.c_str());
 }
 
-TEST(TraceRoundTrip, ProgramImageTravelsWithTrace)
+TEST(TraceRoundTrip, ProgramImageLeavesStreamUnchanged)
 {
+    // Replay skips the image: a recording written with one delivers the
+    // same stream as one written without.
     GenParams params;
     params.seed = 0x99;
     params.target_static_insts = 4 * 1024;
     const Program prog = generateProgram(params);
-    const auto insts = sampleStream(64);
-    const std::string path =
-        writeSample("rt_prog.btbt", insts, kDefaultChunkInsts, &prog);
+    const auto insts = sampleStream(300);
+    const std::string with_path =
+        writeSample("rt_prog.btbt", insts, 64, &prog);
+    const std::string without_path = writeSample("rt_noprog.btbt", insts, 64);
 
-    TraceReplaySource src(path);
-    ASSERT_NE(src.program(), nullptr);
-    EXPECT_EQ(src.program()->insts.size(), prog.insts.size());
-    EXPECT_EQ(src.program()->name, prog.name);
-    std::remove(path.c_str());
+    TraceReplaySource with(with_path);
+    TraceReplaySource without(without_path);
+    EXPECT_EQ(with.instructionCount(), without.instructionCount());
+    // Two laps, across every chunk and the wrap seam.
+    for (std::size_t i = 0; i < 2 * insts.size(); ++i)
+        expectSameInstruction(with.next(), without.next(), i);
+    EXPECT_EQ(with.wraps(), 1u);
+    std::remove(with_path.c_str());
+    std::remove(without_path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -625,22 +656,6 @@ TEST(TraceNegative, CorruptProgramImage)
     flipped[h.program_offset + h.program_bytes / 2] ^= 0x5a;
     writeFile(path, flipped);
     expectReplayError(path, 0, "Program image CRC mismatch", true);
-
-    // An image with a valid CRC must still deserialize: one byte
-    // appended to it (size and CRC patched to match) is left over.
-    auto grown = bytes;
-    grown.insert(grown.begin() + static_cast<std::ptrdiff_t>(h.data_offset),
-                 0);
-    const std::uint64_t image_bytes = h.program_bytes + 1;
-    const std::uint32_t crc =
-        crc32(grown.data() + h.program_offset, image_bytes);
-    for (int i = 0; i < 8; ++i)
-        grown[40 + i] = static_cast<std::uint8_t>(image_bytes >> (8 * i));
-    for (int i = 0; i < 4; ++i)
-        grown[48 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-    writeFile(path, grown);
-    expectReplayError(path, 0, "corrupt Program image (trailing bytes)",
-                      true);
     std::remove(path.c_str());
 }
 
