@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "trace/program.h"
@@ -238,11 +239,21 @@ decodeChunkPayload(const std::uint8_t *data, std::size_t size,
          ++i)
         readRecord(p, st, out[i]);
 
+    // The count ran out first: any payload left over is corrupt (the
+    // header's record count lies outside the payload CRC).
+    if (i == count) {
+        if (p != end)
+            throw TraceError("trace data corrupt (trailing bytes after the "
+                             "last record)");
+        return;
+    }
+
     // Tail: fewer than kMaxRecordBytes left. Decode a zero-padded copy:
     // a record starting inside the real bytes reads at most
     // kMaxRecordBytes, all within the copy. One that ends past the real
     // bytes was cut short.
     const auto left = static_cast<std::size_t>(end - p);
+    assert(left < kMaxRecordBytes);
     std::uint8_t tail[2 * kMaxRecordBytes] = {};
     std::copy(p, end, tail);
     const std::uint8_t *q = tail;

@@ -395,6 +395,15 @@ TEST(TraceFormat, EveryPayloadPrefixThrows)
     longer.push_back(0);
     const std::string err = decodeError(longer, insts.size());
     EXPECT_NE(err.find("trailing bytes"), std::string::npos) << err;
+
+    // A record count smaller than the payload holds (the count lies
+    // outside the payload CRC) leaves far more than a tail's worth of
+    // bytes unread: still trailing bytes, with no tail copy of them.
+    for (const std::size_t count : {std::size_t{1}, std::size_t{0}}) {
+        const std::string short_err = decodeError(payload, count);
+        EXPECT_NE(short_err.find("trailing bytes"), std::string::npos)
+            << "count " << count << ": '" << short_err << "'";
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -621,6 +630,20 @@ TEST(TraceNegative, TrailingPayloadBytes)
     const auto insts = sampleStream(2);
     const auto f = handBuiltTrace(1, {{1, insts}});
     const std::string path = tmpPath("trailing.btbt");
+    writeFile(path, f);
+    expectReplayError(path, 0, "trailing bytes after the last record",
+                      true);
+    std::remove(path.c_str());
+}
+
+TEST(TraceNegative, RecordCountBelowPayloadRejected)
+{
+    // A chunk holding many records whose header (and the file header)
+    // claim one: the payload left over is far longer than a record.
+    const auto insts = sampleStream(40);
+    ASSERT_GT(encodePayload(insts).size(), 2 * kMaxRecordBytes);
+    const auto f = handBuiltTrace(1, {{1, insts}});
+    const std::string path = tmpPath("count_below_payload.btbt");
     writeFile(path, f);
     expectReplayError(path, 0, "trailing bytes after the last record",
                       true);
